@@ -5,10 +5,7 @@ a canonical normal form modulo |z_1|^2 + |z_2|^2 = 1.  Coefficients are
 Gaussian rationals, so every equality below is exact, never approximate.
 """
 
-from fractions import Fraction
-
-from crsphere import (ExactScalar, SpherePoly, integrate_sphere, parse_poly,
-                      volume_factor)
+from crsphere import SpherePoly, parse_poly, volume_factor
 
 z1, z2 = SpherePoly.z(1, 1), SpherePoly.z(1, 2)
 w1, w2 = SpherePoly.w(1, 1), SpherePoly.w(1, 2)   # w_k denotes conj(z_k)
@@ -27,7 +24,7 @@ print("   (|z1|^4 + |z2|^4) == 1 - 2|z1 z2|^2 :", lhs == rhs)
 print("\nExact moments in the rotation-invariant probability measure:")
 for p, label in [(z1 * w1, "|z1|^2"), ((z1 * w1) ** 2, "|z1|^4"),
                  ((z1 * w1) ** 5, "|z1|^10"), (z1 * w2, "z1 conj(z2)")]:
-    print(f"   int {label:12s} = {integrate_sphere(p).serialize()}")
+    print(f"   int {label:12s} = {p.integral().serialize()}")
 
 print("\nThe circle action z -> e^{it} z grades monomials by m = |a| - |b|:")
 p = z1 ** 2 * w2 + w1 ** 5 + z1 * w2

@@ -36,19 +36,22 @@ print("   d^2/dt^2 of the total curvature:",
       (ps.webster.c2.integral() * 2).serialize())
 
 print("\nA mode -4 deformation is exactly neutral:")
-verdict, d2 = second_derivative_check(w1 * w2 ** 3)
+e = w1 * w2 ** 3
+verdict, d2 = second_derivative_check(e, solve_structure(deform_frame(e)))
 print("   E = w1 w2^3: second derivative =", d2.serialize(),
       "| all routes agree:", verdict.ok)
 
 print("\nA lower mode turns the functional downward:")
-verdict, d2 = second_derivative_check(w1 ** 5)
+e = w1 ** 5
+verdict, d2 = second_derivative_check(e, solve_structure(deform_frame(e)))
 print("   E = w1^5: second derivative =", d2.serialize(),
       "| all routes agree:", verdict.ok)
 
 print("\nCriticality and the first-variation laws on a sample direction:")
 e = z1 * w2 ** 2
-fv = check_first_variation(e)
-tv = check_torsion_variation(e)
+ps = solve_structure(deform_frame(e))
+fv = check_first_variation(e, ps)
+tv = check_torsion_variation(e, ps)
 print("   pointwise curvature slice + vanishing integral:", fv.ok)
 print("   torsion slice matches -i (T - 2i) conj(E):    ", tv.ok)
 

@@ -8,7 +8,6 @@ structure-equation verifier on S^3.
 """
 
 from .ring import (ExactScalar, SpherePoly, TSeries2, VolumeFactor,
-                   normal_form, integrate_sphere, conjugate, fourier_project,
                    parse_poly, parse_scalar, volume_factor, norm2)
 from .spectral import (HarmonicDecomposition, harmonic_decompose,
                        eigenvalue, sublaplacian, sublaplacian_energy,

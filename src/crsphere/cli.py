@@ -4,16 +4,14 @@ from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
 
 from . import __version__
-from .ring import (ExactScalar, SpherePoly, PolyParseError, parse_poly)
+from .ring import SpherePoly, PolyParseError, parse_poly
 from . import spectral
 from . import frames
 from . import variation
 from . import oracle3
-from .verify import (Report, SuiteConfig, SUITE_NAMES, conventions_text,
-                     run_suite)
+from .verify import SuiteConfig, SUITE_NAMES, conventions_text, run_suite
 
 __all__ = ["main", "load_config", "parse_deformation_file"]
 
@@ -77,7 +75,9 @@ def parse_deformation_file(path: str) -> variation.DeformationTensor:
 
     Format: a line ``n = <int>``, then either ``E = <poly>`` for n = 1
     or lines ``E[j k, l m] = <poly>`` for higher dimensions, with
-    polynomials in the term grammar.
+    polynomials in the term grammar.  Each of the dimension line, the
+    ``E`` line and each tensor index may appear once, and the two
+    coefficient forms are not mixed.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -88,6 +88,13 @@ def parse_deformation_file(path: str) -> variation.DeformationTensor:
     n: int | None = None
     scalar: SpherePoly | None = None
     coeffs: dict = {}
+    first_line: dict = {}   # 'n', 'E' or a tensor index -> its line
+
+    def once(key, what: str, ln: int) -> None:
+        if key in first_line:
+            raise ConfigError(f"{path}:{ln}: repeated {what} (first at line "
+                              f"{first_line[key]})")
+        first_line[key] = ln
 
     def poly_at(text: str, ln: int, col0: int) -> SpherePoly:
         try:
@@ -102,6 +109,7 @@ def parse_deformation_file(path: str) -> variation.DeformationTensor:
             continue
         stripped = line.strip()
         if stripped.startswith("n"):
+            once("n", "dimension line 'n = ...'", ln)
             _, _, val = stripped.partition("=")
             try:
                 n = int(val.strip())
@@ -121,20 +129,29 @@ def parse_deformation_file(path: str) -> variation.DeformationTensor:
             if len(idx) != 4:
                 raise ConfigError(f"{path}:{ln}: tensor index needs four "
                                   "entries 'E[j k, l m]'")
-            j, k, l, m = (int(x) for x in idx)
+            try:
+                j, k, l, m = (int(x) for x in idx)
+            except ValueError:
+                raise ConfigError(f"{path}:{ln}: tensor index entries must "
+                                  "be integers")
             if not (1 <= j < k <= n + 1 and 1 <= l < m <= n + 1):
                 raise ConfigError(f"{path}:{ln}: index pair out of range")
+            once(((j, k), (l, m)), f"tensor index E[{j} {k}, {l} {m}]", ln)
             coeffs[((j, k), (l, m))] = poly_at(body, ln, len(head) + 1)
         elif stripped.startswith("E"):
             head, sep, body = line.partition("=")
             if not sep:
                 raise ConfigError(f"{path}:{ln}: expected 'E = <poly>'")
+            once("E", "coefficient line 'E = ...'", ln)
             scalar = poly_at(body, ln, len(head) + 1)
         else:
             raise ConfigError(f"{path}:{ln}: unrecognized line {stripped!r}")
 
     if n is None:
         raise ConfigError(f"{path}: missing dimension line 'n = ...'")
+    if scalar is not None and coeffs:
+        raise ConfigError(f"{path}:{first_line['E']}: 'E = ...' cannot be "
+                          "mixed with 'E[j k, l m] = ...' lines")
     if n == 1:
         if scalar is None and not coeffs:
             raise ConfigError(f"{path}: missing coefficient line 'E = ...'")
@@ -152,9 +169,19 @@ def parse_deformation_file(path: str) -> variation.DeformationTensor:
 # subcommands
 # ---------------------------------------------------------------------------
 
+def _check_writable(path: str) -> None:
+    """Fail before any work if the report path cannot be opened."""
+    try:
+        with open(path, "a", encoding="utf-8"):
+            pass
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
+
+
 def _cmd_verify(args) -> int:
     try:
         cfg = _build_suite_config(args)
+        _check_writable(cfg.output)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -171,6 +198,12 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
+    if args.output:
+        try:
+            _check_writable(args.output)
+        except ConfigError as exc:
+            print(f"config error: {exc}", file=sys.stderr)
+            return 2
     try:
         e = parse_deformation_file(args.file)
     except ConfigError as exc:
@@ -182,20 +215,12 @@ def _cmd_analyze(args) -> int:
     for key, c in sorted(e.coefficients().items()):
         lines.append(f"coefficient {key}: {c.to_grammar()}")
 
-    sym = variation.validate_symmetry(e)
-    lines.append(f"symmetric lowered form: {'yes' if sym else 'no'}")
-    if not sym:
-        fields = [frames.z_field(e.n, j, k)
-                  for (j, k) in frames.index_pairs(e.n)]
-        for a in range(len(fields)):
-            for b in range(a + 1, len(fields)):
-                lhs = e.tensor.lowered_form(fields[a], fields[b])
-                rhs = e.tensor.lowered_form(fields[b], fields[a])
-                if lhs != rhs:
-                    pa = frames.index_pairs(e.n)[a]
-                    pb = frames.index_pairs(e.n)[b]
-                    lines.append(f"asymmetry at frame pair {pa},{pb}: "
-                                 f"{lhs.to_grammar()} vs {rhs.to_grammar()}")
+    lines.append("symmetric lowered form: "
+                 f"{'no' if e.asymmetries else 'yes'}")
+    if e.asymmetries:
+        for pa, pb, lhs, rhs in e.asymmetries:
+            lines.append(f"asymmetry at frame pair {pa},{pb}: "
+                         f"{lhs.to_grammar()} vs {rhs.to_grammar()}")
         text = "\n".join(lines) + "\n"
         _emit(args.output, text)
         return 1
@@ -231,11 +256,12 @@ def _cmd_analyze(args) -> int:
         if e.n != 1:
             lines.append("oracle cross-check: skipped (S^3 only)")
         else:
-            verdict, d2 = oracle3.second_derivative_check(e.coefficient)
+            ps = oracle3.solve_structure(oracle3.deform_frame(e.coefficient))
+            verdict, d2 = oracle3.second_derivative_check(e.coefficient, ps)
             lines.append(f"oracle second derivative: {d2.serialize()} "
                          f"[{'PASS' if verdict.ok else 'FAIL'}]")
-            for v in (oracle3.check_first_variation(e.coefficient),
-                      oracle3.check_torsion_variation(e.coefficient)):
+            for v in (oracle3.check_first_variation(e.coefficient, ps),
+                      oracle3.check_torsion_variation(e.coefficient, ps)):
                 lines.append(f"oracle {v.name}: "
                              f"{'PASS' if v.ok else 'FAIL'}")
                 if not v.ok:

@@ -31,7 +31,7 @@ from fractions import Fraction
 
 from .ring import ExactScalar, SpherePoly, TSeries2
 from .frames import field_apply, reeb, z_field
-from .variation import DeformationTensor, j_hessian_via_T
+from .variation import DeformationTensor, j_hessian, j_hessian_via_T
 
 __all__ = [
     "DeformedCoframe",
@@ -441,18 +441,15 @@ def _verdict(name: str, pairs) -> OracleVerdict:
     return OracleVerdict(name=name, ok=ok, comparisons=tuple(comps))
 
 
-def _pipeline(e: SpherePoly, **kw) -> PseudohermitianSeries:
-    return solve_structure(deform_frame(e, **kw))
-
-
-def check_first_variation(e: SpherePoly) -> OracleVerdict:
-    """Order-t Webster slice against the covariant closed form.
+def check_first_variation(e: SpherePoly,
+                          ps: PseudohermitianSeries) -> OracleVerdict:
+    """Order-t Webster slice of ps = solve_structure(deform_frame(e))
+    against the covariant closed form.
 
     Pointwise the slice must equal (i/2)(Zbar_1^2 E - Z_1^2 conj(E)); the
     1/2 is the inverse Levi constant of the frame.  Its integral vanishes
     for every E: the round structure is critical.
     """
-    ps = _pipeline(e)
     ebar = e.conjugate()
     closed = (field_apply(_ZB1, field_apply(_ZB1, e))
               - field_apply(_Z1, field_apply(_Z1, ebar))) \
@@ -464,13 +461,14 @@ def check_first_variation(e: SpherePoly) -> OracleVerdict:
           ps.webster.c1.integral().serialize())])
 
 
-def check_torsion_variation(e: SpherePoly) -> OracleVerdict:
-    """Order-t torsion against -i (T - 2i) conj(E).
+def check_torsion_variation(e: SpherePoly,
+                            ps: PseudohermitianSeries) -> OracleVerdict:
+    """Order-t torsion of ps = solve_structure(deform_frame(e)) against
+    -i (T - 2i) conj(E).
 
     The closed form is the transverse covariant derivative of the
     conjugate tensor component (frame weight -2i), scaled by -i.
     """
-    ps = _pipeline(e)
     ebar = e.conjugate()
     closed = (field_apply(_T, ebar) - ebar * ExactScalar(0, 2)) \
         * ExactScalar(0, -1)
@@ -479,13 +477,14 @@ def check_torsion_variation(e: SpherePoly) -> OracleVerdict:
         [("dA/dt", closed, ps.torsion.c1)])
 
 
-def check_connection_variation(e: SpherePoly) -> OracleVerdict:
-    """Order-t connection form against its covariant closed form.
+def check_connection_variation(e: SpherePoly,
+                               ps: PseudohermitianSeries) -> OracleVerdict:
+    """Order-t connection form of ps = solve_structure(deform_frame(e))
+    against its covariant closed form.
 
     With zero base torsion the slice is
     -i (Zbar_1 E) theta^1 - i (Z_1 conj(E)) theta^1bar, with no theta part.
     """
-    ps = _pipeline(e)
     ebar = e.conjugate()
     want_t1 = field_apply(_ZB1, e) * ExactScalar(0, -1)
     want_t1b = field_apply(_Z1, ebar) * ExactScalar(0, -1)
@@ -497,42 +496,28 @@ def check_connection_variation(e: SpherePoly) -> OracleVerdict:
 
 
 def mode_weighted_norm(e: SpherePoly) -> ExactScalar:
-    """sum_m (m + 4) ||E^(m)||^2, straight from the circle grading."""
-    total = ExactScalar.zero()
-    for m in e.modes():
-        part = e.fourier_project(m)
-        total = total + (part * part.conjugate()).integral() * (m + 4)
-    return total
+    """sum_m (m + 4) ||E^(m)||^2: the mode-diagonal Hessian at n = 1."""
+    return j_hessian(DeformationTensor.from_coefficient(e)).total
 
 
 def second_derivative_check(
         e: SpherePoly,
-        second_order_tweak: SpherePoly | None = None
-) -> tuple[OracleVerdict, ExactScalar]:
+        ps: PseudohermitianSeries) -> tuple[OracleVerdict, ExactScalar]:
     """Second derivative of the total Webster curvature, three ways.
 
-    Compares d^2/dt^2 of int W(t) from the solver against the transverse
-    covariant-derivative closed form and against the mode-weighted norm
-    sum (m+4)||E^(m)||^2 (the order-t^2 coefficient carries the uniform
-    constant 1/2).  With a second-order path tweak the value must not
-    move: the second variation at a critical point sees only first-order
-    data.
+    Compares d^2/dt^2 of int W(t) from ps = solve_structure(deform_frame(e))
+    against the transverse covariant-derivative closed form and against
+    the mode-weighted norm sum (m+4)||E^(m)||^2 (the order-t^2 coefficient
+    carries the uniform constant 1/2).
     """
-    ps = _pipeline(e)
     d2 = ps.webster.c2.integral() * 2
     via_t = j_hessian_via_T(DeformationTensor.from_coefficient(e))
     modes = mode_weighted_norm(e)
     coeff_target = modes * ExactScalar(SECOND_VARIATION_COEFF)
-    pairs = [
+    verdict = _verdict(f"second-variation[{e.to_grammar()}]", [
         ("d2/dt2 vs covariant route", via_t.serialize(), d2.serialize()),
         ("d2/dt2 vs mode formula", modes.serialize(), d2.serialize()),
         ("order-t^2 coefficient", coeff_target.serialize(),
          ps.webster.c2.integral().serialize()),
-    ]
-    if second_order_tweak is not None:
-        alt = _pipeline(e, second_order_tweak=second_order_tweak)
-        pairs.append(("path-completion independence", d2.serialize(),
-                      (alt.webster.c2.integral() * 2).serialize()))
-    verdict = _verdict(f"second-variation[{e.to_grammar()}]", [
-        (label, want, got) for label, want, got in pairs])
+    ])
     return verdict, d2

@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 __all__ = [
     "ExactScalar",
@@ -32,10 +32,6 @@ __all__ = [
     "TSeries2",
     "VolumeFactor",
     "volume_factor",
-    "normal_form",
-    "integrate_sphere",
-    "conjugate",
-    "fourier_project",
     "parse_scalar",
     "parse_poly",
     "PolyParseError",
@@ -48,7 +44,7 @@ _RationalLike = int | Fraction
 def _frac(x: _RationalLike) -> Fraction:
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
+    if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
     raise TypeError(f"not an exact rational: {x!r}")
 
@@ -444,18 +440,6 @@ class SpherePoly:
     def __repr__(self):
         return f"SpherePoly(n={self.n}, {self.to_grammar()})"
 
-    def eval_complex(self, zs: tuple[complex, ...]) -> complex:
-        """Float evaluation at an ambient point (Monte-Carlo checks only)."""
-        total = 0j
-        for (a, b), c in self.terms.items():
-            v = c.to_complex()
-            for z, e in zip(zs, a):
-                v *= z ** e
-            for z, e in zip(zs, b):
-                v *= z.conjugate() ** e
-            total += v
-        return total
-
 
 def norm2(p: SpherePoly) -> ExactScalar:
     """L^2 norm squared in the probability measure, int p * conj(p)."""
@@ -463,30 +447,6 @@ def norm2(p: SpherePoly) -> ExactScalar:
     if v.im != 0:
         raise AssertionError("norm squared must be real")
     return v
-
-
-def normal_form(terms: Mapping[TermKey, ExactScalar] | SpherePoly,
-                n: int | None = None) -> SpherePoly:
-    """Reduce a raw term map (or re-reduce a SpherePoly) to normal form."""
-    if isinstance(terms, SpherePoly):
-        return SpherePoly(terms.n, terms.terms)
-    if n is None:
-        raise ValueError("dimension n required for raw term maps")
-    return SpherePoly(n, terms)
-
-
-def integrate_sphere(p: SpherePoly) -> ExactScalar:
-    """Integral in the rotation-invariant probability measure."""
-    return p.integral()
-
-
-def conjugate(p: SpherePoly) -> SpherePoly:
-    return p.conjugate()
-
-
-def fourier_project(p: SpherePoly, m: int) -> SpherePoly:
-    """Circle-action component of weight m."""
-    return p.fourier_project(m)
 
 
 # ---------------------------------------------------------------------------

@@ -26,10 +26,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .ring import ExactScalar, SpherePoly, TSeries2, norm2
-from .spectral import (eigenvalue, harmonic_decompose, sublaplacian,
-                       sublaplacian_energy)
-from .frames import (TensorField, covariant_T, field_apply, index_pairs,
-                     reeb, tight_expand, z_field)
+from .spectral import sublaplacian, sublaplacian_energy
+from .frames import (TensorField, field_apply, index_pairs, reeb,
+                     tight_expand, z_field)
 
 __all__ = [
     "DeformationTensor",
@@ -66,20 +65,48 @@ def conformal_exponent(n: int) -> Fraction:
     return 2 + Fraction(2, n)
 
 
+# A frame-field pair (Z_jk, Z_lm) whose lowered form is not symmetric:
+# ((j, k), (l, m), B(Z_jk, Z_lm), B(Z_lm, Z_jk)).
+Asymmetry = tuple[tuple[int, int], tuple[int, int], SpherePoly, SpherePoly]
+
+
+def validate_symmetry(t: TensorField) -> tuple[Asymmetry, ...]:
+    """Scan the lowered bilinear form on all pairs of frame fields.
+
+    The form B(X, Y) = sum c theta_jk(X) theta_lm(Y) must satisfy
+    B(X, Y) = B(Y, X) for every pair of frame fields.  Returns every pair
+    that fails, with both sides, in frame-pair order; the form is
+    symmetric exactly when none does.  Vacuous on S^3 (a single index).
+    """
+    pairs = index_pairs(t.n)
+    fields = [z_field(t.n, j, k) for (j, k) in pairs]
+    bad = []
+    for a in range(len(fields)):
+        for b in range(a + 1, len(fields)):
+            lhs = t.lowered_form(fields[a], fields[b])
+            rhs = t.lowered_form(fields[b], fields[a])
+            if lhs != rhs:
+                bad.append((pairs[a], pairs[b], lhs, rhs))
+    return tuple(bad)
+
+
 class DeformationTensor:
     """Infinitesimal deformation of the complex rotation on S^{2n+1}.
 
     On S^3 it is a single SpherePoly coefficient; in higher dimensions a
-    TensorField with canonical coefficients and symmetric lowered form.
+    TensorField with canonical coefficients.  ``asymmetries`` holds the
+    result of the lowered-form scan, made once when the tensor is built.
     """
 
-    __slots__ = ("n", "coefficient", "tensor")
+    __slots__ = ("n", "coefficient", "tensor", "asymmetries")
 
     def __init__(self, n: int, coefficient: SpherePoly | None,
-                 tensor: TensorField | None):
+                 tensor: TensorField | None,
+                 asymmetries: tuple[Asymmetry, ...]):
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "coefficient", coefficient)
         object.__setattr__(self, "tensor", tensor)
+        object.__setattr__(self, "asymmetries", asymmetries)
 
     def __setattr__(self, name, value):
         raise AttributeError("DeformationTensor is immutable")
@@ -88,15 +115,16 @@ class DeformationTensor:
     def from_coefficient(e: SpherePoly) -> "DeformationTensor":
         if e.n != 1:
             raise ValueError("scalar deformation coefficients live on S^3")
-        return DeformationTensor(1, e, None)
+        return DeformationTensor(1, e, None, ())
 
     @staticmethod
     def from_tensor(t: TensorField) -> "DeformationTensor":
+        canonical = tight_expand(t)
         if t.n == 1:
-            c = tight_expand(t).coeffs.get(((1, 2), (1, 2)),
-                                           SpherePoly.zero(1))
-            return DeformationTensor(1, c, None)
-        return DeformationTensor(t.n, None, tight_expand(t))
+            return DeformationTensor.from_coefficient(
+                canonical.coeffs.get(((1, 2), (1, 2)), SpherePoly.zero(1)))
+        return DeformationTensor(t.n, None, canonical,
+                                 validate_symmetry(canonical))
 
     def coefficients(self) -> dict:
         """Uniform view: map from ((j,k),(l,m)) to SpherePoly."""
@@ -113,14 +141,6 @@ class DeformationTensor:
             ms.update(c.modes())
         return sorted(ms)
 
-    def project_mode(self, m: int) -> "DeformationTensor":
-        if self.n == 1:
-            return DeformationTensor(1, self.coefficient.fourier_project(m),
-                                     None)
-        coeffs = {k: c.fourier_project(m)
-                  for k, c in self.tensor.coeffs.items()}
-        return DeformationTensor(self.n, None, TensorField(self.n, coeffs))
-
     def admissible(self) -> bool:
         """No negative circle modes (meaningful for n > 1 deformations)."""
         return all(m >= 0 for m in self.coefficient_modes())
@@ -136,28 +156,15 @@ class DeformationTensor:
         return f"DeformationTensor(n={self.n}, {body})"
 
 
-def validate_symmetry(e: DeformationTensor) -> bool:
-    """Check symmetry of the lowered bilinear form on all frame pairs.
-
-    Vacuous on S^3 (a single index); for n > 1 the form
-    B(X, Y) = sum c theta_jk(X) theta_lm(Y) must satisfy B(X, Y) = B(Y, X)
-    on every pair of frame fields.
-    """
-    if e.n == 1:
-        return True
-    t = e.tensor
-    fields = [z_field(e.n, j, k) for (j, k) in index_pairs(e.n)]
-    for a in range(len(fields)):
-        for b in range(a + 1, len(fields)):
-            if t.lowered_form(fields[a], fields[b]) != \
-                    t.lowered_form(fields[b], fields[a]):
-                return False
-    return True
-
-
 def fourier_modes(e: DeformationTensor) -> dict[int, DeformationTensor]:
     """Coefficient-wise circle-mode split; the parts sum back to e."""
-    return {m: e.project_mode(m) for m in e.coefficient_modes()}
+    if e.n == 1:
+        return {m: DeformationTensor.from_coefficient(
+                    e.coefficient.fourier_project(m))
+                for m in e.coefficient_modes()}
+    return {m: DeformationTensor.from_tensor(TensorField(e.n, {
+                k: c.fourier_project(m) for k, c in e.tensor.coeffs.items()}))
+            for m in e.coefficient_modes()}
 
 
 def is_embeddable(e: DeformationTensor) -> bool:
@@ -200,14 +207,16 @@ class HessianReport:
 
 def j_hessian(e: DeformationTensor) -> HessianReport:
     """Mode-diagonal second variation: total = n sum_m (m+4) ||E^(m)||^2."""
-    if not validate_symmetry(e):
+    if e.asymmetries:
         raise ValueError("deformation tensor has asymmetric lowered form")
+    norms: dict[int, ExactScalar] = {}
+    for c in e.coefficients().values():
+        for m in c.modes():
+            norms[m] = norms.get(m, ExactScalar.zero()) \
+                + norm2(c.fourier_project(m))
     rows = []
     total = ExactScalar.zero()
-    for m, part in sorted(fourier_modes(e).items()):
-        nrm = ExactScalar.zero()
-        for c in part.coefficients().values():
-            nrm = nrm + norm2(c)
+    for m, nrm in sorted(norms.items()):
         if nrm.is_zero():
             continue
         weighted = nrm * (m + 4)
@@ -225,7 +234,7 @@ def j_hessian_via_T(e: DeformationTensor) -> ExactScalar:
     Computes -i n int <nabla_T E, E> + conj with the genuine derivation
     (no mode splitting); must equal j_hessian(e).total for every input.
     """
-    if not validate_symmetry(e):
+    if e.asymmetries:
         raise ValueError("deformation tensor has asymmetric lowered form")
     t = reeb(e.n)
     two_i = ExactScalar(0, 2)

@@ -1,7 +1,11 @@
 """Command-line interface: subcommands, config handling, determinism."""
 
+import hashlib
+from fractions import Fraction
+
 import pytest
 
+from crsphere import cli, frames, oracle3, variation
 from crsphere.cli import main, load_config, parse_deformation_file, ConfigError
 
 
@@ -159,3 +163,142 @@ def test_parse_deformation_roundtrip(tmp_path):
     e = parse_deformation_file(str(f))
     assert e.n == 1
     assert e.coefficient.to_grammar() == "(1/2,-3/4) z1 w2^2"
+
+
+# -- output paths that cannot be written ---------------------------------------
+
+def test_verify_unwritable_output_fails_before_work(tmp_path, capsys,
+                                                    monkeypatch):
+    def no_work(cfg):
+        raise AssertionError("suites ran before the output path was checked")
+
+    monkeypatch.setattr(cli, "run_suite", no_work)
+    bad = tmp_path / "missing" / "r.txt"
+    code, _, err = run(capsys, "verify", "--n", "1", "--degree", "1",
+                       "--output", str(bad))
+    assert code == 2
+    assert err.startswith(f"config error: cannot write {bad}: ")
+
+
+def test_analyze_unwritable_output_fails_before_work(tmp_path, capsys,
+                                                     monkeypatch):
+    def no_work(path):
+        raise AssertionError("file parsed before the output path was checked")
+
+    monkeypatch.setattr(cli, "parse_deformation_file", no_work)
+    f = tmp_path / "d.txt"
+    f.write_text("n = 1\nE = (1/1,0/1)\n")
+    bad = tmp_path / "missing" / "r.txt"
+    code, stdout, err = run(capsys, "analyze", str(f), "--output", str(bad))
+    assert code == 2 and stdout == ""
+    assert err.startswith(f"config error: cannot write {bad}: ")
+
+
+# -- deformation files that repeat or mix lines --------------------------------
+
+def _parse_error(tmp_path, capsys, text):
+    f = tmp_path / "d.txt"
+    f.write_text(text)
+    with pytest.raises(ConfigError):
+        parse_deformation_file(str(f))
+    code, stdout, err = run(capsys, "analyze", str(f))
+    assert code == 2 and stdout == ""
+    return err
+
+
+def test_analyze_rejects_repeated_scalar_line(tmp_path, capsys):
+    err = _parse_error(tmp_path, capsys,
+                       "n = 1\nE = (1/1,0/1)\nE = (2/1,0/1) z1\n")
+    assert "d.txt:3:" in err and "repeated coefficient line" in err
+
+
+def test_analyze_rejects_repeated_tensor_index(tmp_path, capsys):
+    err = _parse_error(tmp_path, capsys,
+                       "n = 2\nE[1 2, 1 3] = (1/1,0/1)\n"
+                       "E[1 3, 1 2] = (1/1,0/1)\n"
+                       "E[1 2, 1 3] = (5/1,0/1) z3\n")
+    assert "d.txt:4:" in err and "repeated tensor index E[1 2, 1 3]" in err
+
+
+def test_analyze_rejects_second_dimension_line(tmp_path, capsys):
+    err = _parse_error(tmp_path, capsys,
+                       "n = 2\nE[1 2, 1 2] = (1/1,0/1)\n"
+                       "n = 1\nE = (1/1,0/1)\n")
+    assert "d.txt:3:" in err and "repeated dimension line" in err
+
+
+def test_analyze_rejects_mixed_coefficient_forms(tmp_path, capsys):
+    err = _parse_error(tmp_path, capsys,
+                       "n = 2\nE = (1/1,0/1)\nE[1 2, 1 2] = (1/1,0/1)\n")
+    assert "d.txt:2:" in err and "cannot be mixed" in err
+
+
+def test_analyze_rejects_non_integer_index(tmp_path, capsys):
+    err = _parse_error(tmp_path, capsys, "n = 2\nE[1 x, 1 2] = (1/1,0/1)\n")
+    assert "d.txt:2:" in err and "integers" in err
+
+
+# -- report bytes are pinned ------------------------------------------------
+
+@pytest.mark.parametrize("n, digest", [
+    (1, "90d5b1f1aa8862832dc40bcaeecd99de9dabe58f731338125a61506a6c4f30d2"),
+    (2, "9f40802f2fa02cf65eef4bdd2834e62d2f0873836bcb02d5f69d1fc78bfcc02c"),
+])
+def test_verify_report_bytes_pinned(tmp_path, capsys, n, digest):
+    out = tmp_path / "r.txt"
+    code, _, _ = run(capsys, "verify", "--n", str(n), "--degree", "2",
+                     "--samples", "0", "--output", str(out))
+    assert code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+# -- each fact is computed once, and the gate can fail --------------------------
+
+def _counting(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def test_analyze_oracle_solves_structure_once(tmp_path, capsys, monkeypatch):
+    solves = _counting(monkeypatch, oracle3, "solve_structure")
+    f = tmp_path / "d.txt"
+    f.write_text("n = 1\nE = (1/1,0/1) (1/2,1/1) z1 w2^2\n")
+    code, stdout, _ = run(capsys, "analyze", str(f), "--oracle")
+    assert code == 0 and "[PASS]" in stdout
+    assert len(solves) == 1
+
+
+@pytest.mark.parametrize("sign, status", [("1/1", 0), ("-1/1", 1)])
+def test_analyze_tensor_scanned_once(tmp_path, capsys, monkeypatch,
+                                     sign, status):
+    scans = _counting(monkeypatch, variation, "validate_symmetry")
+    forms = _counting(monkeypatch, frames.TensorField, "lowered_form")
+    f = tmp_path / "d.txt"
+    f.write_text("n = 2\nE[1 2, 1 3] = (1/1,0/1) z3\n"
+                 f"E[1 3, 1 2] = ({sign},0/1) z3\n")
+    code, stdout, _ = run(capsys, "analyze", str(f), "--oracle")
+    assert code == status
+    assert ("asymmetry at frame pair" in stdout) == bool(status)
+    assert len(scans) == 1
+    assert len(forms) == 2 * 3      # both orders of the 3 frame-field pairs
+
+
+def test_wrong_constant_fails_the_gate(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(oracle3, "SECOND_VARIATION_COEFF", Fraction(1, 3))
+    code, _, _ = run(capsys, "verify", "--n", "1", "--degree", "1",
+                     "--suites", "oracle3", "--output",
+                     str(tmp_path / "r.txt"))
+    assert code == 1
+    assert "FAIL series-coefficient[" in (tmp_path / "r.txt").read_text()
+    f = tmp_path / "d.txt"
+    f.write_text("n = 1\nE = (1/1,0/1)\n")
+    code, stdout, _ = run(capsys, "analyze", str(f), "--oracle")
+    assert code == 1
+    assert "oracle second derivative: 4/1+0/1*i [FAIL]" in stdout

@@ -221,6 +221,13 @@ def test_parse_error_positions():
         parse_poly("z1", 1)             # variable before coefficient
 
 
+def test_scalar_rejects_bool():
+    with pytest.raises(TypeError):
+        ExactScalar(True)
+    with pytest.raises(TypeError):
+        ExactScalar(0, False)
+
+
 def test_dimension_mismatch_rejected():
     with pytest.raises(ValueError):
         z(1, 1) * z(2, 1)

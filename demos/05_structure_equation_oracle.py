@@ -13,9 +13,17 @@ from crsphere import ExactScalar, SpherePoly
 from crsphere.oracle3 import (check_first_variation, check_torsion_variation,
                               deform_frame, second_derivative_check,
                               solve_structure)
+from crsphere.variation import DeformationTensor, j_hessian, j_hessian_via_T
 
 z1, z2 = SpherePoly.z(1, 1), SpherePoly.z(1, 2)
 w1, w2 = SpherePoly.w(1, 1), SpherePoly.w(1, 2)
+
+
+def second_derivative(e):
+    """The oracle's d^2/dt^2 checked against both Hessian routes."""
+    d = DeformationTensor.from_coefficient(e)
+    return second_derivative_check(e, solve_structure(deform_frame(e)),
+                                   j_hessian(d).total, j_hessian_via_T(d))
 
 
 def show_series(label, s):
@@ -37,13 +45,13 @@ print("   d^2/dt^2 of the total curvature:",
 
 print("\nA mode -4 deformation is exactly neutral:")
 e = w1 * w2 ** 3
-verdict, d2 = second_derivative_check(e, solve_structure(deform_frame(e)))
+verdict, d2 = second_derivative(e)
 print("   E = w1 w2^3: second derivative =", d2.serialize(),
       "| all routes agree:", verdict.ok)
 
 print("\nA lower mode turns the functional downward:")
 e = w1 ** 5
-verdict, d2 = second_derivative_check(e, solve_structure(deform_frame(e)))
+verdict, d2 = second_derivative(e)
 print("   E = w1^5: second derivative =", d2.serialize(),
       "| all routes agree:", verdict.ok)
 

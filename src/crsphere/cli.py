@@ -257,7 +257,8 @@ def _cmd_analyze(args) -> int:
             lines.append("oracle cross-check: skipped (S^3 only)")
         else:
             ps = oracle3.solve_structure(oracle3.deform_frame(e.coefficient))
-            verdict, d2 = oracle3.second_derivative_check(e.coefficient, ps)
+            verdict, d2 = oracle3.second_derivative_check(
+                e.coefficient, ps, rep.total, via)
             lines.append(f"oracle second derivative: {d2.serialize()} "
                          f"[{'PASS' if verdict.ok else 'FAIL'}]")
             for v in (oracle3.check_first_variation(e.coefficient, ps),

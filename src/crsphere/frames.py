@@ -28,7 +28,9 @@ choices are reported by the conventions ledger.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from .ring import ExactScalar, SpherePoly
@@ -473,31 +475,12 @@ class TensorField:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def apply_to(self, y: FrameVector) -> FrameVector:
-        """Contract the form slot with a holomorphic field; lands in Hbar."""
-        if not y.is_holomorphic():
-            raise ValueError("tensor argument must be holomorphic-type")
-        comps: dict[FrameKey, SpherePoly] = {}
-        for ((j, k), (l, m)), c in self.coeffs.items():
-            val = c * form_eval(theta_form(self.n, l, m), y)
-            key = ("Zb", j, k)
-            s = comps.get(key)
-            comps[key] = val if s is None else s + val
-        return FrameVector(self.n, comps)
-
     def lowered_form(self, x: FrameVector, y: FrameVector) -> SpherePoly:
         """Bilinear form sum c theta_jk(X) theta_lm(Y) on holomorphic pairs."""
         out = SpherePoly.zero(self.n)
         for ((j, k), (l, m)), c in self.coeffs.items():
             out = (out + c * form_eval(theta_form(self.n, j, k), x)
                    * form_eval(theta_form(self.n, l, m), y))
-        return out
-
-    def norm2_density(self) -> SpherePoly:
-        """Pointwise sum |c|^2 over canonical coefficients."""
-        out = SpherePoly.zero(self.n)
-        for c in self.coeffs.values():
-            out = out + c * c.conjugate()
         return out
 
     def __eq__(self, other):
@@ -513,24 +496,19 @@ class TensorField:
         return f"TensorField(n={self.n}, " + "; ".join(parts) + ")"
 
 
-def _gram_left(n: int) -> dict[tuple[Pair, Pair], SpherePoly]:
-    """G[(pq),(jk)] = thetabar_pq(Zbar_jk); idempotent on the sphere."""
-    out = {}
-    for pq in index_pairs(n):
-        form = thetabar_form(n, *pq)
-        for jk in index_pairs(n):
-            out[(pq, jk)] = form_eval(form, zbar_field(n, *jk))
-    return out
+@functools.cache
+def _gram_right(n: int) -> Mapping[tuple[Pair, Pair], SpherePoly]:
+    """H[(lm),(rs)] = theta_lm(Z_rs), built once per n.
 
-
-def _gram_right(n: int) -> dict[tuple[Pair, Pair], SpherePoly]:
-    """H[(lm),(rs)] = theta_lm(Z_rs)."""
+    H is Hermitian and idempotent on the sphere.  The left Gram
+    thetabar_pq(Zbar_jk) = conj H[(pq),(jk)] is therefore H[(jk),(pq)].
+    """
     out = {}
     for lm in index_pairs(n):
         form = theta_form(n, *lm)
         for rs in index_pairs(n):
             out[(lm, rs)] = form_eval(form, z_field(n, *rs))
-    return out
+    return MappingProxyType(out)    # shared by every caller: read-only
 
 
 def tight_expand(obj):
@@ -540,8 +518,9 @@ def tight_expand(obj):
     expansion coefficients over {Z_jk} resp. {Zbar_jk} (theta_jk(V), resp.
     thetabar_jk(V)); re-assembling reproduces the field exactly.  For a
     TensorField, returns the TensorField with canonical coefficients
-    c'_{pq,rs} = sum thetabar_pq(Zbar_jk) c_{jk,lm} theta_lm(Z_rs);
-    the operation is idempotent.
+    c'_{pq,rs} = sum thetabar_pq(Zbar_jk) c_{jk,lm} theta_lm(Z_rs), i.e.
+    c' = conj(H) c H with H the Gram of :func:`_gram_right`; the operation
+    is idempotent.
     """
     if isinstance(obj, FrameVector):
         n = obj.n
@@ -555,14 +534,13 @@ def tight_expand(obj):
     if not isinstance(obj, TensorField):
         raise TypeError("tight_expand accepts FrameVector or TensorField")
     n = obj.n
-    g = _gram_left(n)
     h = _gram_right(n)
     out: dict[tuple[Pair, Pair], SpherePoly] = {}
     for pq in index_pairs(n):
         for rs in index_pairs(n):
             acc = SpherePoly.zero(n)
             for (jk, lm), c in obj.coeffs.items():
-                acc = acc + g[(pq, jk)] * c * h[(lm, rs)]
+                acc = acc + h[(jk, pq)] * c * h[(lm, rs)]
             if not acc.is_zero():
                 out[(pq, rs)] = acc
     return TensorField(n, out)

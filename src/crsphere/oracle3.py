@@ -31,7 +31,7 @@ from fractions import Fraction
 
 from .ring import ExactScalar, SpherePoly, TSeries2
 from .frames import field_apply, reeb, z_field
-from .variation import DeformationTensor, j_hessian, j_hessian_via_T
+from .variation import DeformationTensor, j_hessian
 
 __all__ = [
     "DeformedCoframe",
@@ -501,18 +501,18 @@ def mode_weighted_norm(e: SpherePoly) -> ExactScalar:
 
 
 def second_derivative_check(
-        e: SpherePoly,
-        ps: PseudohermitianSeries) -> tuple[OracleVerdict, ExactScalar]:
+        e: SpherePoly, ps: PseudohermitianSeries, modes: ExactScalar,
+        via_t: ExactScalar) -> tuple[OracleVerdict, ExactScalar]:
     """Second derivative of the total Webster curvature, three ways.
 
     Compares d^2/dt^2 of int W(t) from ps = solve_structure(deform_frame(e))
-    against the transverse covariant-derivative closed form and against
-    the mode-weighted norm sum (m+4)||E^(m)||^2 (the order-t^2 coefficient
-    carries the uniform constant 1/2).
+    against the caller's two Hessian routes for the same E: ``modes``,
+    the mode-weighted norm sum (m+4)||E^(m)||^2 (``j_hessian(...).total``),
+    and ``via_t``, the transverse covariant-derivative closed form
+    (``j_hessian_via_T``).  The order-t^2 coefficient carries the uniform
+    constant 1/2.
     """
     d2 = ps.webster.c2.integral() * 2
-    via_t = j_hessian_via_T(DeformationTensor.from_coefficient(e))
-    modes = mode_weighted_norm(e)
     coeff_target = modes * ExactScalar(SECOND_VARIATION_COEFF)
     verdict = _verdict(f"second-variation[{e.to_grammar()}]", [
         ("d2/dt2 vs covariant route", via_t.serialize(), d2.serialize()),

@@ -35,6 +35,7 @@ __all__ = [
     "parse_scalar",
     "parse_poly",
     "PolyParseError",
+    "MAX_TERM_DEGREE",
     "norm2",
 ]
 
@@ -355,11 +356,6 @@ class SpherePoly:
     def __hash__(self):
         return hash((self.n, frozenset(self.terms.items())))
 
-    def degree(self) -> int:
-        if not self.terms:
-            return 0
-        return max(sum(a) + sum(b) for a, b in self.terms)
-
     def constant_term(self) -> ExactScalar:
         z = ((0,) * (self.n + 1),) * 2
         return self.terms.get(z, ExactScalar.zero())
@@ -486,10 +482,6 @@ class TSeries2:
     def zero(n: int) -> "TSeries2":
         return TSeries2(SpherePoly.zero(n))
 
-    @staticmethod
-    def of(p: SpherePoly) -> "TSeries2":
-        return TSeries2(p)
-
     def coeffs(self) -> tuple[SpherePoly, SpherePoly, SpherePoly]:
         return (self.c0, self.c1, self.c2)
 
@@ -530,10 +522,6 @@ class TSeries2:
 
     def integral(self) -> tuple[ExactScalar, ExactScalar, ExactScalar]:
         return (self.c0.integral(), self.c1.integral(), self.c2.integral())
-
-    def shift(self) -> "TSeries2":
-        """Multiply by t (the order-2 part falls off the truncation)."""
-        return TSeries2(SpherePoly.zero(self.n), self.c0, self.c1)
 
     def fractional_power(self, exponent: Fraction) -> "TSeries2":
         """(1 + e)^s by exact binomial truncation; requires c0 == 1."""
@@ -603,6 +591,11 @@ class PolyParseError(ValueError):
         self.column = column
 
 
+# Cap on a parsed term's total degree.  Reduction modulo the sphere
+# relation branches on every z_1 zbar_1 factor, so its cost grows
+# exponentially in the degree.
+MAX_TERM_DEGREE = 12
+
 _TOKEN_RE = re.compile(
     r"(?P<ws>\s+)"
     r"|(?P<coeff>\(\s*(-?\d+)(?:/(\d+))?\s*,\s*(-?\d+)(?:/(\d+))?\s*\))"
@@ -621,10 +614,26 @@ def parse_poly(text: str, n: int) -> SpherePoly:
 
     ``wk`` denotes zbar_k; a bare variable means exponent 1; '+' between
     terms is optional.  Rationals may be given as ``p/q`` or plain ``p``.
+    Each term's total degree, before reduction, is at most
+    :data:`MAX_TERM_DEGREE`.
     """
     pos = 0
     terms: list[tuple[TermKey, ExactScalar]] = []
     cur: tuple[list[int], list[int], ExactScalar] | None = None
+
+    def fail(message: str, at: int):
+        line, col = _line_col(text, at)
+        raise PolyParseError(message, line, col)
+
+    def integer(m: re.Match, group: int | str, default: int = 1) -> int:
+        digits = m.group(group)
+        if digits is None:
+            return default
+        try:
+            return int(digits)
+        except ValueError:      # beyond sys.get_int_max_str_digits()
+            fail(f"integer literal of {len(digits)} digits is too long",
+                 m.start(group))
 
     def flush():
         nonlocal cur
@@ -636,38 +645,34 @@ def parse_poly(text: str, n: int) -> SpherePoly:
     while pos < len(text):
         m = _TOKEN_RE.match(text, pos)
         if m is None:
-            line, col = _line_col(text, pos)
-            raise PolyParseError(f"unexpected character {text[pos]!r}",
-                                 line, col)
+            fail(f"unexpected character {text[pos]!r}", pos)
         if m.group("ws") or m.group("plus"):
             pos = m.end()
             continue
         if m.group("coeff"):
             flush()
-            re_num = int(m.group(3))
-            re_den = int(m.group(4) or 1)
-            im_num = int(m.group(5))
-            im_den = int(m.group(6) or 1)
+            re_num, re_den = integer(m, 3), integer(m, 4)
+            im_num, im_den = integer(m, 5), integer(m, 6)
             if re_den == 0 or im_den == 0:
-                line, col = _line_col(text, pos)
-                raise PolyParseError("zero denominator", line, col)
+                fail("zero denominator", pos)
             cur = ([0] * (n + 1), [0] * (n + 1),
                    ExactScalar(Fraction(re_num, re_den),
                                Fraction(im_num, im_den)))
         else:
             if cur is None:
-                line, col = _line_col(text, pos)
-                raise PolyParseError("variable before coefficient", line, col)
-            j = int(m.group("idx"))
+                fail("variable before coefficient", pos)
+            j = integer(m, "idx")
             if not 1 <= j <= n + 1:
-                line, col = _line_col(text, pos)
-                raise PolyParseError(
-                    f"index {j} out of range 1..{n + 1} for n={n}", line, col)
-            e = int(m.group("exp") or 1)
+                fail(f"index {j} out of range 1..{n + 1} for n={n}", pos)
+            e = integer(m, "exp")
             if m.group("var") == "z":
                 cur[0][j - 1] += e
             else:
                 cur[1][j - 1] += e
+            degree = sum(cur[0]) + sum(cur[1])
+            if degree > MAX_TERM_DEGREE:
+                fail(f"term degree {degree} exceeds the cap "
+                     f"{MAX_TERM_DEGREE}", pos)
         pos = m.end()
     flush()
     if not terms:

@@ -27,8 +27,7 @@ from fractions import Fraction
 
 from .ring import ExactScalar, SpherePoly, TSeries2, norm2
 from .spectral import sublaplacian, sublaplacian_energy
-from .frames import (TensorField, field_apply, index_pairs, reeb,
-                     tight_expand, z_field)
+from .frames import TensorField, field_apply, index_pairs, reeb, tight_expand
 
 __all__ = [
     "DeformationTensor",
@@ -74,19 +73,22 @@ def validate_symmetry(t: TensorField) -> tuple[Asymmetry, ...]:
     """Scan the lowered bilinear form on all pairs of frame fields.
 
     The form B(X, Y) = sum c theta_jk(X) theta_lm(Y) must satisfy
-    B(X, Y) = B(Y, X) for every pair of frame fields.  Returns every pair
-    that fails, with both sides, in frame-pair order; the form is
-    symmetric exactly when none does.  Vacuous on S^3 (a single index).
+    B(X, Y) = B(Y, X) for every pair of frame fields.  ``t`` must be
+    :func:`tight_expand` output, as ``DeformationTensor.tensor`` always
+    is: canonical coefficients satisfy c = conj(H) c H for the Hermitian,
+    idempotent frame Gram H, so B(Z_a, Z_b) is exactly c_ab.  Returns
+    every pair that fails, with both sides, in frame-pair order; the form
+    is symmetric exactly when none does.  Vacuous on S^3 (a single index).
     """
     pairs = index_pairs(t.n)
-    fields = [z_field(t.n, j, k) for (j, k) in pairs]
+    zero = SpherePoly.zero(t.n)
     bad = []
-    for a in range(len(fields)):
-        for b in range(a + 1, len(fields)):
-            lhs = t.lowered_form(fields[a], fields[b])
-            rhs = t.lowered_form(fields[b], fields[a])
+    for i, a in enumerate(pairs):
+        for b in pairs[i + 1:]:
+            lhs = t.coeffs.get((a, b), zero)
+            rhs = t.coeffs.get((b, a), zero)
             if lhs != rhs:
-                bad.append((pairs[a], pairs[b], lhs, rhs))
+                bad.append((a, b, lhs, rhs))
     return tuple(bad)
 
 

@@ -465,8 +465,7 @@ def run_variation_suite(cfg: SuiteConfig) -> list[CheckRecord]:
     return recs
 
 
-def conformal_checks(n: int, max_degree: int = 4,
-                     route_equality: bool = True) -> list[CheckRecord]:
+def conformal_checks(n: int, max_degree: int = 4) -> list[CheckRecord]:
     recs: list[CheckRecord] = []
     seen: set = set()
     for name, p in monomial_pool(n, max_degree):
@@ -475,10 +474,9 @@ def conformal_checks(n: int, max_degree: int = 4,
             v = v - SpherePoly.constant(n, v.integral())
             if v.is_zero():
                 continue
-            key = (v.n, frozenset(v.terms.items()))
-            if key in seen:
+            if v in seen:
                 continue
-            seen.add(key)
+            seen.add(v)
             hess = variation.conformal_hessian(v)
             bidegrees = spectral.harmonic_decompose(v).components.keys()
             linear = all(p_ + q_ == 1 for (p_, q_) in bidegrees)
@@ -486,15 +484,11 @@ def conformal_checks(n: int, max_degree: int = 4,
                 (hess.is_zero() == linear)
             recs.append(_rec_bool(f"conformal-hessian[{name}]@n={n}", ok,
                                   f"value {hess.serialize()}"))
-            if route_equality:
-                series = variation.yamabe_energy_series(v)
-                recs.append(_rec(
-                    f"conformal-route[{name}]@n={n}",
-                    hess, series.c2.constant_term() * 2))
-                recs.append(_rec(
-                    f"conformal-first-variation[{name}]@n={n}",
-                    ExactScalar.zero(),
-                    series.c1.constant_term()))
+            series = variation.yamabe_energy_series(v)
+            recs.append(_rec(f"conformal-route[{name}]@n={n}",
+                             hess, series.c2.constant_term() * 2))
+            recs.append(_rec(f"conformal-first-variation[{name}]@n={n}",
+                             ExactScalar.zero(), series.c1.constant_term()))
     return recs
 
 

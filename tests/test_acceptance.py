@@ -98,7 +98,7 @@ def test_criterion_4_first_variation_formulas(pool_series):
 def test_criterion_5_conformal_hessian():
     total = 0
     for n in (1, 2, 3):
-        recs = conformal_checks(n, max_degree=4, route_equality=True)
+        recs = conformal_checks(n, max_degree=4)
         bad = [r for r in recs if not r.ok]
         assert not bad, f"n={n}: {bad[:3]}"
         total += len(recs)

@@ -1,6 +1,9 @@
 """Command-line interface: subcommands, config handling, determinism."""
 
 import hashlib
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -128,6 +131,20 @@ def test_analyze_parse_error_position(tmp_path, capsys):
     assert ":2:" in err and "out of range" in err
 
 
+@pytest.mark.parametrize("body, where, what", [
+    ("E = (1/1,0/1) z1^1000000", ":2:15:", "term degree 1000000 exceeds"),
+    ("E = (1/1,0/1) z1^6 w2^7", ":2:20:", "term degree 13 exceeds the cap 12"),
+    ("E = (1/1,0/1) z1^" + "7" * 5000, ":2:18:", "5000 digits is too long"),
+    ("E = (" + "7" * 5000 + ",0/1) z1", ":2:6:", "5000 digits is too long"),
+])
+def test_analyze_rejects_oversized_input(tmp_path, capsys, body, where, what):
+    f = tmp_path / "d.txt"
+    f.write_text(f"n = 1\n{body}\n")
+    code, stdout, err = run(capsys, "analyze", str(f), "--oracle")
+    assert code == 2 and stdout == ""
+    assert f"d.txt{where}" in err and what in err
+
+
 def test_analyze_missing_dimension(tmp_path, capsys):
     f = tmp_path / "d.txt"
     f.write_text("E = (1/1,0/1)\n")
@@ -252,6 +269,15 @@ def test_verify_report_bytes_pinned(tmp_path, capsys, n, digest):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
+def test_verify_report_bytes_pinned_s7(tmp_path, capsys):
+    out = tmp_path / "r.txt"
+    code, _, _ = run(capsys, "verify", "--n", "3", "--degree", "1",
+                     "--samples", "0", "--output", str(out))
+    digest = "162676cd63ab79fb112b417b796bd8396f757ff6cc2479a77a4d0628b37af802"
+    assert code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 # -- each fact is computed once, and the gate can fail --------------------------
 
 def _counting(monkeypatch, module, name):
@@ -268,11 +294,18 @@ def _counting(monkeypatch, module, name):
 
 def test_analyze_oracle_solves_structure_once(tmp_path, capsys, monkeypatch):
     solves = _counting(monkeypatch, oracle3, "solve_structure")
+    hessians = {}
+    for name in ("j_hessian", "j_hessian_via_T"):
+        hessians[name] = _counting(monkeypatch, variation, name)
+        if hasattr(oracle3, name):      # bound there by name too
+            monkeypatch.setattr(oracle3, name, getattr(variation, name))
     f = tmp_path / "d.txt"
     f.write_text("n = 1\nE = (1/1,0/1) (1/2,1/1) z1 w2^2\n")
     code, stdout, _ = run(capsys, "analyze", str(f), "--oracle")
     assert code == 0 and "[PASS]" in stdout
     assert len(solves) == 1
+    assert {k: len(v) for k, v in hessians.items()} == \
+        {"j_hessian": 1, "j_hessian_via_T": 1}
 
 
 @pytest.mark.parametrize("sign, status", [("1/1", 0), ("-1/1", 1)])
@@ -287,7 +320,7 @@ def test_analyze_tensor_scanned_once(tmp_path, capsys, monkeypatch,
     assert code == status
     assert ("asymmetry at frame pair" in stdout) == bool(status)
     assert len(scans) == 1
-    assert len(forms) == 2 * 3      # both orders of the 3 frame-field pairs
+    assert len(forms) == 0      # the scan reads canonical coefficients
 
 
 def test_wrong_constant_fails_the_gate(tmp_path, capsys, monkeypatch):
@@ -302,3 +335,33 @@ def test_wrong_constant_fails_the_gate(tmp_path, capsys, monkeypatch):
     code, stdout, _ = run(capsys, "analyze", str(f), "--oracle")
     assert code == 1
     assert "oracle second derivative: 4/1+0/1*i [FAIL]" in stdout
+
+
+# -- output does not depend on the hash seed ------------------------------------
+
+def _cli_bytes(tmp_path, seed, *argv):
+    """Exit status, stdout and report bytes of a fresh interpreter."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONHASHSEED=str(seed),
+               PYTHONPATH=os.pathsep.join(
+                   [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = tmp_path / f"r{seed}.txt"
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from crsphere.cli import main; sys.exit(main())",
+         *argv, "--output", str(out)],
+        env=env, capture_output=True, timeout=120)
+    return proc.returncode, proc.stdout.replace(str(out).encode(), b"R"), \
+        out.read_bytes()
+
+
+def test_output_independent_of_hash_seed(tmp_path):
+    f = tmp_path / "d.txt"
+    f.write_text("n = 2\nE[1 2, 1 3] = (1/1,0/1) z3 (0/1,2/1) w1\n"
+                 "E[2 3, 1 2] = (-1/2,0/1) z1 w2\n")
+    for argv, status in ((["verify", "--n", "2", "--degree", "1",
+                           "--samples", "0"], 0),
+                         (["analyze", str(f)], 1)):
+        runs = [_cli_bytes(tmp_path, seed, *argv) for seed in (0, 1)]
+        assert runs[0][0] == status
+        assert runs[0] == runs[1]

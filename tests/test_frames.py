@@ -1,10 +1,12 @@
 """Frame fields, dual forms, pairings and covariant differentiation."""
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from crsphere import frames
 from crsphere.ring import ExactScalar, SpherePoly
 from crsphere.frames import (FrameVector, TensorField, bracket, contact_form,
                              covariant_T, covariant_Z, field_apply, form_eval,
@@ -12,7 +14,7 @@ from crsphere.frames import (FrameVector, TensorField, bracket, contact_form,
                              sharp_pairing, theta_form, thetabar_form,
                              tight_expand, z_field, zbar_field)
 
-from test_ring import polys, z, w
+from test_ring import polys, scalars, z, w
 
 I = ExactScalar(0, 1)
 
@@ -178,6 +180,90 @@ def test_tensor_canonicalization_idempotent(n):
     once = tight_expand(t)
     twice = tight_expand(once)
     assert once.coeffs == twice.coeffs
+
+
+# -- the frame Gram and canonical coefficients ---------------------------------------
+
+def low_degree_polys(n, max_degree=2, max_terms=2):
+    """Sums of at most ``max_terms`` monomials of total degree <= max_degree."""
+    exps = [e for e in product(range(max_degree + 1), repeat=n + 1)
+            if sum(e) <= max_degree]
+    monomials = [(a, b) for a in exps for b in exps
+                 if sum(a) + sum(b) <= max_degree]
+    term = st.tuples(st.sampled_from(monomials), scalars())
+
+    def build(ts):
+        acc = SpherePoly.zero(n)
+        for (a, b), c in ts:
+            acc = acc + SpherePoly.monomial(n, a, b, c)
+        return acc
+    return st.lists(term, min_size=1, max_size=max_terms).map(build)
+
+
+def tensors(n, symmetric=False):
+    """One or two random entries c_ab; ``symmetric`` also sets c_ba = c_ab."""
+    pairs = index_pairs(n)
+    entry = st.tuples(st.sampled_from(pairs), st.sampled_from(pairs),
+                      low_degree_polys(n))
+
+    def build(entries):
+        cs = {}
+        for a, b, c in entries:
+            cs[(a, b)] = c
+            if symmetric:
+                cs[(b, a)] = c
+        return TensorField(n, cs)
+    return st.lists(entry, min_size=1, max_size=2).map(build)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_gram_is_hermitian_idempotent_and_conjugate_to_left_gram(n):
+    h = frames._gram_right(n)
+    pairs = index_pairs(n)
+    for pq in pairs:
+        for jk in pairs:
+            left = form_eval(thetabar_form(n, *pq), zbar_field(n, *jk))
+            assert left == h[(pq, jk)].conjugate()
+            assert h[(pq, jk)] == h[(jk, pq)].conjugate()
+            square = SpherePoly.zero(n)
+            for rs in pairs:
+                square = square + h[(pq, rs)] * h[(rs, jk)]
+            assert square == h[(pq, jk)]
+
+
+def test_gram_built_once_per_n(monkeypatch):
+    calls = []
+    original = frames.form_eval
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(frames, "form_eval", counting)
+    frames._gram_right.cache_clear()
+    pairs = index_pairs(2)
+    t = TensorField(2, {(pairs[0], pairs[1]): z(2, 3)})
+    first = tight_expand(t)
+    assert len(calls) == len(pairs) ** 2
+    calls.clear()
+    assert tight_expand(t) == first
+    assert calls == []
+
+
+@pytest.mark.parametrize("n, examples", [(2, 40), (3, 20)])
+def test_lowered_form_reads_canonical_coefficients(n, examples):
+    pairs = index_pairs(n)
+
+    @settings(max_examples=examples, deadline=None)
+    @given(tensors(n), st.sampled_from(pairs), st.sampled_from(pairs))
+    def check(t, a, b):
+        canonical = tight_expand(t)
+        want = canonical.coeffs.get((a, b), SpherePoly.zero(n))
+        x, y = z_field(n, *a), z_field(n, *b)
+        assert canonical.lowered_form(x, y) == want
+        assert t.lowered_form(x, y) == want
+
+    check()
 
 
 # -- covariant differentiation --------------------------------------------------------

@@ -10,13 +10,19 @@ from crsphere.oracle3 import (FRAME_WEBSTER_CONSTANT, LEVI_CONSTANT,
                               check_first_variation, check_torsion_variation,
                               deform_frame, mode_weighted_norm,
                               second_derivative_check, solve_structure)
-from crsphere.variation import DeformationTensor, j_hessian
+from crsphere.variation import DeformationTensor, j_hessian, j_hessian_via_T
 
 from test_ring import z, w
 
 
 def series_of(e: SpherePoly):
     return solve_structure(deform_frame(e))
+
+
+def hessian_routes(e: SpherePoly):
+    """Both Hessian routes of E, as second_derivative_check takes them."""
+    d = DeformationTensor.from_coefficient(e)
+    return j_hessian(d).total, j_hessian_via_T(d)
 
 
 def test_round_base_point():
@@ -91,14 +97,15 @@ def test_second_derivative_frozen_values():
              (w(1, 1) ** 5, ExactScalar(Fraction(-1, 6))),
              (SpherePoly.one(1) + w(1, 1) ** 5, ExactScalar(Fraction(23, 6)))]
     for e, want in cases:
-        verdict, d2 = second_derivative_check(e, series_of(e))
+        verdict, d2 = second_derivative_check(e, series_of(e),
+                                              *hessian_routes(e))
         assert verdict.ok, verdict.to_text()
         assert d2 == want
 
 
 def test_second_derivative_matches_mode_report():
     for e in (z(1, 1) * w(1, 2), w(1, 1) ** 4, z(1, 2) ** 3 * w(1, 1)):
-        _, d2 = second_derivative_check(e, series_of(e))
+        _, d2 = second_derivative_check(e, series_of(e), *hessian_routes(e))
         assert d2 == j_hessian(DeformationTensor.from_coefficient(e)).total
         assert d2 == mode_weighted_norm(e)
 

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from crsphere.ring import (ExactScalar, SpherePoly, TSeries2, parse_poly,
-                           parse_scalar, norm2, volume_factor, PolyParseError)
+                           parse_scalar, norm2, volume_factor, PolyParseError,
+                           MAX_TERM_DEGREE)
 
 from conftest import coordinate_phase, oracle_monomial_integral
 
@@ -219,6 +220,20 @@ def test_parse_error_positions():
         parse_poly("(1/1,0/1) z5", 1)   # index out of range
     with pytest.raises(PolyParseError):
         parse_poly("z1", 1)             # variable before coefficient
+
+
+def test_parse_caps_term_degree_and_literal_length():
+    assert MAX_TERM_DEGREE == 12
+    assert parse_poly("(1/1,0/1) z1^6 w1^6", 1) == (z(1, 1) * w(1, 1)) ** 6
+    # rejected while parsing, before reduction modulo the sphere relation
+    with pytest.raises(PolyParseError) as exc:
+        parse_poly("(1/1,0/1) z1^12 w1^28", 1)
+    assert (exc.value.line, exc.value.column) == (1, 17)
+    assert "term degree 40 exceeds the cap 12" in str(exc.value)
+    with pytest.raises(PolyParseError) as exc:
+        parse_poly("(1/1,0/1) z1\n(1/1," + "3" * 5000 + ") z2", 1)
+    assert (exc.value.line, exc.value.column) == (2, 6)
+    assert "integer literal of 5000 digits is too long" in str(exc.value)
 
 
 def test_scalar_rejects_bool():

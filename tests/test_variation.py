@@ -3,10 +3,10 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings, strategies as st
 
 from crsphere.ring import ExactScalar, SpherePoly, norm2
-from crsphere.frames import TensorField, index_pairs
+from crsphere.frames import TensorField, index_pairs, tight_expand, z_field
 from crsphere.variation import (DeformationTensor, conformal_exponent,
                                 conformal_first_variation, conformal_hessian,
                                 fourier_modes, is_embeddable, j_hessian,
@@ -14,6 +14,7 @@ from crsphere.variation import (DeformationTensor, conformal_exponent,
                                 validate_symmetry, yamabe_energy_series)
 from crsphere.spectral import harmonic_decompose
 
+from test_frames import low_degree_polys, tensors
 from test_ring import polys, z, w
 
 
@@ -139,6 +140,47 @@ def test_two_route_equality(p):
     assert j_hessian(e).total == j_hessian_via_T(e)
 
 
+def lowered_form_scan(t: TensorField):
+    """Reference scan: B(Z_a, Z_b) against B(Z_b, Z_a) through lowered_form."""
+    pairs = index_pairs(t.n)
+    fields = [z_field(t.n, *p) for p in pairs]
+    bad = []
+    for a in range(len(pairs)):
+        for b in range(a + 1, len(pairs)):
+            lhs = t.lowered_form(fields[a], fields[b])
+            rhs = t.lowered_form(fields[b], fields[a])
+            if lhs != rhs:
+                bad.append((pairs[a], pairs[b], lhs, rhs))
+    return tuple(bad)
+
+
+@pytest.mark.parametrize("n, examples", [(2, 20), (3, 4)])
+def test_scan_matches_lowered_form_reference(n, examples):
+    @settings(max_examples=examples, deadline=None)
+    @given(st.booleans().flatmap(lambda sym: tensors(n, symmetric=sym)))
+    def check(t):
+        canonical = tight_expand(t)
+        assert validate_symmetry(canonical) == lowered_form_scan(canonical)
+
+    check()
+
+
+def test_scan_makes_no_lowered_form_call(monkeypatch):
+    calls = []
+    original = TensorField.lowered_form
+
+    def counting(self, *args):
+        calls.append(args)
+        return original(self, *args)
+
+    monkeypatch.setattr(TensorField, "lowered_form", counting)
+    pairs = index_pairs(3)
+    t = TensorField(3, {(pairs[0], pairs[5]): z(3, 4),
+                        (pairs[5], pairs[0]): w(3, 1)})
+    assert validate_symmetry(tight_expand(t))
+    assert calls == []
+
+
 @given(polys(n=1))
 def test_hessian_real(p):
     assert j_hessian(defo(p)).total.is_real()
@@ -155,6 +197,18 @@ def test_two_route_equality_s5():
         e = DeformationTensor.from_tensor(t)
         assert not e.asymmetries
         assert j_hessian(e).total == j_hessian_via_T(e)
+
+
+@pytest.mark.parametrize("n, examples", [(2, 25), (3, 8)])
+def test_two_route_equality_random_symmetric(n, examples):
+    @settings(max_examples=examples, deadline=None)
+    @given(tensors(n, symmetric=True))
+    def check(t):
+        e = DeformationTensor.from_tensor(t)
+        assert not e.asymmetries
+        assert j_hessian(e).total == j_hessian_via_T(e)
+
+    check()
 
 
 def test_sign_law_pure_modes():
@@ -251,6 +305,18 @@ def test_yamabe_route_equality_s5():
     assert series.c0.constant_term() == ExactScalar(round_webster_curvature(2))
     assert series.c1.constant_term().is_zero()
     assert series.c2.constant_term() * 2 == conformal_hessian(v)
+
+
+@pytest.mark.parametrize("n, examples", [(2, 40), (3, 25)])
+def test_conformal_routes_random_directions(n, examples):
+    @settings(max_examples=examples, deadline=None)
+    @given(low_degree_polys(n, max_degree=3))
+    def check(p):
+        v = real_zero_avg(p)
+        assert conformal_hessian(v) == \
+            yamabe_energy_series(v).c2.constant_term() * 2
+
+    check()
 
 
 def test_yamabe_series_of_zero_direction():

@@ -23,6 +23,7 @@ class ConfigError(ValueError):
 def load_config(path: str) -> dict:
     """Read a ``key = value`` configuration file ('#' starts a comment)."""
     values: dict[str, str] = {}
+    first_line: dict[str, int] = {}
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.readlines()
@@ -35,7 +36,12 @@ def load_config(path: str) -> dict:
         if "=" not in line:
             raise ConfigError(f"{path}:{ln}: expected 'key = value'")
         key, _, val = line.partition("=")
-        values[key.strip()] = val.strip()
+        key = key.strip()
+        if key in first_line:
+            raise ConfigError(f"{path}:{ln}: repeated key {key!r} (first at "
+                              f"line {first_line[key]})")
+        first_line[key] = ln
+        values[key] = val.strip()
     return values
 
 
@@ -285,9 +291,10 @@ def _emit(output: str | None, text: str) -> None:
 def _cmd_spectrum(args) -> int:
     nmax = args.n_max
     dmax = args.degree
-    if nmax < 1:
-        print("config error: n-max must be >= 1", file=sys.stderr)
-        return 2
+    for flag, value in (("n-max", nmax), ("degree", dmax)):
+        if value < 1:
+            print(f"config error: {flag} must be >= 1", file=sys.stderr)
+            return 2
     print("sub-Laplacian eigenvalues lambda(p,q,n) = p q + n (p+q)/2")
     for n in range(1, nmax + 1):
         print(f"n = {n} (S^{2 * n + 1}):")
@@ -315,6 +322,9 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_conventions(args) -> int:
+    if args.n < 1:
+        print("config error: n must be >= 1", file=sys.stderr)
+        return 2
     print(conventions_text(args.n))
     return 0
 

@@ -69,23 +69,20 @@ def index_pairs(n: int) -> list[Pair]:
 
 # -- ambient derivatives on normal-form representatives ---------------------
 
-def _dz(p: SpherePoly, a: int) -> SpherePoly:
-    """d/dz_a on the stored representative (0-based coordinate index)."""
-    out = {}
-    for (ea, eb), c in p.terms.items():
-        if ea[a]:
-            key = (ea[:a] + (ea[a] - 1,) + ea[a + 1:], eb)
-            out[key] = out.get(key, ExactScalar.zero()) + c * ea[a]
-    return SpherePoly(p.n, out)
+def _partial(p: SpherePoly, side: int, a: int) -> SpherePoly:
+    """d/dz_a (side 0) or d/dzbar_a (side 1) on the stored representative.
 
-
-def _dzbar(p: SpherePoly, a: int) -> SpherePoly:
+    ``a`` is the 0-based coordinate index.  Lowering one exponent keeps a
+    term in normal form and sends distinct terms to distinct terms, so the
+    result needs no reduction.
+    """
     out = {}
-    for (ea, eb), c in p.terms.items():
-        if eb[a]:
-            key = (ea, eb[:a] + (eb[a] - 1,) + eb[a + 1:])
-            out[key] = out.get(key, ExactScalar.zero()) + c * eb[a]
-    return SpherePoly(p.n, out)
+    for key, c in p.terms.items():
+        e = key[side]
+        if e[a]:
+            low = e[:a] + (e[a] - 1,) + e[a + 1:]
+            out[(low, key[1]) if side == 0 else (key[0], low)] = c * e[a]
+    return SpherePoly(p.n, out, _normalized=True)
 
 
 class FrameVector:
@@ -360,9 +357,9 @@ def field_apply(x: FrameVector, f: SpherePoly) -> SpherePoly:
     out = SpherePoly.zero(f.n)
     for a in range(f.n + 1):
         if not v[a].is_zero():
-            out = out + v[a] * _dz(f, a)
+            out = out + v[a] * _partial(f, 0, a)
         if not w[a].is_zero():
-            out = out + w[a] * _dzbar(f, a)
+            out = out + w[a] * _partial(f, 1, a)
     return out
 
 

@@ -36,6 +36,7 @@ __all__ = [
     "parse_poly",
     "PolyParseError",
     "MAX_TERM_DEGREE",
+    "add_term",
     "norm2",
 ]
 
@@ -179,6 +180,17 @@ Exponents = tuple[int, ...]
 TermKey = tuple[Exponents, Exponents]
 
 
+def add_term(dst: dict[TermKey, ExactScalar], key: TermKey,
+             c: ExactScalar) -> None:
+    """``dst[key] += c`` on a term dict, keeping no zero coefficient."""
+    prev = dst.get(key)
+    s = c if prev is None else prev + c
+    if s:
+        dst[key] = s
+    elif prev is not None:
+        del dst[key]
+
+
 def _reduced(n: int, items: Iterable[tuple[TermKey, ExactScalar]]) -> dict:
     """Division remainder modulo the sphere relation.
 
@@ -200,12 +212,7 @@ def _reduced(n: int, items: Iterable[tuple[TermKey, ExactScalar]]) -> dict:
                 bj = b0[:j] + (b0[j] + 1,) + b0[j + 1:]
                 stack.append(((aj, bj), -c))
         else:
-            prev = out.get((a, b))
-            s = c if prev is None else prev + c
-            if s:
-                out[(a, b)] = s
-            elif prev is not None:
-                del out[(a, b)]
+            add_term(out, (a, b), c)
     return out
 
 
@@ -279,12 +286,7 @@ class SpherePoly:
         self._check(other)
         t = dict(self.terms)
         for k, c in other.terms.items():
-            s = t.get(k)
-            s = c if s is None else s + c
-            if s:
-                t[k] = s
-            elif k in t:
-                del t[k]
+            add_term(t, k, c)
         return SpherePoly(self.n, t, _normalized=True)
 
     __radd__ = __add__
@@ -679,5 +681,5 @@ def parse_poly(text: str, n: int) -> SpherePoly:
         return SpherePoly.zero(n)
     acc: dict[TermKey, ExactScalar] = {}
     for k, c in terms:
-        acc[k] = acc.get(k, ExactScalar.zero()) + c
+        add_term(acc, k, c)
     return SpherePoly(n, acc)

@@ -9,6 +9,13 @@ and every SpherePoly splits uniquely into such pieces.  The splitting is
 computed by lifting each bihomogeneous part of the normal form to the
 ambient space and peeling |z|^2-multiples against the ambient operator
 box = sum_a d^2/dz_a dzbar_a.
+
+The sub-Laplacian needs no splitting.  On a bidegree-(P, Q) part
+A = sum_k |z|^{2k} H_k of the normal form (H_k harmonic, s = P + Q - 2k),
+box(|z|^{2k} H_k) = k(n + s + k) |z|^{2k-2} H_k, so box - lambda_{P,Q,n}
+sends each layer to -lambda_{P-k,Q-k,n} times itself on the sphere, where
+|z|^2 = 1.  :func:`sublaplacian` applies it term by term, and
+:func:`harmonic_decompose` runs only when components are asked for.
 """
 
 from __future__ import annotations
@@ -16,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .ring import ExactScalar, SpherePoly, TermKey, norm2
+from .ring import ExactScalar, SpherePoly, TermKey, add_term
 
 __all__ = [
     "HarmonicDecomposition",
@@ -37,27 +44,6 @@ GRADIENT_CALIBRATION = 2
 Ambient = dict[TermKey, ExactScalar]
 
 
-def _amb_add(dst: Ambient, key: TermKey, c: ExactScalar) -> None:
-    s = dst.get(key)
-    s = c if s is None else s + c
-    if s:
-        dst[key] = s
-    elif key in dst:
-        del dst[key]
-
-
-def _amb_scale(p: Ambient, c: ExactScalar | Fraction | int) -> Ambient:
-    c = ExactScalar.coerce(c)
-    return {k: v * c for k, v in p.items()} if c else {}
-
-
-def _amb_sub(p: Ambient, q: Ambient) -> Ambient:
-    out = dict(p)
-    for k, c in q.items():
-        _amb_add(out, k, -c)
-    return out
-
-
 def _amb_box(p: Ambient) -> Ambient:
     """Ambient operator sum_a d/dz_a d/dzbar_a, exact power rule."""
     out: Ambient = {}
@@ -66,7 +52,7 @@ def _amb_box(p: Ambient) -> Ambient:
             if a[j] and b[j]:
                 aj = a[:j] + (a[j] - 1,) + a[j + 1:]
                 bj = b[:j] + (b[j] - 1,) + b[j + 1:]
-                _amb_add(out, (aj, bj), c * (a[j] * b[j]))
+                add_term(out, (aj, bj), c * (a[j] * b[j]))
     return out
 
 
@@ -77,7 +63,7 @@ def _amb_mul_r2(p: Ambient, n: int) -> Ambient:
         for j in range(n + 1):
             aj = a[:j] + (a[j] + 1,) + a[j + 1:]
             bj = b[:j] + (b[j] + 1,) + b[j + 1:]
-            _amb_add(out, (aj, bj), c)
+            add_term(out, (aj, bj), c)
     return out
 
 
@@ -100,12 +86,13 @@ def _peel_layers(p: Ambient, deg_p: int, deg_q: int, n: int) -> dict[int, Ambien
         factor = 1
         for j in range(1, k + 1):
             factor *= j * (n + s + j)
-        h = _amb_scale(bk, Fraction(1, factor)) if k else bk
+        h = {t: c * Fraction(1, factor) for t, c in bk.items()} if k else bk
         layers[k] = h
         lifted = h
         for _ in range(k):
             lifted = _amb_mul_r2(lifted, n)
-        remaining = _amb_sub(remaining, lifted)
+        for t, c in lifted.items():
+            add_term(remaining, t, -c)
     if remaining:
         raise AssertionError("harmonic peeling left a residue")
     return layers
@@ -146,18 +133,11 @@ def harmonic_decompose(f: SpherePoly) -> HarmonicDecomposition:
             key = (p - k, q - k)
             acc = lifts.setdefault(key, {})
             for term, c in h.items():
-                _amb_add(acc, term, c)
+                add_term(acc, term, c)
 
-    components: dict[tuple[int, int], SpherePoly] = {}
-    drop = []
-    for key, amb in lifts.items():
-        comp = SpherePoly(n, amb)
-        if comp.is_zero():
-            drop.append(key)
-        else:
-            components[key] = comp
-    for key in drop:
-        del lifts[key]
+    # a nonzero harmonic polynomial restricts to a nonzero function
+    lifts = {key: amb for key, amb in lifts.items() if amb}
+    components = {key: SpherePoly(n, amb) for key, amb in lifts.items()}
     return HarmonicDecomposition(n=n, components=components, lifts=lifts)
 
 
@@ -167,21 +147,24 @@ def eigenvalue(p: int, q: int, n: int) -> Fraction:
 
 
 def sublaplacian(f: SpherePoly) -> SpherePoly:
-    """Spectrally defined sub-Laplacian: -lambda_{p,q,n} on each component."""
-    dec = harmonic_decompose(f)
-    out = SpherePoly.zero(f.n)
-    for (p, q), comp in dec.components.items():
-        out = out - comp * ExactScalar(eigenvalue(p, q, f.n))
-    return out
+    """Sub-Laplacian, term by term: box - lambda_{|a|,|b|,n} on c z^a zbar^b.
+
+    box never touches z_1 zbar_1, which no normal-form term holds, so the
+    result is already reduced.
+    """
+    out = _amb_box(f.terms)
+    for (a, b), c in f.terms.items():
+        add_term(out, (a, b), -c * eigenvalue(sum(a), sum(b), f.n))
+    return SpherePoly(f.n, out, _normalized=True)
 
 
 def sublaplacian_energy(f: SpherePoly) -> ExactScalar:
-    """Quadratic form -int conj(f) * sublaplacian(f); spectral Dirichlet sum."""
-    dec = harmonic_decompose(f)
-    total = ExactScalar.zero()
-    for (p, q), comp in dec.components.items():
-        total = total + ExactScalar(eigenvalue(p, q, f.n)) * norm2(comp)
-    return total
+    """Quadratic form -int conj(f) * sublaplacian(f).
+
+    By orthogonality of the harmonic components this is the spectral
+    Dirichlet sum sum lambda_{p,q,n} ||f_pq||^2.
+    """
+    return -(f.conjugate() * sublaplacian(f)).integral()
 
 
 def dirichlet_energy(f: SpherePoly) -> ExactScalar:

@@ -51,10 +51,14 @@ class SuiteConfig:
                 "pools are maintained for n <= 3 only")
         if self.samples < 0:
             raise ValueError("sample count must be >= 0")
-        for s in self.suites:
+        choices = f"choose from {', '.join(SUITE_NAMES)} or 'all'"
+        if not self.suites:
+            raise ValueError(f"no suite selected; {choices}")
+        for i, s in enumerate(self.suites):
             if s not in SUITE_NAMES:
-                raise ValueError(f"unknown suite {s!r}; choose from "
-                                 f"{', '.join(SUITE_NAMES)} or 'all'")
+                raise ValueError(f"unknown suite {s!r}; {choices}")
+            if s in self.suites[:i]:
+                raise ValueError(f"suite {s!r} is listed twice")
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from crsphere import cli, frames, oracle3, variation
+from crsphere import cli, frames, oracle3, spectral, variation
 from crsphere.cli import main, load_config, parse_deformation_file, ConfigError
 
 
@@ -174,6 +174,53 @@ def test_load_config_rejects_garbage(tmp_path):
         load_config(str(f))
 
 
+# -- input that verifies nothing, repeats work or means nothing exits 2 ---------
+
+def test_verify_rejects_repeated_config_key(tmp_path, capsys):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("n = 1\n# comment\nn = 2\n")
+    code, _, err = run(capsys, "verify", "--config", str(cfg), "--output",
+                       str(tmp_path / "r.txt"))
+    assert code == 2
+    assert "cfg.txt:3:" in err and "'n'" in err and "line 1" in err
+    assert not (tmp_path / "r.txt").exists()
+
+
+@pytest.mark.parametrize("flag, config", [(",", None), ("", None),
+                                          (None, "suites =\n")])
+def test_verify_rejects_empty_suite_list(tmp_path, capsys, flag, config):
+    argv = ["verify", "--output", str(tmp_path / "r.txt")]
+    if flag is not None:
+        argv += ["--suites", flag]
+    if config is not None:
+        (tmp_path / "cfg.txt").write_text(config)
+        argv += ["--config", str(tmp_path / "cfg.txt")]
+    code, stdout, err = run(capsys, *argv)
+    assert code == 2 and "no suite selected" in err
+    assert "suites passed" not in stdout
+
+
+def test_verify_rejects_repeated_suite(tmp_path, capsys):
+    code, stdout, err = run(capsys, "verify", "--suites", "ring,ring",
+                            "--output", str(tmp_path / "r.txt"))
+    assert code == 2 and "'ring' is listed twice" in err
+    assert "suite ring" not in stdout
+
+
+@pytest.mark.parametrize("n", ["0", "-1"])
+def test_conventions_rejects_nonpositive_n(capsys, n):
+    code, stdout, err = run(capsys, "conventions", "--n", n)
+    assert code == 2 and "n must be >= 1" in err
+    assert stdout == ""
+
+
+@pytest.mark.parametrize("degree", ["0", "-1"])
+def test_spectrum_rejects_nonpositive_degree(capsys, degree):
+    code, stdout, err = run(capsys, "spectrum", "--degree", degree)
+    assert code == 2 and "degree must be >= 1" in err
+    assert stdout == ""
+
+
 def test_parse_deformation_roundtrip(tmp_path):
     f = tmp_path / "d.txt"
     f.write_text("n = 1\nE = (1/2,-3/4) z1 w2^2\n")
@@ -335,6 +382,22 @@ def test_wrong_constant_fails_the_gate(tmp_path, capsys, monkeypatch):
     code, stdout, _ = run(capsys, "analyze", str(f), "--oracle")
     assert code == 1
     assert "oracle second derivative: 4/1+0/1*i [FAIL]" in stdout
+
+
+def test_wrong_eigenvalue_fails_the_eigen_check(tmp_path, capsys,
+                                               monkeypatch):
+    # The operator reads the table per term bidegree, not per harmonic
+    # component, so a wrong table fails the eigen records as well as the
+    # eigenvalue rows.
+    true_eigenvalue = spectral.eigenvalue
+    monkeypatch.setattr(spectral, "eigenvalue",
+                        lambda p, q, n: 2 * true_eigenvalue(p, q, n))
+    out = tmp_path / "r.txt"
+    code, _, _ = run(capsys, "verify", "--n", "1", "--degree", "2",
+                     "--suites", "spectral", "--samples", "0",
+                     "--output", str(out))
+    assert code == 1
+    assert "FAIL decompose.eigen[" in out.read_text()
 
 
 # -- output does not depend on the hash seed ------------------------------------

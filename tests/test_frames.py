@@ -70,6 +70,13 @@ def test_derivation_rule(f, g):
         field_apply(x, f) * g + f * field_apply(x, g)
 
 
+@given(st.integers(1, 3).flatmap(lambda n: polys(n=n)), st.integers(0, 3),
+       st.integers(0, 1))
+def test_partial_output_is_normal_form(p, a, side):
+    out = frames._partial(p, side, a % (p.n + 1))
+    assert SpherePoly(p.n, dict(out.terms)) == out
+
+
 def test_weight_action_of_T():
     t = reeb(1)
     for m, p in ((1, z(1, 1)), (-1, w(1, 2)), (3, z(1, 1) ** 2 * z(1, 2)),

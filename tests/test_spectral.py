@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from crsphere import spectral, variation
 from crsphere.ring import ExactScalar, SpherePoly, norm2
 from crsphere.spectral import (GRADIENT_CALIBRATION, dirichlet_energy,
                                eigenvalue, harmonic_decompose, sublaplacian,
@@ -16,6 +17,28 @@ from test_ring import polys, z, w
 
 def real_polys(n=1):
     return polys(n).map(lambda p: p + p.conjugate())
+
+
+# complex polynomials on S^3, S^5 and S^7; fewer terms above S^3 keep the
+# reference decomposition cheap
+polys_n123 = st.integers(1, 3).flatmap(
+    lambda n: polys(n=n, max_terms=3 if n == 1 else 2))
+
+
+def spectral_sublaplacian(f):
+    """Reference route: -lambda_{p,q,n} times each harmonic component."""
+    out = SpherePoly.zero(f.n)
+    for (p, q), comp in harmonic_decompose(f).components.items():
+        out = out - comp * ExactScalar(eigenvalue(p, q, f.n))
+    return out
+
+
+def spectral_energy(f):
+    """Reference route: sum lambda_{p,q,n} ||f_pq||^2."""
+    total = ExactScalar.zero()
+    for (p, q), comp in harmonic_decompose(f).components.items():
+        total = total + ExactScalar(eigenvalue(p, q, f.n)) * norm2(comp)
+    return total
 
 
 # -- decomposition ---------------------------------------------------------------
@@ -99,11 +122,44 @@ def test_sublaplacian_linear(p):
     assert sublaplacian(p + q) == sublaplacian(p) + sublaplacian(q)
 
 
-@given(polys(n=1))
+@given(polys_n123)
 def test_eigen_property_on_components(p):
     for (pp, qq), comp in harmonic_decompose(p).components.items():
-        lam = ExactScalar(eigenvalue(pp, qq, 1))
+        lam = ExactScalar(eigenvalue(pp, qq, p.n))
         assert sublaplacian(comp) == comp * lam * -1
+
+
+@given(polys_n123)
+def test_term_by_term_matches_spectral_route(f):
+    assert sublaplacian(f) == spectral_sublaplacian(f)
+    energy = sublaplacian_energy(f)
+    assert energy == spectral_energy(f)
+    assert energy.is_real() and energy.re >= 0
+
+
+@given(polys_n123)
+def test_sublaplacian_output_is_normal_form(f):
+    out = sublaplacian(f)
+    assert SpherePoly(f.n, dict(out.terms)) == out
+
+
+def test_no_decomposition_behind_the_operator(monkeypatch):
+    calls = []
+    original = spectral.harmonic_decompose
+
+    def counting(f):
+        calls.append(f)
+        return original(f)
+
+    monkeypatch.setattr(spectral, "harmonic_decompose", counting)
+    f = (z(2, 1) * w(2, 2) + z(2, 3) * w(2, 1) * w(2, 1)) * ExactScalar(1, 2)
+    v = f + f.conjugate()
+    v = v - SpherePoly.constant(2, v.integral())
+    sublaplacian(f)
+    sublaplacian_energy(f)
+    variation.conformal_hessian(v)
+    variation.yamabe_energy_series(v)
+    assert calls == []
 
 
 @given(real_polys(), real_polys())

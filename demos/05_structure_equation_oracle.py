@@ -1,10 +1,10 @@
 """Deform the sphere's CR structure and watch the curvature respond.
 
 The verifier deforms the frame along a polynomial E, solves the Cartan
-structure equation order-by-order in the deformation parameter, and
-extracts connection, torsion and Webster curvature as exact series.  No
-variation formula is assumed: each one is recovered from the solver and
-matched against its closed form.
+structure equation by Cramer's rule over series in the deformation
+parameter, and extracts connection, torsion and Webster curvature as
+exact series.  No variation formula is assumed: each one is recovered
+from the solver and matched against its closed form.
 """
 
 from fractions import Fraction

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 
 from . import __version__
@@ -81,9 +82,10 @@ def parse_deformation_file(path: str) -> variation.DeformationTensor:
 
     Format: a line ``n = <int>``, then either ``E = <poly>`` for n = 1
     or lines ``E[j k, l m] = <poly>`` for higher dimensions, with
-    polynomials in the term grammar.  Each of the dimension line, the
-    ``E`` line and each tensor index may appear once, and the two
-    coefficient forms are not mixed.
+    polynomials in the term grammar.  The key left of ``=`` must be one
+    of these exactly; any other line is rejected.  Each of the dimension
+    line, the ``E`` line and each tensor index may appear once, and the
+    two coefficient forms are not mixed.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -107,31 +109,35 @@ def parse_deformation_file(path: str) -> variation.DeformationTensor:
             return parse_poly(text, n)
         except PolyParseError as exc:
             raise ConfigError(
-                f"{path}:{ln}:{col0 + exc.column}: {exc}") from exc
+                f"{path}:{ln}:{col0 + exc.column}: {exc.message}") from exc
 
     for ln, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].rstrip("\n")
         if not line.strip():
             continue
-        stripped = line.strip()
-        if stripped.startswith("n"):
+        head, sep, body = line.partition("=")
+        key = head.strip()
+        index = re.fullmatch(r"E\[([^\]]*)\]", key)
+        if key.startswith("E[") and "]" not in key:
+            raise ConfigError(f"{path}:{ln}: expected ']' after tensor index")
+        if not sep or (key not in ("n", "E") and index is None):
+            raise ConfigError(f"{path}:{ln}: unrecognized line "
+                              f"{line.strip()!r}")
+        if key == "n":
             once("n", "dimension line 'n = ...'", ln)
-            _, _, val = stripped.partition("=")
             try:
-                n = int(val.strip())
+                n = int(body.strip())
             except ValueError:
-                raise ConfigError(f"{path}:{ln}: bad dimension {val.strip()!r}")
+                raise ConfigError(f"{path}:{ln}: bad dimension "
+                                  f"{body.strip()!r}")
             if n < 1:
                 raise ConfigError(f"{path}:{ln}: dimension must be >= 1")
             continue
         if n is None:
             raise ConfigError(f"{path}:{ln}: dimension line 'n = ...' must "
                               "come first")
-        if stripped.startswith("E[") :
-            head, sep, body = line.partition("=")
-            if not sep:
-                raise ConfigError(f"{path}:{ln}: expected '=' after index")
-            idx = head.strip()[2:].rstrip("]").replace(",", " ").split()
+        if index is not None:
+            idx = index.group(1).replace(",", " ").split()
             if len(idx) != 4:
                 raise ConfigError(f"{path}:{ln}: tensor index needs four "
                                   "entries 'E[j k, l m]'")
@@ -144,14 +150,9 @@ def parse_deformation_file(path: str) -> variation.DeformationTensor:
                 raise ConfigError(f"{path}:{ln}: index pair out of range")
             once(((j, k), (l, m)), f"tensor index E[{j} {k}, {l} {m}]", ln)
             coeffs[((j, k), (l, m))] = poly_at(body, ln, len(head) + 1)
-        elif stripped.startswith("E"):
-            head, sep, body = line.partition("=")
-            if not sep:
-                raise ConfigError(f"{path}:{ln}: expected 'E = <poly>'")
+        else:
             once("E", "coefficient line 'E = ...'", ln)
             scalar = poly_at(body, ln, len(head) + 1)
-        else:
-            raise ConfigError(f"{path}:{ln}: unrecognized line {stripped!r}")
 
     if n is None:
         raise ConfigError(f"{path}: missing dimension line 'n = ...'")

@@ -3,8 +3,8 @@
 Given a polynomial deformation coefficient E, the holomorphic frame field
 is deformed along Z_1(t) = (1 + t^2 g)(Z_1 - i t E Zbar_1), the dual
 coframe is solved from the duality conditions, and the connection form
-w(t), torsion A(t) and Webster curvature W(t) are solved order-by-order
-from the Cartan structure equation
+w(t), torsion A(t) and Webster curvature W(t) are solved by Cramer's rule
+over the truncated series ring from the Cartan structure equation
 
     d theta^1(t) = theta^1(t) ^ w(t) + A(t) theta ^ theta^1bar(t)
 
@@ -81,6 +81,10 @@ _DBASE = {
     "t1b": {("th", "t1b"): ExactScalar(0, -1)},
 }
 
+# The contact form theta as a series 1-form.
+_TH: Form1 = {"th": TSeries2.constant(_N, 1), "t1": TSeries2.zero(_N),
+              "t1b": TSeries2.zero(_N)}
+
 
 def _s_zero() -> TSeries2:
     return TSeries2.zero(_N)
@@ -147,10 +151,6 @@ def _d_form1(a: Form1) -> Form2:
     return out
 
 
-def _form2_slice(a: Form2, k: int) -> dict:
-    return {key: a[key].coeffs()[k] for key in _KEYS2}
-
-
 def _form2_is_zero(a: Form2) -> bool:
     zero = _s_zero()
     return all(a[k] == zero for k in _KEYS2)
@@ -212,6 +212,7 @@ class DeformedCoframe:
     gamma: SpherePoly
     z1: VectorSeries
     theta1: Form1
+    det: TSeries2   # |m0|^2 - |m1|^2 = 1 / (|a|^2 - |b|^2)
 
 
 def deform_frame(e: SpherePoly, second_order_tweak: SpherePoly | None = None,
@@ -252,19 +253,18 @@ def deform_frame(e: SpherePoly, second_order_tweak: SpherePoly | None = None,
             raise ValueError("frame phase must be a unit scalar")
         z1t = z1t.scale(phase)
 
-    zb1t = z1t.conjugate()
-    m00 = _eval_base_form("t1", z1t)
-    m01 = _eval_base_form("t1b", z1t)
-    m10 = _eval_base_form("t1", zb1t)
-    m11 = _eval_base_form("t1b", zb1t)
-    det = m00 * m11 - m01 * m10
+    # Zbar_1(t) = conj Z_1(t), so the base coframe's Gram on the frame is
+    # [[m0, m1], [conj m1, conj m0]]
+    m0 = _eval_base_form("t1", z1t)
+    m1 = _eval_base_form("t1b", z1t)
+    det = m0 * m0.conjugate() - m1 * m1.conjugate()
     if det.c0 != SpherePoly.one(_N):
         raise AssertionError("coframe system must have unit determinant")
     inv_det = det.fractional_power(Fraction(-1))
-    a = m11 * inv_det
-    b = -(m10 * inv_det)
-    theta1: Form1 = {"th": _s_zero(), "t1": a, "t1b": b}
+    theta1: Form1 = {"th": _s_zero(), "t1": m0.conjugate() * inv_det,
+                     "t1b": -(m1.conjugate() * inv_det)}
 
+    zb1t = z1t.conjugate()
     if _eval_form1(theta1, z1t) != _s_one():
         raise AssertionError("duality theta^1(Z_1) = 1 failed")
     if _eval_form1(theta1, zb1t) != _s_zero():
@@ -273,7 +273,7 @@ def deform_frame(e: SpherePoly, second_order_tweak: SpherePoly | None = None,
         raise AssertionError("deformed frame left the contact distribution")
     if _levi_norm(z1t) != _s_one():
         raise AssertionError("Levi renormalization failed")
-    return DeformedCoframe(e=e, gamma=gamma, z1=z1t, theta1=theta1)
+    return DeformedCoframe(e=e, gamma=gamma, z1=z1t, theta1=theta1, det=det)
 
 
 # -- structure equation -------------------------------------------------------
@@ -287,62 +287,42 @@ class PseudohermitianSeries:
     webster: TSeries2 | None = None
 
 
-def solve_structure(cf: DeformedCoframe) -> PseudohermitianSeries:
-    """Unique (w(t), A(t)) for the deformed coframe, solved per order.
+def _solve2(m00, m01, m10, m11, r0, r1, inv_det):
+    """Cramer's rule for [[m00, m01], [m10, m11]] (u0, u1) = (r0, r1)."""
+    return ((m11 * r0 - m01 * r1) * inv_det,
+            (m00 * r1 - m10 * r0) * inv_det)
 
-    Matching the structure equation over basis wedges at each order fixes
-    the theta and theta^1bar components of w and the torsion coefficient;
-    the theta^1 component follows from the reality constraint.  The theta
-    component must come out imaginary and the full residual must vanish,
-    both asserted.
+
+def solve_structure(cf: DeformedCoframe) -> PseudohermitianSeries:
+    """Unique (w(t), A(t)) for the deformed coframe, by Cramer's rule.
+
+    With theta^1(t) = a theta^1 + b theta^1bar and w = x theta + y theta^1
+    + z theta^1bar, the reality constraint gives y = -conj(z), and the
+    structure equation over the base wedges reads
+
+        -a x + conj(b) A = L_(th,t1),   -b x + conj(a) A = L_(th,t1b),
+        a z + b conj(z) = L_(t1,t1b),
+
+    with L = d theta^1(t).  Both systems have determinant
+    D = |a|^2 - |b|^2, whose inverse is ``cf.det``.  The theta component
+    must come out imaginary and the full residual must vanish, both
+    asserted.
     """
     theta1 = cf.theta1
-    theta1b = _form1_conj(theta1)
-    th_form: Form1 = {"th": _s_one(), "t1": _s_zero(), "t1b": _s_zero()}
+    if theta1["th"] != _s_zero():
+        raise AssertionError("deformed coframe must have no theta component")
+    a, b = theta1["t1"], theta1["t1b"]
     lhs = _d_form1(theta1)
-    th_wedge_t1b = _wedge11(th_form, theta1b)
+    torsion, x = _solve2(b.conjugate(), -a, a.conjugate(), -b,
+                         lhs[("th", "t1")], lhs[("th", "t1b")], cf.det)
+    if x + x.conjugate() != _s_zero():
+        raise AssertionError("theta component of the connection form "
+                             "must be imaginary")
+    l3 = lhs[("t1", "t1b")]
+    z = (a.conjugate() * l3 - b * l3.conjugate()) * cf.det
+    omega: Form1 = {"th": x, "t1": -z.conjugate(), "t1b": z}
 
-    # leading coframe slice is a constant unit multiple of theta^1 (the
-    # multiple is 1 unless a gauge phase was applied)
-    if not (theta1["th"].c0.is_zero() and theta1["t1b"].c0.is_zero()
-            and theta1["t1"].c0.is_constant()):
-        raise AssertionError("coframe must start at a constant multiple "
-                             "of theta^1")
-    lead = theta1["t1"].c0.constant_term()
-    inv_lead = ExactScalar.one() / lead
-    inv_lead_bar = inv_lead.conjugate()
-
-    zero = SpherePoly.zero(_N)
-    xs: list[SpherePoly] = []
-    ys: list[SpherePoly] = []
-    ws: list[SpherePoly] = []
-    avals: list[SpherePoly] = []
-
-    for k in range(3):
-        pad = [zero] * (3 - k)
-        omega_partial: Form1 = {"th": TSeries2(*(xs + pad)),
-                                "t1": TSeries2(*(ys + pad)),
-                                "t1b": TSeries2(*(ws + pad))}
-        a_partial = TSeries2(*(avals + pad))
-        known = _form2_add(_wedge11(theta1, omega_partial),
-                           {key: a_partial * th_wedge_t1b[key]
-                            for key in _KEYS2})
-        g = _form2_slice(_form2_sub(lhs, known), k)
-        x_k = -(g[("th", "t1")] * inv_lead)
-        a_k = g[("th", "t1b")] * inv_lead_bar
-        w_k = g[("t1", "t1b")] * inv_lead
-        y_k = -(w_k.conjugate())
-        if not (x_k + x_k.conjugate()).is_zero():
-            raise AssertionError("theta component of the connection form "
-                                 "must be imaginary")
-        xs.append(x_k)
-        ys.append(y_k)
-        ws.append(w_k)
-        avals.append(a_k)
-
-    omega: Form1 = {"th": TSeries2(*xs), "t1": TSeries2(*ys),
-                    "t1b": TSeries2(*ws)}
-    torsion = TSeries2(*avals)
+    th_wedge_t1b = _wedge11(_TH, _form1_conj(theta1))
     residual = _form2_sub(
         lhs, _form2_add(_wedge11(theta1, omega),
                         {key: torsion * th_wedge_t1b[key] for key in _KEYS2}))
@@ -359,51 +339,28 @@ def webster_series(ps: PseudohermitianSeries, cf: DeformedCoframe) -> TSeries2:
     """Webster curvature from the curvature form of the solved connection.
 
     The single connection form wedges to zero against itself, so the
-    curvature form is d w(t); expanding it over the deformed wedge basis
-    isolates the theta^1(t) ^ theta^1bar(t) coefficient (the torsion
-    wedge terms vanish identically in this dimension), which contracts
-    with 1/h to the Webster scalar.
+    curvature form is d w(t) = c0 theta ^ theta^1(t) + c1 theta ^
+    theta^1bar(t) + c2 theta^1(t) ^ theta^1bar(t).  Over the base wedges
+    (c0, c1) solve [[a, conj b], [b, conj a]], and theta^1(t) ^
+    theta^1bar(t) = D theta^1 ^ theta^1bar, so c2 = d w_(t1,t1b) / D; it
+    contracts with 1/h to the Webster scalar.
     """
     theta1 = cf.theta1
-    theta1b = _form1_conj(theta1)
-    th_form: Form1 = {"th": _s_one(), "t1": _s_zero(), "t1b": _s_zero()}
+    a, b = theta1["t1"], theta1["t1b"]
     dw = _d_form1(ps.omega)
+    c0, c1 = _solve2(a, b.conjugate(), b, a.conjugate(),
+                     dw[("th", "t1")], dw[("th", "t1b")], cf.det)
+    c2 = dw[("t1", "t1b")] * cf.det
 
-    basis = (_wedge11(th_form, theta1),
-             _wedge11(th_form, theta1b),
+    theta1b = _form1_conj(theta1)
+    basis = (_wedge11(_TH, theta1), _wedge11(_TH, theta1b),
              _wedge11(theta1, theta1b))
-    # order-0 slices of the deformed wedges are constant multiples of the
-    # matching base wedges (unit multiples absent a gauge phase), so the
-    # system solves by back-substitution per order after dividing by the
-    # diagonal constants
-    diag = []
-    for j, key in enumerate(_KEYS2):
-        for other in _KEYS2:
-            if other != key and not basis[j][other].c0.is_zero():
-                raise AssertionError("deformed wedge basis is not diagonal "
-                                     "at order zero")
-        lead = basis[j][key].c0
-        if not lead.is_constant() or lead.is_zero():
-            raise AssertionError("deformed wedge basis has a non-constant "
-                                 "leading slice")
-        diag.append(ExactScalar.one() / lead.constant_term())
-    sol: list[list[SpherePoly]] = [[], [], []]
-    for k in range(3):
-        for row, key in enumerate(_KEYS2):
-            rhs = dw[key].coeffs()[k]
-            for j in range(3):
-                col = basis[j][key].coeffs()
-                for k1 in range(1, k + 1):
-                    rhs = rhs - col[k1] * sol[j][k - k1]
-            sol[row].append(rhs * diag[row])
-    coeffs = [TSeries2(*sol[j]) for j in range(3)]
     recon = _form2_zero()
-    for j in range(3):
-        recon = _form2_add(recon, {key: coeffs[j] * basis[j][key]
-                                   for key in _KEYS2})
+    for c, wedge in zip((c0, c1, c2), basis):
+        recon = _form2_add(recon, {key: c * wedge[key] for key in _KEYS2})
     if not _form2_is_zero(_form2_sub(dw, recon)):
         raise AssertionError("curvature expansion over deformed wedges failed")
-    w = coeffs[2] * Fraction(1, LEVI_CONSTANT)
+    w = c2 * Fraction(1, LEVI_CONSTANT)
     if w != w.conjugate():
         raise AssertionError("Webster curvature must be real")
     if w.c0 != SpherePoly.constant(_N, ExactScalar(FRAME_WEBSTER_CONSTANT)):

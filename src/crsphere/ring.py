@@ -484,9 +484,6 @@ class TSeries2:
     def zero(n: int) -> "TSeries2":
         return TSeries2(SpherePoly.zero(n))
 
-    def coeffs(self) -> tuple[SpherePoly, SpherePoly, SpherePoly]:
-        return (self.c0, self.c1, self.c2)
-
     def __add__(self, other):
         o = self._coerce(other)
         return TSeries2(self.c0 + o.c0, self.c1 + o.c1, self.c2 + o.c2)
@@ -585,10 +582,11 @@ def volume_factor(n: int) -> VolumeFactor:
 # ---------------------------------------------------------------------------
 
 class PolyParseError(ValueError):
-    """Parse failure with 1-based line/column position."""
+    """Parse failure with 1-based line/column position and bare message."""
 
     def __init__(self, message: str, line: int, column: int):
         super().__init__(f"line {line}, column {column}: {message}")
+        self.message = message
         self.line = line
         self.column = column
 

@@ -143,6 +143,7 @@ def test_analyze_rejects_oversized_input(tmp_path, capsys, body, where, what):
     code, stdout, err = run(capsys, "analyze", str(f), "--oracle")
     assert code == 2 and stdout == ""
     assert f"d.txt{where}" in err and what in err
+    assert "line 1, column" not in err
 
 
 def test_analyze_missing_dimension(tmp_path, capsys):
@@ -297,6 +298,17 @@ def test_analyze_rejects_mixed_coefficient_forms(tmp_path, capsys):
     assert "d.txt:2:" in err and "cannot be mixed" in err
 
 
+@pytest.mark.parametrize("text, where, what", [
+    ("nope = 2\nE = (1/1,0/1)\n", ":1:", "unrecognized line 'nope = 2'"),
+    ("n = 1\nExtra = (1/1,0/1) z1\n", ":2:", "unrecognized line 'Extra"),
+    ("n = 2\nE[1 2, 1 3 = (1/1,0/1)\n", ":2:", "expected ']'"),
+    ("n = 1\nnote = 7\nE = (1/1,0/1)\n", ":2:", "unrecognized line 'note"),
+], ids=["nope", "Extra", "unclosed-index", "note-after-dimension"])
+def test_analyze_keys_match_exactly(tmp_path, capsys, text, where, what):
+    err = _parse_error(tmp_path, capsys, text)
+    assert f"d.txt{where}" in err and what in err
+
+
 def test_analyze_rejects_non_integer_index(tmp_path, capsys):
     err = _parse_error(tmp_path, capsys, "n = 2\nE[1 x, 1 2] = (1/1,0/1)\n")
     assert "d.txt:2:" in err and "integers" in err
@@ -304,14 +316,22 @@ def test_analyze_rejects_non_integer_index(tmp_path, capsys):
 
 # -- report bytes are pinned ------------------------------------------------
 
-@pytest.mark.parametrize("n, digest", [
-    (1, "90d5b1f1aa8862832dc40bcaeecd99de9dabe58f731338125a61506a6c4f30d2"),
-    (2, "9f40802f2fa02cf65eef4bdd2834e62d2f0873836bcb02d5f69d1fc78bfcc02c"),
+def _pinned(n, digest, *flags):
+    """One pinned verify report: --n n --degree 2 --samples 0, then flags."""
+    return pytest.param(n, flags, digest,
+                        id="-".join([str(n), *flags[1::2], digest]))
+
+
+@pytest.mark.parametrize("n, flags, digest", [
+    _pinned(1, "90d5b1f1aa8862832dc40bcaeecd99de9dabe58f731338125a61506a6c4f30d2"),
+    _pinned(2, "9f40802f2fa02cf65eef4bdd2834e62d2f0873836bcb02d5f69d1fc78bfcc02c"),
+    _pinned(1, "f2a41826d277389acd82fa9b6563777447d6a115a2f5f9effc3eaddd63dcc3bd",
+            "--degree", "4", "--suites", "oracle3"),
 ])
-def test_verify_report_bytes_pinned(tmp_path, capsys, n, digest):
+def test_verify_report_bytes_pinned(tmp_path, capsys, n, flags, digest):
     out = tmp_path / "r.txt"
     code, _, _ = run(capsys, "verify", "--n", str(n), "--degree", "2",
-                     "--samples", "0", "--output", str(out))
+                     "--samples", "0", "--output", str(out), *flags)
     assert code == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 

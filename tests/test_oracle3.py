@@ -4,6 +4,9 @@ from fractions import Fraction
 
 import pytest
 
+from dataclasses import replace
+
+from crsphere import oracle3
 from crsphere.ring import ExactScalar, SpherePoly, TSeries2
 from crsphere.oracle3 import (FRAME_WEBSTER_CONSTANT, LEVI_CONSTANT,
                               SECOND_VARIATION_COEFF, check_connection_variation,
@@ -11,6 +14,7 @@ from crsphere.oracle3 import (FRAME_WEBSTER_CONSTANT, LEVI_CONSTANT,
                               deform_frame, mode_weighted_norm,
                               second_derivative_check, solve_structure)
 from crsphere.variation import DeformationTensor, j_hessian, j_hessian_via_T
+from crsphere.verify import monomial_pool
 
 from test_ring import z, w
 
@@ -157,3 +161,43 @@ def test_rejects_wrong_dimension():
 def test_rejects_non_unit_phase():
     with pytest.raises(ValueError):
         deform_frame(SpherePoly.one(1), phase=ExactScalar(2))
+
+
+# -- the closed-form solve ---------------------------------------------------
+
+@pytest.mark.parametrize("phase", [None, ExactScalar(Fraction(3, 5),
+                                                     Fraction(-4, 5))])
+def test_coframe_gram_and_determinant(phase):
+    """The frame Gram is [[m0, m1], [conj m1, conj m0]], and cf.det is
+    the inverse of D = |a|^2 - |b|^2, the determinant of both solves."""
+    for _, e in monomial_pool(1, 3):
+        cf = deform_frame(e, phase=phase)
+        z1t, zb1t = cf.z1, cf.z1.conjugate()
+        m0 = oracle3._eval_base_form("t1", z1t)
+        m1 = oracle3._eval_base_form("t1b", z1t)
+        assert oracle3._eval_base_form("t1b", zb1t) == m0.conjugate()
+        assert oracle3._eval_base_form("t1", zb1t) == m1.conjugate()
+        a, b = cf.theta1["t1"], cf.theta1["t1b"]
+        d = a * a.conjugate() - b * b.conjugate()
+        assert d * cf.det == TSeries2.constant(1, 1)
+
+
+def test_solve_structure_takes_no_power(monkeypatch):
+    cf = deform_frame(w(1, 1) ** 2 * z(1, 2) + SpherePoly.one(1))
+    calls = []
+    power = TSeries2.fractional_power
+
+    def counting(self, exponent):
+        calls.append(exponent)
+        return power(self, exponent)
+
+    monkeypatch.setattr(TSeries2, "fractional_power", counting)
+    solve_structure(cf)
+    assert calls == []
+
+
+def test_rejects_coframe_with_theta_part():
+    cf = deform_frame(z(1, 1))
+    theta1 = dict(cf.theta1, th=TSeries2(SpherePoly.zero(1), z(1, 1)))
+    with pytest.raises(AssertionError, match="no theta component"):
+        solve_structure(replace(cf, theta1=theta1))

@@ -77,12 +77,13 @@ def _partial(p: SpherePoly, side: int, a: int) -> SpherePoly:
     result needs no reduction.
     """
     out = {}
-    for key, c in p.terms.items():
+    for key, (re, im) in p.nums.items():
         e = key[side]
         if e[a]:
             low = e[:a] + (e[a] - 1,) + e[a + 1:]
-            out[(low, key[1]) if side == 0 else (key[0], low)] = c * e[a]
-    return SpherePoly(p.n, out, _normalized=True)
+            out[(low, key[1]) if side == 0 else (key[0], low)] = (re * e[a],
+                                                                  im * e[a])
+    return SpherePoly.from_nums(p.n, out, p.den)
 
 
 class FrameVector:

@@ -1,18 +1,19 @@
 """Exact scalar and polynomial arithmetic on odd-dimensional spheres.
 
-Everything in this module is exact: coefficients are Gaussian rationals
-(pairs of ``fractions.Fraction``), polynomials live on the unit sphere
+Everything in this module is exact.  Polynomials live on the unit sphere
 S^{2n+1} in C^{n+1} and are kept in a canonical normal form modulo the
-sphere relation z_1 zbar_1 + ... + z_{n+1} zbar_{n+1} = 1.  No floats
-appear anywhere here.
+sphere relation z_1 zbar_1 + ... + z_{n+1} zbar_{n+1} = 1.  A polynomial
+stores Gaussian-integer numerators, pairs of Python ints, over one positive
+int denominator; the public scalar is :class:`ExactScalar`, a Gaussian
+rational with ``fractions.Fraction`` parts.  No floats appear anywhere here.
 
 Conventions:
 
 * A monomial is ``z^a zbar^b`` for exponent tuples a, b of length n+1.
 * Normal form: no stored monomial is divisible by z_1*zbar_1, the leading
   monomial of the sphere relation under graded lex order.  Reduction
-  rewrites z_1 zbar_1 -> 1 - sum_{j>=2} z_j zbar_j and terminates because
-  the z_1-exponent strictly drops.
+  rewrites z_1^k zbar_1^k as (1 - sum_{j>=2} z_j zbar_j)^k, expanded once
+  per (n, k), so each term reduces by one lookup.
 * Integration is against the rotation-invariant probability measure;
   the pseudohermitian volume 2^{n+1} pi^{n+1} is carried separately as a
   symbolic factor (see :func:`volume_factor`) and never as a float.
@@ -21,9 +22,12 @@ Conventions:
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from fractions import Fraction
+from operator import add, sub
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 __all__ = [
@@ -36,7 +40,8 @@ __all__ = [
     "parse_poly",
     "PolyParseError",
     "MAX_TERM_DEGREE",
-    "add_term",
+    "accumulate",
+    "reduce_nums",
     "norm2",
 ]
 
@@ -178,77 +183,150 @@ def parse_scalar(text: str) -> ExactScalar:
 
 Exponents = tuple[int, ...]
 TermKey = tuple[Exponents, Exponents]
+Gaussian = tuple[int, int]
+Terms = dict[TermKey, Gaussian]
 
 
-def add_term(dst: dict[TermKey, ExactScalar], key: TermKey,
-             c: ExactScalar) -> None:
-    """``dst[key] += c`` on a term dict, keeping no zero coefficient."""
-    prev = dst.get(key)
-    s = c if prev is None else prev + c
-    if s:
-        dst[key] = s
-    elif prev is not None:
-        del dst[key]
+def accumulate(dst: Terms, items: Iterable[tuple[TermKey, Gaussian]],
+               scale: int = 1) -> None:
+    """``dst[key] += scale * (re, im)`` for each item, keeping no zero term."""
+    get = dst.get
+    for key, (re, im) in items:
+        re *= scale
+        im *= scale
+        prev = get(key)
+        if prev is not None:
+            re += prev[0]
+            im += prev[1]
+        if re or im:
+            dst[key] = (re, im)
+        elif prev is not None:
+            del dst[key]
 
 
-def _reduced(n: int, items: Iterable[tuple[TermKey, ExactScalar]]) -> dict:
+def _multi_indices(width: int, total: int) -> Iterable[Exponents]:
+    """Exponent tuples of length ``width`` with entries summing to <= total."""
+    if width == 0:
+        yield ()
+        return
+    for e in range(total + 1):
+        for rest in _multi_indices(width - 1, total - e):
+            yield (e,) + rest
+
+
+@functools.cache
+def _sphere_power(n: int, k: int) -> tuple[tuple[Exponents, int], ...]:
+    """Normal form of z_1^k zbar_1^k, i.e. (1 - sum_{j>=2} z_j zbar_j)^k.
+
+    Each entry ``(m, c)`` is the term c z^m zbar^m; m[0] == 0 and c is the
+    signed multinomial coefficient k! / ((k - |m|)! prod m_j!).
+    """
+    out = []
+    for m in _multi_indices(n, k):
+        s = sum(m)
+        c = math.factorial(k) // math.factorial(k - s)
+        for e in m:
+            c //= math.factorial(e)
+        out.append(((0,) + m, -c if s & 1 else c))
+    return tuple(out)
+
+
+def reduce_nums(n: int, raw: Terms) -> Terms:
     """Division remainder modulo the sphere relation.
 
-    Rewrites every monomial divisible by z_1*zbar_1 using
-    z_1 zbar_1 = 1 - sum_{j>=2} z_j zbar_j until none remains.
+    Reduction is linear, so a term z^a zbar^b with k = min(a_1, b_1) maps
+    to z^a' zbar^b' times the normal form of z_1^k zbar_1^k, where a' and
+    b' drop k from the first exponent: one lookup per term.
     """
-    out: dict[TermKey, ExactScalar] = {}
-    stack = list(items)
-    while stack:
-        (a, b), c = stack.pop()
-        if not c:
-            continue
-        if a[0] >= 1 and b[0] >= 1:
-            a0 = (a[0] - 1,) + a[1:]
-            b0 = (b[0] - 1,) + b[1:]
-            stack.append(((a0, b0), c))
-            for j in range(1, n + 1):
-                aj = a0[:j] + (a0[j] + 1,) + a0[j + 1:]
-                bj = b0[:j] + (b0[j] + 1,) + b0[j + 1:]
-                stack.append(((aj, bj), -c))
+    out: Terms = {}
+    reducible = []
+    for key, c in raw.items():
+        if key[0][0] and key[1][0]:
+            reducible.append((key, c))
         else:
-            add_term(out, (a, b), c)
+            out[key] = c
+    accumulate(out, _expanded(n, reducible))
     return out
+
+
+def _expanded(n: int, items: list[tuple[TermKey, Gaussian]]):
+    """The terms of each item z^a zbar^b with z_1^k zbar_1^k replaced."""
+    for (a, b), (re, im) in items:
+        k = min(a[0], b[0])
+        a0 = (a[0] - k,) + a[1:]
+        b0 = (b[0] - k,) + b[1:]
+        for m, c in _sphere_power(n, k):
+            yield ((tuple(map(add, a0, m)), tuple(map(add, b0, m))),
+                   (re * c, im * c))
+
+
+def _split(c: ExactScalar) -> tuple[int, int, int]:
+    """c as Gaussian-integer numerators over one positive denominator."""
+    re, im = c.re, c.im
+    d = math.lcm(re.denominator, im.denominator)
+    return (re.numerator * (d // re.denominator),
+            im.numerator * (d // im.denominator), d)
+
+
+def _term_order(item):
+    (a, b), _ = item
+    return (sum(a) + sum(b), a, b)
 
 
 class SpherePoly:
     """Polynomial function on S^{2n+1}, canonical modulo the sphere relation.
 
-    Instances are immutable; every constructor and operation returns the
-    normal form, so ``==`` decides equality of functions on the sphere.
+    The stored form is ``nums``, a ``{(a, b): (re, im)}`` map of
+    Gaussian-integer numerators of normal-form monomials, over one positive
+    integer ``den``; the gcd of every numerator and ``den`` is 1 and no
+    zero term is kept.  Instances are immutable; every constructor and
+    operation returns this canonical form, so ``==`` decides equality of
+    functions on the sphere.
     """
 
-    __slots__ = ("n", "terms")
+    __slots__ = ("n", "nums", "den")
 
     def __init__(self, n: int, terms: Mapping[TermKey, ExactScalar], *,
                  _normalized: bool = False):
         if n < 1:
             raise ValueError("dimension n must be >= 1")
-        for (a, b) in terms:
+        split = {}
+        for (a, b), c in terms.items():
             if len(a) != n + 1 or len(b) != n + 1:
                 raise ValueError("exponent tuple length must be n+1")
-        t = dict(terms) if _normalized else _reduced(n, terms.items())
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "terms", t)
+            split[(a, b)] = _split(c)
+        den = math.lcm(*(d for _, _, d in split.values()))
+        nums = {key: (re * (den // d), im * (den // d))
+                for key, (re, im, d) in split.items() if re or im}
+        if not _normalized:
+            nums = reduce_nums(n, nums)
+        _init(self, n, nums, den)
 
     def __setattr__(self, name, value):
         raise AttributeError("SpherePoly is immutable")
 
     # -- constructors -------------------------------------------------
     @staticmethod
+    def from_nums(n: int, nums: Terms, den: int) -> "SpherePoly":
+        """The polynomial sum nums[key] / den over normal-form keys.
+
+        Takes ownership of ``nums``, which must hold no zero term and no
+        monomial divisible by z_1 zbar_1; ``den`` must be positive.
+        """
+        p = object.__new__(SpherePoly)
+        _init(p, n, nums, den)
+        return p
+
+    @staticmethod
     def zero(n: int) -> "SpherePoly":
-        return SpherePoly(n, {}, _normalized=True)
+        return SpherePoly.from_nums(n, {}, 1)
 
     @staticmethod
     def constant(n: int, c: "ExactScalar | _RationalLike") -> "SpherePoly":
-        c = ExactScalar.coerce(c)
+        re, im, d = _split(ExactScalar.coerce(c))
         z = (0,) * (n + 1)
-        return SpherePoly(n, {(z, z): c} if c else {}, _normalized=True)
+        return SpherePoly.from_nums(n, {(z, z): (re, im)} if re or im else {},
+                                    d)
 
     @staticmethod
     def one(n: int) -> "SpherePoly":
@@ -275,51 +353,62 @@ class SpherePoly:
         b = tuple(1 if k == j - 1 else 0 for k in range(n + 1))
         return SpherePoly.monomial(n, (0,) * (n + 1), b)
 
+    @property
+    def terms(self) -> Mapping[TermKey, ExactScalar]:
+        """Read-only ``{(a, b): ExactScalar}`` view of the coefficients."""
+        d = self.den
+        return MappingProxyType({
+            key: ExactScalar(Fraction(re, d), Fraction(im, d))
+            for key, (re, im) in self.nums.items()})
+
     # -- ring operations -----------------------------------------------
     def _check(self, other: "SpherePoly"):
         if self.n != other.n:
             raise ValueError(f"dimension mismatch: n={self.n} vs n={other.n}")
 
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction, ExactScalar)):
-            other = SpherePoly.constant(self.n, ExactScalar.coerce(other))
+    def _combine(self, other, sign: int) -> "SpherePoly":
+        """self + sign * other over the lcm of the two denominators."""
+        if not isinstance(other, SpherePoly):
+            other = SpherePoly.constant(self.n, other)
         self._check(other)
-        t = dict(self.terms)
-        for k, c in other.terms.items():
-            add_term(t, k, c)
-        return SpherePoly(self.n, t, _normalized=True)
+        den = math.lcm(self.den, other.den)
+        f = den // self.den
+        nums = (dict(self.nums) if f == 1 else
+                {key: (re * f, im * f) for key, (re, im) in self.nums.items()})
+        accumulate(nums, other.nums.items(), sign * (den // other.den))
+        return SpherePoly.from_nums(self.n, nums, den)
+
+    def __add__(self, other):
+        return self._combine(other, 1)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, SpherePoly)
-                       else -ExactScalar.coerce(other))
+        return self._combine(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __neg__(self):
-        return SpherePoly(self.n, {k: -c for k, c in self.terms.items()},
-                          _normalized=True)
+        return SpherePoly.from_nums(
+            self.n, {key: (-re, -im) for key, (re, im) in self.nums.items()},
+            self.den)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, ExactScalar)):
-            c = ExactScalar.coerce(other)
-            if not c:
-                return SpherePoly.zero(self.n)
-            return SpherePoly(self.n,
-                              {k: v * c for k, v in self.terms.items()},
-                              _normalized=True)
+        if not isinstance(other, SpherePoly):
+            cr, ci, cd = _split(ExactScalar.coerce(other))
+            return SpherePoly.from_nums(
+                self.n, {key: (re * cr - im * ci, re * ci + im * cr)
+                         for key, (re, im) in self.nums.items()}
+                if cr or ci else {}, self.den * cd)
         self._check(other)
-        raw: dict[TermKey, ExactScalar] = {}
-        for (a1, b1), c1 in self.terms.items():
-            for (a2, b2), c2 in other.terms.items():
-                k = (tuple(x + y for x, y in zip(a1, a2)),
-                     tuple(x + y for x, y in zip(b1, b2)))
-                s = raw.get(k)
-                p = c1 * c2
-                raw[k] = p if s is None else s + p
-        return SpherePoly(self.n, raw)
+        raw: Terms = {}
+        accumulate(raw, (((tuple(map(add, a1, a2)), tuple(map(add, b1, b2))),
+                          (r1 * r2 - i1 * i2, r1 * i2 + i1 * r2))
+                         for (a1, b1), (r1, i1) in self.nums.items()
+                         for (a2, b2), (r2, i2) in other.nums.items()))
+        return SpherePoly.from_nums(self.n, reduce_nums(self.n, raw),
+                                    self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -336,46 +425,47 @@ class SpherePoly:
         return out
 
     def conjugate(self) -> "SpherePoly":
-        return SpherePoly(self.n,
-                          {(b, a): c.conjugate()
-                           for (a, b), c in self.terms.items()},
-                          _normalized=True)
+        return SpherePoly.from_nums(
+            self.n,
+            {(b, a): (re, -im) for (a, b), (re, im) in self.nums.items()},
+            self.den)
 
     # -- structure -------------------------------------------------------
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.nums
 
     def is_real(self) -> bool:
         return self == self.conjugate()
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction, ExactScalar)):
-            other = SpherePoly.constant(self.n, ExactScalar.coerce(other))
         if not isinstance(other, SpherePoly):
-            return NotImplemented
-        return self.n == other.n and self.terms == other.terms
+            if not isinstance(other, (int, Fraction, ExactScalar)):
+                return NotImplemented
+            other = SpherePoly.constant(self.n, other)
+        return (self.n == other.n and self.den == other.den
+                and self.nums == other.nums)
 
     def __hash__(self):
-        return hash((self.n, frozenset(self.terms.items())))
+        return hash((self.n, self.den, frozenset(self.nums.items())))
 
     def constant_term(self) -> ExactScalar:
-        z = ((0,) * (self.n + 1),) * 2
-        return self.terms.get(z, ExactScalar.zero())
+        z = (0,) * (self.n + 1)
+        re, im = self.nums.get((z, z), (0, 0))
+        return ExactScalar(Fraction(re, self.den), Fraction(im, self.den))
 
     def is_constant(self) -> bool:
-        return all(sum(a) + sum(b) == 0 for a, b in self.terms)
+        return all(sum(a) + sum(b) == 0 for a, b in self.nums)
 
     # -- circle grading ---------------------------------------------------
     def fourier_project(self, m: int) -> "SpherePoly":
         """Sum of terms with holomorphic minus antiholomorphic degree m."""
-        return SpherePoly(self.n,
-                          {k: c for k, c in self.terms.items()
-                           if sum(k[0]) - sum(k[1]) == m},
-                          _normalized=True)
+        return SpherePoly.from_nums(
+            self.n, {key: c for key, c in self.nums.items()
+                     if sum(key[0]) - sum(key[1]) == m}, self.den)
 
     def modes(self) -> list[int]:
         """Sorted list of circle-action weights present."""
-        return sorted({sum(a) - sum(b) for a, b in self.terms})
+        return sorted({sum(a) - sum(b) for a, b in self.nums})
 
     def phase_substitute(self, u: ExactScalar) -> "SpherePoly":
         """Substitute z -> u z, zbar -> conj(u) zbar for a unit scalar u."""
@@ -399,49 +489,86 @@ class SpherePoly:
         Monomial rule: int z^a zbar^b = 0 unless a == b, in which case it is
         n! * prod(a_j!) / (n + |a|)!.
         """
-        total = ExactScalar.zero()
-        nfact = math.factorial(self.n)
-        for (a, b), c in self.terms.items():
-            if a != b:
-                continue
-            num = nfact
-            for e in a:
-                num *= math.factorial(e)
-            val = Fraction(num, math.factorial(self.n + sum(a)))
-            total = total + c * val
-        return total
+        return _moments(self.n, [(a, c) for (a, b), c in self.nums.items()
+                                 if a == b], self.den)
 
     # -- textual form -------------------------------------------------------
     def sorted_terms(self) -> list[tuple[TermKey, ExactScalar]]:
-        return sorted(self.terms.items(),
-                      key=lambda kv: (sum(kv[0][0]) + sum(kv[0][1]),
-                                      kv[0][0], kv[0][1]))
+        return sorted(self.terms.items(), key=_term_order)
 
     def to_grammar(self) -> str:
         """Render in the textual term grammar; ``(re,im) z1^a ... w1^b ...``."""
-        if not self.terms:
+        if not self.nums:
             return "(0/1,0/1)"
+        d = self.den
         parts = []
-        for (a, b), c in self.sorted_terms():
-            coeff = (f"({c.re.numerator}/{c.re.denominator},"
-                     f"{c.im.numerator}/{c.im.denominator})")
-            factors = []
+        for (a, b), (re, im) in sorted(self.nums.items(), key=_term_order):
+            gr, gi = math.gcd(re, d), math.gcd(im, d)
+            factors = [f"({re // gr}/{d // gr},{im // gi}/{d // gi})"]
             for j, e in enumerate(a):
                 if e:
                     factors.append(f"z{j + 1}" + (f"^{e}" if e != 1 else ""))
             for j, e in enumerate(b):
                 if e:
                     factors.append(f"w{j + 1}" + (f"^{e}" if e != 1 else ""))
-            parts.append(" ".join([coeff] + factors))
+            parts.append(" ".join(factors))
         return " ".join(parts)
 
     def __repr__(self):
         return f"SpherePoly(n={self.n}, {self.to_grammar()})"
 
 
+def _init(p: SpherePoly, n: int, nums: Terms, den: int) -> None:
+    """Set p's slots to nums / den with common factors divided out."""
+    if den != 1:
+        g = den
+        for re, im in nums.values():
+            g = math.gcd(g, re, im)
+            if g == 1:
+                break
+        if g != 1:
+            nums = {key: (re // g, im // g) for key, (re, im) in nums.items()}
+            den //= g
+    object.__setattr__(p, "n", n)
+    object.__setattr__(p, "nums", nums)
+    object.__setattr__(p, "den", den)
+
+
+def _moments(n: int, diag: list[tuple[Exponents, Gaussian]],
+             den: int) -> ExactScalar:
+    """sum (re + i im) int |z^a|^2 / den over the items (a, (re, im)).
+
+    int |z^a|^2 = n! prod(a_j!) / (n + |a|)!; the sum runs over the common
+    denominator (n + top)!, top the largest |a| present.
+    """
+    if not diag:
+        return ExactScalar.zero()
+    top = math.factorial(n + max(sum(a) for a, _ in diag))
+    re_sum = im_sum = 0
+    for a, (re, im) in diag:
+        w = math.factorial(n) * top // math.factorial(n + sum(a))
+        for e in a:
+            w *= math.factorial(e)
+        re_sum += re * w
+        im_sum += im * w
+    d = top * den
+    return ExactScalar(Fraction(re_sum, d), Fraction(im_sum, d))
+
+
 def norm2(p: SpherePoly) -> ExactScalar:
-    """L^2 norm squared in the probability measure, int p * conj(p)."""
-    v = (p * p.conjugate()).integral()
+    """L^2 norm squared in the probability measure, int p * conj(p).
+
+    The product of c z^a zbar^b and conj(c') z^b' zbar^a' integrates to
+    nonzero only when a - b == a' - b', so only pairs of terms with equal
+    exponent difference are summed, with no product or reduction.
+    """
+    by_shift: dict[Exponents, list] = {}
+    for (a, b), c in p.nums.items():
+        by_shift.setdefault(tuple(map(sub, a, b)), []).append((a, b, c))
+    diag = [(tuple(map(add, a1, b2)), (r1 * r2 + i1 * i2, i1 * r2 - r1 * i2))
+            for group in by_shift.values()
+            for a1, _, (r1, i1) in group for _, b2, (r2, i2) in group]
+    v = _moments(p.n, diag, p.den * p.den)
     if v.im != 0:
         raise AssertionError("norm squared must be real")
     return v
@@ -591,9 +718,8 @@ class PolyParseError(ValueError):
         self.column = column
 
 
-# Cap on a parsed term's total degree.  Reduction modulo the sphere
-# relation branches on every z_1 zbar_1 factor, so its cost grows
-# exponentially in the degree.
+# Cap on a parsed term's total degree.  It bounds the size of the input
+# only: reduction is one lookup per term, whatever the degree.
 MAX_TERM_DEGREE = 12
 
 _TOKEN_RE = re.compile(
@@ -675,9 +801,7 @@ def parse_poly(text: str, n: int) -> SpherePoly:
                      f"{MAX_TERM_DEGREE}", pos)
         pos = m.end()
     flush()
-    if not terms:
-        return SpherePoly.zero(n)
     acc: dict[TermKey, ExactScalar] = {}
     for k, c in terms:
-        add_term(acc, k, c)
+        acc[k] = acc[k] + c if k in acc else c
     return SpherePoly(n, acc)

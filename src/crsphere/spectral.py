@@ -20,10 +20,11 @@ sends each layer to -lambda_{P-k,Q-k,n} times itself on the sphere, where
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .ring import ExactScalar, SpherePoly, TermKey, add_term
+from .ring import ExactScalar, SpherePoly, Terms, accumulate, reduce_nums
 
 __all__ = [
     "HarmonicDecomposition",
@@ -41,41 +42,42 @@ __all__ = [
 # the factor at 2.
 GRADIENT_CALIBRATION = 2
 
-Ambient = dict[TermKey, ExactScalar]
+# Ambient polynomials are Gaussian-integer numerator maps, as SpherePoly.nums;
+# each caller tracks its denominator.
+Ambient = Terms
 
 
 def _amb_box(p: Ambient) -> Ambient:
     """Ambient operator sum_a d/dz_a d/dzbar_a, exact power rule."""
     out: Ambient = {}
-    for (a, b), c in p.items():
-        for j in range(len(a)):
-            if a[j] and b[j]:
-                aj = a[:j] + (a[j] - 1,) + a[j + 1:]
-                bj = b[:j] + (b[j] - 1,) + b[j + 1:]
-                add_term(out, (aj, bj), c * (a[j] * b[j]))
+    accumulate(out, (((a[:j] + (a[j] - 1,) + a[j + 1:],
+                       b[:j] + (b[j] - 1,) + b[j + 1:]),
+                      (re * a[j] * b[j], im * a[j] * b[j]))
+                     for (a, b), (re, im) in p.items()
+                     for j in range(len(a)) if a[j] and b[j]))
     return out
 
 
 def _amb_mul_r2(p: Ambient, n: int) -> Ambient:
     """Multiply by |z|^2 = sum_a z_a zbar_a in the ambient ring."""
     out: Ambient = {}
-    for (a, b), c in p.items():
-        for j in range(n + 1):
-            aj = a[:j] + (a[j] + 1,) + a[j + 1:]
-            bj = b[:j] + (b[j] + 1,) + b[j + 1:]
-            add_term(out, (aj, bj), c)
+    accumulate(out, (((a[:j] + (a[j] + 1,) + a[j + 1:],
+                       b[:j] + (b[j] + 1,) + b[j + 1:]), c)
+                     for (a, b), c in p.items() for j in range(n + 1)))
     return out
 
 
-def _peel_layers(p: Ambient, deg_p: int, deg_q: int, n: int) -> dict[int, Ambient]:
+def _peel_layers(p: Ambient, deg_p: int, deg_q: int,
+                 n: int) -> dict[int, tuple[Ambient, int]]:
     """Write a bihomogeneous ambient polynomial as sum_k |z|^{2k} H_k.
 
-    H_k is harmonic of bidegree (deg_p - k, deg_q - k).  Uses the exact
+    H_k is harmonic of bidegree (deg_p - k, deg_q - k), returned as
+    numerators over a denominator relative to p's.  Uses the exact
     identity box^k(|z|^{2k} H) = [prod_{j=1..k} j (n + s + j)] H for
-    harmonic H of total degree s.
+    harmonic H of total degree s; each 1/factor goes into the denominator.
     """
-    layers: dict[int, Ambient] = {}
-    remaining = dict(p)
+    layers: dict[int, tuple[Ambient, int]] = {}
+    remaining, den = dict(p), 1
     for k in range(min(deg_p, deg_q), -1, -1):
         bk = dict(remaining)
         for _ in range(k):
@@ -86,13 +88,15 @@ def _peel_layers(p: Ambient, deg_p: int, deg_q: int, n: int) -> dict[int, Ambien
         factor = 1
         for j in range(1, k + 1):
             factor *= j * (n + s + j)
-        h = {t: c * Fraction(1, factor) for t, c in bk.items()} if k else bk
-        layers[k] = h
-        lifted = h
+        layers[k] = (bk, den * factor)
+        lifted = bk
         for _ in range(k):
             lifted = _amb_mul_r2(lifted, n)
-        for t, c in lifted.items():
-            add_term(remaining, t, -c)
+        if factor != 1:
+            remaining = {t: (re * factor, im * factor)
+                         for t, (re, im) in remaining.items()}
+            den *= factor
+        accumulate(remaining, lifted.items(), -1)
     if remaining:
         raise AssertionError("harmonic peeling left a residue")
     return layers
@@ -100,15 +104,14 @@ def _peel_layers(p: Ambient, deg_p: int, deg_q: int, n: int) -> dict[int, Ambien
 
 @dataclass(frozen=True)
 class HarmonicDecomposition:
-    """Bidegree components of a SpherePoly, with their ambient lifts.
+    """Bidegree components of a SpherePoly.
 
-    ``components[(p, q)]`` is the restriction (in normal form) of the
-    harmonic ambient representative ``lifts[(p, q)]``.
+    ``components[(p, q)]`` is the restriction, in normal form, of a
+    harmonic ambient polynomial of bidegree (p, q).
     """
 
     n: int
     components: dict[tuple[int, int], SpherePoly]
-    lifts: dict[tuple[int, int], Ambient]
 
     def reconstruct(self) -> SpherePoly:
         total = SpherePoly.zero(self.n)
@@ -124,38 +127,50 @@ def harmonic_decompose(f: SpherePoly) -> HarmonicDecomposition:
     """Split f into restrictions of ambient harmonic bihomogeneous pieces."""
     n = f.n
     by_bidegree: dict[tuple[int, int], Ambient] = {}
-    for (a, b), c in f.terms.items():
+    for (a, b), c in f.nums.items():
         by_bidegree.setdefault((sum(a), sum(b)), {})[(a, b)] = c
 
+    layers = [((p - k, q - k), h, d)
+              for (p, q), amb in sorted(by_bidegree.items())
+              for k, (h, d) in _peel_layers(amb, p, q, n).items()]
+    den = math.lcm(*(d for _, _, d in layers))
     lifts: dict[tuple[int, int], Ambient] = {}
-    for (p, q), amb in sorted(by_bidegree.items()):
-        for k, h in _peel_layers(amb, p, q, n).items():
-            key = (p - k, q - k)
-            acc = lifts.setdefault(key, {})
-            for term, c in h.items():
-                add_term(acc, term, c)
+    for key, h, d in layers:
+        accumulate(lifts.setdefault(key, {}), h.items(), den // d)
 
     # a nonzero harmonic polynomial restricts to a nonzero function
-    lifts = {key: amb for key, amb in lifts.items() if amb}
-    components = {key: SpherePoly(n, amb) for key, amb in lifts.items()}
-    return HarmonicDecomposition(n=n, components=components, lifts=lifts)
+    components = {key: SpherePoly.from_nums(n, reduce_nums(n, amb),
+                                            den * f.den)
+                  for key, amb in lifts.items() if amb}
+    return HarmonicDecomposition(n=n, components=components)
+
+
+def _double_eigenvalue(p: int, q: int, n: int) -> int:
+    """Twice the sub-Laplacian eigenvalue on the (p, q) harmonic space."""
+    return 2 * p * q + n * (p + q)
 
 
 def eigenvalue(p: int, q: int, n: int) -> Fraction:
     """Sub-Laplacian eigenvalue on the (p, q) harmonic space."""
-    return Fraction(p * q) + Fraction(n * (p + q), 2)
+    return Fraction(_double_eigenvalue(p, q, n), 2)
 
 
 def sublaplacian(f: SpherePoly) -> SpherePoly:
     """Sub-Laplacian, term by term: box - lambda_{|a|,|b|,n} on c z^a zbar^b.
 
     box never touches z_1 zbar_1, which no normal-form term holds, so the
-    result is already reduced.
+    result is already reduced.  It is summed as (2 box - 2 lambda) / 2, so
+    every coefficient stays integral.
     """
-    out = _amb_box(f.terms)
-    for (a, b), c in f.terms.items():
-        add_term(out, (a, b), -c * eigenvalue(sum(a), sum(b), f.n))
-    return SpherePoly(f.n, out, _normalized=True)
+    n = f.n
+    by_bidegree: dict[tuple[int, int], list] = {}
+    for key, c in f.nums.items():
+        by_bidegree.setdefault((sum(key[0]), sum(key[1])), []).append((key, c))
+    out: Ambient = {}
+    accumulate(out, _amb_box(f.nums).items(), 2)
+    for (p, q), items in by_bidegree.items():
+        accumulate(out, items, -_double_eigenvalue(p, q, n))
+    return SpherePoly.from_nums(n, out, 2 * f.den)
 
 
 def sublaplacian_energy(f: SpherePoly) -> ExactScalar:

@@ -408,10 +408,11 @@ def test_wrong_eigenvalue_fails_the_eigen_check(tmp_path, capsys,
                                                monkeypatch):
     # The operator reads the table per term bidegree, not per harmonic
     # component, so a wrong table fails the eigen records as well as the
-    # eigenvalue rows.
-    true_eigenvalue = spectral.eigenvalue
-    monkeypatch.setattr(spectral, "eigenvalue",
-                        lambda p, q, n: 2 * true_eigenvalue(p, q, n))
+    # eigenvalue rows.  The table is the integer 2 * lambda, which both
+    # the operator and spectral.eigenvalue read.
+    true_table = spectral._double_eigenvalue
+    monkeypatch.setattr(spectral, "_double_eigenvalue",
+                        lambda p, q, n: 2 * true_table(p, q, n))
     out = tmp_path / "r.txt"
     code, _, _ = run(capsys, "verify", "--n", "1", "--degree", "2",
                      "--suites", "spectral", "--samples", "0",

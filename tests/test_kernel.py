@@ -1,0 +1,141 @@
+"""The integer kernel against the Fraction-pair reference, exactly.
+
+``fraction_kernel`` is the term-by-term ``ExactScalar`` arithmetic the
+integer kernel replaced; every operation here must give the same terms,
+the same scalars and the same text, for n = 1..3.
+"""
+
+import itertools
+import math
+from fractions import Fraction
+
+from hypothesis import given, strategies as st
+
+import fraction_kernel as ref
+from crsphere.ring import ExactScalar, SpherePoly, norm2
+from crsphere.spectral import harmonic_decompose, sublaplacian
+
+
+def scalars():
+    # small denominators, so sums and products cancel often
+    fr = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+    return st.builds(ExactScalar, fr, fr)
+
+
+def raw_terms(n, max_terms):
+    """A term dict, not reduced: exponents 0..2 in every coordinate."""
+    exps = st.tuples(*[st.integers(0, 2) for _ in range(n + 1)])
+
+    def build(ts):
+        acc = {}
+        for a, b, c in ts:
+            acc[(a, b)] = acc.get((a, b), ExactScalar.zero()) + c
+        return acc
+    return st.lists(st.tuples(exps, exps, scalars()), max_size=max_terms
+                    ).map(build)
+
+
+# (n, s, t, c): two raw term dicts in dimension n and a scalar
+cases = st.integers(1, 3).flatmap(lambda n: st.tuples(
+    st.just(n), raw_terms(n, 3 if n == 1 else 2),
+    raw_terms(n, 3 if n == 1 else 2), scalars()))
+
+
+def reduced(n, raw):
+    return ref.reduced(n, raw.items())
+
+
+@given(cases)
+def test_normal_form_matches_reference(case):
+    n, s, t, _ = case
+    assert dict(SpherePoly(n, s).terms) == reduced(n, s)
+    assert dict(SpherePoly(n, t).terms) == reduced(n, t)
+
+
+@given(cases)
+def test_ring_operations_match_reference(case):
+    n, s, t, c = case
+    p, q = SpherePoly(n, s), SpherePoly(n, t)
+    rs, rt = reduced(n, s), reduced(n, t)
+    assert dict((p * q).terms) == ref.mul(n, rs, rt)
+    assert dict((p + q).terms) == ref.combine(rs, rt, 1)
+    assert dict((p - q).terms) == ref.combine(rs, rt, -1)
+    assert dict((p * c).terms) == ref.scale(rs, c)
+    assert dict(p.conjugate().terms) == ref.conjugate(rs)
+
+
+@given(cases)
+def test_integral_and_norm_match_reference(case):
+    n, s, t, _ = case
+    p, q = SpherePoly(n, s), SpherePoly(n, t)
+    rs, rt = reduced(n, s), reduced(n, t)
+    assert p.integral() == ref.integral(n, rs)
+    assert (p * q).integral() == ref.integral(n, ref.mul(n, rs, rt))
+    assert norm2(p) == ref.norm2(n, rs)
+    assert norm2(p * q) == ref.norm2(n, ref.mul(n, rs, rt))
+
+
+@given(cases)
+def test_spectral_matches_reference(case):
+    n, s, _, _ = case
+    p, rs = SpherePoly(n, s), reduced(n, s)
+    assert dict(sublaplacian(p).terms) == ref.sublaplacian(n, rs)
+    got = harmonic_decompose(p).components
+    want = ref.harmonic_components(n, rs)
+    assert list(got) == list(want)
+    assert {k: dict(v.terms) for k, v in got.items()} == want
+
+
+@given(cases)
+def test_grammar_matches_reference(case):
+    n, s, t, _ = case
+    p, q = SpherePoly(n, s), SpherePoly(n, t)
+    rs, rt = reduced(n, s), reduced(n, t)
+    assert p.to_grammar() == ref.to_grammar(rs)
+    assert (p * q).to_grammar() == ref.to_grammar(ref.mul(n, rs, rt))
+
+
+@given(cases)
+def test_cancelled_denominators_are_canonical(case):
+    n, s, t, _ = case
+    p, q = SpherePoly(n, s), SpherePoly(n, t)
+    for same in (p * Fraction(2, 3) * Fraction(3, 2),
+                 p * ExactScalar(Fraction(3, 5), Fraction(4, 5))
+                 * ExactScalar(Fraction(3, 5), Fraction(-4, 5)),
+                 p + q - q):
+        assert same == p and hash(same) == hash(p)
+        assert (same.nums, same.den) == (p.nums, p.den)
+    assert math.gcd(p.den, *(x for c in p.nums.values() for x in c)) == 1
+
+
+# -- reduction in closed form -------------------------------------------------
+
+def test_reduction_closed_form_n1():
+    # z1^20 zbar1^20 = (1 - z2 zbar2)^20 on S^3
+    want = {((0, j), (0, j)): ExactScalar((-1) ** j * math.comb(20, j))
+            for j in range(21)}
+    got = SpherePoly.monomial(1, (20, 0), (20, 0))
+    assert got == SpherePoly(1, want, _normalized=True)
+
+
+def test_reduction_closed_form_n3():
+    # z1^8 zbar1^8 = (1 - z2 zbar2 - z3 zbar3 - z4 zbar4)^8 on S^7
+    want = {}
+    for m in itertools.product(range(9), repeat=3):
+        s = sum(m)
+        if s <= 8:
+            c = math.factorial(8) // math.factorial(8 - s)
+            for e in m:
+                c //= math.factorial(e)
+            want[((0,) + m, (0,) + m)] = ExactScalar((-1) ** s * c)
+    assert len(want) == 165
+    got = SpherePoly.monomial(3, (8, 0, 0, 0), (8, 0, 0, 0))
+    assert got == SpherePoly(3, want, _normalized=True)
+
+
+def test_reduction_matches_stack_reference():
+    for n, k in ((1, 9), (2, 6), (3, 4)):
+        a = (k, 1) + (0,) * (n - 1)
+        b = (k + 1,) + (0,) * (n - 1) + (2,)
+        raw = {(a, b): ExactScalar(Fraction(-5, 3), 2)}
+        assert dict(SpherePoly(n, raw).terms) == reduced(n, raw)

@@ -75,11 +75,24 @@ def test_reconstruction_n2(p):
 
 @given(polys(n=1))
 def test_lifts_are_harmonic_and_bihomogeneous(p):
-    dec = harmonic_decompose(p)
-    for (pp, qq), amb in dec.lifts.items():
-        assert ambient_box_oracle(amb) == {}
-        for a, b in amb:
-            assert (sum(a), sum(b)) == (pp, qq)
+    # each bidegree part A of the normal form peels into layers with
+    # A = sum_k |z|^{2k} H_k / d_k, H_k harmonic of bidegree (P-k, Q-k);
+    # on the sphere |z|^2 = 1, so the restricted layers sum to A
+    parts = {}
+    for key, c in p.terms.items():
+        parts.setdefault((sum(key[0]), sum(key[1])), {})[key] = c
+    for (pp, qq), part in parts.items():
+        nums = {key: p.nums[key] for key in part}
+        restricted = SpherePoly.zero(p.n)
+        for k, (h, d) in spectral._peel_layers(nums, pp, qq, p.n).items():
+            lift = {t: ExactScalar(Fraction(re, d * p.den),
+                                   Fraction(im, d * p.den))
+                    for t, (re, im) in h.items()}
+            assert lift and ambient_box_oracle(lift) == {}
+            for a, b in lift:
+                assert (sum(a), sum(b)) == (pp - k, qq - k)
+            restricted = restricted + SpherePoly(p.n, lift)
+        assert restricted == SpherePoly(p.n, part)
 
 
 @given(polys(n=1))

@@ -7,7 +7,7 @@ import re
 import sys
 
 from . import __version__
-from .ring import SpherePoly, PolyParseError, parse_poly
+from .ring import MAX_TERM_DEGREE, SpherePoly, PolyParseError, parse_poly
 from . import spectral
 from . import frames
 from . import variation
@@ -293,8 +293,9 @@ def _cmd_spectrum(args) -> int:
     nmax = args.n_max
     dmax = args.degree
     for flag, value in (("n-max", nmax), ("degree", dmax)):
-        if value < 1:
-            print(f"config error: {flag} must be >= 1", file=sys.stderr)
+        if not 1 <= value <= MAX_TERM_DEGREE:
+            print(f"config error: {flag} must be >= 1 and <= "
+                  f"{MAX_TERM_DEGREE}", file=sys.stderr)
             return 2
     print("sub-Laplacian eigenvalues lambda(p,q,n) = p q + n (p+q)/2")
     for n in range(1, nmax + 1):

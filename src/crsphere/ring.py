@@ -718,8 +718,8 @@ class PolyParseError(ValueError):
         self.column = column
 
 
-# Cap on a parsed term's total degree.  It bounds the size of the input
-# only: reduction is one lookup per term, whatever the degree.
+# Cap on a parsed term's degree and on the `verify` and `spectrum` degree
+# bounds.  It bounds run size only: reduction is one lookup per term.
 MAX_TERM_DEGREE = 12
 
 _TOKEN_RE = re.compile(

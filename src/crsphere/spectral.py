@@ -5,26 +5,28 @@ are eigenfunctions of the sub-Laplacian with eigenvalue
 
     lambda_{p,q,n} = p*q + n*(p+q)/2,
 
-and every SpherePoly splits uniquely into such pieces.  The splitting is
-computed by lifting each bihomogeneous part of the normal form to the
-ambient space and peeling |z|^2-multiples against the ambient operator
-box = sum_a d^2/dz_a dzbar_a.
+and every SpherePoly splits uniquely into such pieces.  A bidegree-(P, Q)
+part of the normal form is A = sum_k |z|^{2k} H_k, H_k harmonic of degree
+s = P + Q - 2k, and the ambient operator box = sum_a d^2/dz_a dzbar_a acts
+on each layer by box(|z|^{2k} H_k) = k(n + s + k) |z|^{2k-2} H_k.  Both
+operations below rest on that identity, with |z|^2 = 1 on the sphere.
 
-The sub-Laplacian needs no splitting.  On a bidegree-(P, Q) part
-A = sum_k |z|^{2k} H_k of the normal form (H_k harmonic, s = P + Q - 2k),
-box(|z|^{2k} H_k) = k(n + s + k) |z|^{2k-2} H_k, so box - lambda_{P,Q,n}
-sends each layer to -lambda_{P-k,Q-k,n} times itself on the sphere, where
-|z|^2 = 1.  :func:`sublaplacian` applies it term by term, and
-:func:`harmonic_decompose` runs only when components are asked for.
+* :func:`harmonic_decompose` solves the restricted layers from the box
+  powers of A by a triangular system inverted once per (P, Q, n).  box
+  never creates z_1 zbar_1, so the powers stay in normal form: no |z|^2
+  multiple is formed and no reduction runs.
+* :func:`sublaplacian` needs no splitting: box - lambda_{P,Q,n} sends each
+  layer to -lambda_{P-k,Q-k,n} times itself, so it acts term by term.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .ring import ExactScalar, SpherePoly, Terms, accumulate, reduce_nums
+from .ring import ExactScalar, SpherePoly, Terms, accumulate
 
 __all__ = [
     "HarmonicDecomposition",
@@ -58,48 +60,37 @@ def _amb_box(p: Ambient) -> Ambient:
     return out
 
 
-def _amb_mul_r2(p: Ambient, n: int) -> Ambient:
-    """Multiply by |z|^2 = sum_a z_a zbar_a in the ambient ring."""
-    out: Ambient = {}
-    accumulate(out, (((a[:j] + (a[j] + 1,) + a[j + 1:],
-                       b[:j] + (b[j] + 1,) + b[j + 1:]), c)
-                     for (a, b), c in p.items() for j in range(n + 1)))
-    return out
+def _box_factor(k: int, s: int, n: int) -> int:
+    """box(|z|^{2k} H) / |z|^{2k-2} H for H harmonic of degree s."""
+    return k * (n + s + k)
 
 
-def _peel_layers(p: Ambient, deg_p: int, deg_q: int,
-                 n: int) -> dict[int, tuple[Ambient, int]]:
-    """Write a bihomogeneous ambient polynomial as sum_k |z|^{2k} H_k.
+@functools.cache
+def _layer_rows(deg_p: int, deg_q: int,
+                n: int) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
+    """Layers of a bidegree-(deg_p, deg_q) part A from its box powers.
 
-    H_k is harmonic of bidegree (deg_p - k, deg_q - k), returned as
-    numerators over a denominator relative to p's.  Uses the exact
-    identity box^k(|z|^{2k} H) = [prod_{j=1..k} j (n + s + j)] H for
-    harmonic H of total degree s; each 1/factor goes into the denominator.
+    With h_k the restriction of H_k, B_j = box^j A = sum_{k>=j} c(k, j) h_k
+    on the sphere, c(k, j) = box^j(|z|^{2k} H_k) / |z|^{2k-2j} H_k.  Entry
+    (k, d, row), for k from min(deg_p, deg_q) down to 0, inverts this
+    upper triangular system: h_k = sum_i row[i] B_{k+i} / d.
     """
-    layers: dict[int, tuple[Ambient, int]] = {}
-    remaining, den = dict(p), 1
-    for k in range(min(deg_p, deg_q), -1, -1):
-        bk = dict(remaining)
-        for _ in range(k):
-            bk = _amb_box(bk)
-        if not bk:
-            continue
-        s = (deg_p - k) + (deg_q - k)
-        factor = 1
-        for j in range(1, k + 1):
-            factor *= j * (n + s + j)
-        layers[k] = (bk, den * factor)
-        lifted = bk
-        for _ in range(k):
-            lifted = _amb_mul_r2(lifted, n)
-        if factor != 1:
-            remaining = {t: (re * factor, im * factor)
-                         for t, (re, im) in remaining.items()}
-            den *= factor
-        accumulate(remaining, lifted.items(), -1)
-    if remaining:
-        raise AssertionError("harmonic peeling left a residue")
-    return layers
+    def c(k: int, j: int) -> int:
+        s = deg_p + deg_q - 2 * k
+        return math.prod(_box_factor(k - i, s, n) for i in range(j))
+
+    top = min(deg_p, deg_q)
+    rows: dict[int, list[Fraction]] = {}
+    out = []
+    for k in range(top, -1, -1):
+        # B_k = c(k, k) h_k + sum_{m>k} c(m, k) h_m, solved for h_k
+        row = [Fraction(int(j == k)) for j in range(top + 1)]
+        for m in range(k + 1, top + 1):
+            row = [x - c(m, k) * y for x, y in zip(row, rows[m])]
+        rows[k] = row = [x / c(k, k) for x in row]
+        d = math.lcm(*(x.denominator for x in row))
+        out.append((k, d, tuple(int(x * d) for x in row[k:])))
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -130,18 +121,23 @@ def harmonic_decompose(f: SpherePoly) -> HarmonicDecomposition:
     for (a, b), c in f.nums.items():
         by_bidegree.setdefault((sum(a), sum(b)), {})[(a, b)] = c
 
-    layers = [((p - k, q - k), h, d)
-              for (p, q), amb in sorted(by_bidegree.items())
-              for k, (h, d) in _peel_layers(amb, p, q, n).items()]
+    layers = []
+    for (p, q), part in sorted(by_bidegree.items()):
+        powers = [part]
+        for _ in range(min(p, q)):
+            powers.append(_amb_box(powers[-1]))
+        for k, d, row in _layer_rows(p, q, n):
+            h: Ambient = {}
+            for power, a in zip(powers[k:], row):
+                accumulate(h, power.items(), a)
+            if h:
+                layers.append(((p - k, q - k), h, d))
     den = math.lcm(*(d for _, _, d in layers))
-    lifts: dict[tuple[int, int], Ambient] = {}
+    sums: dict[tuple[int, int], Ambient] = {}
     for key, h, d in layers:
-        accumulate(lifts.setdefault(key, {}), h.items(), den // d)
-
-    # a nonzero harmonic polynomial restricts to a nonzero function
-    components = {key: SpherePoly.from_nums(n, reduce_nums(n, amb),
-                                            den * f.den)
-                  for key, amb in lifts.items() if amb}
+        accumulate(sums.setdefault(key, {}), h.items(), den // d)
+    components = {key: SpherePoly.from_nums(n, nums, den * f.den)
+                  for key, nums in sums.items() if nums}
     return HarmonicDecomposition(n=n, components=components)
 
 

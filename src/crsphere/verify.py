@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import __version__ as _version
-from .ring import (ExactScalar, SpherePoly, norm2, parse_poly, parse_scalar,
-                   volume_factor)
+from .ring import (MAX_TERM_DEGREE, ExactScalar, SpherePoly, norm2,
+                   parse_poly, parse_scalar, volume_factor)
 from . import spectral
 from . import frames
 from . import variation
@@ -41,8 +41,9 @@ class SuiteConfig:
     output: str = "report.txt"
 
     def validate(self) -> None:
-        if self.degree < 1:
-            raise ValueError("degree bound must be >= 1")
+        if not 1 <= self.degree <= MAX_TERM_DEGREE:
+            raise ValueError(f"degree bound must be >= 1 and <= "
+                             f"{MAX_TERM_DEGREE}")
         if self.n < 1:
             raise ValueError("dimension n must be >= 1")
         if self.n > 3:

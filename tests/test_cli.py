@@ -10,6 +10,7 @@ import pytest
 
 from crsphere import cli, frames, oracle3, spectral, variation
 from crsphere.cli import main, load_config, parse_deformation_file, ConfigError
+from crsphere.ring import MAX_TERM_DEGREE
 
 
 def run(capsys, *argv):
@@ -419,6 +420,58 @@ def test_wrong_eigenvalue_fails_the_eigen_check(tmp_path, capsys,
                      "--output", str(out))
     assert code == 1
     assert "FAIL decompose.eigen[" in out.read_text()
+
+
+def test_wrong_box_factor_fails_the_eigen_check(tmp_path, capsys,
+                                                monkeypatch):
+    # harmonic_decompose solves its layers with the box factors
+    # k (n + s + k), while the operator applies the eigenvalue table, so
+    # the eigen records compare two routes with independent constants.
+    monkeypatch.setattr(spectral, "_box_factor",
+                        lambda k, s, n: k * (n + s + k + 1))
+    out = tmp_path / "r.txt"
+    spectral._layer_rows.cache_clear()
+    try:
+        code, _, _ = run(capsys, "verify", "--n", "1", "--degree", "2",
+                         "--suites", "spectral", "--samples", "0",
+                         "--output", str(out))
+    finally:
+        spectral._layer_rows.cache_clear()
+    assert code == 1
+    assert "FAIL decompose.eigen[(1/1,0/1) z2 w2]" in out.read_text()
+
+
+# -- run sizes are capped ---------------------------------------------------------
+
+@pytest.mark.parametrize("argv, config", [
+    (["--degree", str(MAX_TERM_DEGREE + 1)], None),
+    (["--degree", "30", "--suites", "oracle3"], None),
+    ([], "degree = 100000\n"),
+])
+def test_verify_rejects_degree_above_cap(tmp_path, capsys, monkeypatch,
+                                         argv, config):
+    def no_work(cfg):
+        raise AssertionError("suites ran on a degree above the cap")
+
+    monkeypatch.setattr(cli, "run_suite", no_work)
+    if config is not None:
+        (tmp_path / "cfg.txt").write_text(config)
+        argv = argv + ["--config", str(tmp_path / "cfg.txt")]
+    code, stdout, err = run(capsys, "verify", "--n", "1", "--samples", "0",
+                            "--output", str(tmp_path / "r.txt"), *argv)
+    assert code == 2 and stdout == ""
+    assert err.startswith("config error: degree bound must be >= 1 and <= "
+                          f"{MAX_TERM_DEGREE}")
+    assert not (tmp_path / "r.txt").exists()
+
+
+@pytest.mark.parametrize("flag", ["--degree", "--n-max"])
+def test_spectrum_rejects_size_above_cap(capsys, flag):
+    code, stdout, err = run(capsys, "spectrum", flag,
+                            str(MAX_TERM_DEGREE + 1))
+    assert code == 2 and stdout == ""
+    assert err.startswith(f"config error: {flag[2:]} must be >= 1 and <= "
+                          f"{MAX_TERM_DEGREE}")
 
 
 # -- output does not depend on the hash seed ------------------------------------

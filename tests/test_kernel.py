@@ -9,10 +9,12 @@ import itertools
 import math
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, strategies as st
 
 import fraction_kernel as ref
-from crsphere.ring import ExactScalar, SpherePoly, norm2
+from crsphere.ring import (MAX_TERM_DEGREE, ExactScalar, SpherePoly, norm2,
+                           parse_poly)
 from crsphere.spectral import harmonic_decompose, sublaplacian
 
 
@@ -82,6 +84,36 @@ def test_spectral_matches_reference(case):
     assert dict(sublaplacian(p).terms) == ref.sublaplacian(n, rs)
     got = harmonic_decompose(p).components
     want = ref.harmonic_components(n, rs)
+    assert list(got) == list(want)
+    assert {k: dict(v.terms) for k, v in got.items()} == want
+
+
+# Parts with min(P, Q) up to 6, which the exponents 0..2 of ``cases``
+# rarely reach: single deep parts, one bidegree key fed by seven parts, a
+# key whose layers cancel (the mean of z2^6 w2^6 is 1/7), and parts whose
+# deep layers are all zero.
+DEEP_CASES = [
+    (1, "(1/1,0/1) z2^6 w2^6"),
+    (1, "(1/1,0/1) z2^6 w2^6 (-1/7,0/1)"),
+    (1, "(3/2,0/1) z2^6 w2^6 (-1/1,1/1) z2^5 w2^5 (1/3,0/1) z2^4 w2^4"
+        " (0/1,2/1) z2^3 w2^3 (1/1,0/1) z2^2 w2^2 (-5/4,0/1) z2 w2 (2/1,0/1)"),
+    (1, "(1/1,0/1) z1^6 w2^6 (2/1,-1/1) z2^6 w1^6 (1/1,0/1) z1^2 z2^4 w2^5"),
+    (2, "(1/1,0/1) z2^4 z3^2 w2^2 w3^4 (-2/1,1/1) z3^5 w3^5"
+        " (1/1,0/1) z1^6 w2^3 w3^3"),
+    (2, "(2/5,0/1) z1 z2^3 z3^2 w2^4 w3^2 (1/1,-3/1) z2^4 w2^4"),
+    (3, "(1/1,0/1) z2^3 z3^3 w2^2 w3^4"),
+    (3, "(1/2,1/3) z2 z3^2 z4^3 w2^3 w3 w4^2 (-1/1,0/1) z2^2 z4^2 w3^2 w4^2"
+        " (3/1,0/1) z2^2 z3^2 z4^2 w2^2 w3^2 w4^2"),
+]
+
+
+@pytest.mark.parametrize("n, text", DEEP_CASES)
+def test_deep_layers_match_reference(n, text):
+    p = parse_poly(text, n)
+    assert max(min(sum(a), sum(b)) for a, b in p.nums) >= 4
+    assert all(sum(a) + sum(b) <= MAX_TERM_DEGREE for a, b in p.nums)
+    got = harmonic_decompose(p).components
+    want = ref.harmonic_components(n, dict(p.terms))
     assert list(got) == list(want)
     assert {k: dict(v.terms) for k, v in got.items()} == want
 

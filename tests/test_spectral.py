@@ -5,12 +5,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from crsphere import spectral, variation
+from crsphere import ring, spectral, variation
 from crsphere.ring import ExactScalar, SpherePoly, norm2
 from crsphere.spectral import (GRADIENT_CALIBRATION, dirichlet_energy,
                                eigenvalue, harmonic_decompose, sublaplacian,
                                sublaplacian_energy)
 
+import fraction_kernel as ref
 from conftest import ambient_box_oracle
 from test_ring import polys, z, w
 
@@ -75,23 +76,25 @@ def test_reconstruction_n2(p):
 
 @given(polys(n=1))
 def test_lifts_are_harmonic_and_bihomogeneous(p):
-    # each bidegree part A of the normal form peels into layers with
-    # A = sum_k |z|^{2k} H_k / d_k, H_k harmonic of bidegree (P-k, Q-k);
-    # on the sphere |z|^2 = 1, so the restricted layers sum to A
+    # the reference peel writes each bidegree part A of the normal form as
+    # A = sum_k |z|^{2k} H_k, H_k harmonic of bidegree (P-k, Q-k); on the
+    # sphere |z|^2 = 1, so the restricted layers sum to A, and each is the
+    # (P-k, Q-k) component the box-power solve reads off A alone
     parts = {}
     for key, c in p.terms.items():
         parts.setdefault((sum(key[0]), sum(key[1])), {})[key] = c
     for (pp, qq), part in parts.items():
-        nums = {key: p.nums[key] for key in part}
+        solved = harmonic_decompose(SpherePoly(p.n, part)).components
+        layers = ref.peel_layers(part, pp, qq, p.n)
+        assert sorted(solved) == sorted((pp - k, qq - k) for k in layers)
         restricted = SpherePoly.zero(p.n)
-        for k, (h, d) in spectral._peel_layers(nums, pp, qq, p.n).items():
-            lift = {t: ExactScalar(Fraction(re, d * p.den),
-                                   Fraction(im, d * p.den))
-                    for t, (re, im) in h.items()}
+        for k, lift in layers.items():
             assert lift and ambient_box_oracle(lift) == {}
             for a, b in lift:
                 assert (sum(a), sum(b)) == (pp - k, qq - k)
-            restricted = restricted + SpherePoly(p.n, lift)
+            layer = SpherePoly(p.n, lift)
+            assert solved[(pp - k, qq - k)] == layer
+            restricted = restricted + layer
         assert restricted == SpherePoly(p.n, part)
 
 
@@ -173,6 +176,32 @@ def test_no_decomposition_behind_the_operator(monkeypatch):
     variation.conformal_hessian(v)
     variation.yamabe_energy_series(v)
     assert calls == []
+
+
+def test_decomposition_multiplies_and_reduces_nothing(monkeypatch):
+    # the layers come from box powers, which stay in normal form, by a
+    # table built once per (P, Q, n)
+    f = (z(3, 2) * w(3, 2)) ** 3 * (z(3, 3) * w(3, 4)) ** 2 + z(3, 1) * w(3, 2)
+    g = f * ExactScalar(2, -1) + z(3, 4) * w(3, 3)     # the same (P, Q)
+    calls = {}
+
+    def count(owner, name):
+        original = getattr(owner, name)
+
+        def wrapper(*args):
+            calls[name] = calls.get(name, 0) + 1
+            return original(*args)
+        monkeypatch.setattr(owner, name, wrapper)
+
+    count(ring, "reduce_nums")
+    count(ring.SpherePoly, "__mul__")
+    count(spectral, "_box_factor")
+    spectral._layer_rows.cache_clear()
+    assert harmonic_decompose(f).bidegrees() == [(k, k) for k in range(1, 6)]
+    assert calls.keys() == {"_box_factor"}
+    calls.clear()
+    harmonic_decompose(g)
+    assert calls == {}
 
 
 @given(real_polys(), real_polys())

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import re
 import sys
 
@@ -14,7 +15,11 @@ from . import variation
 from . import oracle3
 from .verify import SuiteConfig, SUITE_NAMES, conventions_text, run_suite
 
-__all__ = ["main", "load_config", "parse_deformation_file"]
+__all__ = ["main", "load_config", "parse_deformation_file", "MAX_DIMENSION"]
+
+# Cap on the dimension line ``n = ...`` of an ``analyze`` file.  It bounds
+# run time only: the cost of even a one-term file grows steeply with n.
+MAX_DIMENSION = 8
 
 
 class ConfigError(ValueError):
@@ -132,6 +137,9 @@ def parse_deformation_file(path: str) -> variation.DeformationTensor:
                                   f"{body.strip()!r}")
             if n < 1:
                 raise ConfigError(f"{path}:{ln}: dimension must be >= 1")
+            if n > MAX_DIMENSION:
+                raise ConfigError(f"{path}:{ln}: dimension {n} exceeds the "
+                                  f"cap {MAX_DIMENSION}")
             continue
         if n is None:
             raise ConfigError(f"{path}:{ln}: dimension line 'n = ...' must "
@@ -331,7 +339,9 @@ def _cmd_conventions(args) -> int:
     return 0
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="crsphere",
         description="Exact verification of Webster curvature variations "
@@ -373,8 +383,11 @@ def main(argv=None) -> int:
                             help="print the calibration ledger")
     p_conv.add_argument("--n", type=int, default=1)
     p_conv.set_defaults(func=_cmd_conventions)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     return args.func(args)
 
 

@@ -354,6 +354,8 @@ def field_apply(x: FrameVector, f: SpherePoly) -> SpherePoly:
     """Apply the tangential derivation to a sphere function."""
     if x.n != f.n:
         raise ValueError("dimension mismatch")
+    if f.is_zero():
+        return f
     v, w = x.ambient()
     out = SpherePoly.zero(f.n)
     for a in range(f.n + 1):

@@ -73,6 +73,9 @@ _I = ExactScalar(0, 1)
 _T = reeb(_N)
 _Z1 = z_field(_N, 1, 2) * -1
 _ZB1 = _Z1.conjugate()
+# Ambient coordinates (z_1, z_2) and (zbar_1, zbar_2).
+_ZS = (SpherePoly.z(_N, 1), SpherePoly.z(_N, 2))
+_ZBS = (SpherePoly.w(_N, 1), SpherePoly.w(_N, 2))
 
 # d of the base coframe over basis wedges.
 _DBASE = {
@@ -81,21 +84,16 @@ _DBASE = {
     "t1b": {("th", "t1b"): ExactScalar(0, -1)},
 }
 
+# The series 0 and 1 (series are immutable, so these are shared).
+_S_ZERO = TSeries2.zero(_N)
+_S_ONE = TSeries2.constant(_N, 1)
+
 # The contact form theta as a series 1-form.
-_TH: Form1 = {"th": TSeries2.constant(_N, 1), "t1": TSeries2.zero(_N),
-              "t1b": TSeries2.zero(_N)}
-
-
-def _s_zero() -> TSeries2:
-    return TSeries2.zero(_N)
-
-
-def _s_one() -> TSeries2:
-    return TSeries2.constant(_N, 1)
+_TH: Form1 = {"th": _S_ONE, "t1": _S_ZERO, "t1b": _S_ZERO}
 
 
 def _form2_zero() -> Form2:
-    return {k: _s_zero() for k in _KEYS2}
+    return dict.fromkeys(_KEYS2, _S_ZERO)
 
 
 def _form2_add(a: Form2, b: Form2) -> Form2:
@@ -152,8 +150,7 @@ def _d_form1(a: Form1) -> Form2:
 
 
 def _form2_is_zero(a: Form2) -> bool:
-    zero = _s_zero()
-    return all(a[k] == zero for k in _KEYS2)
+    return all(a[k] == _S_ZERO for k in _KEYS2)
 
 
 # -- vector series -----------------------------------------------------------
@@ -175,10 +172,9 @@ class VectorSeries:
 
 
 def _eval_base_form(key: str, x: VectorSeries) -> TSeries2:
-    z = (SpherePoly.z(_N, 1), SpherePoly.z(_N, 2))
-    zb = (SpherePoly.w(_N, 1), SpherePoly.w(_N, 2))
+    z, zb = _ZS, _ZBS
     if key == "th":
-        out = _s_zero()
+        out = _S_ZERO
         for a in range(2):
             out = out + x.w[a] * z[a] * _I - x.v[a] * zb[a] * _I
         return out
@@ -188,7 +184,7 @@ def _eval_base_form(key: str, x: VectorSeries) -> TSeries2:
 
 
 def _eval_form1(a: Form1, x: VectorSeries) -> TSeries2:
-    out = _s_zero()
+    out = _S_ZERO
     for key in _KEYS1:
         out = out + a[key] * _eval_base_form(key, x)
     return out
@@ -196,7 +192,7 @@ def _eval_form1(a: Form1, x: VectorSeries) -> TSeries2:
 
 def _levi_norm(x: VectorSeries) -> TSeries2:
     """Levi pairing of x against its conjugate: sum v conj(v) - conj(w) w."""
-    out = _s_zero()
+    out = _S_ZERO
     for a in range(2):
         out = out + x.v[a] * x.v[a].conjugate() - x.w[a].conjugate() * x.w[a]
     return out
@@ -261,17 +257,17 @@ def deform_frame(e: SpherePoly, second_order_tweak: SpherePoly | None = None,
     if det.c0 != SpherePoly.one(_N):
         raise AssertionError("coframe system must have unit determinant")
     inv_det = det.fractional_power(Fraction(-1))
-    theta1: Form1 = {"th": _s_zero(), "t1": m0.conjugate() * inv_det,
+    theta1: Form1 = {"th": _S_ZERO, "t1": m0.conjugate() * inv_det,
                      "t1b": -(m1.conjugate() * inv_det)}
 
     zb1t = z1t.conjugate()
-    if _eval_form1(theta1, z1t) != _s_one():
+    if _eval_form1(theta1, z1t) != _S_ONE:
         raise AssertionError("duality theta^1(Z_1) = 1 failed")
-    if _eval_form1(theta1, zb1t) != _s_zero():
+    if _eval_form1(theta1, zb1t) != _S_ZERO:
         raise AssertionError("duality theta^1(Zbar_1) = 0 failed")
-    if _eval_base_form("th", z1t) != _s_zero():
+    if _eval_base_form("th", z1t) != _S_ZERO:
         raise AssertionError("deformed frame left the contact distribution")
-    if _levi_norm(z1t) != _s_one():
+    if _levi_norm(z1t) != _S_ONE:
         raise AssertionError("Levi renormalization failed")
     return DeformedCoframe(e=e, gamma=gamma, z1=z1t, theta1=theta1, det=det)
 
@@ -309,13 +305,13 @@ def solve_structure(cf: DeformedCoframe) -> PseudohermitianSeries:
     asserted.
     """
     theta1 = cf.theta1
-    if theta1["th"] != _s_zero():
+    if theta1["th"] != _S_ZERO:
         raise AssertionError("deformed coframe must have no theta component")
     a, b = theta1["t1"], theta1["t1b"]
     lhs = _d_form1(theta1)
     torsion, x = _solve2(b.conjugate(), -a, a.conjugate(), -b,
                          lhs[("th", "t1")], lhs[("th", "t1b")], cf.det)
-    if x + x.conjugate() != _s_zero():
+    if x + x.conjugate() != _S_ZERO:
         raise AssertionError("theta component of the connection form "
                              "must be imaginary")
     l3 = lhs[("t1", "t1b")]

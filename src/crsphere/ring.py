@@ -88,13 +88,19 @@ class ExactScalar:
         return ExactScalar(_frac(x), 0)
 
     # -- arithmetic ----------------------------------------------------
+    # An operand of another type gets NotImplemented, so that a type that
+    # knows scalars (a polynomial or series) can answer from its side.
     def __add__(self, other):
+        if not isinstance(other, _SCALAR_TYPES):
+            return NotImplemented
         o = ExactScalar.coerce(other)
         return ExactScalar(self.re + o.re, self.im + o.im)
 
     __radd__ = __add__
 
     def __sub__(self, other):
+        if not isinstance(other, _SCALAR_TYPES):
+            return NotImplemented
         o = ExactScalar.coerce(other)
         return ExactScalar(self.re - o.re, self.im - o.im)
 
@@ -102,6 +108,8 @@ class ExactScalar:
         return ExactScalar.coerce(other) - self
 
     def __mul__(self, other):
+        if not isinstance(other, _SCALAR_TYPES):
+            return NotImplemented
         o = ExactScalar.coerce(other)
         return ExactScalar(self.re * o.re - self.im * o.im,
                            self.re * o.im + self.im * o.re)
@@ -164,6 +172,9 @@ class ExactScalar:
     def to_complex(self) -> complex:
         return complex(float(self.re), float(self.im))
 
+
+# The exact scalar operand types; a bool is an int but is rejected by _frac.
+_SCALAR_TYPES = (ExactScalar, int, Fraction)
 
 _SCALAR_RE = re.compile(
     r"^\s*(-?\d+)/(\d+)\s*([+-])\s*(\d+)/(\d+)\*i\s*$")
@@ -367,10 +378,20 @@ class SpherePoly:
             raise ValueError(f"dimension mismatch: n={self.n} vs n={other.n}")
 
     def _combine(self, other, sign: int) -> "SpherePoly":
-        """self + sign * other over the lcm of the two denominators."""
+        """self + sign * other over the lcm of the two denominators.
+
+        A zero operand returns the other one as it is (instances are
+        immutable), negated for ``0 - x``.
+        """
         if not isinstance(other, SpherePoly):
+            if not isinstance(other, _SCALAR_TYPES):
+                return NotImplemented
             other = SpherePoly.constant(self.n, other)
         self._check(other)
+        if not other.nums:
+            return self
+        if not self.nums:
+            return other if sign > 0 else -other
         den = math.lcm(self.den, other.den)
         f = den // self.den
         nums = (dict(self.nums) if f == 1 else
@@ -396,6 +417,8 @@ class SpherePoly:
 
     def __mul__(self, other):
         if not isinstance(other, SpherePoly):
+            if not isinstance(other, _SCALAR_TYPES):
+                return NotImplemented
             cr, ci, cd = _split(ExactScalar.coerce(other))
             return SpherePoly.from_nums(
                 self.n, {key: (re * cr - im * ci, re * ci + im * cr)
@@ -582,8 +605,11 @@ class TSeries2:
     """Degree-2 truncated series c0 + c1 t + c2 t^2 with SpherePoly entries.
 
     All ring operations truncate at order 2 exactly; nothing of order t^3
-    is ever retained.  The truncation order is fixed here; raising it would
-    mean widening the coefficient tuple and every convolution below.
+    is ever retained.  Most coefficients met in practice are zero, so a
+    product of two series multiplies only the pairs of nonzero
+    coefficients, and a polynomial or scalar operand multiplies (or, for
+    ``+`` and ``-``, enters) the coefficients directly, never lifted to a
+    series first.
     """
 
     __slots__ = ("n", "c0", "c1", "c2")
@@ -611,34 +637,50 @@ class TSeries2:
     def zero(n: int) -> "TSeries2":
         return TSeries2(SpherePoly.zero(n))
 
+    def _coeffs(self) -> tuple[SpherePoly, SpherePoly, SpherePoly]:
+        return (self.c0, self.c1, self.c2)
+
     def __add__(self, other):
-        o = self._coerce(other)
-        return TSeries2(self.c0 + o.c0, self.c1 + o.c1, self.c2 + o.c2)
+        if isinstance(other, TSeries2):
+            return TSeries2(self.c0 + other.c0, self.c1 + other.c1,
+                            self.c2 + other.c2)
+        return TSeries2(self.c0 + other, self.c1, self.c2)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        return TSeries2(self.c0 - o.c0, self.c1 - o.c1, self.c2 - o.c2)
+        if isinstance(other, TSeries2):
+            return TSeries2(self.c0 - other.c0, self.c1 - other.c1,
+                            self.c2 - other.c2)
+        return TSeries2(self.c0 - other, self.c1, self.c2)
 
     def __rsub__(self, other):
-        return self._coerce(other) - self
+        return TSeries2(other - self.c0, -self.c1, -self.c2)
 
     def __neg__(self):
         return TSeries2(-self.c0, -self.c1, -self.c2)
 
-    def _coerce(self, other) -> "TSeries2":
-        if isinstance(other, TSeries2):
-            return other
-        if isinstance(other, SpherePoly):
-            return TSeries2(other)
-        return TSeries2.constant(self.n, ExactScalar.coerce(other))
-
     def __mul__(self, other):
-        o = self._coerce(other)
-        return TSeries2(self.c0 * o.c0,
-                        self.c0 * o.c1 + self.c1 * o.c0,
-                        self.c0 * o.c2 + self.c1 * o.c1 + self.c2 * o.c0)
+        if not isinstance(other, TSeries2):
+            if isinstance(other, SpherePoly):
+                self.c0._check(other)
+            elif not isinstance(other, _SCALAR_TYPES):
+                return NotImplemented
+            return TSeries2(*(c if c.is_zero() else c * other
+                              for c in self._coeffs()))
+        self.c0._check(other.c0)
+        # c_k = sum_{i+j=k} a_i b_j over the pairs with both factors
+        # nonzero; adding to a zero polynomial costs nothing
+        zero = SpherePoly.zero(self.n)
+        out = [zero, zero, zero]
+        b = other._coeffs()
+        for i, x in enumerate(self._coeffs()):
+            if x.is_zero():
+                continue
+            for j, y in enumerate(b[:3 - i]):
+                if not y.is_zero():
+                    out[i + j] = out[i + j] + x * y
+        return TSeries2(*out)
 
     __rmul__ = __mul__
 

@@ -10,7 +10,7 @@ import pytest
 
 from crsphere import cli, frames, oracle3, spectral, variation
 from crsphere.cli import main, load_config, parse_deformation_file, ConfigError
-from crsphere.ring import MAX_TERM_DEGREE
+from crsphere.ring import MAX_TERM_DEGREE, SpherePoly, parse_poly
 
 
 def run(capsys, *argv):
@@ -337,6 +337,33 @@ def test_verify_report_bytes_pinned(tmp_path, capsys, n, flags, digest):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
+# stdout of `analyze FILE --oracle`, recorded before the sparse series product
+@pytest.mark.parametrize("text, digest", [
+    pytest.param("n = 1\nE = (1/1,0/1)\n",
+                 "1d9bed67a0b8da4caa30a8fc5ca8ec7c0af8f7264f192b746f796a5ab7132d91",
+                 id="constant"),
+    pytest.param("n = 1\nE = (1/1,0/1) w1 w2^3\n",
+                 "94703aa71840afe5f99f6fc67bf5a78fb0e678e6975ceefe37871d196d210239",
+                 id="mode-minus-four"),
+    pytest.param("n = 1\nE = (1/1,0/1) w1^5\n",
+                 "edef9727961a79b5f0fd2c7bdedbcc818314919d0ab9b91ee41acb2f22a27aaf",
+                 id="mode-minus-five"),
+    pytest.param("n = 1\nE = (2/1,0/1) (-1/3,-4/1) z1 z2\n",
+                 "2da1bc6d58d66934aec361355b1127d0ee430c0c50dde8b95f4a5ed7713a4c68",
+                 id="two-modes"),
+    pytest.param("n = 2\nE[1 2, 1 3] = (1/1,0/1) z3\n"
+                 "E[1 3, 1 2] = (1/1,0/1) z3\n",
+                 "993c49c1d06d17ef054302e3b16657598c6d471ae80858877b5fc1ba8b0d354d",
+                 id="symmetric-s5"),
+])
+def test_analyze_output_bytes_pinned(tmp_path, capsys, text, digest):
+    f = tmp_path / "d.txt"
+    f.write_text(text)
+    code, stdout, _ = run(capsys, "analyze", str(f), "--oracle")
+    assert code == 0
+    assert hashlib.sha256(stdout.encode()).hexdigest() == digest
+
+
 def test_verify_report_bytes_pinned_s7(tmp_path, capsys):
     out = tmp_path / "r.txt"
     code, _, _ = run(capsys, "verify", "--n", "3", "--degree", "1",
@@ -374,6 +401,15 @@ def test_analyze_oracle_solves_structure_once(tmp_path, capsys, monkeypatch):
     assert len(solves) == 1
     assert {k: len(v) for k, v in hessians.items()} == \
         {"j_hessian": 1, "j_hessian_via_T": 1}
+
+
+def test_oracle_solve_multiplies_few_polynomials(monkeypatch):
+    """Zero series coefficients and lifted scalars cost no product."""
+    e = parse_poly("(1/1,0/1) w1 w2^3", 1)
+    products = [_counting(monkeypatch, SpherePoly, name)
+                for name in ("__mul__", "__rmul__")]
+    oracle3.solve_structure(oracle3.deform_frame(e))
+    assert sum(map(len, products)) <= 300      # 904 with dense products
 
 
 @pytest.mark.parametrize("sign, status", [("1/1", 0), ("-1/1", 1)])
@@ -465,6 +501,22 @@ def test_verify_rejects_degree_above_cap(tmp_path, capsys, monkeypatch,
     assert not (tmp_path / "r.txt").exists()
 
 
+@pytest.mark.parametrize("n", ["9", "1000000"])
+def test_analyze_rejects_dimension_above_cap(tmp_path, capsys, monkeypatch,
+                                             n):
+    def no_work(*args):
+        raise AssertionError("parsed a file above the dimension cap")
+
+    monkeypatch.setattr(cli, "parse_poly", no_work)
+    f = tmp_path / "d.txt"
+    f.write_text(f"n = {n}\nE[1 2, 1 3] = (1/1,0/1) z3\n")
+    code, stdout, err = run(capsys, "analyze", str(f), "--oracle")
+    assert code == 2 and stdout == ""
+    assert err == (f"parse error: {f}:1: dimension {n} exceeds the cap "
+                   f"{cli.MAX_DIMENSION}\n")
+    assert cli.MAX_DIMENSION == 8
+
+
 @pytest.mark.parametrize("flag", ["--degree", "--n-max"])
 def test_spectrum_rejects_size_above_cap(capsys, flag):
     code, stdout, err = run(capsys, "spectrum", flag,
@@ -472,6 +524,26 @@ def test_spectrum_rejects_size_above_cap(capsys, flag):
     assert code == 2 and stdout == ""
     assert err.startswith(f"config error: {flag[2:]} must be >= 1 and <= "
                           f"{MAX_TERM_DEGREE}")
+
+
+# -- one parser serves every call ------------------------------------------------
+
+def test_parser_is_built_once_and_keeps_no_state(tmp_path, capsys):
+    f = tmp_path / "d.txt"
+    f.write_text("n = 1\nE = (1/1,0/1)\n")
+    out = tmp_path / "r.txt"
+    code, first, _ = run(capsys, "analyze", str(f), "--output", str(out))
+    assert code == 0 and f"(written to {out})" in first
+    out.unlink()
+    code, second, _ = run(capsys, "analyze", str(f))
+    assert code == 0 and "(written to" not in second
+    assert not out.exists()
+    assert first.startswith(second)
+    assert cli._parser() is cli._parser()
+    with pytest.raises(SystemExit) as exc:
+        main(["--version"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("crsphere ")
 
 
 # -- output does not depend on the hash seed ------------------------------------

@@ -287,22 +287,6 @@ class FrameForm:
             return
         raise ValueError(f"bad form key {key!r} for n={n}")
 
-    def __add__(self, other: "FrameForm") -> "FrameForm":
-        if self.n != other.n:
-            raise ValueError("dimension mismatch")
-        comps = dict(self.components)
-        for k, c in other.components.items():
-            s = comps.get(k)
-            comps[k] = c if s is None else s + c
-        return FrameForm(self.n, comps)
-
-    def __mul__(self, f) -> "FrameForm":
-        if not isinstance(f, SpherePoly):
-            f = SpherePoly.constant(self.n, ExactScalar.coerce(f))
-        return FrameForm(self.n, {k: c * f for k, c in self.components.items()})
-
-    __rmul__ = __mul__
-
     def evaluate(self, x: FrameVector) -> SpherePoly:
         if self.n != x.n:
             raise ValueError("dimension mismatch")
@@ -554,10 +538,11 @@ _T_WEIGHTS_VEC = {"Z": -1, "Zb": 1}
 def covariant_T(obj):
     """Covariant derivative along the transverse field T.
 
-    Frame weights: Z_jk -> -i, Zbar_jk -> +i, theta_jk -> +i,
-    thetabar_jk -> -i, T and theta -> 0.  On a TensorField the two +i
-    weights add, giving coefficient T(c) + 2i c; a weight-m coefficient
-    therefore returns i(m/2 + 2) times itself.
+    Frame weights: Z_jk -> -i, Zbar_jk -> +i, T -> 0 on a FrameVector.
+    A TensorField's coefficients sit on products theta_jk theta_lm, and
+    the weights +i of the two theta factors add, giving coefficient
+    T(c) + 2i c; a weight-m coefficient therefore returns i(m/2 + 2)
+    times itself.
     """
     if isinstance(obj, FrameVector):
         t = reeb(obj.n)
@@ -568,23 +553,13 @@ def covariant_T(obj):
                 val = val + c * ExactScalar(0, _T_WEIGHTS_VEC[key[0]])
             comps[key] = comps.get(key, SpherePoly.zero(obj.n)) + val
         return FrameVector(obj.n, comps)
-    if isinstance(obj, FrameForm):
-        t = reeb(obj.n)
-        comps = {}
-        for key, c in obj.components.items():
-            val = field_apply(t, c)
-            if key != "th":
-                w = 1 if key[0] == "th" else -1
-                val = val + c * ExactScalar(0, w)
-            comps[key] = comps.get(key, SpherePoly.zero(obj.n)) + val
-        return FrameForm(obj.n, comps)
     if isinstance(obj, TensorField):
         t = reeb(obj.n)
         two_i = ExactScalar(0, 2)
         return TensorField(obj.n,
                            {k: field_apply(t, c) + c * two_i
                             for k, c in obj.coeffs.items()})
-    raise TypeError("covariant_T accepts FrameVector, FrameForm, TensorField")
+    raise TypeError("covariant_T accepts FrameVector, TensorField")
 
 
 def _nabla_z_zbar(n: int, jk: Pair, lm: Pair) -> FrameVector:

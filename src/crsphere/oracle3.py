@@ -22,6 +22,11 @@ validated by d^2 = 0 and the spectral cross-check):
 
 The Webster scalar is the theta^1(t) ^ theta^1bar(t) coefficient of the
 curvature form contracted with 1/h.
+
+A series 1-form is the triple of its coefficients over the base coframe
+(theta, theta^1, theta^1bar), indexed by TH, T1 and T1B; a series 2-form
+is the triple over the base wedges (theta ^ theta^1, theta ^ theta^1bar,
+theta^1 ^ theta^1bar).
 """
 
 from __future__ import annotations
@@ -60,12 +65,11 @@ FRAME_WEBSTER_CONSTANT = Fraction(1)
 SECOND_VARIATION_COEFF = Fraction(1, 2)
 
 _N = 1
-_KEYS1 = ("th", "t1", "t1b")
-_KEYS2 = (("th", "t1"), ("th", "t1b"), ("t1", "t1b"))
-_ORDER1 = {k: i for i, k in enumerate(_KEYS1)}
 
-Form1 = dict  # key in _KEYS1 -> TSeries2
-Form2 = dict  # key in _KEYS2 -> TSeries2
+# Slots of a series 1-form and of the dual frame (T, Z_1, Zbar_1).
+TH, T1, T1B = 0, 1, 2
+# The base wedges indexing the slots of a series 2-form.
+_WEDGES = ((TH, T1), (TH, T1B), (T1, T1B))
 
 _I = ExactScalar(0, 1)
 
@@ -73,84 +77,51 @@ _I = ExactScalar(0, 1)
 _T = reeb(_N)
 _Z1 = z_field(_N, 1, 2) * -1
 _ZB1 = _Z1.conjugate()
+_FRAME = (_T, _Z1, _ZB1)
 # Ambient coordinates (z_1, z_2) and (zbar_1, zbar_2).
 _ZS = (SpherePoly.z(_N, 1), SpherePoly.z(_N, 2))
 _ZBS = (SpherePoly.w(_N, 1), SpherePoly.w(_N, 2))
 
-# d of the base coframe over basis wedges.
-_DBASE = {
-    "th": {("t1", "t1b"): ExactScalar(0, 2)},
-    "t1": {("th", "t1"): ExactScalar(0, 1)},
-    "t1b": {("th", "t1b"): ExactScalar(0, -1)},
-}
+# d of the base coframe: d e^k = c times the wedge in slot s, as (k, s, c).
+_DBASE = ((TH, 2, ExactScalar(0, 2)), (T1, 0, ExactScalar(0, 1)),
+          (T1B, 1, ExactScalar(0, -1)))
 
 # The series 0 and 1 (series are immutable, so these are shared).
 _S_ZERO = TSeries2.zero(_N)
 _S_ONE = TSeries2.constant(_N, 1)
 
-# The contact form theta as a series 1-form.
-_TH: Form1 = {"th": _S_ONE, "t1": _S_ZERO, "t1b": _S_ZERO}
+
+def _conj1(a):
+    """Conjugate of a series 1-form: conj theta^1 is theta^1bar."""
+    return (a[TH].conjugate(), a[T1B].conjugate(), a[T1].conjugate())
 
 
-def _form2_zero() -> Form2:
-    return dict.fromkeys(_KEYS2, _S_ZERO)
+def _wedge(a, b):
+    """a ^ b of two series 1-forms."""
+    return tuple(a[i] * b[j] - a[j] * b[i] for i, j in _WEDGES)
 
 
-def _form2_add(a: Form2, b: Form2) -> Form2:
-    return {k: a[k] + b[k] for k in _KEYS2}
+def _theta_wedge(b):
+    """theta ^ b of a series 1-form b."""
+    return (b[T1], b[T1B], _S_ZERO)
 
 
-def _form2_sub(a: Form2, b: Form2) -> Form2:
-    return {k: a[k] - b[k] for k in _KEYS2}
+def _apply(field, s: TSeries2) -> TSeries2:
+    return TSeries2(field_apply(field, s.c0), field_apply(field, s.c1),
+                    field_apply(field, s.c2))
 
 
-def _form1_conj(a: Form1) -> Form1:
-    return {"th": a["th"].conjugate(),
-            "t1": a["t1b"].conjugate(),
-            "t1b": a["t1"].conjugate()}
+def _d(a):
+    """Exterior derivative of a series 1-form.
 
-
-def _wedge_keys(ka: str, kb: str):
-    if ka == kb:
-        return None, 0
-    if _ORDER1[ka] < _ORDER1[kb]:
-        return (ka, kb), 1
-    return (kb, ka), -1
-
-
-def _wedge11(a: Form1, b: Form1) -> Form2:
-    out = _form2_zero()
-    for ka in _KEYS1:
-        sa = a[ka]
-        for kb in _KEYS1:
-            key, sign = _wedge_keys(ka, kb)
-            if key is None:
-                continue
-            prod = sa * b[kb]
-            out[key] = out[key] + (prod if sign > 0 else -prod)
-    return out
-
-
-def _d_form1(a: Form1) -> Form2:
-    """Exterior derivative of a coframe-expanded series 1-form."""
-    out = _form2_zero()
-    for key in _KEYS1:
-        s = a[key]
-        for dkey, field in (("th", _T), ("t1", _Z1), ("t1b", _ZB1)):
-            coeff = TSeries2(field_apply(field, s.c0),
-                             field_apply(field, s.c1),
-                             field_apply(field, s.c2))
-            wkey, sign = _wedge_keys(dkey, key)
-            if wkey is None:
-                continue
-            out[wkey] = out[wkey] + (coeff if sign > 0 else -coeff)
-        for wkey, c in _DBASE[key].items():
-            out[wkey] = out[wkey] + s * c
-    return out
-
-
-def _form2_is_zero(a: Form2) -> bool:
-    return all(a[k] == _S_ZERO for k in _KEYS2)
+    Over the wedge e^i ^ e^j the coefficient is X_i(a_j) - X_j(a_i) for
+    the dual frame X, plus the a_k d e^k terms of the base coframe.
+    """
+    out = [_apply(_FRAME[i], a[j]) - _apply(_FRAME[j], a[i])
+           for i, j in _WEDGES]
+    for k, slot, c in _DBASE:
+        out[slot] = out[slot] + a[k] * c
+    return tuple(out)
 
 
 # -- vector series -----------------------------------------------------------
@@ -171,23 +142,18 @@ class VectorSeries:
                             w=tuple(x * s for x in self.w))
 
 
-def _eval_base_form(key: str, x: VectorSeries) -> TSeries2:
+def _eval_base(x: VectorSeries):
+    """(theta(x), theta^1(x), theta^1bar(x)) of the base coframe."""
     z, zb = _ZS, _ZBS
-    if key == "th":
-        out = _S_ZERO
-        for a in range(2):
-            out = out + x.w[a] * z[a] * _I - x.v[a] * zb[a] * _I
-        return out
-    if key == "t1":
-        return x.v[0] * z[1] - x.v[1] * z[0]
-    return x.w[0] * zb[1] - x.w[1] * zb[0]
+    th = _S_ZERO
+    for a in range(2):
+        th = th + x.w[a] * z[a] * _I - x.v[a] * zb[a] * _I
+    return (th, x.v[0] * z[1] - x.v[1] * z[0], x.w[0] * zb[1] - x.w[1] * zb[0])
 
 
-def _eval_form1(a: Form1, x: VectorSeries) -> TSeries2:
-    out = _S_ZERO
-    for key in _KEYS1:
-        out = out + a[key] * _eval_base_form(key, x)
-    return out
+def _pair(a, e) -> TSeries2:
+    """a(x) for a series 1-form a, from e = _eval_base(x)."""
+    return a[TH] * e[TH] + a[T1] * e[T1] + a[T1B] * e[T1B]
 
 
 def _levi_norm(x: VectorSeries) -> TSeries2:
@@ -207,7 +173,7 @@ class DeformedCoframe:
     e: SpherePoly
     gamma: SpherePoly
     z1: VectorSeries
-    theta1: Form1
+    theta1: tuple[TSeries2, TSeries2, TSeries2]
     det: TSeries2   # |m0|^2 - |m1|^2 = 1 / (|a|^2 - |b|^2)
 
 
@@ -251,21 +217,19 @@ def deform_frame(e: SpherePoly, second_order_tweak: SpherePoly | None = None,
 
     # Zbar_1(t) = conj Z_1(t), so the base coframe's Gram on the frame is
     # [[m0, m1], [conj m1, conj m0]]
-    m0 = _eval_base_form("t1", z1t)
-    m1 = _eval_base_form("t1b", z1t)
+    base = _eval_base(z1t)
+    th, m0, m1 = base
     det = m0 * m0.conjugate() - m1 * m1.conjugate()
     if det.c0 != SpherePoly.one(_N):
         raise AssertionError("coframe system must have unit determinant")
     inv_det = det.fractional_power(Fraction(-1))
-    theta1: Form1 = {"th": _S_ZERO, "t1": m0.conjugate() * inv_det,
-                     "t1b": -(m1.conjugate() * inv_det)}
+    theta1 = (_S_ZERO, m0.conjugate() * inv_det, -(m1.conjugate() * inv_det))
 
-    zb1t = z1t.conjugate()
-    if _eval_form1(theta1, z1t) != _S_ONE:
+    if _pair(theta1, base) != _S_ONE:
         raise AssertionError("duality theta^1(Z_1) = 1 failed")
-    if _eval_form1(theta1, zb1t) != _S_ZERO:
+    if _pair(theta1, _eval_base(z1t.conjugate())) != _S_ZERO:
         raise AssertionError("duality theta^1(Zbar_1) = 0 failed")
-    if _eval_base_form("th", z1t) != _S_ZERO:
+    if th != _S_ZERO:
         raise AssertionError("deformed frame left the contact distribution")
     if _levi_norm(z1t) != _S_ONE:
         raise AssertionError("Levi renormalization failed")
@@ -278,7 +242,7 @@ def deform_frame(e: SpherePoly, second_order_tweak: SpherePoly | None = None,
 class PseudohermitianSeries:
     """Connection form, torsion coefficient and Webster curvature series."""
 
-    omega: Form1
+    omega: tuple[TSeries2, TSeries2, TSeries2]
     torsion: TSeries2
     webster: TSeries2 | None = None
 
@@ -305,24 +269,21 @@ def solve_structure(cf: DeformedCoframe) -> PseudohermitianSeries:
     asserted.
     """
     theta1 = cf.theta1
-    if theta1["th"] != _S_ZERO:
+    if theta1[TH] != _S_ZERO:
         raise AssertionError("deformed coframe must have no theta component")
-    a, b = theta1["t1"], theta1["t1b"]
-    lhs = _d_form1(theta1)
+    _, a, b = theta1
+    lhs = _d(theta1)
     torsion, x = _solve2(b.conjugate(), -a, a.conjugate(), -b,
-                         lhs[("th", "t1")], lhs[("th", "t1b")], cf.det)
+                         lhs[0], lhs[1], cf.det)
     if x + x.conjugate() != _S_ZERO:
         raise AssertionError("theta component of the connection form "
                              "must be imaginary")
-    l3 = lhs[("t1", "t1b")]
+    l3 = lhs[2]
     z = (a.conjugate() * l3 - b * l3.conjugate()) * cf.det
-    omega: Form1 = {"th": x, "t1": -z.conjugate(), "t1b": z}
+    omega = (x, -z.conjugate(), z)
 
-    th_wedge_t1b = _wedge11(_TH, _form1_conj(theta1))
-    residual = _form2_sub(
-        lhs, _form2_add(_wedge11(theta1, omega),
-                        {key: torsion * th_wedge_t1b[key] for key in _KEYS2}))
-    if not _form2_is_zero(residual):
+    rhs = zip(lhs, _wedge(theta1, omega), _theta_wedge(_conj1(theta1)))
+    if any(l != u + torsion * v for l, u, v in rhs):
         raise AssertionError("structure-equation residual is nonzero")
     if not torsion.c0.is_zero():
         raise AssertionError("round sphere must be torsion-free")
@@ -342,19 +303,15 @@ def webster_series(ps: PseudohermitianSeries, cf: DeformedCoframe) -> TSeries2:
     contracts with 1/h to the Webster scalar.
     """
     theta1 = cf.theta1
-    a, b = theta1["t1"], theta1["t1b"]
-    dw = _d_form1(ps.omega)
-    c0, c1 = _solve2(a, b.conjugate(), b, a.conjugate(),
-                     dw[("th", "t1")], dw[("th", "t1b")], cf.det)
-    c2 = dw[("t1", "t1b")] * cf.det
+    _, a, b = theta1
+    dw = _d(ps.omega)
+    c0, c1 = _solve2(a, b.conjugate(), b, a.conjugate(), dw[0], dw[1], cf.det)
+    c2 = dw[2] * cf.det
 
-    theta1b = _form1_conj(theta1)
-    basis = (_wedge11(_TH, theta1), _wedge11(_TH, theta1b),
-             _wedge11(theta1, theta1b))
-    recon = _form2_zero()
-    for c, wedge in zip((c0, c1, c2), basis):
-        recon = _form2_add(recon, {key: c * wedge[key] for key in _KEYS2})
-    if not _form2_is_zero(_form2_sub(dw, recon)):
+    theta1b = _conj1(theta1)
+    recon = zip(dw, _theta_wedge(theta1), _theta_wedge(theta1b),
+                _wedge(theta1, theta1b))
+    if any(d != c0 * u + c1 * v + c2 * s for d, u, v, s in recon):
         raise AssertionError("curvature expansion over deformed wedges failed")
     w = c2 * Fraction(1, LEVI_CONSTANT)
     if w != w.conjugate():
@@ -443,9 +400,9 @@ def check_connection_variation(e: SpherePoly,
     want_t1b = field_apply(_Z1, ebar) * ExactScalar(0, -1)
     return _verdict(
         f"connection-variation[{e.to_grammar()}]",
-        [("theta component", SpherePoly.zero(_N), ps.omega["th"].c1),
-         ("theta^1 component", want_t1, ps.omega["t1"].c1),
-         ("theta^1bar component", want_t1b, ps.omega["t1b"].c1)])
+        [("theta component", SpherePoly.zero(_N), ps.omega[TH].c1),
+         ("theta^1 component", want_t1, ps.omega[T1].c1),
+         ("theta^1bar component", want_t1b, ps.omega[T1B].c1)])
 
 
 def mode_weighted_norm(e: SpherePoly) -> ExactScalar:

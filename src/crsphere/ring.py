@@ -782,8 +782,8 @@ def parse_poly(text: str, n: int) -> SpherePoly:
 
     ``wk`` denotes zbar_k; a bare variable means exponent 1; '+' between
     terms is optional.  Rationals may be given as ``p/q`` or plain ``p``.
-    Each term's total degree, before reduction, is at most
-    :data:`MAX_TERM_DEGREE`.
+    The text must hold at least one term.  Each term's total degree,
+    before reduction, is at most :data:`MAX_TERM_DEGREE`.
     """
     pos = 0
     terms: list[tuple[TermKey, ExactScalar]] = []
@@ -843,6 +843,8 @@ def parse_poly(text: str, n: int) -> SpherePoly:
                      f"{MAX_TERM_DEGREE}", pos)
         pos = m.end()
     flush()
+    if not terms:
+        fail("expected a term", len(text))
     acc: dict[TermKey, ExactScalar] = {}
     for k, c in terms:
         acc[k] = acc[k] + c if k in acc else c

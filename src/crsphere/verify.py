@@ -189,7 +189,7 @@ def monomial_pool(n: int, degree: int) -> list[tuple[str, SpherePoly]]:
     return out
 
 
-def _rec(name: str, want, got, kind: str = "exact") -> CheckRecord:
+def _rec(name: str, want, got) -> CheckRecord:
     def s(x):
         if isinstance(x, SpherePoly):
             return x.to_grammar()
@@ -197,8 +197,7 @@ def _rec(name: str, want, got, kind: str = "exact") -> CheckRecord:
             return x.serialize()
         return str(x)
     return CheckRecord(name=name, expected=s(want), actual=s(got),
-                       ok=s(want) == s(got) if kind == "exact" else bool(got == want),
-                       kind=kind)
+                       ok=s(want) == s(got))
 
 
 def _rec_bool(name: str, ok: bool, detail: str = "") -> CheckRecord:

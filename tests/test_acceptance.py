@@ -81,10 +81,11 @@ def test_criterion_4_first_variation_formulas(pool_series):
             * ExactScalar(0, -1)
         assert ps.torsion.c1 == want_a, f"torsion slice at {name}"
         # connection: -i (Zbar_1 E) theta^1 - i (Z_1 conj E) theta^1bar
-        assert ps.omega["th"].c1.is_zero(), f"connection theta slice at {name}"
-        assert ps.omega["t1"].c1 == \
+        assert ps.omega[oracle3.TH].c1.is_zero(), \
+            f"connection theta slice at {name}"
+        assert ps.omega[oracle3.T1].c1 == \
             frames.field_apply(ZB1, e) * ExactScalar(0, -1)
-        assert ps.omega["t1b"].c1 == \
+        assert ps.omega[oracle3.T1B].c1 == \
             frames.field_apply(Z1, ebar) * ExactScalar(0, -1)
         # curvature: (i/2)(Zbar_1^2 E - Z_1^2 conj E)
         want_w = (frames.field_apply(ZB1, frames.field_apply(ZB1, e))

@@ -404,12 +404,15 @@ def test_analyze_oracle_solves_structure_once(tmp_path, capsys, monkeypatch):
 
 
 def test_oracle_solve_multiplies_few_polynomials(monkeypatch):
-    """Zero series coefficients and lifted scalars cost no product."""
+    """Zero series coefficients and lifted scalars cost no product, and
+    the exterior derivative makes no diagonal field application."""
     e = parse_poly("(1/1,0/1) w1 w2^3", 1)
     products = [_counting(monkeypatch, SpherePoly, name)
                 for name in ("__mul__", "__rmul__")]
+    fields = _counting(monkeypatch, oracle3, "field_apply")
     oracle3.solve_structure(oracle3.deform_frame(e))
-    assert sum(map(len, products)) <= 300      # 904 with dense products
+    assert sum(map(len, products)) <= 200      # 904 with dense products
+    assert len(fields) <= 36                   # 2 derivatives x 6 x 3 orders
 
 
 @pytest.mark.parametrize("sign, status", [("1/1", 0), ("-1/1", 1)])
@@ -499,6 +502,16 @@ def test_verify_rejects_degree_above_cap(tmp_path, capsys, monkeypatch,
     assert err.startswith("config error: degree bound must be >= 1 and <= "
                           f"{MAX_TERM_DEGREE}")
     assert not (tmp_path / "r.txt").exists()
+
+
+@pytest.mark.parametrize("n, body, col", [
+    (1, "E =", 4), (1, "E = +", 6), (2, "E[1 2, 1 2] =", 14)])
+def test_analyze_rejects_empty_polynomial(tmp_path, capsys, n, body, col):
+    f = tmp_path / "d.txt"
+    f.write_text(f"n = {n}\n{body}\n")
+    code, stdout, err = run(capsys, "analyze", str(f), "--oracle")
+    assert code == 2 and stdout == ""
+    assert err == f"parse error: {f}:2:{col}: expected a term\n"
 
 
 @pytest.mark.parametrize("n", ["9", "1000000"])

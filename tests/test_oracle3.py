@@ -9,7 +9,8 @@ from dataclasses import replace
 from crsphere import oracle3
 from crsphere.ring import ExactScalar, SpherePoly, TSeries2
 from crsphere.oracle3 import (FRAME_WEBSTER_CONSTANT, LEVI_CONSTANT,
-                              SECOND_VARIATION_COEFF, check_connection_variation,
+                              SECOND_VARIATION_COEFF, T1, T1B, TH,
+                              check_connection_variation,
                               check_first_variation, check_torsion_variation,
                               deform_frame, mode_weighted_norm,
                               second_derivative_check, solve_structure)
@@ -34,9 +35,9 @@ def test_round_base_point():
     assert ps.torsion == TSeries2.zero(1)
     assert ps.webster == TSeries2.constant(1, ExactScalar(FRAME_WEBSTER_CONSTANT))
     # w(0) = -i theta
-    assert ps.omega["th"] == TSeries2.constant(1, ExactScalar(0, -1))
-    assert ps.omega["t1"] == TSeries2.zero(1)
-    assert ps.omega["t1b"] == TSeries2.zero(1)
+    assert ps.omega[TH] == TSeries2.constant(1, ExactScalar(0, -1))
+    assert ps.omega[T1] == TSeries2.zero(1)
+    assert ps.omega[T1B] == TSeries2.zero(1)
 
 
 def test_constant_deformation_frozen_series():
@@ -50,9 +51,9 @@ def test_constant_deformation_frozen_series():
     assert ps.torsion.c1 == SpherePoly.constant(1, -2)
     assert ps.torsion.c2.is_zero()
     # w(t) = -i (1 + 2 t^2) theta
-    assert ps.omega["th"].c1.is_zero()
-    assert ps.omega["th"].c2 == SpherePoly.constant(1, ExactScalar(0, -2))
-    assert ps.omega["t1"] == TSeries2.zero(1)
+    assert ps.omega[TH].c1.is_zero()
+    assert ps.omega[TH].c2 == SpherePoly.constant(1, ExactScalar(0, -2))
+    assert ps.omega[T1] == TSeries2.zero(1)
 
 
 def test_renormalizer_is_half_norm():
@@ -173,11 +174,11 @@ def test_coframe_gram_and_determinant(phase):
     for _, e in monomial_pool(1, 3):
         cf = deform_frame(e, phase=phase)
         z1t, zb1t = cf.z1, cf.z1.conjugate()
-        m0 = oracle3._eval_base_form("t1", z1t)
-        m1 = oracle3._eval_base_form("t1b", z1t)
-        assert oracle3._eval_base_form("t1b", zb1t) == m0.conjugate()
-        assert oracle3._eval_base_form("t1", zb1t) == m1.conjugate()
-        a, b = cf.theta1["t1"], cf.theta1["t1b"]
+        _, m0, m1 = oracle3._eval_base(z1t)
+        _, bm0, bm1 = oracle3._eval_base(zb1t)
+        assert bm1 == m0.conjugate()
+        assert bm0 == m1.conjugate()
+        _, a, b = cf.theta1
         d = a * a.conjugate() - b * b.conjugate()
         assert d * cf.det == TSeries2.constant(1, 1)
 
@@ -198,6 +199,40 @@ def test_solve_structure_takes_no_power(monkeypatch):
 
 def test_rejects_coframe_with_theta_part():
     cf = deform_frame(z(1, 1))
-    theta1 = dict(cf.theta1, th=TSeries2(SpherePoly.zero(1), z(1, 1)))
+    theta1 = (TSeries2(SpherePoly.zero(1), z(1, 1)),) + cf.theta1[T1:]
     with pytest.raises(AssertionError, match="no theta component"):
         solve_structure(replace(cf, theta1=theta1))
+
+
+# -- exterior calculus and the residual checks -------------------------------
+
+def test_exterior_derivative_squares_to_zero():
+    """d(ds) = 0 for s = f + t conj(f) + t^2 f^2, with ds expanded over
+    the base coframe as (T s) theta + (Z_1 s) theta^1 + (Zbar_1 s)
+    theta^1bar: the base structure constants pass d^2 = 0."""
+    for name, f in monomial_pool(1, 3):
+        s = TSeries2(f, f.conjugate(), f * f)
+        ds = tuple(oracle3._apply(x, s) for x in oracle3._FRAME)
+        assert oracle3._d(ds) == (TSeries2.zero(1),) * 3, name
+
+
+@pytest.mark.parametrize("call, message", [
+    (1, "structure-equation residual is nonzero"),
+    (2, "curvature expansion over deformed wedges failed")])
+def test_residual_checks_can_fail(monkeypatch, call, message):
+    """A wrong Cramer solution (t z_2 added to its first output) is caught
+    by the residual check that follows that solve."""
+    solve2 = oracle3._solve2
+    calls = []
+
+    def spoiled(*args):
+        u0, u1 = solve2(*args)
+        calls.append(args)
+        if len(calls) == call:
+            u0 = u0 + TSeries2(SpherePoly.zero(1), z(1, 2))
+        return u0, u1
+
+    monkeypatch.setattr(oracle3, "_solve2", spoiled)
+    with pytest.raises(AssertionError, match=message):
+        series_of(z(1, 1) * w(1, 2) + SpherePoly.one(1))
+    assert len(calls) == call

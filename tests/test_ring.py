@@ -220,6 +220,9 @@ def test_parse_error_positions():
         parse_poly("(1/1,0/1) z5", 1)   # index out of range
     with pytest.raises(PolyParseError):
         parse_poly("z1", 1)             # variable before coefficient
+    for text in ("", "  ", " + +", "\n"):    # no term at all
+        with pytest.raises(PolyParseError, match="expected a term"):
+            parse_poly(text, 1)
 
 
 def test_parse_caps_term_degree_and_literal_length():

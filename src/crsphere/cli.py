@@ -246,11 +246,11 @@ def _cmd_analyze(args) -> int:
         lines.append(f"  m={m}: norm2={nrm.serialize()} "
                      f"(m+4)-weighted={wt.serialize()}")
     if e.n == 1:
-        verdict = variation.is_embeddable(e)
         bad = [m for m in e.coefficient_modes()
                if m <= variation.EMBEDDABILITY_MODE_CUTOFF]
         note = f" (obstructing modes: {bad})" if bad else ""
-        lines.append(f"embeddable: {'yes' if verdict else 'no'}{note}")
+        lines.append("embeddable: "
+                     f"{'yes' if rep.embeddable else 'no'}{note}")
     else:
         lines.append("embeddable: yes (dimension >= 5, always embeddable; "
                      "mode criterion not applicable)")

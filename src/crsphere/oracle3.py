@@ -1,10 +1,12 @@
 """Brute-force structure-equation verifier on S^3.
 
 Given a polynomial deformation coefficient E, the holomorphic frame field
-is deformed along Z_1(t) = (1 + t^2 g)(Z_1 - i t E Zbar_1), the dual
-coframe is solved from the duality conditions, and the connection form
-w(t), torsion A(t) and Webster curvature W(t) are solved by Cramer's rule
-over the truncated series ring from the Cartan structure equation
+is deformed along Z_1(t) = (1 + t^2 g)(Z_1 - i t E Zbar_1), where the
+real renormalizer g keeps the Levi norm of Z_1(t) at 1.  That norm is the
+determinant of the duality system, so the dual coframe needs no division,
+and neither do the Cramer solves over the truncated series ring that give
+the connection form w(t), torsion A(t) and Webster curvature W(t) from
+the Cartan structure equation
 
     d theta^1(t) = theta^1(t) ^ w(t) + A(t) theta ^ theta^1bar(t)
 
@@ -24,9 +26,10 @@ The Webster scalar is the theta^1(t) ^ theta^1bar(t) coefficient of the
 curvature form contracted with 1/h.
 
 A series 1-form is the triple of its coefficients over the base coframe
-(theta, theta^1, theta^1bar), indexed by TH, T1 and T1B; a series 2-form
-is the triple over the base wedges (theta ^ theta^1, theta ^ theta^1bar,
-theta^1 ^ theta^1bar).
+(theta, theta^1, theta^1bar), indexed by TH, T1 and T1B; a series vector
+is the triple over the dual base frame (T, Z_1, Zbar_1), so a form pairs
+with a vector slot by slot; a series 2-form is the triple over the base
+wedges (theta ^ theta^1, theta ^ theta^1bar, theta^1 ^ theta^1bar).
 """
 
 from __future__ import annotations
@@ -71,16 +74,11 @@ TH, T1, T1B = 0, 1, 2
 # The base wedges indexing the slots of a series 2-form.
 _WEDGES = ((TH, T1), (TH, T1B), (T1, T1B))
 
-_I = ExactScalar(0, 1)
-
 # 3-dimensional frame: Z_1 = -Z_{12} in pair-field indexing.
 _T = reeb(_N)
 _Z1 = z_field(_N, 1, 2) * -1
 _ZB1 = _Z1.conjugate()
 _FRAME = (_T, _Z1, _ZB1)
-# Ambient coordinates (z_1, z_2) and (zbar_1, zbar_2).
-_ZS = (SpherePoly.z(_N, 1), SpherePoly.z(_N, 2))
-_ZBS = (SpherePoly.w(_N, 1), SpherePoly.w(_N, 2))
 
 # d of the base coframe: d e^k = c times the wedge in slot s, as (k, s, c).
 _DBASE = ((TH, 2, ExactScalar(0, 2)), (T1, 0, ExactScalar(0, 1)),
@@ -92,7 +90,7 @@ _S_ONE = TSeries2.constant(_N, 1)
 
 
 def _conj1(a):
-    """Conjugate of a series 1-form: conj theta^1 is theta^1bar."""
+    """Conjugate of a series 1-form or vector: it swaps T1 and T1B."""
     return (a[TH].conjugate(), a[T1B].conjugate(), a[T1].conjugate())
 
 
@@ -124,57 +122,34 @@ def _d(a):
     return tuple(out)
 
 
-# -- vector series -----------------------------------------------------------
-
-@dataclass(frozen=True)
-class VectorSeries:
-    """Ambient derivation with TSeries2 coefficients sum v_a d_a + w_a dbar_a."""
-
-    v: tuple[TSeries2, TSeries2]
-    w: tuple[TSeries2, TSeries2]
-
-    def conjugate(self) -> "VectorSeries":
-        return VectorSeries(v=tuple(s.conjugate() for s in self.w),
-                            w=tuple(s.conjugate() for s in self.v))
-
-    def scale(self, s) -> "VectorSeries":
-        return VectorSeries(v=tuple(x * s for x in self.v),
-                            w=tuple(x * s for x in self.w))
+def _pair(a, x) -> TSeries2:
+    """a(x) for a series 1-form a and a series vector x, both slot triples."""
+    return a[TH] * x[TH] + a[T1] * x[T1] + a[T1B] * x[T1B]
 
 
-def _eval_base(x: VectorSeries):
-    """(theta(x), theta^1(x), theta^1bar(x)) of the base coframe."""
-    z, zb = _ZS, _ZBS
-    th = _S_ZERO
-    for a in range(2):
-        th = th + x.w[a] * z[a] * _I - x.v[a] * zb[a] * _I
-    return (th, x.v[0] * z[1] - x.v[1] * z[0], x.w[0] * zb[1] - x.w[1] * zb[0])
+def _levi_norm(x) -> TSeries2:
+    """|x^1|^2 - |x^1bar|^2 of a slot triple.
 
-
-def _pair(a, e) -> TSeries2:
-    """a(x) for a series 1-form a, from e = _eval_base(x)."""
-    return a[TH] * e[TH] + a[T1] * e[T1] + a[T1B] * e[T1B]
-
-
-def _levi_norm(x: VectorSeries) -> TSeries2:
-    """Levi pairing of x against its conjugate: sum v conj(v) - conj(w) w."""
-    out = _S_ZERO
-    for a in range(2):
-        out = out + x.v[a] * x.v[a].conjugate() - x.w[a].conjugate() * x.w[a]
-    return out
+    For a contact vector this is its Levi norm; for a 1-form a theta^1 +
+    b theta^1bar it is the determinant |a|^2 - |b|^2 of the Cramer solves.
+    """
+    return x[T1] * x[T1].conjugate() - x[T1B] * x[T1B].conjugate()
 
 
 # -- the deformation ---------------------------------------------------------
 
 @dataclass(frozen=True)
 class DeformedCoframe:
-    """Deformed frame/coframe pair on S^3, exact to second order."""
+    """Deformed frame/coframe pair on S^3, exact to second order.
+
+    ``z1`` is Z_1(t) and ``theta1`` is theta^1(t), both as slot triples
+    over the base frame and coframe.
+    """
 
     e: SpherePoly
     gamma: SpherePoly
-    z1: VectorSeries
+    z1: tuple[TSeries2, TSeries2, TSeries2]
     theta1: tuple[TSeries2, TSeries2, TSeries2]
-    det: TSeries2   # |m0|^2 - |m1|^2 = 1 / (|a|^2 - |b|^2)
 
 
 def deform_frame(e: SpherePoly, second_order_tweak: SpherePoly | None = None,
@@ -184,22 +159,20 @@ def deform_frame(e: SpherePoly, second_order_tweak: SpherePoly | None = None,
     Z_1(t) = (1 + t^2 g)(Z_1 - i t E Zbar_1), with g the unique real
     renormalizer keeping the Levi norm at 1 through second order.  An
     optional second-order tweak adds -i t^2 G Zbar_1, changing the path
-    but not its first-order data; an optional unit phase multiplies the
-    frame.  The dual form theta^1(t) is solved exactly from the duality
-    conditions, which are asserted, not assumed.
+    but not its first-order data; an optional unit phase u multiplies the
+    frame.  Over the base frame Z_1(t) has slots (0, m0, m1), so the base
+    coframe's Gram on (Z_1(t), Zbar_1(t)) is [[m0, m1], [conj m1, conj m0]],
+    whose determinant D = |m0|^2 - |m1|^2 is the Levi norm of Z_1(t).  The
+    renormalizer makes D = 1, so the dual form is theta^1(t) = conj(m0)
+    theta^1 - conj(m1) theta^1bar.  The duality conditions and D = 1 are
+    asserted, not assumed.
     """
     if e.n != _N:
         raise ValueError("the structure-equation verifier runs on S^3")
-    z1v, _ = _Z1.ambient()
-    _, zb1w = _ZB1.ambient()
-
-    lin = e * ExactScalar(0, -1)
-    quad = (SpherePoly.zero(_N) if second_order_tweak is None
+    zero = SpherePoly.zero(_N)
+    quad = (zero if second_order_tweak is None
             else second_order_tweak * ExactScalar(0, -1))
-    raw = VectorSeries(
-        v=tuple(TSeries2(z1v[a]) for a in range(2)),
-        w=tuple(TSeries2(SpherePoly.zero(_N), lin * zb1w[a], quad * zb1w[a])
-                for a in range(2)))
+    raw = (_S_ZERO, _S_ONE, TSeries2(zero, e * ExactScalar(0, -1), quad))
 
     nrm = _levi_norm(raw)
     if not (nrm.c0 == SpherePoly.one(_N) and nrm.c1.is_zero()):
@@ -207,50 +180,43 @@ def deform_frame(e: SpherePoly, second_order_tweak: SpherePoly | None = None,
     if nrm.c2 != nrm.c2.conjugate():
         raise AssertionError("Levi defect must be real")
     gamma = nrm.c2 * Fraction(-1, 2)
-    scale = TSeries2(SpherePoly.one(_N), SpherePoly.zero(_N), gamma)
-    z1t = VectorSeries(v=tuple(x * scale for x in raw.v),
-                       w=tuple(x * scale for x in raw.w))
+    scale = TSeries2(SpherePoly.one(_N), zero, gamma)
+    z1t = tuple(x * scale for x in raw)
+    if _levi_norm(z1t) != _S_ONE:
+        raise AssertionError("Levi renormalization failed")
     if phase is not None:
         if phase.abs2() != 1:
             raise ValueError("frame phase must be a unit scalar")
-        z1t = z1t.scale(phase)
+        z1t = tuple(x * phase for x in z1t)
 
-    # Zbar_1(t) = conj Z_1(t), so the base coframe's Gram on the frame is
-    # [[m0, m1], [conj m1, conj m0]]
-    base = _eval_base(z1t)
-    th, m0, m1 = base
-    det = m0 * m0.conjugate() - m1 * m1.conjugate()
-    if det.c0 != SpherePoly.one(_N):
+    th, m0, m1 = z1t
+    theta1 = (_S_ZERO, m0.conjugate(), -m1.conjugate())
+    if _levi_norm(theta1) != _S_ONE:
         raise AssertionError("coframe system must have unit determinant")
-    inv_det = det.fractional_power(Fraction(-1))
-    theta1 = (_S_ZERO, m0.conjugate() * inv_det, -(m1.conjugate() * inv_det))
-
-    if _pair(theta1, base) != _S_ONE:
+    if _pair(theta1, z1t) != _S_ONE:
         raise AssertionError("duality theta^1(Z_1) = 1 failed")
-    if _pair(theta1, _eval_base(z1t.conjugate())) != _S_ZERO:
+    if _pair(theta1, _conj1(z1t)) != _S_ZERO:
         raise AssertionError("duality theta^1(Zbar_1) = 0 failed")
     if th != _S_ZERO:
         raise AssertionError("deformed frame left the contact distribution")
-    if _levi_norm(z1t) != _S_ONE:
-        raise AssertionError("Levi renormalization failed")
-    return DeformedCoframe(e=e, gamma=gamma, z1=z1t, theta1=theta1, det=det)
+    return DeformedCoframe(e=e, gamma=gamma, z1=z1t, theta1=theta1)
 
 
 # -- structure equation -------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class PseudohermitianSeries:
     """Connection form, torsion coefficient and Webster curvature series."""
 
     omega: tuple[TSeries2, TSeries2, TSeries2]
     torsion: TSeries2
-    webster: TSeries2 | None = None
+    webster: TSeries2
 
 
-def _solve2(m00, m01, m10, m11, r0, r1, inv_det):
-    """Cramer's rule for [[m00, m01], [m10, m11]] (u0, u1) = (r0, r1)."""
-    return ((m11 * r0 - m01 * r1) * inv_det,
-            (m00 * r1 - m10 * r0) * inv_det)
+def _solve2(m00, m01, m10, m11, r0, r1):
+    """Cramer's rule for [[m00, m01], [m10, m11]] (u0, u1) = (r0, r1) with
+    determinant 1."""
+    return m11 * r0 - m01 * r1, m00 * r1 - m10 * r0
 
 
 def solve_structure(cf: DeformedCoframe) -> PseudohermitianSeries:
@@ -264,9 +230,10 @@ def solve_structure(cf: DeformedCoframe) -> PseudohermitianSeries:
         a z + b conj(z) = L_(t1,t1b),
 
     with L = d theta^1(t).  Both systems have determinant
-    D = |a|^2 - |b|^2, whose inverse is ``cf.det``.  The theta component
-    must come out imaginary and the full residual must vanish, both
-    asserted.
+    D = |a|^2 - |b|^2, which the Levi renormalization in ``deform_frame``
+    makes 1, so nothing is divided.  The theta component must come out
+    imaginary and the full residual must vanish, both asserted; a coframe
+    with D != 1 fails the residual.
     """
     theta1 = cf.theta1
     if theta1[TH] != _S_ZERO:
@@ -274,12 +241,12 @@ def solve_structure(cf: DeformedCoframe) -> PseudohermitianSeries:
     _, a, b = theta1
     lhs = _d(theta1)
     torsion, x = _solve2(b.conjugate(), -a, a.conjugate(), -b,
-                         lhs[0], lhs[1], cf.det)
+                         lhs[0], lhs[1])
     if x + x.conjugate() != _S_ZERO:
         raise AssertionError("theta component of the connection form "
                              "must be imaginary")
     l3 = lhs[2]
-    z = (a.conjugate() * l3 - b * l3.conjugate()) * cf.det
+    z = a.conjugate() * l3 - b * l3.conjugate()
     omega = (x, -z.conjugate(), z)
 
     rhs = zip(lhs, _wedge(theta1, omega), _theta_wedge(_conj1(theta1)))
@@ -287,26 +254,27 @@ def solve_structure(cf: DeformedCoframe) -> PseudohermitianSeries:
         raise AssertionError("structure-equation residual is nonzero")
     if not torsion.c0.is_zero():
         raise AssertionError("round sphere must be torsion-free")
-    ps = PseudohermitianSeries(omega=omega, torsion=torsion)
-    ps.webster = webster_series(ps, cf)
-    return ps
+    return PseudohermitianSeries(omega=omega, torsion=torsion,
+                                 webster=webster_series(omega, cf))
 
 
-def webster_series(ps: PseudohermitianSeries, cf: DeformedCoframe) -> TSeries2:
+def webster_series(omega: tuple[TSeries2, TSeries2, TSeries2],
+                   cf: DeformedCoframe) -> TSeries2:
     """Webster curvature from the curvature form of the solved connection.
 
     The single connection form wedges to zero against itself, so the
     curvature form is d w(t) = c0 theta ^ theta^1(t) + c1 theta ^
     theta^1bar(t) + c2 theta^1(t) ^ theta^1bar(t).  Over the base wedges
     (c0, c1) solve [[a, conj b], [b, conj a]], and theta^1(t) ^
-    theta^1bar(t) = D theta^1 ^ theta^1bar, so c2 = d w_(t1,t1b) / D; it
-    contracts with 1/h to the Webster scalar.
+    theta^1bar(t) = D theta^1 ^ theta^1bar, so c2 = d w_(t1,t1b) / D.
+    Here D = |a|^2 - |b|^2 = 1 by the Levi renormalization, so c2 is
+    d w_(t1,t1b); it contracts with 1/h to the Webster scalar.
     """
     theta1 = cf.theta1
     _, a, b = theta1
-    dw = _d(ps.omega)
-    c0, c1 = _solve2(a, b.conjugate(), b, a.conjugate(), dw[0], dw[1], cf.det)
-    c2 = dw[2] * cf.det
+    dw = _d(omega)
+    c0, c1 = _solve2(a, b.conjugate(), b, a.conjugate(), dw[0], dw[1])
+    c2 = dw[2]
 
     theta1b = _conj1(theta1)
     recon = zip(dw, _theta_wedge(theta1), _theta_wedge(theta1b),

@@ -78,10 +78,6 @@ class ExactScalar:
         return ExactScalar(1, 0)
 
     @staticmethod
-    def i() -> "ExactScalar":
-        return ExactScalar(0, 1)
-
-    @staticmethod
     def coerce(x: "ExactScalar | _RationalLike") -> "ExactScalar":
         if isinstance(x, ExactScalar):
             return x

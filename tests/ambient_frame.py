@@ -1,0 +1,72 @@
+"""Reference ambient route for the frame tests in ``test_oracle3.py``.
+
+``crsphere.oracle3`` holds the deformed frame Z_1(t) as its components
+over the base frame (T, Z_1, Zbar_1).  Here Z_1(t) is built instead as an
+ambient derivation sum v_a d_a + w_a dbar_a with series coefficients, from
+the ambient coefficients of ``crsphere.frames``, and the base coframe
+(theta, theta^1, theta^1bar) is evaluated on it through the ambient
+coordinates.  This is the route the oracle took before it used the slot
+form; it is kept only as an independent oracle.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+from crsphere.frames import z_field
+from crsphere.ring import ExactScalar, SpherePoly, TSeries2
+
+N = 1
+_ZS = (SpherePoly.z(N, 1), SpherePoly.z(N, 2))
+_ZBS = (SpherePoly.w(N, 1), SpherePoly.w(N, 2))
+_I = ExactScalar(0, 1)
+
+Vector = tuple[tuple[TSeries2, TSeries2], tuple[TSeries2, TSeries2]]
+
+
+def levi_norm(x: Vector) -> TSeries2:
+    """Levi pairing of x = (v, w) with itself: sum v conj(v) - conj(w) w."""
+    v, w = x
+    out = TSeries2.zero(N)
+    for a in range(2):
+        out = out + v[a] * v[a].conjugate() - w[a].conjugate() * w[a]
+    return out
+
+
+def conjugate(x: Vector) -> Vector:
+    v, w = x
+    return (tuple(s.conjugate() for s in w), tuple(s.conjugate() for s in v))
+
+
+def eval_base(x: Vector) -> tuple[TSeries2, TSeries2, TSeries2]:
+    """(theta(x), theta^1(x), theta^1bar(x)) of the base coframe."""
+    v, w = x
+    th = TSeries2.zero(N)
+    for a in range(2):
+        th = th + w[a] * _ZS[a] * _I - v[a] * _ZBS[a] * _I
+    return (th, v[0] * _ZS[1] - v[1] * _ZS[0],
+            w[0] * _ZBS[1] - w[1] * _ZBS[0])
+
+
+def deformed_frame(e: SpherePoly, tweak: SpherePoly | None = None,
+                   phase: ExactScalar | None = None
+                   ) -> tuple[Vector, SpherePoly]:
+    """u (1 + t^2 g)(Z_1 - i (t E + t^2 G) Zbar_1) and its renormalizer g.
+
+    g is read off the ambient Levi norm of the unscaled vector, so that
+    the scaled one has Levi norm 1 through t^2.
+    """
+    z1 = z_field(N, 1, 2) * -1
+    z1v, _ = z1.ambient()
+    _, zb1w = z1.conjugate().ambient()
+    zero = SpherePoly.zero(N)
+    lin = e * ExactScalar(0, -1)
+    quad = zero if tweak is None else tweak * ExactScalar(0, -1)
+    raw = (tuple(TSeries2(z1v[a]) for a in range(2)),
+           tuple(TSeries2(zero, lin * zb1w[a], quad * zb1w[a])
+                 for a in range(2)))
+    gamma = levi_norm(raw).c2 * Fraction(-1, 2)
+    scale = TSeries2(SpherePoly.one(N), zero, gamma)
+    if phase is not None:
+        scale = scale * phase
+    return tuple(tuple(s * scale for s in part) for part in raw), gamma

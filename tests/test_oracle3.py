@@ -7,6 +7,7 @@ import pytest
 from dataclasses import replace
 
 from crsphere import oracle3
+from crsphere.frames import FrameForm, contact_form, form_eval
 from crsphere.ring import ExactScalar, SpherePoly, TSeries2
 from crsphere.oracle3 import (FRAME_WEBSTER_CONSTANT, LEVI_CONSTANT,
                               SECOND_VARIATION_COEFF, T1, T1B, TH,
@@ -17,6 +18,7 @@ from crsphere.oracle3 import (FRAME_WEBSTER_CONSTANT, LEVI_CONSTANT,
 from crsphere.variation import DeformationTensor, j_hessian, j_hessian_via_T
 from crsphere.verify import monomial_pool
 
+import ambient_frame
 from test_ring import z, w
 
 
@@ -166,25 +168,95 @@ def test_rejects_non_unit_phase():
 
 # -- the closed-form solve ---------------------------------------------------
 
-@pytest.mark.parametrize("phase", [None, ExactScalar(Fraction(3, 5),
-                                                     Fraction(-4, 5))])
-def test_coframe_gram_and_determinant(phase):
-    """The frame Gram is [[m0, m1], [conj m1, conj m0]], and cf.det is
-    the inverse of D = |a|^2 - |b|^2, the determinant of both solves."""
+# Frame variants: no change, a unit phase, a second-order tweak.
+VARIANTS = pytest.mark.parametrize("kw", [
+    {}, {"phase": ExactScalar(Fraction(3, 5), Fraction(4, 5))},
+    {"second_order_tweak": z(1, 1) + w(1, 2) ** 2}],
+    ids=["None", "phase1", "tweak2"])
+
+
+@VARIANTS
+def test_coframe_gram_and_determinant(kw):
+    """D = |a|^2 - |b|^2 of theta^1(t) = a theta^1 + b theta^1bar, the
+    determinant of every Cramer solve, is 1 as a whole series."""
+    for name, e in monomial_pool(1, 3):
+        _, a, b = deform_frame(e, **kw).theta1
+        assert a * a.conjugate() - b * b.conjugate() == \
+            TSeries2.constant(1, 1), name
+
+
+@VARIANTS
+def test_slot_frame_matches_ambient_route(kw):
+    """The base coframe evaluated on Z_1(t), built from ambient
+    coefficients, gives the slot triple of ``deform_frame``, on Z_1(t) and
+    on its conjugate; the ambient Levi norm is the slot one, and 1."""
+    for name, e in monomial_pool(1, 3):
+        cf = deform_frame(e, **kw)
+        x, gamma = ambient_frame.deformed_frame(
+            e, kw.get("second_order_tweak"), kw.get("phase"))
+        assert gamma == cf.gamma, name
+        assert ambient_frame.eval_base(x) == cf.z1, name
+        assert ambient_frame.eval_base(ambient_frame.conjugate(x)) == \
+            oracle3._conj1(cf.z1), name
+        assert ambient_frame.levi_norm(x) == oracle3._levi_norm(cf.z1) == \
+            TSeries2.constant(1, 1), name
+
+
+def test_base_coframe_is_dual_to_frame():
+    """(theta, theta^1, theta^1bar) paired with (T, Z_1, Zbar_1) is the
+    identity: the slot form of vectors and ``_d`` both rest on it."""
+    minus = SpherePoly.constant(1, -1)
+    coframe = (contact_form(1), FrameForm(1, {("th", 1, 2): minus}),
+               FrameForm(1, {("thb", 1, 2): minus}))
+    got = [[form_eval(a, x) for x in oracle3._FRAME] for a in coframe]
+    assert got == [[SpherePoly.one(1) if i == j else SpherePoly.zero(1)
+                    for j in range(3)] for i in range(3)]
+
+
+def test_levi_renormalization_check_can_fail(monkeypatch):
+    """A renormalizer read off a spoiled Levi defect (z_1 zbar_1 t^2 added)
+    leaves Z_1(t) off unit norm, and deform_frame says so."""
+    levi_norm = oracle3._levi_norm
+    calls = []
+
+    def spoiled(x):
+        calls.append(x)
+        out = levi_norm(x)
+        if len(calls) == 1:
+            out = out + TSeries2(SpherePoly.zero(1), None, z(1, 1) * w(1, 1))
+        return out
+
+    monkeypatch.setattr(oracle3, "_levi_norm", spoiled)
+    with pytest.raises(AssertionError, match="Levi renormalization failed"):
+        deform_frame(z(1, 1) * w(1, 2))
+
+
+def test_unit_determinant_check_can_fail(monkeypatch):
+    """A non-unit phase that slips past the phase guard scales Z_1(t)
+    after its renormalization; the coframe determinant check catches it."""
+    monkeypatch.setattr(ExactScalar, "abs2", lambda self: Fraction(1))
+    with pytest.raises(AssertionError,
+                       match="coframe system must have unit determinant"):
+        deform_frame(z(1, 1) * w(1, 2), phase=ExactScalar(2))
+
+
+@pytest.mark.parametrize("c", [ExactScalar(2),
+                               ExactScalar(Fraction(6, 5), Fraction(8, 5)),
+                               ExactScalar(Fraction(1, 3))])
+def test_solve_structure_rejects_non_unit_determinant(c):
+    """solve_structure divides by no determinant, so a coframe scaled by c
+    (determinant |c|^2) must fail its residual check."""
     for _, e in monomial_pool(1, 3):
-        cf = deform_frame(e, phase=phase)
-        z1t, zb1t = cf.z1, cf.z1.conjugate()
-        _, m0, m1 = oracle3._eval_base(z1t)
-        _, bm0, bm1 = oracle3._eval_base(zb1t)
-        assert bm1 == m0.conjugate()
-        assert bm0 == m1.conjugate()
-        _, a, b = cf.theta1
-        d = a * a.conjugate() - b * b.conjugate()
-        assert d * cf.det == TSeries2.constant(1, 1)
+        cf = deform_frame(e)
+        scaled = replace(cf, theta1=tuple(x * c for x in cf.theta1))
+        with pytest.raises(AssertionError,
+                           match="structure-equation residual is nonzero"):
+            solve_structure(scaled)
 
 
 def test_solve_structure_takes_no_power(monkeypatch):
-    cf = deform_frame(w(1, 1) ** 2 * z(1, 2) + SpherePoly.one(1))
+    """Neither the solve nor the deformed frame it solves takes a series
+    power: the determinant is 1, so nothing is inverted."""
     calls = []
     power = TSeries2.fractional_power
 
@@ -193,6 +265,7 @@ def test_solve_structure_takes_no_power(monkeypatch):
         return power(self, exponent)
 
     monkeypatch.setattr(TSeries2, "fractional_power", counting)
+    cf = deform_frame(w(1, 1) ** 2 * z(1, 2) + SpherePoly.one(1))
     solve_structure(cf)
     assert calls == []
 

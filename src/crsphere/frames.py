@@ -12,6 +12,16 @@ normalized so theta(T) = 1.  The family is a tight frame: tangential
 a Parseval norm identity, which makes coefficient expansions of tensors
 canonical and equality decidable.
 
+Slot layout, known only here: a vector is its coefficient tuple over
+(T, Z_jk..., Zbar_jk...), a 1-form over (theta, theta_jk..., thetabar_jk...),
+pairs in :func:`index_pairs` order, entries in one ring (``SpherePoly`` or
+``TSeries2``).  Forms pair with vectors through the Gram [1, H, conj H],
+H[(lm),(rs)] = theta_lm(Z_rs), so H = 1 at n = 1.  A 2-form is its tuple
+over the wedges e^i ^ e^j, i < j lexicographic.  By tightness df is the
+tuple of frame derivatives, and d a = (X_i a_j - X_j a_i) + a_k d e^k with
+the d e^k tabled once per n from df and wedge: d theta = 2i sum dz_a ^
+dzbar_a, d theta_jk = 2 dz_j ^ dz_k.
+
 Tanaka-Webster covariant data used throughout (round structure):
 
     nabla_T Z_jk = -i Z_jk,   nabla_T Zbar_jk = +i Zbar_jk,   nabla T = 0,
@@ -29,11 +39,13 @@ choices are reported by the conventions ledger.
 from __future__ import annotations
 
 import functools
+import itertools
 from fractions import Fraction
+from operator import add, mul
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
-from .ring import ExactScalar, SpherePoly
+from .ring import ExactScalar, SpherePoly, TSeries2
 
 __all__ = [
     "FrameVector",
@@ -48,6 +60,10 @@ __all__ = [
     "thetabar_form",
     "field_apply",
     "form_eval",
+    "conjugate",
+    "wedge",
+    "df",
+    "d",
     "levi_pairing",
     "sharp_pairing",
     "sharp_inverse",
@@ -58,13 +74,37 @@ __all__ = [
 ]
 
 Pair = tuple[int, int]
-FrameKey = str | tuple[str, int, int]   # "T" | ("Z", j, k) | ("Zb", j, k)
-FormKey = str | tuple[str, int, int]    # "th" | ("th", j, k) | ("thb", j, k)
+Ring = SpherePoly | TSeries2
+Slots = tuple[Ring, ...]
+
+_I = ExactScalar(0, 1)
 
 
 def index_pairs(n: int) -> list[Pair]:
     """All frame index pairs j < k over 1..n+1."""
     return [(j, k) for j in range(1, n + 2) for k in range(j + 1, n + 2)]
+
+
+@functools.cache
+def _slot_of(n: int) -> Mapping[Pair, int]:
+    """The slot of Z_jk (and of theta_jk); Zbar_jk's is len(pairs) later."""
+    return MappingProxyType({jk: i for i, jk in enumerate(index_pairs(n), 1)})
+
+
+def _slot(n: int, j: int, k: int) -> int:
+    s = _slot_of(n).get((j, k))
+    if s is None:
+        raise ValueError(f"bad frame index pair {(j, k)!r} for n={n}")
+    return s
+
+
+def _width(n: int) -> int:
+    return 2 * len(_slot_of(n)) + 1
+
+
+def _unit(n: int, s: int) -> Slots:
+    zero, one = SpherePoly.zero(n), SpherePoly.one(n)
+    return tuple(one if i == s else zero for i in range(_width(n)))
 
 
 # -- ambient derivatives on normal-form representatives ---------------------
@@ -86,103 +126,99 @@ def _partial(p: SpherePoly, side: int, a: int) -> SpherePoly:
     return SpherePoly.from_nums(p.n, out, p.den)
 
 
-class FrameVector:
-    """Tangential vector field with SpherePoly components over the frame.
+class _SlotTuple:
+    """An immutable slot tuple of dimension n, one ring entry per slot."""
 
-    Component keys: "T", ("Z", j, k), ("Zb", j, k).  The induced ambient
-    derivation always annihilates sum z_a zbar_a - 1 because every frame
-    element does.
-    """
+    __slots__ = ("n", "slots")
 
-    __slots__ = ("n", "components", "_ambient")
-
-    def __init__(self, n: int, components: Mapping[FrameKey, SpherePoly]):
-        comps = {}
-        for key, c in components.items():
-            self._check_key(n, key)
-            if c.n != n:
-                raise ValueError("component dimension mismatch")
-            if not c.is_zero():
-                comps[key] = c
+    def __init__(self, n: int, slots: Iterable[Ring]):
+        slots = tuple(slots)
+        width = _width(n)
+        if len(slots) != width:
+            raise ValueError(f"n={n} takes {width} slots, not {len(slots)}")
+        if any(c.n != n for c in slots):
+            raise ValueError("component dimension mismatch")
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "components", comps)
-        object.__setattr__(self, "_ambient", None)
+        object.__setattr__(self, "slots", slots)
 
     def __setattr__(self, name, value):
-        raise AttributeError("FrameVector is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
-    @staticmethod
-    def _check_key(n: int, key: FrameKey):
-        if key == "T":
-            return
-        if (isinstance(key, tuple) and len(key) == 3 and key[0] in ("Z", "Zb")
-                and 1 <= key[1] < key[2] <= n + 1):
-            return
-        raise ValueError(f"bad frame key {key!r} for n={n}")
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.n == other.n and self.slots == other.slots
+
+    def __repr__(self):
+        parts = [f"{i}:{c!r}" for i, c in enumerate(self.slots)
+                 if not c.is_zero()]
+        return f"{type(self).__name__}(n={self.n}, " + ", ".join(parts) + ")"
+
+
+class FrameVector(_SlotTuple):
+    """Tangential vector field: its slots over (T, Z_jk..., Zbar_jk...).
+
+    The induced ambient derivation always annihilates sum z_a zbar_a - 1
+    because every frame element does.
+    """
+
+    __slots__ = ("_ambient",)
+
+    def __init__(self, n: int, slots: Iterable[Ring]):
+        super().__init__(n, slots)
+        object.__setattr__(self, "_ambient", None)
 
     # -- type predicates ---------------------------------------------------
+    def _blocks(self) -> tuple[Slots, Slots, Slots]:
+        p = len(_slot_of(self.n))
+        return self.slots[:1], self.slots[1:p + 1], self.slots[p + 1:]
+
     def is_holomorphic(self) -> bool:
-        return all(isinstance(k, tuple) and k[0] == "Z" for k in self.components)
+        t, _, zb = self._blocks()
+        return all(c.is_zero() for c in t + zb)
 
     def is_antiholomorphic(self) -> bool:
-        return all(isinstance(k, tuple) and k[0] == "Zb" for k in self.components)
+        t, z, _ = self._blocks()
+        return all(c.is_zero() for c in t + z)
 
     def is_zero(self) -> bool:
-        return not self.components
+        return all(c.is_zero() for c in self.slots)
 
     # -- algebra -------------------------------------------------------------
     def __add__(self, other: "FrameVector") -> "FrameVector":
         if self.n != other.n:
             raise ValueError("dimension mismatch")
-        comps = dict(self.components)
-        for k, c in other.components.items():
-            s = comps.get(k)
-            comps[k] = c if s is None else s + c
-        return FrameVector(self.n, comps)
-
-    def __sub__(self, other: "FrameVector") -> "FrameVector":
-        return self + (other * -1)
+        return FrameVector(self.n, map(add, self.slots, other.slots))
 
     def __mul__(self, f) -> "FrameVector":
-        if not isinstance(f, SpherePoly):
-            f = SpherePoly.constant(self.n, ExactScalar.coerce(f))
-        return FrameVector(self.n,
-                           {k: c * f for k, c in self.components.items()})
+        return FrameVector(self.n, (c * f for c in self.slots))
 
     __rmul__ = __mul__
 
     def conjugate(self) -> "FrameVector":
-        comps = {}
-        for k, c in self.components.items():
-            if k == "T":
-                comps["T"] = c.conjugate()
-            else:
-                kind, j, kk = k
-                comps[("Zb" if kind == "Z" else "Z", j, kk)] = c.conjugate()
-        return FrameVector(self.n, comps)
+        return FrameVector(self.n, conjugate(self.slots))
 
     # -- ambient picture ------------------------------------------------------
-    def ambient(self) -> tuple[tuple[SpherePoly, ...], tuple[SpherePoly, ...]]:
+    def ambient(self) -> tuple[tuple[Ring, ...], tuple[Ring, ...]]:
         """Coefficients (v_a, w_a) of the derivation sum v_a d_a + w_a dbar_a."""
         if self._ambient is not None:
             return self._ambient
         n = self.n
-        v = [SpherePoly.zero(n) for _ in range(n + 1)]
-        w = [SpherePoly.zero(n) for _ in range(n + 1)]
+        v = [SpherePoly.zero(n)] * (n + 1)
+        w = [SpherePoly.zero(n)] * (n + 1)
         half_i = ExactScalar(0, Fraction(1, 2))
-        for key, c in self.components.items():
-            if key == "T":
-                for a in range(n + 1):
-                    v[a] = v[a] + c * SpherePoly.z(n, a + 1) * half_i
-                    w[a] = w[a] - c * SpherePoly.w(n, a + 1) * half_i
-            else:
-                kind, j, k = key
-                if kind == "Z":
-                    v[k - 1] = v[k - 1] + c * SpherePoly.w(n, j)
-                    v[j - 1] = v[j - 1] - c * SpherePoly.w(n, k)
-                else:
-                    w[k - 1] = w[k - 1] + c * SpherePoly.z(n, j)
-                    w[j - 1] = w[j - 1] - c * SpherePoly.z(n, k)
+        t, zs, zbs = self._blocks()
+        if not t[0].is_zero():
+            for a in range(n + 1):
+                v[a] = v[a] + t[0] * SpherePoly.z(n, a + 1) * half_i
+                w[a] = w[a] - t[0] * SpherePoly.w(n, a + 1) * half_i
+        for (j, k), c, cb in zip(index_pairs(n), zs, zbs):
+            if not c.is_zero():
+                v[k - 1] = v[k - 1] + c * SpherePoly.w(n, j)
+                v[j - 1] = v[j - 1] - c * SpherePoly.w(n, k)
+            if not cb.is_zero():
+                w[k - 1] = w[k - 1] + cb * SpherePoly.z(n, j)
+                w[j - 1] = w[j - 1] - cb * SpherePoly.z(n, k)
         amb = (tuple(v), tuple(w))
         object.__setattr__(self, "_ambient", amb)
         return amb
@@ -192,42 +228,26 @@ class FrameVector:
                      w: Iterable[SpherePoly]) -> "FrameVector":
         """Expand a tangential ambient derivation over the frame.
 
-        Splits off the theta(X) T part and expands the remaining
-        holomorphic/antiholomorphic pieces with tight-frame coefficients;
-        exactness of the reconstruction is asserted.
+        The slots are theta(X), theta_jk(X) and thetabar_jk(X), read off
+        the ambient coefficients; by tightness they reconstruct X, and
+        that exactness is asserted.
         """
-        v = tuple(v)
-        w = tuple(w)
-        tangency = SpherePoly.zero(n)
-        for a in range(n + 1):
-            tangency = (tangency + v[a] * SpherePoly.w(n, a + 1)
-                        + w[a] * SpherePoly.z(n, a + 1))
+        v, w = tuple(v), tuple(w)
+        zs = [SpherePoly.z(n, a) for a in range(1, n + 2)]
+        ws = [SpherePoly.w(n, a) for a in range(1, n + 2)]
+        tangency = theta_of = SpherePoly.zero(n)
+        for a in range(n + 1):    # theta = i sum (z_a dzbar_a - zbar_a dz_a)
+            tangency = tangency + v[a] * ws[a] + w[a] * zs[a]
+            theta_of = theta_of + (zs[a] * w[a] - ws[a] * v[a]) * _I
         if not tangency.is_zero():
             raise ValueError("derivation is not tangent to the sphere")
-        # theta(X) with theta = i sum (z_a dzbar_a - zbar_a dz_a)
-        theta_of = SpherePoly.zero(n)
-        for a in range(n + 1):
-            theta_of = (theta_of
-                        + SpherePoly.z(n, a + 1) * w[a] * ExactScalar(0, 1)
-                        - SpherePoly.w(n, a + 1) * v[a] * ExactScalar(0, 1))
-        half_i = ExactScalar(0, Fraction(1, 2))
-        hv = [v[a] - theta_of * SpherePoly.z(n, a + 1) * half_i
-              for a in range(n + 1)]
-        hw = [w[a] + theta_of * SpherePoly.w(n, a + 1) * half_i
-              for a in range(n + 1)]
-        comps: dict[FrameKey, SpherePoly] = {}
-        if not theta_of.is_zero():
-            comps["T"] = theta_of
-        for (j, k) in index_pairs(n):
-            cz = SpherePoly.z(n, j) * hv[k - 1] - SpherePoly.z(n, k) * hv[j - 1]
-            cw = SpherePoly.w(n, j) * hw[k - 1] - SpherePoly.w(n, k) * hw[j - 1]
-            if not cz.is_zero():
-                comps[("Z", j, k)] = cz
-            if not cw.is_zero():
-                comps[("Zb", j, k)] = cw
-        out = FrameVector(n, comps)
-        ov, ow = out.ambient()
-        if ov != v or ow != w:
+        pairs = index_pairs(n)
+        out = FrameVector(n, [theta_of]
+                          + [zs[j - 1] * v[k - 1] - zs[k - 1] * v[j - 1]
+                             for j, k in pairs]
+                          + [ws[j - 1] * w[k - 1] - ws[k - 1] * w[j - 1]
+                             for j, k in pairs])
+        if out.ambient() != (v, w):
             raise AssertionError("tight-frame reconstruction failed")
         return out
 
@@ -236,102 +256,35 @@ class FrameVector:
             return NotImplemented
         return self.n == other.n and self.ambient() == other.ambient()
 
-    def __repr__(self):
-        parts = [f"{k}:{c.to_grammar()}" for k, c in
-                 sorted(self.components.items(), key=lambda kv: str(kv[0]))]
-        return f"FrameVector(n={self.n}, " + ", ".join(parts) + ")"
-
 
 def reeb(n: int) -> FrameVector:
-    return FrameVector(n, {"T": SpherePoly.one(n)})
+    return FrameVector(n, _unit(n, 0))
 
 
 def z_field(n: int, j: int, k: int) -> FrameVector:
-    return FrameVector(n, {("Z", j, k): SpherePoly.one(n)})
+    return FrameVector(n, _unit(n, _slot(n, j, k)))
 
 
 def zbar_field(n: int, j: int, k: int) -> FrameVector:
-    return FrameVector(n, {("Zb", j, k): SpherePoly.one(n)})
+    return FrameVector(n, _unit(n, _slot(n, j, k) + len(_slot_of(n))))
 
 
-class FrameForm:
-    """Degree-1 form with SpherePoly components over the dual family.
+class FrameForm(_SlotTuple):
+    """Degree-1 form: its slots over (theta, theta_jk..., thetabar_jk...)."""
 
-    Component keys: "th" (the contact form, theta(T) = 1), ("th", j, k),
-    ("thb", j, k).
-    """
-
-    __slots__ = ("n", "components")
-
-    def __init__(self, n: int, components: Mapping[FormKey, SpherePoly]):
-        comps = {}
-        for key, c in components.items():
-            self._check_key(n, key)
-            if c.n != n:
-                raise ValueError("component dimension mismatch")
-            if not c.is_zero():
-                comps[key] = c
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "components", comps)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FrameForm is immutable")
-
-    @staticmethod
-    def _check_key(n: int, key: FormKey):
-        if key == "th":
-            return
-        if (isinstance(key, tuple) and len(key) == 3
-                and key[0] in ("th", "thb")
-                and 1 <= key[1] < key[2] <= n + 1):
-            return
-        raise ValueError(f"bad form key {key!r} for n={n}")
-
-    def evaluate(self, x: FrameVector) -> SpherePoly:
-        if self.n != x.n:
-            raise ValueError("dimension mismatch")
-        n = self.n
-        v, w = x.ambient()
-        total = SpherePoly.zero(n)
-        for key, c in self.components.items():
-            if key == "th":
-                val = SpherePoly.zero(n)
-                for a in range(n + 1):
-                    val = (val + SpherePoly.z(n, a + 1) * w[a]
-                           - SpherePoly.w(n, a + 1) * v[a])
-                val = val * ExactScalar(0, 1)
-            else:
-                kind, j, k = key
-                if kind == "th":
-                    val = (SpherePoly.z(n, j) * v[k - 1]
-                           - SpherePoly.z(n, k) * v[j - 1])
-                else:
-                    val = (SpherePoly.w(n, j) * w[k - 1]
-                           - SpherePoly.w(n, k) * w[j - 1])
-            total = total + c * val
-        return total
-
-    def __eq__(self, other):
-        if not isinstance(other, FrameForm):
-            return NotImplemented
-        return self.n == other.n and self.components == other.components
-
-    def __repr__(self):
-        parts = [f"{k}:{c.to_grammar()}" for k, c in
-                 sorted(self.components.items(), key=lambda kv: str(kv[0]))]
-        return f"FrameForm(n={self.n}, " + ", ".join(parts) + ")"
+    __slots__ = ()
 
 
 def contact_form(n: int) -> FrameForm:
-    return FrameForm(n, {"th": SpherePoly.one(n)})
+    return FrameForm(n, _unit(n, 0))
 
 
 def theta_form(n: int, j: int, k: int) -> FrameForm:
-    return FrameForm(n, {("th", j, k): SpherePoly.one(n)})
+    return FrameForm(n, _unit(n, _slot(n, j, k)))
 
 
 def thetabar_form(n: int, j: int, k: int) -> FrameForm:
-    return FrameForm(n, {("thb", j, k): SpherePoly.one(n)})
+    return FrameForm(n, _unit(n, _slot(n, j, k) + len(_slot_of(n))))
 
 
 def field_apply(x: FrameVector, f: SpherePoly) -> SpherePoly:
@@ -350,8 +303,99 @@ def field_apply(x: FrameVector, f: SpherePoly) -> SpherePoly:
     return out
 
 
-def form_eval(alpha: FrameForm, x: FrameVector) -> SpherePoly:
-    return alpha.evaluate(x)
+def _apply(x: FrameVector, f: Ring) -> Ring:
+    """x(f) for a function or a series; zero terms are not applied."""
+    if isinstance(f, TSeries2):
+        return TSeries2(*(_apply(x, c) for c in (f.c0, f.c1, f.c2)))
+    return f if f.is_zero() else field_apply(x, f)
+
+
+@functools.cache
+def _frame(n: int) -> tuple[FrameVector, ...]:
+    """The frame (T, Z_jk..., Zbar_jk...), one field per slot."""
+    return tuple(FrameVector(n, _unit(n, s)) for s in range(_width(n)))
+
+
+# -- the form algebra on slot tuples -----------------------------------------
+
+def conjugate(a: Slots) -> Slots:
+    """Conjugate of a vector's or 1-form's slots: the blocks swap."""
+    p = len(a) // 2
+    return tuple(c.conjugate() for c in a[:1] + a[p + 1:] + a[1:p + 1])
+
+
+def _pair(a: Slots, x: Slots) -> Ring:
+    """a(x) for the slots of a 1-form and of a vector, through [1, H, conj H].
+
+    conj H[(lm),(rs)] = H[(rs),(lm)], so the (0,1) block reads H transposed.
+    """
+    slot = _slot_of(a[0].n)
+    p = len(slot)
+    total = a[0] * x[0]
+    for (lm, rs), g in _gram_right(a[0].n).items():
+        if not g.is_zero():
+            l, r = slot[lm], slot[rs]
+            total = total + (a[l] * x[r] + a[p + r] * x[p + l]) * g
+    return total
+
+
+def wedge(a: Slots, b: Slots) -> Slots:
+    """a ^ b of two 1-forms: a_i b_j - a_j b_i over each wedge (i, j)."""
+    return tuple(a[i] * b[j] - a[j] * b[i]
+                 for i, j in itertools.combinations(range(len(a)), 2))
+
+
+def df(f: Ring) -> Slots:
+    """The 1-form df of a function or series: its frame derivatives.
+
+    df(V) = V(f) and V = sum e^s(V) X_s over the frame X by tightness, so
+    the coefficient of e^s is X_s(f).
+    """
+    return tuple(_apply(x, f) for x in _frame(f.n))
+
+
+@functools.cache
+def _d_base(n: int) -> tuple[Slots, ...]:
+    """d of each coframe slot (theta, theta_jk..., thetabar_jk...).
+
+    From the ambient forms, with dz_a = df(z_a): d theta = 2i sum_a dz_a ^
+    dzbar_a, d theta_jk = 2 dz_j ^ dz_k, d thetabar_jk = 2 dzbar_j ^ dzbar_k.
+    """
+    dz = [df(SpherePoly.z(n, a)) for a in range(1, n + 2)]
+    dzb = [df(SpherePoly.w(n, a)) for a in range(1, n + 2)]
+    d_theta = tuple(sum(terms, SpherePoly.zero(n)) * ExactScalar(0, 2)
+                    for terms in zip(*map(wedge, dz, dzb)))
+    pairs = index_pairs(n)
+    return ((d_theta,)
+            + tuple(tuple(c * 2 for c in wedge(dz[j - 1], dz[k - 1]))
+                    for j, k in pairs)
+            + tuple(tuple(c * 2 for c in wedge(dzb[j - 1], dzb[k - 1]))
+                    for j, k in pairs))
+
+
+def d(a: Slots) -> Slots:
+    """Exterior derivative of a 1-form, as a 2-form over :func:`wedge`'s order.
+
+    The coefficient over e^i ^ e^j is X_i(a_j) - X_j(a_i) plus the a_k
+    d e^k terms of the base table.  No field is applied to a zero entry
+    or to its own slot's entry.
+    """
+    frame = _frame(a[0].n)
+    out = [_apply(frame[i], a[j]) - _apply(frame[j], a[i])
+           for i, j in itertools.combinations(range(len(a)), 2)]
+    for ak, dk in zip(a, _d_base(a[0].n)):
+        if not ak.is_zero():
+            for w, c in enumerate(dk):
+                if not c.is_zero():
+                    out[w] = out[w] + ak * c
+    return tuple(out)
+
+
+def form_eval(alpha: FrameForm, x: FrameVector) -> Ring:
+    """alpha(x), paired slot by slot through the frame Gram."""
+    if alpha.n != x.n:
+        raise ValueError("dimension mismatch")
+    return _pair(alpha.slots, x.slots)
 
 
 def levi_pairing(v: FrameVector, w: FrameVector) -> SpherePoly:
@@ -366,10 +410,8 @@ def levi_pairing(v: FrameVector, w: FrameVector) -> SpherePoly:
         raise ValueError("levi_pairing requires holomorphic-type fields")
     va, _ = v.ambient()
     wa, _ = w.ambient()
-    out = SpherePoly.zero(v.n)
-    for a in range(v.n + 1):
-        out = out + va[a] * wa[a].conjugate()
-    return out
+    return sum((x * y.conjugate() for x, y in zip(va, wa)),
+               SpherePoly.zero(v.n))
 
 
 def sharp_pairing(v: FrameVector, wbar: FrameVector) -> SpherePoly:
@@ -382,20 +424,16 @@ def sharp_pairing(v: FrameVector, wbar: FrameVector) -> SpherePoly:
         raise ValueError("dimension mismatch")
     va, _ = v.ambient()
     _, wb = wbar.ambient()
-    out = SpherePoly.zero(v.n)
-    for a in range(v.n + 1):
-        out = out + va[a] * wb[a]
-    return out
+    return sum(map(mul, va, wb), SpherePoly.zero(v.n))
 
 
 def sharp_inverse(x: FrameVector) -> FrameForm:
     """Map the antiholomorphic frame field Zbar_jk to its form theta_jk."""
-    if len(x.components) != 1:
-        raise ValueError("sharp_inverse expects a single frame field")
-    ((key, c),) = x.components.items()
-    if key == "T" or key[0] != "Zb" or c != SpherePoly.one(x.n):
+    p = len(_slot_of(x.n))
+    used = [s for s, c in enumerate(x.slots) if not c.is_zero()]
+    if len(used) != 1 or used[0] <= p or x.slots[used[0]] != 1:
         raise ValueError("sharp_inverse expects one antiholomorphic frame field")
-    return theta_form(x.n, key[1], key[2])
+    return FrameForm(x.n, _unit(x.n, used[0] - p))
 
 
 def bracket(x: FrameVector, y: FrameVector) -> FrameVector:
@@ -440,22 +478,6 @@ class TensorField:
     def __setattr__(self, name, value):
         raise AttributeError("TensorField is immutable")
 
-    def __add__(self, other: "TensorField") -> "TensorField":
-        if self.n != other.n:
-            raise ValueError("dimension mismatch")
-        cs = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            s = cs.get(k)
-            cs[k] = c if s is None else s + c
-        return TensorField(self.n, cs)
-
-    def __mul__(self, f) -> "TensorField":
-        if not isinstance(f, SpherePoly):
-            f = SpherePoly.constant(self.n, ExactScalar.coerce(f))
-        return TensorField(self.n, {k: c * f for k, c in self.coeffs.items()})
-
-    __rmul__ = __mul__
-
     def is_zero(self) -> bool:
         return not self.coeffs
 
@@ -484,14 +506,16 @@ class TensorField:
 def _gram_right(n: int) -> Mapping[tuple[Pair, Pair], SpherePoly]:
     """H[(lm),(rs)] = theta_lm(Z_rs), built once per n.
 
-    H is Hermitian and idempotent on the sphere.  The left Gram
+    Read off the ambient coefficients v of Z_rs as z_l v_m - z_m v_l.  H
+    is Hermitian and idempotent on the sphere.  The left Gram
     thetabar_pq(Zbar_jk) = conj H[(pq),(jk)] is therefore H[(jk),(pq)].
     """
     out = {}
-    for lm in index_pairs(n):
-        form = theta_form(n, *lm)
-        for rs in index_pairs(n):
-            out[(lm, rs)] = form_eval(form, z_field(n, *rs))
+    for rs in index_pairs(n):
+        v, _ = z_field(n, *rs).ambient()
+        for l, m in index_pairs(n):
+            out[((l, m), rs)] = (SpherePoly.z(n, l) * v[m - 1]
+                                 - SpherePoly.z(n, m) * v[l - 1])
     return MappingProxyType(out)    # shared by every caller: read-only
 
 
@@ -532,9 +556,6 @@ def tight_expand(obj):
 
 # -- covariant differentiation ----------------------------------------------
 
-_T_WEIGHTS_VEC = {"Z": -1, "Zb": 1}
-
-
 def covariant_T(obj):
     """Covariant derivative along the transverse field T.
 
@@ -546,13 +567,11 @@ def covariant_T(obj):
     """
     if isinstance(obj, FrameVector):
         t = reeb(obj.n)
-        comps = {}
-        for key, c in obj.components.items():
-            val = field_apply(t, c)
-            if key != "T":
-                val = val + c * ExactScalar(0, _T_WEIGHTS_VEC[key[0]])
-            comps[key] = comps.get(key, SpherePoly.zero(obj.n)) + val
-        return FrameVector(obj.n, comps)
+        p = len(_slot_of(obj.n))
+        weights = (0,) + (-1,) * p + (1,) * p
+        return FrameVector(obj.n, (
+            c if c.is_zero() else field_apply(t, c) + c * ExactScalar(0, wt)
+            for c, wt in zip(obj.slots, weights)))
     if isinstance(obj, TensorField):
         t = reeb(obj.n)
         two_i = ExactScalar(0, 2)
@@ -589,11 +608,13 @@ def covariant_Z(direction: FrameVector, target: FrameVector) -> FrameVector:
     if not direction.is_holomorphic():
         raise ValueError("direction must be holomorphic-type")
     n = direction.n
-    out = FrameVector(n, {})
-    for key, c in target.components.items():
-        out = out + FrameVector(n, {key: field_apply(direction, c)})
-        if key != "T" and key[0] == "Zb":
-            for dkey, d in direction.components.items():
-                nz = _nabla_z_zbar(n, (dkey[1], dkey[2]), (key[1], key[2]))
-                out = out + nz * (c * d)
+    out = FrameVector(n, (c if c.is_zero() else field_apply(direction, c)
+                          for c in target.slots))
+    pairs = index_pairs(n)
+    _, dz, _ = direction._blocks()
+    _, _, tzb = target._blocks()
+    for lm, c in zip(pairs, tzb):
+        for jk, dc in zip(pairs, dz):
+            if not (c.is_zero() or dc.is_zero()):
+                out = out + _nabla_z_zbar(n, jk, lm) * (c * dc)
     return out

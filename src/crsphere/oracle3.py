@@ -14,22 +14,18 @@ with the reality constraint w + conj(w) = 0.  Everything is an exact
 degree-2 series with SpherePoly coefficients, so every claimed variation
 identity is checked as exact polynomial equality.
 
-Fixed base structure (derived once from ambient exterior calculus and
-validated by d^2 = 0 and the spectral cross-check):
+Fixed base structure, over ``frames``' n = 1 frame (T, Z_1, Zbar_1) with
+Z_1 = Z_12 and its dual coframe (theta, theta^1, theta^1bar):
 
-    Z_1 = zbar_2 d_1 - zbar_1 d_2          theta^1 = z_2 dz_1 - z_1 dz_2
+    Z_1 = zbar_1 d_2 - zbar_2 d_1          theta^1 = z_1 dz_2 - z_2 dz_1
     d theta   = 2i theta^1 ^ theta^1bar    (Levi constant h = 2)
     d theta^1 = i theta ^ theta^1
     w(0) = -i theta,  A(0) = 0,  W(0) = 1
 
 The Webster scalar is the theta^1(t) ^ theta^1bar(t) coefficient of the
-curvature form contracted with 1/h.
-
-A series 1-form is the triple of its coefficients over the base coframe
-(theta, theta^1, theta^1bar), indexed by TH, T1 and T1B; a series vector
-is the triple over the dual base frame (T, Z_1, Zbar_1), so a form pairs
-with a vector slot by slot; a series 2-form is the triple over the base
-wedges (theta ^ theta^1, theta ^ theta^1bar, theta^1 ^ theta^1bar).
+curvature form contracted with 1/h.  Series vectors and 1-forms are
+``frames`` slot triples, indexed by TH, T1 and T1B, and d, wedge,
+conjugation and pairing are ``frames``' own.
 """
 
 from __future__ import annotations
@@ -38,7 +34,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .ring import ExactScalar, SpherePoly, TSeries2
-from .frames import field_apply, reeb, z_field
+from .frames import (FrameForm, FrameVector, conjugate, d,
+                     field_apply, form_eval, reeb, wedge, z_field,
+                     zbar_field)
 from .variation import DeformationTensor, j_hessian
 
 __all__ = [
@@ -71,60 +69,14 @@ _N = 1
 
 # Slots of a series 1-form and of the dual frame (T, Z_1, Zbar_1).
 TH, T1, T1B = 0, 1, 2
-# The base wedges indexing the slots of a series 2-form.
-_WEDGES = ((TH, T1), (TH, T1B), (T1, T1B))
 
-# 3-dimensional frame: Z_1 = -Z_{12} in pair-field indexing.
-_T = reeb(_N)
-_Z1 = z_field(_N, 1, 2) * -1
-_ZB1 = _Z1.conjugate()
-_FRAME = (_T, _Z1, _ZB1)
-
-# d of the base coframe: d e^k = c times the wedge in slot s, as (k, s, c).
-_DBASE = ((TH, 2, ExactScalar(0, 2)), (T1, 0, ExactScalar(0, 1)),
-          (T1B, 1, ExactScalar(0, -1)))
+_T, _Z1, _ZB1 = reeb(_N), z_field(_N, 1, 2), zbar_field(_N, 1, 2)
 
 # The series 0 and 1 (series are immutable, so these are shared).
 _S_ZERO = TSeries2.zero(_N)
 _S_ONE = TSeries2.constant(_N, 1)
-
-
-def _conj1(a):
-    """Conjugate of a series 1-form or vector: it swaps T1 and T1B."""
-    return (a[TH].conjugate(), a[T1B].conjugate(), a[T1].conjugate())
-
-
-def _wedge(a, b):
-    """a ^ b of two series 1-forms."""
-    return tuple(a[i] * b[j] - a[j] * b[i] for i, j in _WEDGES)
-
-
-def _theta_wedge(b):
-    """theta ^ b of a series 1-form b."""
-    return (b[T1], b[T1B], _S_ZERO)
-
-
-def _apply(field, s: TSeries2) -> TSeries2:
-    return TSeries2(field_apply(field, s.c0), field_apply(field, s.c1),
-                    field_apply(field, s.c2))
-
-
-def _d(a):
-    """Exterior derivative of a series 1-form.
-
-    Over the wedge e^i ^ e^j the coefficient is X_i(a_j) - X_j(a_i) for
-    the dual frame X, plus the a_k d e^k terms of the base coframe.
-    """
-    out = [_apply(_FRAME[i], a[j]) - _apply(_FRAME[j], a[i])
-           for i, j in _WEDGES]
-    for k, slot, c in _DBASE:
-        out[slot] = out[slot] + a[k] * c
-    return tuple(out)
-
-
-def _pair(a, x) -> TSeries2:
-    """a(x) for a series 1-form a and a series vector x, both slot triples."""
-    return a[TH] * x[TH] + a[T1] * x[T1] + a[T1B] * x[T1B]
+# The contact form theta as a series 1-form.
+_THETA = (_S_ONE, _S_ZERO, _S_ZERO)
 
 
 def _levi_norm(x) -> TSeries2:
@@ -193,9 +145,10 @@ def deform_frame(e: SpherePoly, second_order_tweak: SpherePoly | None = None,
     theta1 = (_S_ZERO, m0.conjugate(), -m1.conjugate())
     if _levi_norm(theta1) != _S_ONE:
         raise AssertionError("coframe system must have unit determinant")
-    if _pair(theta1, z1t) != _S_ONE:
+    form, z1 = FrameForm(_N, theta1), FrameVector(_N, z1t)
+    if form_eval(form, z1) != _S_ONE:
         raise AssertionError("duality theta^1(Z_1) = 1 failed")
-    if _pair(theta1, _conj1(z1t)) != _S_ZERO:
+    if form_eval(form, z1.conjugate()) != _S_ZERO:
         raise AssertionError("duality theta^1(Zbar_1) = 0 failed")
     if th != _S_ZERO:
         raise AssertionError("deformed frame left the contact distribution")
@@ -239,7 +192,7 @@ def solve_structure(cf: DeformedCoframe) -> PseudohermitianSeries:
     if theta1[TH] != _S_ZERO:
         raise AssertionError("deformed coframe must have no theta component")
     _, a, b = theta1
-    lhs = _d(theta1)
+    lhs = d(theta1)
     torsion, x = _solve2(b.conjugate(), -a, a.conjugate(), -b,
                          lhs[0], lhs[1])
     if x + x.conjugate() != _S_ZERO:
@@ -249,7 +202,7 @@ def solve_structure(cf: DeformedCoframe) -> PseudohermitianSeries:
     z = a.conjugate() * l3 - b * l3.conjugate()
     omega = (x, -z.conjugate(), z)
 
-    rhs = zip(lhs, _wedge(theta1, omega), _theta_wedge(_conj1(theta1)))
+    rhs = zip(lhs, wedge(theta1, omega), wedge(_THETA, conjugate(theta1)))
     if any(l != u + torsion * v for l, u, v in rhs):
         raise AssertionError("structure-equation residual is nonzero")
     if not torsion.c0.is_zero():
@@ -272,14 +225,14 @@ def webster_series(omega: tuple[TSeries2, TSeries2, TSeries2],
     """
     theta1 = cf.theta1
     _, a, b = theta1
-    dw = _d(omega)
+    dw = d(omega)
     c0, c1 = _solve2(a, b.conjugate(), b, a.conjugate(), dw[0], dw[1])
     c2 = dw[2]
 
-    theta1b = _conj1(theta1)
-    recon = zip(dw, _theta_wedge(theta1), _theta_wedge(theta1b),
-                _wedge(theta1, theta1b))
-    if any(d != c0 * u + c1 * v + c2 * s for d, u, v, s in recon):
+    theta1b = conjugate(theta1)
+    recon = zip(dw, wedge(_THETA, theta1), wedge(_THETA, theta1b),
+                wedge(theta1, theta1b))
+    if any(x != c0 * u + c1 * v + c2 * s for x, u, v, s in recon):
         raise AssertionError("curvature expansion over deformed wedges failed")
     w = c2 * Fraction(1, LEVI_CONSTANT)
     if w != w.conjugate():

@@ -325,7 +325,9 @@ class SpherePoly:
         return p
 
     @staticmethod
+    @functools.cache
     def zero(n: int) -> "SpherePoly":
+        """The zero polynomial: one shared instance per n."""
         return SpherePoly.from_nums(n, {}, 1)
 
     @staticmethod
@@ -411,16 +413,27 @@ class SpherePoly:
             self.n, {key: (-re, -im) for key, (re, im) in self.nums.items()},
             self.den)
 
+    def _scaled(self, cr: int, ci: int, cd: int) -> "SpherePoly":
+        """self times the Gaussian rational (cr + ci i) / cd, term by term."""
+        return SpherePoly.from_nums(
+            self.n, {key: (re * cr - im * ci, re * ci + im * cr)
+                     for key, (re, im) in self.nums.items()}
+            if cr or ci else {}, self.den * cd)
+
     def __mul__(self, other):
         if not isinstance(other, SpherePoly):
             if not isinstance(other, _SCALAR_TYPES):
                 return NotImplemented
-            cr, ci, cd = _split(ExactScalar.coerce(other))
-            return SpherePoly.from_nums(
-                self.n, {key: (re * cr - im * ci, re * ci + im * cr)
-                         for key, (re, im) in self.nums.items()}
-                if cr or ci else {}, self.den * cd)
+            return self._scaled(*_split(ExactScalar.coerce(other)))
         self._check(other)
+        # a constant factor scales the other one's terms: no term pairs,
+        # no reduction
+        c = _constant_nums(other)
+        if c is not None:
+            return self._scaled(*c, other.den)
+        c = _constant_nums(self)
+        if c is not None:
+            return other._scaled(*c, self.den)
         raw: Terms = {}
         accumulate(raw, (((tuple(map(add, a1, a2)), tuple(map(add, b1, b2))),
                           (r1 * r2 - i1 * i2, r1 * i2 + i1 * r2))
@@ -537,6 +550,14 @@ class SpherePoly:
         return f"SpherePoly(n={self.n}, {self.to_grammar()})"
 
 
+def _constant_nums(p: SpherePoly) -> Gaussian | None:
+    """The numerator of a constant polynomial p (0 included), else None."""
+    if len(p.nums) > 1:
+        return None
+    z = (0,) * (p.n + 1)
+    return p.nums.get((z, z), None if p.nums else (0, 0))
+
+
 def _init(p: SpherePoly, n: int, nums: Terms, den: int) -> None:
     """Set p's slots to nums / den with common factors divided out."""
     if den != 1:
@@ -635,6 +656,9 @@ class TSeries2:
 
     def _coeffs(self) -> tuple[SpherePoly, SpherePoly, SpherePoly]:
         return (self.c0, self.c1, self.c2)
+
+    def is_zero(self) -> bool:
+        return not (self.c0.nums or self.c1.nums or self.c2.nums)
 
     def __add__(self, other):
         if isinstance(other, TSeries2):

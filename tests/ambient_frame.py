@@ -1,7 +1,7 @@
 """Reference ambient route for the frame tests in ``test_oracle3.py``.
 
 ``crsphere.oracle3`` holds the deformed frame Z_1(t) as its components
-over the base frame (T, Z_1, Zbar_1).  Here Z_1(t) is built instead as an
+over the base frame (T, Z_1, Zbar_1) of ``crsphere.frames``, Z_1 = Z_12.  Here Z_1(t) is built instead as an
 ambient derivation sum v_a d_a + w_a dbar_a with series coefficients, from
 the ambient coefficients of ``crsphere.frames``, and the base coframe
 (theta, theta^1, theta^1bar) is evaluated on it through the ambient
@@ -44,8 +44,8 @@ def eval_base(x: Vector) -> tuple[TSeries2, TSeries2, TSeries2]:
     th = TSeries2.zero(N)
     for a in range(2):
         th = th + w[a] * _ZS[a] * _I - v[a] * _ZBS[a] * _I
-    return (th, v[0] * _ZS[1] - v[1] * _ZS[0],
-            w[0] * _ZBS[1] - w[1] * _ZBS[0])
+    return (th, _ZS[0] * v[1] - _ZS[1] * v[0],
+            _ZBS[0] * w[1] - _ZBS[1] * w[0])
 
 
 def deformed_frame(e: SpherePoly, tweak: SpherePoly | None = None,
@@ -56,7 +56,7 @@ def deformed_frame(e: SpherePoly, tweak: SpherePoly | None = None,
     g is read off the ambient Levi norm of the unscaled vector, so that
     the scaled one has Levi norm 1 through t^2.
     """
-    z1 = z_field(N, 1, 2) * -1
+    z1 = z_field(N, 1, 2)
     z1v, _ = z1.ambient()
     _, zb1w = z1.conjugate().ambient()
     zero = SpherePoly.zero(N)

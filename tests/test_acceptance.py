@@ -16,7 +16,7 @@ from crsphere import frames, spectral, variation, oracle3
 from crsphere.verify import (SuiteConfig, conformal_checks, monomial_pool,
                              run_montecarlo_suite, structured_tensors)
 
-Z1 = frames.z_field(1, 1, 2) * -1        # 3-dimensional frame field
+Z1 = frames.z_field(1, 1, 2)             # 3-dimensional frame field
 ZB1 = Z1.conjugate()
 T = frames.reeb(1)
 

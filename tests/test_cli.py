@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from crsphere import cli, frames, oracle3, spectral, variation
+from crsphere import cli, frames, oracle3, ring, spectral, variation
 from crsphere.cli import main, load_config, parse_deformation_file, ConfigError
 from crsphere.ring import MAX_TERM_DEGREE, SpherePoly, parse_poly
 
@@ -404,15 +404,19 @@ def test_analyze_oracle_solves_structure_once(tmp_path, capsys, monkeypatch):
 
 
 def test_oracle_solve_multiplies_few_polynomials(monkeypatch):
-    """Zero series coefficients and lifted scalars cost no product, and
-    the exterior derivative makes no diagonal field application."""
+    """Zero series coefficients and lifted scalars cost no product, a
+    constant factor runs no term-pair loop, and the exterior derivative
+    applies no field to a zero coefficient or to its own slot."""
     e = parse_poly("(1/1,0/1) w1 w2^3", 1)
+    oracle3.solve_structure(oracle3.deform_frame(e))    # warm frame tables
     products = [_counting(monkeypatch, SpherePoly, name)
                 for name in ("__mul__", "__rmul__")]
-    fields = _counting(monkeypatch, oracle3, "field_apply")
+    loops = _counting(monkeypatch, ring, "reduce_nums")
+    fields = _counting(monkeypatch, frames, "field_apply")
     oracle3.solve_structure(oracle3.deform_frame(e))
     assert sum(map(len, products)) <= 200      # 904 with dense products
-    assert len(fields) <= 36                   # 2 derivatives x 6 x 3 orders
+    assert len(loops) <= 31                    # 87 with constant factors
+    assert len(fields) <= 16                   # 36 on every coefficient
 
 
 @pytest.mark.parametrize("sign, status", [("1/1", 0), ("-1/1", 1)])

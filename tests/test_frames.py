@@ -1,18 +1,19 @@
 """Frame fields, dual forms, pairings and covariant differentiation."""
 
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from crsphere import frames
-from crsphere.ring import ExactScalar, SpherePoly
+from crsphere.ring import ExactScalar, SpherePoly, TSeries2
 from crsphere.frames import (FrameVector, TensorField, bracket, contact_form,
                              covariant_T, covariant_Z, field_apply, form_eval,
                              index_pairs, levi_pairing, reeb, sharp_inverse,
                              sharp_pairing, theta_form, thetabar_form,
                              tight_expand, z_field, zbar_field)
+from crsphere.verify import monomial_pool
 
 from test_ring import polys, scalars, z, w
 
@@ -94,6 +95,104 @@ def test_form_eval_examples():
     assert form_eval(contact_form(1), z_field(1, 1, 2)).is_zero()
 
 
+def frame_fields(n):
+    """T, the Z_jk and the Zbar_jk: one field per slot."""
+    pairs = index_pairs(n)
+    return ([reeb(n)] + [z_field(n, *p) for p in pairs]
+            + [zbar_field(n, *p) for p in pairs])
+
+
+def coframe_values(x: FrameVector) -> tuple:
+    """(theta(x), theta_jk(x)..., thetabar_jk(x)...) through ambient
+    coordinates: theta = i sum (z_a dzbar_a - zbar_a dz_a), theta_jk =
+    z_j dz_k - z_k dz_j and its conjugate, on x's ambient coefficients."""
+    n = x.n
+    v, wc = x.ambient()
+    th = SpherePoly.zero(n)
+    for a in range(n + 1):
+        th = th + (z(n, a + 1) * wc[a] - w(n, a + 1) * v[a]) * I
+    pairs = index_pairs(n)
+    return ((th,)
+            + tuple(z(n, j) * v[k - 1] - z(n, k) * v[j - 1] for j, k in pairs)
+            + tuple(w(n, j) * wc[k - 1] - w(n, k) * wc[j - 1]
+                    for j, k in pairs))
+
+
+def slot_tuples(n):
+    """Slots with each entry 0 or a small random polynomial."""
+    entry = st.one_of(st.just(SpherePoly.zero(n)),
+                      low_degree_polys(n, max_degree=1, max_terms=1))
+    return st.tuples(*[entry] * (2 * len(index_pairs(n)) + 1))
+
+
+@pytest.mark.parametrize("n, examples", [(1, 40), (2, 20), (3, 10)])
+def test_form_eval_matches_ambient_route(n, examples):
+    """Pairing through the Gram [1, H, conj H] equals evaluating the form
+    through ambient coordinates, on conjugate pairs too."""
+
+    @settings(max_examples=examples, deadline=None)
+    @given(slot_tuples(n), slot_tuples(n))
+    def check(a, x):
+        alpha, vec = frames.FrameForm(n, a), FrameVector(n, x)
+        want = SpherePoly.zero(n)
+        for c, value in zip(a, coframe_values(vec)):
+            want = want + c * value
+        assert form_eval(alpha, vec) == want
+        assert vec.conjugate().ambient() == tuple(
+            tuple(c.conjugate() for c in part)
+            for part in reversed(vec.ambient()))
+
+    check()
+
+
+# -- exterior calculus on slot tuples ------------------------------------------------
+
+def test_base_table_at_n1():
+    """d theta = 2i theta_12 ^ thetabar_12, d theta_12 = i theta ^
+    theta_12 and its conjugate, over the wedges (0,1), (0,2), (1,2)."""
+    zero = SpherePoly.zero(1)
+
+    def c(re, im):
+        return SpherePoly.constant(1, ExactScalar(re, im))
+    assert frames._d_base(1) == ((zero, zero, c(0, 2)),
+                                 (c(0, 1), zero, zero),
+                                 (zero, c(0, -1), zero))
+
+
+def value2(beta, ex, ey):
+    """beta(X, Y) for a 2-form ``{(i, j): b_ij}`` and the coframe values
+    ex, ey of X and Y: sum over i < j of b_ij (e^i(X) e^j(Y) - e^j(X)
+    e^i(Y))."""
+    total = TSeries2.zero(ex[0].n)
+    for (i, j), b in beta.items():
+        if not b.is_zero():
+            total = total + b * (ex[i] * ey[j] - ex[j] * ey[i])
+    return total
+
+
+@pytest.mark.parametrize("n, size", [(1, 35), (2, 12), (3, 10)])
+def test_d_of_df_vanishes_on_every_pair_of_frame_fields(n, size):
+    """d(df) = 0 for the series s = f + t conj(f) + t^2 f^2.  The family
+    is overcomplete for n >= 2, so a zero 2-form can have nonzero slots:
+    it is evaluated on every pair of frame fields instead."""
+    cols = [coframe_values(x) for x in frame_fields(n)]
+    wedges = list(combinations(range(len(cols)), 2))
+    pool = monomial_pool(n, 3)
+    for name, f in pool[::len(pool) // size]:
+        s = TSeries2(f, f.conjugate(), f * f)
+        beta = dict(zip(wedges, frames.d(frames.df(s))))
+        for a, b in wedges:
+            assert value2(beta, cols[a], cols[b]) == TSeries2.zero(n), \
+                (name, a, b)
+
+
+def test_wedge_is_alternating():
+    a = frames.df(TSeries2(z(2, 1) * w(2, 3), z(2, 2)))
+    b = frames.df(TSeries2(w(2, 2), None, z(2, 3)))
+    assert frames.wedge(a, b) == tuple(-c for c in frames.wedge(b, a))
+    assert all(c.is_zero() for c in frames.wedge(a, a))
+
+
 # -- pairings ----------------------------------------------------------------------
 
 def test_levi_examples():
@@ -142,7 +241,7 @@ def test_vector_reconstruction(n):
     if n > 1:
         v = v + z_field(n, 2, 3) * (z(n, 1) * w(n, 2))
     coeffs = tight_expand(v)
-    back = FrameVector(n, {})
+    back = reeb(n) * 0
     for jk, c in coeffs.items():
         back = back + z_field(n, *jk) * c
     assert back == v
@@ -239,19 +338,21 @@ def test_gram_is_hermitian_idempotent_and_conjugate_to_left_gram(n):
 
 
 def test_gram_built_once_per_n(monkeypatch):
+    """H is read off the ambient coefficients of the Z_rs once per n; a
+    second canonicalization builds no frame field."""
     calls = []
-    original = frames.form_eval
+    original = frames.z_field
 
     def counting(*args):
         calls.append(args)
         return original(*args)
 
-    monkeypatch.setattr(frames, "form_eval", counting)
+    monkeypatch.setattr(frames, "z_field", counting)
     frames._gram_right.cache_clear()
     pairs = index_pairs(2)
     t = TensorField(2, {(pairs[0], pairs[1]): z(2, 3)})
     first = tight_expand(t)
-    assert len(calls) == len(pairs) ** 2
+    assert len(calls) == len(pairs)
     calls.clear()
     assert tight_expand(t) == first
     assert calls == []

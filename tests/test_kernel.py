@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import fraction_kernel as ref
+from crsphere import ring
 from crsphere.ring import (MAX_TERM_DEGREE, ExactScalar, SpherePoly, norm2,
                            parse_poly)
 from crsphere.spectral import harmonic_decompose, sublaplacian
@@ -138,6 +139,55 @@ def test_cancelled_denominators_are_canonical(case):
         assert same == p and hash(same) == hash(p)
         assert (same.nums, same.den) == (p.nums, p.den)
     assert math.gcd(p.den, *(x for c in p.nums.values() for x in c)) == 1
+
+
+# -- constant factors and the shared zero -------------------------------------
+
+@given(cases)
+def test_constant_factor_products_match_reference(case):
+    """A constant factor, on either side, gives the reference product and
+    the same numerators and denominator as the term-pair loop."""
+    n, s, _, c = case
+    p, rs = SpherePoly(n, s), reduced(n, s)
+    k = SpherePoly.constant(n, c)
+    rk = reduced(n, {((0,) * (n + 1), (0,) * (n + 1)): c})
+    want = ref.mul(n, rs, rk)
+    for got in (p * k, k * p):
+        assert dict(got.terms) == want
+        assert (got.nums, got.den) == ((p * c).nums, (p * c).den)
+    assert dict((p * SpherePoly.zero(n)).terms) == {}
+
+
+def test_constant_factor_products_reduce_nothing(monkeypatch):
+    p = parse_poly("(1/2,1/3) z1 w1^2 z2 (3/1,0/1) w2^3", 1)
+    k = SpherePoly.constant(1, ExactScalar(Fraction(2, 7), -3))
+    calls = []
+    reduce_nums = ring.reduce_nums
+
+    def counting(*args):
+        calls.append(args)
+        return reduce_nums(*args)
+
+    monkeypatch.setattr(ring, "reduce_nums", counting)
+    for q in (p * k, k * p, p * SpherePoly.zero(1), SpherePoly.one(1) * p):
+        assert q.n == 1
+    assert calls == []
+    p * p
+    assert len(calls) == 1
+
+
+@given(cases)
+def test_zero_is_one_shared_unchanged_instance(case):
+    n, s, _, c = case
+    zero = SpherePoly.zero(n)
+    assert SpherePoly.zero(n) is zero
+    p = SpherePoly(n, s)
+    for got in (zero + p, p + zero, p - zero, zero - p, zero * p, p * zero,
+                zero * c, -zero, zero.conjugate(), zero ** 2):
+        assert got.n == n
+    assert p + zero == p and zero - p == -p and (zero * p).is_zero()
+    assert zero.nums == {} and zero.den == 1
+    assert SpherePoly.zero(n) is zero
 
 
 # -- reduction in closed form -------------------------------------------------

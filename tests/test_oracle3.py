@@ -6,8 +6,9 @@ import pytest
 
 from dataclasses import replace
 
-from crsphere import oracle3
-from crsphere.frames import FrameForm, contact_form, form_eval
+from crsphere import frames, oracle3
+from crsphere.frames import (contact_form, form_eval, reeb, theta_form,
+                             thetabar_form, z_field, zbar_field)
 from crsphere.ring import ExactScalar, SpherePoly, TSeries2
 from crsphere.oracle3 import (FRAME_WEBSTER_CONSTANT, LEVI_CONSTANT,
                               SECOND_VARIATION_COEFF, T1, T1B, TH,
@@ -197,20 +198,26 @@ def test_slot_frame_matches_ambient_route(kw):
         assert gamma == cf.gamma, name
         assert ambient_frame.eval_base(x) == cf.z1, name
         assert ambient_frame.eval_base(ambient_frame.conjugate(x)) == \
-            oracle3._conj1(cf.z1), name
+            frames.conjugate(cf.z1), name
         assert ambient_frame.levi_norm(x) == oracle3._levi_norm(cf.z1) == \
             TSeries2.constant(1, 1), name
 
 
 def test_base_coframe_is_dual_to_frame():
-    """(theta, theta^1, theta^1bar) paired with (T, Z_1, Zbar_1) is the
-    identity: the slot form of vectors and ``_d`` both rest on it."""
-    minus = SpherePoly.constant(1, -1)
-    coframe = (contact_form(1), FrameForm(1, {("th", 1, 2): minus}),
-               FrameForm(1, {("thb", 1, 2): minus}))
-    got = [[form_eval(a, x) for x in oracle3._FRAME] for a in coframe]
-    assert got == [[SpherePoly.one(1) if i == j else SpherePoly.zero(1)
-                    for j in range(3)] for i in range(3)]
+    """(theta, theta^1, theta^1bar) paired with frames' n = 1 frame (T,
+    Z_1, Zbar_1), Z_1 = Z_12, is the identity, both through ambient
+    coordinates and through frames' slot pairing: the oracle's slot
+    triples and its structure constants rest on it."""
+    frame = (reeb(1), z_field(1, 1, 2), zbar_field(1, 1, 2))
+    coframe = (contact_form(1), theta_form(1, 1, 2), thetabar_form(1, 1, 2))
+    eye = [[SpherePoly.one(1) if i == j else SpherePoly.zero(1)
+            for j in range(3)] for i in range(3)]
+    assert [[form_eval(a, x) for x in frame] for a in coframe] == eye
+    columns = [ambient_frame.eval_base(tuple(
+        tuple(TSeries2(c) for c in part) for part in x.ambient()))
+        for x in frame]
+    assert [[col[i] for col in columns] for i in range(3)] == \
+        [[TSeries2(c) for c in row] for row in eye]
 
 
 def test_levi_renormalization_check_can_fail(monkeypatch):
@@ -280,13 +287,26 @@ def test_rejects_coframe_with_theta_part():
 # -- exterior calculus and the residual checks -------------------------------
 
 def test_exterior_derivative_squares_to_zero():
-    """d(ds) = 0 for s = f + t conj(f) + t^2 f^2, with ds expanded over
-    the base coframe as (T s) theta + (Z_1 s) theta^1 + (Zbar_1 s)
-    theta^1bar: the base structure constants pass d^2 = 0."""
+    """d(ds) = 0 for s = f + t conj(f) + t^2 f^2, with ds = (T s) theta +
+    (Z_1 s) theta^1 + (Zbar_1 s) theta^1bar: the base structure constants
+    pass d^2 = 0.  At n = 1 the frame is a basis, so slots decide."""
     for name, f in monomial_pool(1, 3):
         s = TSeries2(f, f.conjugate(), f * f)
-        ds = tuple(oracle3._apply(x, s) for x in oracle3._FRAME)
-        assert oracle3._d(ds) == (TSeries2.zero(1),) * 3, name
+        assert frames.d(frames.df(s)) == (TSeries2.zero(1),) * 3, name
+
+
+@pytest.mark.parametrize("slot", [0, 1], ids=["d_theta", "d_theta12"])
+def test_base_table_fault_fires_round_curvature_check(monkeypatch, slot):
+    """Doubling d theta or d theta_12 in the n = 1 table of d of the base
+    forms moves the round Webster curvature, and the solve says so."""
+    table = frames._d_base(1)
+    spoiled = tuple(tuple(c * 2 for c in dk) if k == slot else dk
+                    for k, dk in enumerate(table))
+    assert spoiled != table
+    monkeypatch.setattr(frames, "_d_base", lambda n: spoiled)
+    with pytest.raises(AssertionError,
+                       match="round Webster curvature drifted"):
+        series_of(z(1, 1) * w(1, 2))
 
 
 @pytest.mark.parametrize("call, message", [

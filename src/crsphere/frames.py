@@ -45,7 +45,7 @@ from operator import add, mul
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
-from .ring import ExactScalar, SpherePoly, TSeries2
+from .ring import ExactScalar, SpherePoly, Terms, TSeries2, sum_of_products
 
 __all__ = [
     "FrameVector",
@@ -107,14 +107,22 @@ def _unit(n: int, s: int) -> Slots:
     return tuple(one if i == s else zero for i in range(_width(n)))
 
 
+@functools.cache
+def _coords(n: int) -> tuple[tuple[SpherePoly, ...], tuple[SpherePoly, ...]]:
+    """The coordinates (z_1..z_{n+1}) and (zbar_1..zbar_{n+1}), built once."""
+    return (tuple(SpherePoly.z(n, a) for a in range(1, n + 2)),
+            tuple(SpherePoly.w(n, a) for a in range(1, n + 2)))
+
+
 # -- ambient derivatives on normal-form representatives ---------------------
 
-def _partial(p: SpherePoly, side: int, a: int) -> SpherePoly:
-    """d/dz_a (side 0) or d/dzbar_a (side 1) on the stored representative.
+def _partial(p: SpherePoly, side: int, a: int) -> Terms:
+    """Numerators of d/dz_a (side 0) or d/dzbar_a (side 1) of p, over p.den.
 
-    ``a`` is the 0-based coordinate index.  Lowering one exponent keeps a
-    term in normal form and sends distinct terms to distinct terms, so the
-    result needs no reduction.
+    ``a`` is the 0-based coordinate index; the derivative is taken on the
+    stored representative.  Lowering one exponent keeps a term in normal
+    form and sends distinct terms to distinct terms, so the result needs
+    no reduction.
     """
     out = {}
     for key, (re, im) in p.nums.items():
@@ -123,7 +131,7 @@ def _partial(p: SpherePoly, side: int, a: int) -> SpherePoly:
             low = e[:a] + (e[a] - 1,) + e[a + 1:]
             out[(low, key[1]) if side == 0 else (key[0], low)] = (re * e[a],
                                                                   im * e[a])
-    return SpherePoly.from_nums(p.n, out, p.den)
+    return out
 
 
 class _SlotTuple:
@@ -138,6 +146,8 @@ class _SlotTuple:
             raise ValueError(f"n={n} takes {width} slots, not {len(slots)}")
         if any(c.n != n for c in slots):
             raise ValueError("component dimension mismatch")
+        if len({type(c) for c in slots}) > 1:
+            raise ValueError("slots mix polynomial and series entries")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "slots", slots)
 
@@ -204,21 +214,22 @@ class FrameVector(_SlotTuple):
         if self._ambient is not None:
             return self._ambient
         n = self.n
+        z, zb = _coords(n)
         v = [SpherePoly.zero(n)] * (n + 1)
         w = [SpherePoly.zero(n)] * (n + 1)
         half_i = ExactScalar(0, Fraction(1, 2))
         t, zs, zbs = self._blocks()
         if not t[0].is_zero():
             for a in range(n + 1):
-                v[a] = v[a] + t[0] * SpherePoly.z(n, a + 1) * half_i
-                w[a] = w[a] - t[0] * SpherePoly.w(n, a + 1) * half_i
+                v[a] = v[a] + t[0] * z[a] * half_i
+                w[a] = w[a] - t[0] * zb[a] * half_i
         for (j, k), c, cb in zip(index_pairs(n), zs, zbs):
             if not c.is_zero():
-                v[k - 1] = v[k - 1] + c * SpherePoly.w(n, j)
-                v[j - 1] = v[j - 1] - c * SpherePoly.w(n, k)
+                v[k - 1] = v[k - 1] + c * zb[j - 1]
+                v[j - 1] = v[j - 1] - c * zb[k - 1]
             if not cb.is_zero():
-                w[k - 1] = w[k - 1] + cb * SpherePoly.z(n, j)
-                w[j - 1] = w[j - 1] - cb * SpherePoly.z(n, k)
+                w[k - 1] = w[k - 1] + cb * z[j - 1]
+                w[j - 1] = w[j - 1] - cb * z[k - 1]
         amb = (tuple(v), tuple(w))
         object.__setattr__(self, "_ambient", amb)
         return amb
@@ -233,8 +244,7 @@ class FrameVector(_SlotTuple):
         that exactness is asserted.
         """
         v, w = tuple(v), tuple(w)
-        zs = [SpherePoly.z(n, a) for a in range(1, n + 2)]
-        ws = [SpherePoly.w(n, a) for a in range(1, n + 2)]
+        zs, ws = _coords(n)
         tangency = theta_of = SpherePoly.zero(n)
         for a in range(n + 1):    # theta = i sum (z_a dzbar_a - zbar_a dz_a)
             tangency = tangency + v[a] * ws[a] + w[a] * zs[a]
@@ -257,16 +267,19 @@ class FrameVector(_SlotTuple):
         return self.n == other.n and self.ambient() == other.ambient()
 
 
+# The frame fields are the shared members of :func:`_frame`, so each one's
+# ambient coefficients are computed once per n.
+
 def reeb(n: int) -> FrameVector:
-    return FrameVector(n, _unit(n, 0))
+    return _frame(n)[0]
 
 
 def z_field(n: int, j: int, k: int) -> FrameVector:
-    return FrameVector(n, _unit(n, _slot(n, j, k)))
+    return _frame(n)[_slot(n, j, k)]
 
 
 def zbar_field(n: int, j: int, k: int) -> FrameVector:
-    return FrameVector(n, _unit(n, _slot(n, j, k) + len(_slot_of(n))))
+    return _frame(n)[_slot(n, j, k) + len(_slot_of(n))]
 
 
 class FrameForm(_SlotTuple):
@@ -287,20 +300,21 @@ def thetabar_form(n: int, j: int, k: int) -> FrameForm:
     return FrameForm(n, _unit(n, _slot(n, j, k) + len(_slot_of(n))))
 
 
-def field_apply(x: FrameVector, f: SpherePoly) -> SpherePoly:
-    """Apply the tangential derivation to a sphere function."""
+def field_apply(x: FrameVector, f: SpherePoly) -> Ring:
+    """Apply the tangential derivation sum v_a d_a + w_a dbar_a to f.
+
+    The products v_a d_a f and w_a dbar_a f are summed with one reduction.
+    """
     if x.n != f.n:
         raise ValueError("dimension mismatch")
     if f.is_zero():
         return f
-    v, w = x.ambient()
-    out = SpherePoly.zero(f.n)
-    for a in range(f.n + 1):
-        if not v[a].is_zero():
-            out = out + v[a] * _partial(f, 0, a)
-        if not w[a].is_zero():
-            out = out + w[a] * _partial(f, 1, a)
-    return out
+    if isinstance(x.slots[0], TSeries2):    # x0 + t x1 + t^2 x2, term by term
+        parts = zip(*((c.c0, c.c1, c.c2) for c in x.slots))
+        return TSeries2(*(field_apply(FrameVector(x.n, p), f) for p in parts))
+    return sum_of_products(f.n, [(c, _partial(f, side, a), f.den)
+                                 for side, cs in enumerate(x.ambient())
+                                 for a, c in enumerate(cs) if c.nums])
 
 
 def _apply(x: FrameVector, f: Ring) -> Ring:
@@ -361,8 +375,9 @@ def _d_base(n: int) -> tuple[Slots, ...]:
     From the ambient forms, with dz_a = df(z_a): d theta = 2i sum_a dz_a ^
     dzbar_a, d theta_jk = 2 dz_j ^ dz_k, d thetabar_jk = 2 dzbar_j ^ dzbar_k.
     """
-    dz = [df(SpherePoly.z(n, a)) for a in range(1, n + 2)]
-    dzb = [df(SpherePoly.w(n, a)) for a in range(1, n + 2)]
+    zs, ws = _coords(n)
+    dz = [df(z) for z in zs]
+    dzb = [df(w) for w in ws]
     d_theta = tuple(sum(terms, SpherePoly.zero(n)) * ExactScalar(0, 2)
                     for terms in zip(*map(wedge, dz, dzb)))
     pairs = index_pairs(n)
@@ -510,12 +525,12 @@ def _gram_right(n: int) -> Mapping[tuple[Pair, Pair], SpherePoly]:
     is Hermitian and idempotent on the sphere.  The left Gram
     thetabar_pq(Zbar_jk) = conj H[(pq),(jk)] is therefore H[(jk),(pq)].
     """
+    zs, _ = _coords(n)
     out = {}
     for rs in index_pairs(n):
         v, _ = z_field(n, *rs).ambient()
         for l, m in index_pairs(n):
-            out[((l, m), rs)] = (SpherePoly.z(n, l) * v[m - 1]
-                                 - SpherePoly.z(n, m) * v[l - 1])
+            out[((l, m), rs)] = zs[l - 1] * v[m - 1] - zs[m - 1] * v[l - 1]
     return MappingProxyType(out)    # shared by every caller: read-only
 
 
@@ -543,12 +558,18 @@ def tight_expand(obj):
         raise TypeError("tight_expand accepts FrameVector or TensorField")
     n = obj.n
     h = _gram_right(n)
+    pairs = index_pairs(n)
+    lms = list(dict.fromkeys(lm for _, lm in obj.coeffs))
+    # (conj(H) c)[(pq),(lm)] once for every rs, then c' = (conj(H) c) H
+    left = {(pq, lm): sum_of_products(n, [(h[(jk, pq)], c.nums, c.den)
+                                          for (jk, l), c in obj.coeffs.items()
+                                          if l == lm])
+            for pq in pairs for lm in lms}
     out: dict[tuple[Pair, Pair], SpherePoly] = {}
-    for pq in index_pairs(n):
-        for rs in index_pairs(n):
-            acc = SpherePoly.zero(n)
-            for (jk, lm), c in obj.coeffs.items():
-                acc = acc + h[(jk, pq)] * c * h[(lm, rs)]
+    for pq in pairs:
+        for rs in pairs:
+            acc = sum_of_products(n, [(left[(pq, lm)], h[(lm, rs)].nums,
+                                       h[(lm, rs)].den) for lm in lms])
             if not acc.is_zero():
                 out[(pq, rs)] = acc
     return TensorField(n, out)
@@ -588,10 +609,11 @@ def _nabla_z_zbar(n: int, jk: Pair, lm: Pair) -> FrameVector:
     # Hbar projection: with phi = sum w_a z_a the tangency defect, the T
     # component of the bracket contributes exactly phi * zbar_a to the
     # dbar coefficients, so removing it isolates the (0,1) part.
+    zs, ws = _coords(n)
     phi = SpherePoly.zero(n)
     for a in range(n + 1):
-        phi = phi + w[a] * SpherePoly.z(n, a + 1)
-    wproj = [w[a] - phi * SpherePoly.w(n, a + 1) for a in range(n + 1)]
+        phi = phi + w[a] * zs[a]
+    wproj = [w[a] - phi * ws[a] for a in range(n + 1)]
     zero = [SpherePoly.zero(n)] * (n + 1)
     return FrameVector.from_ambient(n, zero, wproj)
 

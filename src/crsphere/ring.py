@@ -42,6 +42,8 @@ __all__ = [
     "MAX_TERM_DEGREE",
     "accumulate",
     "reduce_nums",
+    "sum_of_products",
+    "inner",
     "norm2",
 ]
 
@@ -209,6 +211,15 @@ def accumulate(dst: Terms, items: Iterable[tuple[TermKey, Gaussian]],
             dst[key] = (re, im)
         elif prev is not None:
             del dst[key]
+
+
+def _term_products(xs: Mapping[TermKey, Gaussian],
+                   ys: Mapping[TermKey, Gaussian]):
+    """The unreduced ambient product of each term of xs with each of ys."""
+    return (((tuple(map(add, a1, a2)), tuple(map(add, b1, b2))),
+             (r1 * r2 - i1 * i2, r1 * i2 + i1 * r2))
+            for (a1, b1), (r1, i1) in xs.items()
+            for (a2, b2), (r2, i2) in ys.items())
 
 
 def _multi_indices(width: int, total: int) -> Iterable[Exponents]:
@@ -435,10 +446,7 @@ class SpherePoly:
         if c is not None:
             return other._scaled(*c, self.den)
         raw: Terms = {}
-        accumulate(raw, (((tuple(map(add, a1, a2)), tuple(map(add, b1, b2))),
-                          (r1 * r2 - i1 * i2, r1 * i2 + i1 * r2))
-                         for (a1, b1), (r1, i1) in self.nums.items()
-                         for (a2, b2), (r2, i2) in other.nums.items()))
+        accumulate(raw, _term_products(self.nums, other.nums))
         return SpherePoly.from_nums(self.n, reduce_nums(self.n, raw),
                                     self.den * other.den)
 
@@ -550,6 +558,28 @@ class SpherePoly:
         return f"SpherePoly(n={self.n}, {self.to_grammar()})"
 
 
+def sum_of_products(n: int, items: Iterable[tuple[SpherePoly, Terms, int]]
+                    ) -> SpherePoly:
+    """sum x * (ys / d) over the items (x, ys, d), reduced once.
+
+    Each second factor is a numerator map ys over a positive denominator
+    d.  Every term-pair product goes into one raw term map over the lcm
+    of the items' denominators, which is reduced once; normal forms are
+    unique, so this equals the sum of the reduced products.
+    """
+    used = []
+    for x, ys, d in items:
+        if x.n != n:
+            raise ValueError(f"dimension mismatch: n={x.n} vs n={n}")
+        if x.nums and ys:
+            used.append((x, ys, x.den * d))
+    den = math.lcm(*(d for _, _, d in used))
+    raw: Terms = {}
+    for x, ys, d in used:
+        accumulate(raw, _term_products(x.nums, ys), den // d)
+    return SpherePoly.from_nums(n, reduce_nums(n, raw), den)
+
+
 def _constant_nums(p: SpherePoly) -> Gaussian | None:
     """The numerator of a constant polynomial p (0 included), else None."""
     if len(p.nums) > 1:
@@ -595,20 +625,36 @@ def _moments(n: int, diag: list[tuple[Exponents, Gaussian]],
     return ExactScalar(Fraction(re_sum, d), Fraction(im_sum, d))
 
 
-def norm2(p: SpherePoly) -> ExactScalar:
-    """L^2 norm squared in the probability measure, int p * conj(p).
-
-    The product of c z^a zbar^b and conj(c') z^b' zbar^a' integrates to
-    nonzero only when a - b == a' - b', so only pairs of terms with equal
-    exponent difference are summed, with no product or reduction.
-    """
-    by_shift: dict[Exponents, list] = {}
+def _shift_groups(p: SpherePoly) -> dict[Exponents, list]:
+    """p's terms (a, b, (re, im)), grouped by the exponent shift a - b."""
+    groups: dict[Exponents, list] = {}
     for (a, b), c in p.nums.items():
-        by_shift.setdefault(tuple(map(sub, a, b)), []).append((a, b, c))
+        groups.setdefault(tuple(map(sub, a, b)), []).append((a, b, c))
+    return groups
+
+
+def inner(p: SpherePoly, q: SpherePoly) -> ExactScalar:
+    """The L^2 pairing int p * conj(q) in the probability measure.
+
+    The product of c z^a zbar^b and conj(c') z^b' zbar^a' is the ambient
+    monomial z^(a+b') zbar^(b+a'), which integrates to nonzero only when
+    a - b == a' - b'; the moment rule holds for unreduced ambient
+    monomials, so only those pairs are summed, with no product and no
+    reduction.
+    """
+    p._check(q)
+    right = _shift_groups(q)
+    left = right if p is q else _shift_groups(p)
     diag = [(tuple(map(add, a1, b2)), (r1 * r2 + i1 * i2, i1 * r2 - r1 * i2))
-            for group in by_shift.values()
-            for a1, _, (r1, i1) in group for _, b2, (r2, i2) in group]
-    v = _moments(p.n, diag, p.den * p.den)
+            for shift, group in left.items()
+            for a1, _, (r1, i1) in group
+            for _, b2, (r2, i2) in right.get(shift, ())]
+    return _moments(p.n, diag, p.den * q.den)
+
+
+def norm2(p: SpherePoly) -> ExactScalar:
+    """L^2 norm squared in the probability measure, :func:`inner` (p, p)."""
+    v = inner(p, p)
     if v.im != 0:
         raise AssertionError("norm squared must be real")
     return v

@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .ring import ExactScalar, SpherePoly, Terms, accumulate
+from .ring import ExactScalar, SpherePoly, Terms, accumulate, inner
 
 __all__ = [
     "HarmonicDecomposition",
@@ -170,12 +170,12 @@ def sublaplacian(f: SpherePoly) -> SpherePoly:
 
 
 def sublaplacian_energy(f: SpherePoly) -> ExactScalar:
-    """Quadratic form -int conj(f) * sublaplacian(f).
+    """Quadratic form -int sublaplacian(f) * conj(f), one :func:`inner`.
 
     By orthogonality of the harmonic components this is the spectral
     Dirichlet sum sum lambda_{p,q,n} ||f_pq||^2.
     """
-    return -(f.conjugate() * sublaplacian(f)).integral()
+    return -inner(sublaplacian(f), f)
 
 
 def dirichlet_energy(f: SpherePoly) -> ExactScalar:

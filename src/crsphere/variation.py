@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .ring import ExactScalar, SpherePoly, TSeries2, norm2
+from .ring import ExactScalar, SpherePoly, TSeries2, inner, norm2
 from .spectral import sublaplacian, sublaplacian_energy
 from .frames import TensorField, field_apply, index_pairs, reeb, tight_expand
 
@@ -243,7 +243,7 @@ def j_hessian_via_T(e: DeformationTensor) -> ExactScalar:
     acc = ExactScalar.zero()
     for c in e.coefficients().values():
         dc = field_apply(t, c) + c * two_i
-        acc = acc + (dc * c.conjugate()).integral()
+        acc = acc + inner(dc, c)
     half = ExactScalar(0, -e.n) * acc
     return half + half.conjugate()
 

@@ -1,4 +1,12 @@
-"""Reference ambient route for the frame tests in ``test_oracle3.py``.
+"""Reference ambient routes for the frame tests.
+
+``field_apply`` below applies a tangential derivation the way
+``crsphere.frames.field_apply`` did before it summed every product into
+one reduction: one normalized product v_a d_a f or w_a dbar_a f per
+ambient coordinate, added up one at a time.  ``test_frames.py`` checks
+the one-reduction kernel against it.
+
+The rest of this module is the reference for ``test_oracle3.py``.
 
 ``crsphere.oracle3`` holds the deformed frame Z_1(t) as its components
 over the base frame (T, Z_1, Zbar_1) of ``crsphere.frames``, Z_1 = Z_12.  Here Z_1(t) is built instead as an
@@ -13,8 +21,33 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from crsphere.frames import z_field
+from crsphere.frames import FrameVector, z_field
 from crsphere.ring import ExactScalar, SpherePoly, TSeries2
+
+
+def partial(p: SpherePoly, side: int, a: int) -> SpherePoly:
+    """d/dz_a (side 0) or d/dzbar_a (side 1) of p, ``a`` 0-based."""
+    out = {}
+    for key, (re, im) in p.nums.items():
+        e = key[side]
+        if e[a]:
+            low = e[:a] + (e[a] - 1,) + e[a + 1:]
+            out[(low, key[1]) if side == 0 else (key[0], low)] = (re * e[a],
+                                                                  im * e[a])
+    return SpherePoly.from_nums(p.n, out, p.den)
+
+
+def field_apply(x: FrameVector, f: SpherePoly) -> SpherePoly:
+    """x(f), one normalized product per ambient coefficient of x."""
+    v, w = x.ambient()
+    out = SpherePoly.zero(f.n)
+    for a in range(f.n + 1):
+        if not v[a].is_zero():
+            out = out + v[a] * partial(f, 0, a)
+        if not w[a].is_zero():
+            out = out + w[a] * partial(f, 1, a)
+    return out
+
 
 N = 1
 _ZS = (SpherePoly.z(N, 1), SpherePoly.z(N, 2))

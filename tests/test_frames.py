@@ -15,6 +15,7 @@ from crsphere.frames import (FrameVector, TensorField, bracket, contact_form,
                              tight_expand, z_field, zbar_field)
 from crsphere.verify import monomial_pool
 
+import ambient_frame
 from test_ring import polys, scalars, z, w
 
 I = ExactScalar(0, 1)
@@ -74,7 +75,8 @@ def test_derivation_rule(f, g):
 @given(st.integers(1, 3).flatmap(lambda n: polys(n=n)), st.integers(0, 3),
        st.integers(0, 1))
 def test_partial_output_is_normal_form(p, a, side):
-    out = frames._partial(p, side, a % (p.n + 1))
+    out = SpherePoly.from_nums(p.n, frames._partial(p, side, a % (p.n + 1)),
+                               p.den)
     assert SpherePoly(p.n, dict(out.terms)) == out
 
 
@@ -358,6 +360,32 @@ def test_gram_built_once_per_n(monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("n, examples", [(2, 30), (3, 10)])
+def test_tight_expand_matches_entrywise_sum(n, examples):
+    """c'[pq, rs] = sum over the entries of H[jk, pq] c[jk, lm] H[lm, rs],
+    each product reduced on its own, gives the same keys, in the same
+    order, with the same nums and den."""
+    h, pairs = frames._gram_right(n), index_pairs(n)
+
+    @settings(max_examples=examples, deadline=None)
+    @given(tensors(n), tensors(n, symmetric=True))
+    def check(t, u):
+        t = TensorField(n, {**t.coeffs, **u.coeffs})
+        want = {}
+        for pq in pairs:
+            for rs in pairs:
+                acc = SpherePoly.zero(n)
+                for (jk, lm), c in t.coeffs.items():
+                    acc = acc + h[(jk, pq)] * c * h[(lm, rs)]
+                if not acc.is_zero():
+                    want[(pq, rs)] = acc
+        got = tight_expand(t).coeffs
+        assert list(got) == list(want)
+        assert all(same_normal_form(got[k], want[k]) for k in want)
+
+    check()
+
+
 @pytest.mark.parametrize("n, examples", [(2, 40), (3, 20)])
 def test_lowered_form_reads_canonical_coefficients(n, examples):
     pairs = index_pairs(n)
@@ -468,3 +496,106 @@ def test_from_ambient_rejects_non_tangential():
         FrameVector.from_ambient(
             n, [SpherePoly.one(n), SpherePoly.zero(n)],
             [SpherePoly.zero(n), SpherePoly.zero(n)])
+
+
+# -- one-reduction field application and shared frame fields -------------------------
+
+def same_normal_form(got: SpherePoly, want: SpherePoly) -> bool:
+    return got.n == want.n and got.nums == want.nums and got.den == want.den
+
+
+def orders(r) -> tuple:
+    """The coefficients of a series; a polynomial is its own order 0."""
+    if isinstance(r, TSeries2):
+        return r.c0, r.c1, r.c2
+    return r, SpherePoly.zero(r.n), SpherePoly.zero(r.n)
+
+
+@pytest.mark.parametrize("n, examples", [(1, 40), (2, 20), (3, 10)])
+def test_field_apply_matches_per_coordinate_route(n, examples):
+    """The one-reduction kernel gives the reference's nums and den: on
+    every frame field over the degree-2 monomials and over random
+    polynomials, and on vectors with random polynomial slots."""
+    fields = frame_fields(n)
+    for x in fields:
+        for _, f in monomial_pool(n, 2):
+            assert same_normal_form(field_apply(x, f),
+                                    ambient_frame.field_apply(x, f))
+
+    @settings(max_examples=examples, deadline=None)
+    @given(polys(n), slot_tuples(n), slot_tuples(n))
+    def check(f, slots, more):
+        for x in fields + [FrameVector(n, slots)]:
+            assert same_normal_form(field_apply(x, f),
+                                    ambient_frame.field_apply(x, f))
+        # a vector with series slots applies each order's vector
+        x = FrameVector(n, map(TSeries2, slots, more))
+        got, want = field_apply(x, f), ambient_frame.field_apply(x, f)
+        assert all(map(same_normal_form, orders(got), orders(want)))
+
+    check()
+
+
+@pytest.mark.parametrize("n, examples", [(1, 20), (2, 10), (3, 5)])
+def test_df_of_series_matches_per_coordinate_route(n, examples):
+    @settings(max_examples=examples, deadline=None)
+    @given(polys(n), polys(n))
+    def check(f, g):
+        s = TSeries2(f, g.conjugate(), f * g)
+        for got, x in zip(frames.df(s), frame_fields(n)):
+            for c, want in zip(orders(got), orders(s)):
+                assert same_normal_form(
+                    c, ambient_frame.field_apply(x, want))
+
+    check()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_frame_fields_are_shared(n):
+    assert reeb(n) is reeb(n)
+    assert all(a is b for a, b in zip(frame_fields(n), frame_fields(n)))
+    assert tuple(frame_fields(n)) == frames._frame(n)
+
+
+def counting_coordinates(monkeypatch) -> list:
+    """Record every SpherePoly.z and SpherePoly.w call from now on."""
+    calls = []
+    for name in ("z", "w"):
+        original = getattr(SpherePoly, name)
+
+        def counting(*args, _original=original):
+            calls.append(args)
+            return _original(*args)
+        monkeypatch.setattr(SpherePoly, name, staticmethod(counting))
+    return calls
+
+
+def test_warm_covariant_Z_builds_no_coordinate(monkeypatch):
+    def run():
+        return [covariant_Z(z_field(2, 1, 2), zbar_field(2, *jk))
+                for jk in index_pairs(2)]
+    first = run()
+    calls = counting_coordinates(monkeypatch)
+    assert run() == first
+    assert calls == []
+
+
+def test_warm_j_hessian_via_T_builds_no_coordinate(monkeypatch):
+    from crsphere.variation import DeformationTensor, j_hessian_via_T
+    a, b = index_pairs(2)[:2]
+    c = SpherePoly.constant(2, Fraction(-2, 3)) + w(2, 1) * ExactScalar(0, 4)
+    e = DeformationTensor.from_tensor(TensorField(2, {(a, b): c, (b, a): c}))
+    first = j_hessian_via_T(e)
+    calls = counting_coordinates(monkeypatch)
+    assert j_hessian_via_T(e) == first
+    assert calls == []
+
+
+@pytest.mark.parametrize("cls", [FrameVector, frames.FrameForm])
+def test_slot_tuple_rejects_mixed_rings(cls):
+    p, s = SpherePoly.one(1), TSeries2.zero(1)
+    for slots in ((p, s, s), (s, p, p)):
+        with pytest.raises(ValueError, match="mix polynomial and series"):
+            cls(1, slots)
+    assert cls(1, (p, p, p)).slots == (p, p, p)
+    assert cls(1, (s, s, s)).slots == (s, s, s)

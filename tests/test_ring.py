@@ -5,9 +5,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from crsphere import ring
 from crsphere.ring import (ExactScalar, SpherePoly, TSeries2, parse_poly,
-                           parse_scalar, norm2, volume_factor, PolyParseError,
-                           MAX_TERM_DEGREE)
+                           parse_scalar, inner, norm2, sum_of_products,
+                           volume_factor, PolyParseError, MAX_TERM_DEGREE)
 
 from conftest import coordinate_phase, oracle_monomial_integral
 
@@ -261,3 +262,79 @@ def test_norm2_real_nonnegative():
     p = z(1, 1) * ExactScalar(0, 1) + w(1, 2) * 3
     v = norm2(p)
     assert v.is_real() and v.re > 0
+
+
+# -- the product-free pairing --------------------------------------------------------
+
+def paired_polys():
+    """(p, q) at n = 1..3 with q = s p + z_j zbar_j p + r: q shares p's
+    exponent shifts a - b, on the same and on different monomials, so
+    the pairing sums cross terms with a != b."""
+    def build(n):
+        return st.tuples(polys(n), polys(n), scalars(),
+                         st.integers(1, n + 1)).map(
+            lambda t: (t[0], t[0] * t[2] + t[0] * z(n, t[3]) * w(n, t[3])
+                       + t[1]))
+    return st.integers(1, 3).flatmap(build)
+
+
+@given(paired_polys())
+def test_inner_matches_product_route(pq):
+    p, q = pq
+    assert inner(p, q) == (p * q.conjugate()).integral()
+    assert inner(q, p) == inner(p, q).conjugate()
+    assert inner(p, p) == (p * p.conjugate()).integral() == norm2(p)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_inner_edge_cases(n):
+    zero = SpherePoly.zero(n)
+    c = SpherePoly.constant(n, ExactScalar(Fraction(2, 3), -1))
+    f = z(n, 1) * w(n, n + 1) * ExactScalar(1, 2) + z(n, n + 1) * w(n, 1) \
+        + Fraction(1, 2)
+    for p, q in ((zero, zero), (zero, f), (f, zero), (c, c), (c, f), (f, c),
+                 (f, f), (f, f * w(n, 1) * z(n, n + 1))):
+        assert inner(p, q) == (p * q.conjugate()).integral()
+        assert inner(q, p) == inner(p, q).conjugate()
+    assert inner(zero, f) == ExactScalar.zero()
+    assert inner(c, c) == ExactScalar(c.constant_term().abs2())
+
+
+def test_inner_rejects_dimension_mismatch():
+    with pytest.raises(ValueError):
+        inner(z(1, 1), z(2, 1))
+
+
+def test_inner_multiplies_and_reduces_nothing(monkeypatch):
+    n = 2
+    p = (z(n, 1) + w(n, 2) * ExactScalar(0, 3)) ** 2 + z(n, 3) * w(n, 1)
+    q = p * z(n, 2) * w(n, 2) + p * Fraction(1, 3) + w(n, 3)
+    calls = []
+    for owner, name in ((SpherePoly, "__mul__"), (SpherePoly, "__rmul__"),
+                        (ring, "reduce_nums")):
+        original = getattr(owner, name)
+
+        def wrapper(*args, _original=original, _name=name):
+            calls.append(_name)
+            return _original(*args)
+        monkeypatch.setattr(owner, name, wrapper)
+    inner(p, q)
+    inner(q, p)
+    norm2(p)
+    assert calls == []
+
+
+# -- the one-reduction sum of products -----------------------------------------------
+
+@given(st.integers(1, 3).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.tuples(polys(n), polys(n)), max_size=3))))
+def test_sum_of_products_matches_summed_products(case):
+    n, pairs = case
+    got = sum_of_products(n, [(x, y.nums, y.den) for x, y in pairs])
+    want = sum((x * y for x, y in pairs), SpherePoly.zero(n))
+    assert (got.nums, got.den) == (want.nums, want.den)
+
+
+def test_sum_of_products_rejects_dimension_mismatch():
+    with pytest.raises(ValueError):
+        sum_of_products(2, [(z(1, 1), z(2, 1).nums, 1)])

@@ -1,10 +1,12 @@
 """Brute-force structure-equation verifier on S^3.
 
 Given a polynomial deformation coefficient E, the holomorphic frame field
-is deformed along Z_1(t) = (1 + t^2 g)(Z_1 - i t E Zbar_1), where the
-real renormalizer g keeps the Levi norm of Z_1(t) at 1.  That norm is the
-determinant of the duality system, so the dual coframe needs no division,
-and neither do the Cramer solves over the truncated series ring that give
+is deformed along the closed form Z_1(t) = m0 Z_1 + m1 Zbar_1 with
+m1 = -i t E and m0 = 1 + |m1|^2 / 2; nothing is solved for.  Its Levi
+norm |m0|^2 - |m1|^2 = 1 + |m1|^4 / 4 is 1 through t^3, and that one
+series, asserted to be 1 as a whole, is also the determinant of the
+duality system.  So the dual coframe needs no division, and neither do
+the Cramer solves over the truncated series ring that give
 the connection form w(t), torsion A(t) and Webster curvature W(t) from
 the Cartan structure equation
 
@@ -34,8 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .ring import ExactScalar, SpherePoly, TSeries2
-from .frames import (FrameForm, FrameVector, conjugate, d,
-                     field_apply, form_eval, reeb, wedge, z_field,
+from .frames import (conjugate, d, field_apply, reeb, wedge, z_field,
                      zbar_field)
 from .variation import DeformationTensor, j_hessian
 
@@ -77,6 +78,8 @@ _S_ZERO = TSeries2.zero(_N)
 _S_ONE = TSeries2.constant(_N, 1)
 # The contact form theta as a series 1-form.
 _THETA = (_S_ONE, _S_ZERO, _S_ZERO)
+# m0 = 1 + w |m1|^2 has Levi norm 1 + (2w - 1)|m1|^2 + w^2 |m1|^4: w = 1/2.
+_RENORMALIZER_WEIGHT = Fraction(1, 2)
 
 
 def _levi_norm(x) -> TSeries2:
@@ -95,7 +98,8 @@ class DeformedCoframe:
     """Deformed frame/coframe pair on S^3, exact to second order.
 
     ``z1`` is Z_1(t) and ``theta1`` is theta^1(t), both as slot triples
-    over the base frame and coframe.
+    over the base frame and coframe; ``gamma`` = |E|^2 / 2 is the t^2
+    coefficient of the renormalizer m0, before the phase.
     """
 
     e: SpherePoly
@@ -106,53 +110,34 @@ class DeformedCoframe:
 
 def deform_frame(e: SpherePoly, second_order_tweak: SpherePoly | None = None,
                  phase: ExactScalar | None = None) -> DeformedCoframe:
-    """Deform the frame along E and solve the dual coframe.
+    """Deform the frame along E and state the dual coframe.
 
-    Z_1(t) = (1 + t^2 g)(Z_1 - i t E Zbar_1), with g the unique real
-    renormalizer keeping the Levi norm at 1 through second order.  An
-    optional second-order tweak adds -i t^2 G Zbar_1, changing the path
-    but not its first-order data; an optional unit phase u multiplies the
-    frame.  Over the base frame Z_1(t) has slots (0, m0, m1), so the base
-    coframe's Gram on (Z_1(t), Zbar_1(t)) is [[m0, m1], [conj m1, conj m0]],
-    whose determinant D = |m0|^2 - |m1|^2 is the Levi norm of Z_1(t).  The
-    renormalizer makes D = 1, so the dual form is theta^1(t) = conj(m0)
-    theta^1 - conj(m1) theta^1bar.  The duality conditions and D = 1 are
-    asserted, not assumed.
+    Over the base frame Z_1(t) has slots (0, m0, m1) with m1 = -i(t E +
+    t^2 G), G an optional second-order tweak that changes the path but not
+    its first-order data, and m0 = 1 + |m1|^2 / 2, the real renormalizer
+    whose t^2 coefficient is ``gamma``; an optional unit phase u
+    multiplies the frame.  The base coframe's Gram on (Z_1(t), Zbar_1(t))
+    is [[m0, m1], [conj m1, conj m0]], and its determinant, the Levi norm
+    D = |m0|^2 - |m1|^2 = 1 + |m1|^4 / 4, is 1 through t^3.  So the dual
+    form is theta^1(t) = conj(m0) theta^1 - conj(m1) theta^1bar, and
+    D = theta^1(t)(Z_1(t)) is the one series asserted to be 1.
     """
     if e.n != _N:
         raise ValueError("the structure-equation verifier runs on S^3")
     zero = SpherePoly.zero(_N)
     quad = (zero if second_order_tweak is None
             else second_order_tweak * ExactScalar(0, -1))
-    raw = (_S_ZERO, _S_ONE, TSeries2(zero, e * ExactScalar(0, -1), quad))
-
-    nrm = _levi_norm(raw)
-    if not (nrm.c0 == SpherePoly.one(_N) and nrm.c1.is_zero()):
-        raise AssertionError("unexpected low-order Levi defect")
-    if nrm.c2 != nrm.c2.conjugate():
-        raise AssertionError("Levi defect must be real")
-    gamma = nrm.c2 * Fraction(-1, 2)
-    scale = TSeries2(SpherePoly.one(_N), zero, gamma)
-    z1t = tuple(x * scale for x in raw)
-    if _levi_norm(z1t) != _S_ONE:
-        raise AssertionError("Levi renormalization failed")
+    m1 = TSeries2(zero, e * ExactScalar(0, -1), quad)
+    m0 = _S_ONE + m1 * m1.conjugate() * _RENORMALIZER_WEIGHT
+    z1t = (_S_ZERO, m0, m1)
     if phase is not None:
         if phase.abs2() != 1:
             raise ValueError("frame phase must be a unit scalar")
         z1t = tuple(x * phase for x in z1t)
-
-    th, m0, m1 = z1t
-    theta1 = (_S_ZERO, m0.conjugate(), -m1.conjugate())
-    if _levi_norm(theta1) != _S_ONE:
-        raise AssertionError("coframe system must have unit determinant")
-    form, z1 = FrameForm(_N, theta1), FrameVector(_N, z1t)
-    if form_eval(form, z1) != _S_ONE:
-        raise AssertionError("duality theta^1(Z_1) = 1 failed")
-    if form_eval(form, z1.conjugate()) != _S_ZERO:
-        raise AssertionError("duality theta^1(Zbar_1) = 0 failed")
-    if th != _S_ZERO:
-        raise AssertionError("deformed frame left the contact distribution")
-    return DeformedCoframe(e=e, gamma=gamma, z1=z1t, theta1=theta1)
+    if _levi_norm(z1t) != _S_ONE:
+        raise AssertionError("Levi norm D of Z_1(t) must be 1")
+    theta1 = (_S_ZERO, z1t[T1].conjugate(), -z1t[T1B].conjugate())
+    return DeformedCoframe(e=e, gamma=m0.c2, z1=z1t, theta1=theta1)
 
 
 # -- structure equation -------------------------------------------------------

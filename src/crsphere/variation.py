@@ -27,7 +27,7 @@ from fractions import Fraction
 
 from .ring import ExactScalar, SpherePoly, TSeries2, inner, norm2
 from .spectral import sublaplacian, sublaplacian_energy
-from .frames import TensorField, field_apply, index_pairs, reeb, tight_expand
+from .frames import TensorField, covariant_T, index_pairs, tight_expand
 
 __all__ = [
     "DeformationTensor",
@@ -234,16 +234,17 @@ def j_hessian_via_T(e: DeformationTensor) -> ExactScalar:
     """Second variation through the transverse covariant derivative.
 
     Computes -i n int <nabla_T E, E> + conj with the genuine derivation
-    (no mode splitting); must equal j_hessian(e).total for every input.
+    (no mode splitting), nabla_T E from ``covariant_T``; a coefficient it
+    drops as zero pairs to 0.  Must equal j_hessian(e).total for every
+    input.
     """
     if e.asymmetries:
         raise ValueError("deformation tensor has asymmetric lowered form")
-    t = reeb(e.n)
-    two_i = ExactScalar(0, 2)
+    coeffs = e.coefficients()
+    nabla = covariant_T(TensorField(e.n, coeffs)).coeffs
     acc = ExactScalar.zero()
-    for c in e.coefficients().values():
-        dc = field_apply(t, c) + c * two_i
-        acc = acc + inner(dc, c)
+    for k, dc in nabla.items():
+        acc = acc + inner(dc, coeffs[k])
     half = ExactScalar(0, -e.n) * acc
     return half + half.conjugate()
 

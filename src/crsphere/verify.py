@@ -264,6 +264,11 @@ def run_ring_suite(cfg: SuiteConfig) -> list[CheckRecord]:
     return recs
 
 
+def _eigenvalue(p: int, q: int, n: int) -> Fraction:
+    """lambda(p,q,n) = p q + n (p+q)/2, independent of ``spectral``'s table."""
+    return Fraction(p * q) + Fraction(n * (p + q), 2)
+
+
 def run_spectral_suite(cfg: SuiteConfig) -> list[CheckRecord]:
     n = cfg.n
     recs: list[CheckRecord] = []
@@ -272,18 +277,17 @@ def run_spectral_suite(cfg: SuiteConfig) -> list[CheckRecord]:
     # eigenvalue table
     for p, q in sorted((p, q) for p in range(5) for q in range(5)
                        if 0 < p + q <= 4):
-        lam = spectral.eigenvalue(p, q, n)
-        recs.append(_rec(f"eigenvalue[{p},{q},{n}]",
-                         Fraction(p * q) + Fraction(n * (p + q), 2), lam))
+        recs.append(_rec(f"eigenvalue[{p},{q},{n}]", _eigenvalue(p, q, n),
+                         spectral.eigenvalue(p, q, n)))
 
     for name, f in pool:
         dec = spectral.harmonic_decompose(f)
         recs.append(_rec(f"decompose.reconstruct[{name}]", f,
                          dec.reconstruct()))
-        # eigen property on each component
+        # eigen property on each component, against the formula
         ok = True
         for (p, q), comp in dec.components.items():
-            lam = ExactScalar(spectral.eigenvalue(p, q, n))
+            lam = ExactScalar(_eigenvalue(p, q, n))
             if spectral.sublaplacian(comp) != comp * lam * -1:
                 ok = False
         recs.append(_rec_bool(f"decompose.eigen[{name}]", ok))
@@ -334,10 +338,6 @@ def run_frames_suite(cfg: SuiteConfig) -> list[CheckRecord]:
     for n in range(1, cfg.n + 1):
         pairs = frames.index_pairs(n)
         t = frames.reeb(n)
-        relation = SpherePoly.zero(n)
-        for j in range(1, n + 2):
-            relation = relation + SpherePoly.z(n, j) * SpherePoly.w(n, j)
-
         for (j, k) in pairs:
             zjk = frames.z_field(n, j, k)
             recs.append(_rec_bool(f"bracket[T,Z{j}{k}]@n={n}",

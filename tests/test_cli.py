@@ -328,6 +328,9 @@ def _pinned(n, digest, *flags):
     _pinned(2, "9f40802f2fa02cf65eef4bdd2834e62d2f0873836bcb02d5f69d1fc78bfcc02c"),
     _pinned(1, "f2a41826d277389acd82fa9b6563777447d6a115a2f5f9effc3eaddd63dcc3bd",
             "--degree", "4", "--suites", "oracle3"),
+    # the one pinned pool whose E reach modes -6..6 through the renormalizer
+    _pinned(1, "8a0dfb3969d2992175923834621b4fc2096778476391f46ee47036d22cca736f",
+            "--degree", "6", "--suites", "oracle3"),
 ])
 def test_verify_report_bytes_pinned(tmp_path, capsys, n, flags, digest):
     out = tmp_path / "r.txt"
@@ -423,16 +426,22 @@ def test_analyze_oracle_solves_structure_once(tmp_path, capsys, monkeypatch):
 def test_oracle_solve_multiplies_few_polynomials(monkeypatch):
     """Zero series coefficients and lifted scalars cost no product, a
     constant factor runs no term-pair loop, and the exterior derivative
-    applies no field to a zero coefficient or to its own slot."""
+    applies no field to a zero coefficient or to its own slot.  The
+    deformed frame is stated, not solved for, and its one Levi-norm
+    series is computed once."""
     e = parse_poly("(1/1,0/1) w1 w2^3", 1)
     oracle3.solve_structure(oracle3.deform_frame(e))    # warm frame tables
     products = [_counting(monkeypatch, SpherePoly, name)
                 for name in ("__mul__", "__rmul__")]
     loops = _counting_bindings(monkeypatch, ring, "reduce_nums")
     fields = _counting(monkeypatch, frames, "field_apply")
-    oracle3.solve_structure(oracle3.deform_frame(e))
-    assert sum(map(len, products)) <= 64       # 110 reducing per coordinate
-    assert len(loops) <= 24                    # 31 reducing per coordinate
+    norms = _counting(monkeypatch, oracle3, "_levi_norm")
+    cf = oracle3.deform_frame(e)
+    assert sum(map(len, products)) <= 7        # 22 solving for the renormalizer
+    assert len(norms) == 1                     # 3 recomputing D
+    oracle3.solve_structure(cf)
+    assert sum(map(len, products)) <= 49       # 110 reducing per coordinate
+    assert len(loops) <= 22                    # 31 reducing per coordinate
     assert len(fields) <= 16                   # 36 on every coefficient
 
 
@@ -467,10 +476,11 @@ def test_wrong_constant_fails_the_gate(tmp_path, capsys, monkeypatch):
 
 def test_wrong_eigenvalue_fails_the_eigen_check(tmp_path, capsys,
                                                monkeypatch):
-    # The operator reads the table per term bidegree, not per harmonic
-    # component, so a wrong table fails the eigen records as well as the
-    # eigenvalue rows.  The table is the integer 2 * lambda, which both
-    # the operator and spectral.eigenvalue read.
+    # The table is the integer 2 * lambda, which both the operator and
+    # spectral.eigenvalue read.  The eigen records compare each harmonic
+    # component with -lambda times itself, lambda from verify's own
+    # formula, so every nonconstant component fails: 14 of the 15 at
+    # degree 2, where only the constant has lambda = 0.
     true_table = spectral._double_eigenvalue
     monkeypatch.setattr(spectral, "_double_eigenvalue",
                         lambda p, q, n: 2 * true_table(p, q, n))
@@ -479,7 +489,9 @@ def test_wrong_eigenvalue_fails_the_eigen_check(tmp_path, capsys,
                      "--suites", "spectral", "--samples", "0",
                      "--output", str(out))
     assert code == 1
-    assert "FAIL decompose.eigen[" in out.read_text()
+    report = out.read_text()
+    assert report.count("decompose.eigen[") == 15
+    assert report.count("FAIL decompose.eigen[") == 14
 
 
 def test_wrong_box_factor_fails_the_eigen_check(tmp_path, capsys,

@@ -221,30 +221,32 @@ def test_base_coframe_is_dual_to_frame():
 
 
 def test_levi_renormalization_check_can_fail(monkeypatch):
-    """A renormalizer read off a spoiled Levi defect (z_1 zbar_1 t^2 added)
-    leaves Z_1(t) off unit norm, and deform_frame says so."""
-    levi_norm = oracle3._levi_norm
-    calls = []
-
-    def spoiled(x):
-        calls.append(x)
-        out = levi_norm(x)
-        if len(calls) == 1:
-            out = out + TSeries2(SpherePoly.zero(1), None, z(1, 1) * w(1, 1))
-        return out
-
-    monkeypatch.setattr(oracle3, "_levi_norm", spoiled)
-    with pytest.raises(AssertionError, match="Levi renormalization failed"):
+    """A renormalizer m0 = 1 + |m1|^2 / 3 in place of 1 + |m1|^2 / 2
+    leaves the Levi norm D of Z_1(t) at 1 - t^2 |E|^2 / 3, and
+    deform_frame says so."""
+    monkeypatch.setattr(oracle3, "_RENORMALIZER_WEIGHT", Fraction(1, 3))
+    with pytest.raises(AssertionError, match="Levi norm D of Z_1"):
         deform_frame(z(1, 1) * w(1, 2))
 
 
 def test_unit_determinant_check_can_fail(monkeypatch):
     """A non-unit phase that slips past the phase guard scales Z_1(t)
-    after its renormalization; the coframe determinant check catches it."""
+    after its renormalization; the one Levi-norm check catches it."""
     monkeypatch.setattr(ExactScalar, "abs2", lambda self: Fraction(1))
-    with pytest.raises(AssertionError,
-                       match="coframe system must have unit determinant"):
+    with pytest.raises(AssertionError, match="Levi norm D of Z_1"):
         deform_frame(z(1, 1) * w(1, 2), phase=ExactScalar(2))
+
+
+@VARIANTS
+def test_coframe_is_dual_to_deformed_frame(kw):
+    """theta^1(t)(Z_1(t)) = 1 and theta^1(t)(Zbar_1(t)) = 0, paired by
+    frames' general slot pairing: deform_frame asserts only D = 1, which
+    at n = 1 (Gram H = 1) is the first of these."""
+    for name, e in monomial_pool(1, 3):
+        cf = deform_frame(e, **kw)
+        form, z1 = frames.FrameForm(1, cf.theta1), frames.FrameVector(1, cf.z1)
+        assert form_eval(form, z1) == TSeries2.constant(1, 1), name
+        assert form_eval(form, z1.conjugate()) == TSeries2.zero(1), name
 
 
 @pytest.mark.parametrize("c", [ExactScalar(2),

@@ -15,7 +15,7 @@ from .spectral import (HarmonicDecomposition, harmonic_decompose,
 from .frames import (FrameVector, FrameForm, TensorField, index_pairs,
                      reeb, z_field, zbar_field, contact_form, theta_form,
                      thetabar_form, field_apply, form_eval, levi_pairing,
-                     sharp_pairing, sharp_inverse, bracket, covariant_T,
+                     sharp_pairing, bracket, covariant_T,
                      covariant_Z, tight_expand)
 from .variation import (DeformationTensor, HessianReport, validate_symmetry,
                         fourier_modes, is_embeddable, j_hessian,

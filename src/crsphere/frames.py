@@ -66,7 +66,6 @@ __all__ = [
     "d",
     "levi_pairing",
     "sharp_pairing",
-    "sharp_inverse",
     "bracket",
     "covariant_T",
     "covariant_Z",
@@ -153,11 +152,6 @@ class _SlotTuple:
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self.n == other.n and self.slots == other.slots
 
     def __repr__(self):
         parts = [f"{i}:{c!r}" for i, c in enumerate(self.slots)
@@ -283,9 +277,21 @@ def zbar_field(n: int, j: int, k: int) -> FrameVector:
 
 
 class FrameForm(_SlotTuple):
-    """Degree-1 form: its slots over (theta, theta_jk..., thetabar_jk...)."""
+    """Degree-1 form: its slots over (theta, theta_jk..., thetabar_jk...).
+
+    For n >= 2 the coframe is overcomplete, so equal forms can have
+    different slots; two forms are equal when they agree on every frame
+    field, since the frame spans.
+    """
 
     __slots__ = ()
+
+    def __eq__(self, other):
+        if not isinstance(other, FrameForm):
+            return NotImplemented
+        return self.n == other.n and all(
+            _pair(self.slots, x.slots) == _pair(other.slots, x.slots)
+            for x in _frame(self.n))
 
 
 def contact_form(n: int) -> FrameForm:
@@ -440,15 +446,6 @@ def sharp_pairing(v: FrameVector, wbar: FrameVector) -> SpherePoly:
     va, _ = v.ambient()
     _, wb = wbar.ambient()
     return sum(map(mul, va, wb), SpherePoly.zero(v.n))
-
-
-def sharp_inverse(x: FrameVector) -> FrameForm:
-    """Map the antiholomorphic frame field Zbar_jk to its form theta_jk."""
-    p = len(_slot_of(x.n))
-    used = [s for s, c in enumerate(x.slots) if not c.is_zero()]
-    if len(used) != 1 or used[0] <= p or x.slots[used[0]] != 1:
-        raise ValueError("sharp_inverse expects one antiholomorphic frame field")
-    return FrameForm(x.n, _unit(x.n, used[0] - p))
 
 
 def bracket(x: FrameVector, y: FrameVector) -> FrameVector:

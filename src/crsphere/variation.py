@@ -197,15 +197,6 @@ class HessianReport:
             acc = acc + nrm
         return acc
 
-    def to_text(self) -> str:
-        lines = [f"dimension: {self.dimension}"]
-        for m, nrm, wt in self.modes:
-            lines.append(f"mode {m}: norm2 = {nrm.serialize()} "
-                         f"weighted = {wt.serialize()}")
-        lines.append(f"total: {self.total.serialize()}")
-        lines.append(f"embeddable: {'yes' if self.embeddable else 'no'}")
-        return "\n".join(lines)
-
 
 def j_hessian(e: DeformationTensor) -> HessianReport:
     """Mode-diagonal second variation: total = n sum_m (m+4) ||E^(m)||^2."""

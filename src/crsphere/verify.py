@@ -502,7 +502,6 @@ def run_oracle3_suite(cfg: SuiteConfig) -> list[CheckRecord]:
         recs.append(_rec_bool("oracle3.skipped-dimension", True))
         return recs
     pool = monomial_pool(1, cfg.degree)
-    c = ExactScalar(oracle3.SECOND_VARIATION_COEFF)
 
     solved = {}
     for name, e in pool:
@@ -510,14 +509,12 @@ def run_oracle3_suite(cfg: SuiteConfig) -> list[CheckRecord]:
         solved[name] = ps
         recs.append(_rec(f"criticality[{name}]", ExactScalar.zero(),
                          ps.webster.c1.integral()))
-        d2 = ps.webster.c2.integral() * 2
-        modes = oracle3.mode_weighted_norm(e)
-        recs.append(_rec(f"mode-formula[{name}]", modes, d2))
         via = variation.j_hessian_via_T(
             variation.DeformationTensor.from_coefficient(e))
-        recs.append(_rec(f"covariant-route[{name}]", via, d2))
-        recs.append(_rec(f"series-coefficient[{name}]", modes * c,
-                         ps.webster.c2.integral()))
+        verdict, _ = oracle3.second_derivative_check(
+            e, ps, oracle3.mode_weighted_norm(e), via)
+        recs += [CheckRecord(f"{label}[{name}]", want, got, ok)
+                 for label, want, got, ok in verdict.comparisons]
 
     # closed-form first-order slices on a diverse subset
     subset = pool[:: max(1, len(pool) // 18)]

@@ -10,7 +10,7 @@ import pytest
 
 from crsphere import cli, frames, oracle3, ring, spectral, variation
 from crsphere.cli import main, load_config, parse_deformation_file, ConfigError
-from crsphere.ring import MAX_TERM_DEGREE, SpherePoly, parse_poly
+from crsphere.ring import MAX_TERM_DEGREE, SpherePoly, TSeries2, parse_poly
 
 
 def run(capsys, *argv):
@@ -331,6 +331,10 @@ def _pinned(n, digest, *flags):
     # the one pinned pool whose E reach modes -6..6 through the renormalizer
     _pinned(1, "8a0dfb3969d2992175923834621b4fc2096778476391f46ee47036d22cca736f",
             "--degree", "6", "--suites", "oracle3"),
+    _pinned(1, "3ec172c378a367e5b355993b03902b5737e205f889b7111d7575760054e4a3f5",
+            "--degree", "4"),
+    _pinned(2, "1e420779fff922f331f616c956b9ba3418142ee195dc297b85819608cf26fc68",
+            "--degree", "4"),
 ])
 def test_verify_report_bytes_pinned(tmp_path, capsys, n, flags, digest):
     out = tmp_path / "r.txt"
@@ -428,7 +432,7 @@ def test_oracle_solve_multiplies_few_polynomials(monkeypatch):
     constant factor runs no term-pair loop, and the exterior derivative
     applies no field to a zero coefficient or to its own slot.  The
     deformed frame is stated, not solved for, and its one Levi-norm
-    series is computed once."""
+    series is computed once; the Webster series is read off d w."""
     e = parse_poly("(1/1,0/1) w1 w2^3", 1)
     oracle3.solve_structure(oracle3.deform_frame(e))    # warm frame tables
     products = [_counting(monkeypatch, SpherePoly, name)
@@ -440,8 +444,8 @@ def test_oracle_solve_multiplies_few_polynomials(monkeypatch):
     assert sum(map(len, products)) <= 7        # 22 solving for the renormalizer
     assert len(norms) == 1                     # 3 recomputing D
     oracle3.solve_structure(cf)
-    assert sum(map(len, products)) <= 49       # 110 reducing per coordinate
-    assert len(loops) <= 22                    # 31 reducing per coordinate
+    assert sum(map(len, products)) <= 36       # 49 re-expanding d w over wedges
+    assert len(loops) <= 21                    # 22 re-expanding d w over wedges
     assert len(fields) <= 16                   # 36 on every coefficient
 
 
@@ -472,6 +476,40 @@ def test_wrong_constant_fails_the_gate(tmp_path, capsys, monkeypatch):
     code, stdout, _ = run(capsys, "analyze", str(f), "--oracle")
     assert code == 1
     assert "oracle second derivative: 4/1+0/1*i [FAIL]" in stdout
+
+
+@pytest.mark.parametrize("order, fails, line", [
+    (1, ("criticality[", "first-variation["), "oracle first-variation["),
+    (2, ("mode-formula[", "covariant-route[", "series-coefficient["),
+     "oracle second derivative:")], ids=["t", "t2"])
+def test_webster_read_off_fault_fails_the_gate(tmp_path, capsys, monkeypatch,
+                                               order, fails, line):
+    """t^order added to the (t1, t1b) entry of d w, where the Webster
+    series is read off, fails verify's oracle3 suite and analyze --oracle.
+    The connection form is the 1-form with a theta part."""
+    exterior = oracle3.d
+
+    def spoiled(a):
+        out = exterior(a)
+        if a[oracle3.TH].is_zero():
+            return out
+        bump = [SpherePoly.zero(1)] * 3
+        bump[order] = SpherePoly.one(1)
+        return out[:2] + (out[2] + TSeries2(*bump),)
+
+    monkeypatch.setattr(oracle3, "d", spoiled)
+    code, _, _ = run(capsys, "verify", "--n", "1", "--degree", "1",
+                     "--suites", "oracle3", "--output",
+                     str(tmp_path / "r.txt"))
+    assert code == 1
+    report = (tmp_path / "r.txt").read_text()
+    assert all(f"FAIL {name}" in report for name in fails)
+    f = tmp_path / "d.txt"
+    f.write_text("n = 1\nE = (1/1,0/1) z1\n")
+    code, stdout, _ = run(capsys, "analyze", str(f), "--oracle")
+    assert code == 1
+    assert [x for x in stdout.splitlines()
+            if x.startswith(line) and "FAIL" in x]
 
 
 def test_wrong_eigenvalue_fails_the_eigen_check(tmp_path, capsys,

@@ -10,9 +10,9 @@ from crsphere import frames
 from crsphere.ring import ExactScalar, SpherePoly, TSeries2
 from crsphere.frames import (FrameVector, TensorField, bracket, contact_form,
                              covariant_T, covariant_Z, field_apply, form_eval,
-                             index_pairs, levi_pairing, reeb, sharp_inverse,
-                             sharp_pairing, theta_form, thetabar_form,
-                             tight_expand, z_field, zbar_field)
+                             index_pairs, levi_pairing, reeb, sharp_pairing,
+                             theta_form, thetabar_form, tight_expand,
+                             z_field, zbar_field)
 from crsphere.verify import monomial_pool
 
 import ambient_frame
@@ -147,6 +147,23 @@ def test_form_eval_matches_ambient_route(n, examples):
     check()
 
 
+def test_form_equality_compares_forms_not_slots():
+    """On S^5 the coframe is overcomplete: z3 theta_12 - z2 theta_13 +
+    z1 theta_23 vanishes on every frame field, so it equals the zero form
+    though its slots do not; distinct coframe members stay distinct."""
+    n = 2
+    zero = SpherePoly.zero(n)
+    hol = [z(n, 3), -z(n, 2), z(n, 1)]      # over index_pairs(2)
+    null = frames.FrameForm(n, [zero] + hol + [zero] * 3)
+    assert all(form_eval(null, x).is_zero() for x in frame_fields(n))
+    assert null == frames.FrameForm(n, [zero] * 7)
+    conj = frames.FrameForm(n, [zero] * 4 + [c.conjugate() for c in hol])
+    assert conj == frames.FrameForm(n, [zero] * 7)
+    assert theta_form(n, 1, 2) != theta_form(n, 1, 3)
+    assert theta_form(n, 1, 2) != thetabar_form(n, 1, 2)
+    assert contact_form(n) != frames.FrameForm(n, [zero] * 7)
+
+
 # -- exterior calculus on slot tuples ------------------------------------------------
 
 def test_base_table_at_n1():
@@ -225,14 +242,6 @@ def test_sharp_consistency_all_pairs(n):
             lhs = sharp_pairing(z_field(n, *lm), zbar_field(n, *jk))
             rhs = form_eval(theta_form(n, *jk), z_field(n, *lm))
             assert lhs == rhs
-
-
-def test_sharp_inverse():
-    assert sharp_inverse(zbar_field(1, 1, 2)) == theta_form(1, 1, 2)
-    with pytest.raises(ValueError):
-        sharp_inverse(z_field(1, 1, 2))
-    with pytest.raises(ValueError):
-        sharp_inverse(reeb(1))
 
 
 # -- tight frame --------------------------------------------------------------------

@@ -312,11 +312,10 @@ def test_base_table_fault_fires_round_curvature_check(monkeypatch, slot):
 
 
 @pytest.mark.parametrize("call, message", [
-    (1, "structure-equation residual is nonzero"),
-    (2, "curvature expansion over deformed wedges failed")])
+    (1, "structure-equation residual is nonzero")])
 def test_residual_checks_can_fail(monkeypatch, call, message):
     """A wrong Cramer solution (t z_2 added to its first output) is caught
-    by the residual check that follows that solve."""
+    by the residual check that follows the solve."""
     solve2 = oracle3._solve2
     calls = []
 
@@ -331,3 +330,24 @@ def test_residual_checks_can_fail(monkeypatch, call, message):
     with pytest.raises(AssertionError, match=message):
         series_of(z(1, 1) * w(1, 2) + SpherePoly.one(1))
     assert len(calls) == call
+
+
+def test_webster_is_read_off_d_omega(monkeypatch):
+    """solve_structure runs its one Cramer solve, for (A, x); the Webster
+    series is d w_(t1,t1b) / h, with no solve and no wedge of its own."""
+    calls = {"_solve2": [], "wedge": []}
+    for name, log in calls.items():
+        original = getattr(oracle3, name)
+
+        def counting(*args, log=log, original=original):
+            log.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(oracle3, name, counting)
+    ps = series_of(z(1, 1) * w(1, 2) + SpherePoly.one(1))
+    assert len(calls["_solve2"]) == 1
+    for log in calls.values():
+        log.clear()
+    assert oracle3.webster_series(ps.omega) == ps.webster == \
+        frames.d(ps.omega)[2] * Fraction(1, LEVI_CONSTANT)
+    assert calls == {"_solve2": [], "wedge": []}

@@ -22,6 +22,15 @@ tuple of frame derivatives, and d a = (X_i a_j - X_j a_i) + a_k d e^k with
 the d e^k tabled once per n from df and wedge: d theta = 2i sum dz_a ^
 dzbar_a, d theta_jk = 2 dz_j ^ dz_k.
 
+Image tables: a frame field is a fixed linear operator, so each member of
+the shared frame (T, Z_jk, Zbar_jk) keeps a table from normal-form
+monomial to the field's image of it, as normal-form numerators over the
+field's fixed denominator (2 for T, 1 for Z_jk and Zbar_jk).  The
+ambient route, the field's ambient coefficients times the ambient
+derivatives of the monomial, reduced, fills an entry the first time its
+monomial is met; a table grows with the distinct monomials its field is
+applied to.  Other vectors always take the ambient route.
+
 Tanaka-Webster covariant data used throughout (round structure):
 
     nabla_T Z_jk = -i Z_jk,   nabla_T Zbar_jk = +i Zbar_jk,   nabla T = 0,
@@ -40,12 +49,14 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from fractions import Fraction
 from operator import add, mul
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
-from .ring import ExactScalar, SpherePoly, Terms, TSeries2, sum_of_products
+from .ring import (ExactScalar, SpherePoly, TermKey, Terms, TSeries2,
+                   accumulate, sum_of_products)
 
 __all__ = [
     "FrameVector",
@@ -163,14 +174,17 @@ class FrameVector(_SlotTuple):
     """Tangential vector field: its slots over (T, Z_jk..., Zbar_jk...).
 
     The induced ambient derivation always annihilates sum z_a zbar_a - 1
-    because every frame element does.
+    because every frame element does.  The members of :func:`_frame` also
+    carry their image table (see :func:`field_apply`); every other vector
+    has none.
     """
 
-    __slots__ = ("_ambient",)
+    __slots__ = ("_ambient", "_table")
 
     def __init__(self, n: int, slots: Iterable[Ring]):
         super().__init__(n, slots)
         object.__setattr__(self, "_ambient", None)
+        object.__setattr__(self, "_table", None)
 
     # -- type predicates ---------------------------------------------------
     def _blocks(self) -> tuple[Slots, Slots, Slots]:
@@ -309,7 +323,14 @@ def thetabar_form(n: int, j: int, k: int) -> FrameForm:
 def field_apply(x: FrameVector, f: SpherePoly) -> Ring:
     """Apply the tangential derivation sum v_a d_a + w_a dbar_a to f.
 
-    The products v_a d_a f and w_a dbar_a f are summed with one reduction.
+    A frame field reads each monomial's image from its table: the image's
+    normal-form numerators over the field's fixed denominator, the lcm of
+    its ambient-coefficient denominators.  The images, scaled by f's
+    numerators, are summed into one term map, with no product and no
+    reduction.  A monomial met for the first time gets its entry from
+    :func:`_ambient_apply` on that monomial alone, so a table grows with
+    the distinct monomials its field is applied to.  Any other vector
+    takes the ambient route on the whole of f.
     """
     if x.n != f.n:
         raise ValueError("dimension mismatch")
@@ -318,9 +339,34 @@ def field_apply(x: FrameVector, f: SpherePoly) -> Ring:
     if isinstance(x.slots[0], TSeries2):    # x0 + t x1 + t^2 x2, term by term
         parts = zip(*((c.c0, c.c1, c.c2) for c in x.slots))
         return TSeries2(*(field_apply(FrameVector(x.n, p), f) for p in parts))
+    if x._table is None:
+        return _ambient_apply(x, f)
+    raw: Terms = {}
+    accumulate(raw, ((k, (re * r - im * i, re * i + im * r))
+                     for key, (re, im) in f.nums.items()
+                     for k, (r, i) in _image(x, key).items()))
+    return SpherePoly.from_nums(f.n, raw, x._table[0] * f.den)
+
+
+def _ambient_apply(x: FrameVector, f: SpherePoly) -> SpherePoly:
+    """x(f) from x's ambient coefficients: the products v_a d_a f and
+    w_a dbar_a f, summed with one reduction."""
     return sum_of_products(f.n, [(c, _partial(f, side, a), f.den)
                                  for side, cs in enumerate(x.ambient())
                                  for a, c in enumerate(cs) if c.nums])
+
+
+def _image(x: FrameVector, key: TermKey) -> Terms:
+    """The entry of frame field x's table for the monomial ``key``,
+    filled by the ambient route the first time it is asked for."""
+    den, images = x._table
+    image = images.get(key)
+    if image is None:
+        p = _ambient_apply(x, SpherePoly.from_nums(x.n, {key: (1, 0)}, 1))
+        s = den // p.den
+        image = images[key] = {k: (re * s, im * s)
+                               for k, (re, im) in p.nums.items()}
+    return image
 
 
 def _apply(x: FrameVector, f: Ring) -> Ring:
@@ -332,8 +378,17 @@ def _apply(x: FrameVector, f: Ring) -> Ring:
 
 @functools.cache
 def _frame(n: int) -> tuple[FrameVector, ...]:
-    """The frame (T, Z_jk..., Zbar_jk...), one field per slot."""
-    return tuple(FrameVector(n, _unit(n, s)) for s in range(_width(n)))
+    """The frame (T, Z_jk..., Zbar_jk...), one field per slot.
+
+    Each member gets an empty image table over its fixed denominator:
+    2 for T, 1 for each Z_jk and Zbar_jk.
+    """
+    frame = tuple(FrameVector(n, _unit(n, s)) for s in range(_width(n)))
+    for x in frame:
+        v, w = x.ambient()
+        object.__setattr__(x, "_table",
+                           (math.lcm(*(c.den for c in v + w)), {}))
+    return frame
 
 
 # -- the form algebra on slot tuples -----------------------------------------

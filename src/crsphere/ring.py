@@ -645,11 +645,21 @@ def inner(p: SpherePoly, q: SpherePoly) -> ExactScalar:
     p._check(q)
     right = _shift_groups(q)
     left = right if p is q else _shift_groups(p)
-    diag = [(tuple(map(add, a1, b2)), (r1 * r2 + i1 * i2, i1 * r2 - r1 * i2))
-            for shift, group in left.items()
-            for a1, _, (r1, i1) in group
-            for _, b2, (r2, i2) in right.get(shift, ())]
+    diag = [item for shift, group in left.items()
+            for item in _shift_pairs(group, right.get(shift, ()))]
     return _moments(p.n, diag, p.den * q.den)
+
+
+def _shift_pairs(left: list, right: list) -> list:
+    """The ambient monomials of int p * conj(q) from one shift group each.
+
+    Each term c z^a zbar^b of ``left`` with each c' z^a' zbar^b' of
+    ``right`` gives (a + b', c conj(c')), the exponents and numerator of
+    the product's diagonal monomial.
+    """
+    return [(tuple(map(add, a1, b2)), (r1 * r2 + i1 * i2, i1 * r2 - r1 * i2))
+            for a1, _, (r1, i1) in left
+            for _, b2, (r2, i2) in right]
 
 
 def norm2(p: SpherePoly) -> ExactScalar:

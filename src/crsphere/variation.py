@@ -25,7 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .ring import ExactScalar, SpherePoly, TSeries2, inner, norm2
+from .ring import (ExactScalar, SpherePoly, TSeries2, _moments, _shift_groups,
+                   _shift_pairs, inner, norm2)
 from .spectral import sublaplacian, sublaplacian_energy
 from .frames import TensorField, covariant_T, index_pairs, tight_expand
 
@@ -198,15 +199,33 @@ class HessianReport:
         return acc
 
 
+def _mode_norms(c: SpherePoly) -> dict[int, ExactScalar]:
+    """||c^(m)||^2 for each circle mode m of c, from one grouping of c.
+
+    A term's mode is the sum of its exponent shift a - b, and only terms
+    of equal shift pair to a nonzero integral (see ``ring.inner``), so a
+    mode's norm sums the same-shift pairs of the shifts that add up to m.
+    """
+    diags: dict[int, list] = {}
+    for shift, group in _shift_groups(c).items():
+        diags.setdefault(sum(shift), []).extend(_shift_pairs(group, group))
+    out = {}
+    for m, diag in diags.items():
+        nrm = _moments(c.n, diag, c.den * c.den)
+        if nrm.im != 0:
+            raise AssertionError("norm squared must be real")
+        out[m] = nrm
+    return out
+
+
 def j_hessian(e: DeformationTensor) -> HessianReport:
     """Mode-diagonal second variation: total = n sum_m (m+4) ||E^(m)||^2."""
     if e.asymmetries:
         raise ValueError("deformation tensor has asymmetric lowered form")
     norms: dict[int, ExactScalar] = {}
     for c in e.coefficients().values():
-        for m in c.modes():
-            norms[m] = norms.get(m, ExactScalar.zero()) \
-                + norm2(c.fourier_project(m))
+        for m, nrm in _mode_norms(c).items():
+            norms[m] = norms.get(m, ExactScalar.zero()) + nrm
     rows = []
     total = ExactScalar.zero()
     for m, nrm in sorted(norms.items()):

@@ -2,9 +2,11 @@
 
 ``field_apply`` below applies a tangential derivation the way
 ``crsphere.frames.field_apply`` did before it summed every product into
-one reduction: one normalized product v_a d_a f or w_a dbar_a f per
-ambient coordinate, added up one at a time.  ``test_frames.py`` checks
-the one-reduction kernel against it.
+one reduction and before the frame fields kept image tables: one
+normalized product v_a d_a f or w_a dbar_a f per ambient coordinate,
+added up one at a time.  ``test_frames.py`` checks against it both the
+one-reduction ambient route, which other vectors take and which fills
+the tables, and the table route of the frame fields, cold and warm.
 
 The rest of this module is the reference for ``test_oracle3.py``.
 

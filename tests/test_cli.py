@@ -335,6 +335,11 @@ def _pinned(n, digest, *flags):
             "--degree", "4"),
     _pinned(2, "1e420779fff922f331f616c956b9ba3418142ee195dc297b85819608cf26fc68",
             "--degree", "4"),
+    # the largest monomials the frame fields' image tables meet
+    _pinned(1, "4428074b3cb4ec1385324d1cc72c9f07120fd959fb6d82b4fdbc0876ee047741",
+            "--degree", "8", "--suites", "oracle3"),
+    _pinned(3, "a24af46ea3d416fc4082bbcc820ae7cb77b5ac9a31bdbd806878014c8cc957eb",
+            "--degree", "4"),
 ])
 def test_verify_report_bytes_pinned(tmp_path, capsys, n, flags, digest):
     out = tmp_path / "r.txt"
@@ -432,12 +437,15 @@ def test_oracle_solve_multiplies_few_polynomials(monkeypatch):
     constant factor runs no term-pair loop, and the exterior derivative
     applies no field to a zero coefficient or to its own slot.  The
     deformed frame is stated, not solved for, and its one Levi-norm
-    series is computed once; the Webster series is read off d w."""
+    series is computed once; the Webster series is read off d w.  A
+    frame field reads its warm images from its table, so field
+    applications form no product and reduce nothing."""
     e = parse_poly("(1/1,0/1) w1 w2^3", 1)
     oracle3.solve_structure(oracle3.deform_frame(e))    # warm frame tables
     products = [_counting(monkeypatch, SpherePoly, name)
                 for name in ("__mul__", "__rmul__")]
     loops = _counting_bindings(monkeypatch, ring, "reduce_nums")
+    sums = _counting_bindings(monkeypatch, ring, "sum_of_products")
     fields = _counting(monkeypatch, frames, "field_apply")
     norms = _counting(monkeypatch, oracle3, "_levi_norm")
     cf = oracle3.deform_frame(e)
@@ -445,8 +453,36 @@ def test_oracle_solve_multiplies_few_polynomials(monkeypatch):
     assert len(norms) == 1                     # 3 recomputing D
     oracle3.solve_structure(cf)
     assert sum(map(len, products)) <= 36       # 49 re-expanding d w over wedges
-    assert len(loops) <= 21                    # 22 re-expanding d w over wedges
+    assert len(loops) <= 5                     # 21 reducing every application
+    assert len(sums) == 0                      # 16, one per application
     assert len(fields) <= 16                   # 36 on every coefficient
+
+
+@pytest.mark.parametrize("slot, raises", [
+    (0, None), (1, None), (2, "Webster curvature must be real")],
+    ids=["T", "Z1", "Zbar1"])
+def test_poisoned_image_table_fails_the_gate(tmp_path, capsys, slot, raises):
+    """Negating the first nonempty image in the table of an n=1 frame
+    field fails the oracle3 suite, through a failed check or the solver's
+    own assertion; with the table cleared and refilled it passes again."""
+    out = tmp_path / "r.txt"
+    args = ("verify", "--n", "1", "--degree", "2", "--suites", "oracle3",
+            "--samples", "0", "--output", str(out))
+    images = frames._frame(1)[slot]._table[1]
+    images.clear()
+    try:
+        assert run(capsys, *args)[0] == 0
+        key = next(k for k, image in images.items() if image)
+        images[key] = {k: (-re, -im) for k, (re, im) in images[key].items()}
+        if raises:
+            with pytest.raises(AssertionError, match=raises):
+                run(capsys, *args)
+        else:
+            assert run(capsys, *args)[0] == 1
+            assert "  FAIL " in out.read_text()
+    finally:
+        images.clear()
+    assert run(capsys, *args)[0] == 0
 
 
 @pytest.mark.parametrize("sign, status", [("1/1", 0), ("-1/1", 1)])

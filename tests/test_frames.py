@@ -559,6 +559,85 @@ def test_df_of_series_matches_per_coordinate_route(n, examples):
     check()
 
 
+# -- image tables of the frame fields ------------------------------------------------
+
+def clear_tables():
+    for n in (1, 2, 3):
+        for x in frames._frame(n):
+            x._table[1].clear()
+
+
+@pytest.fixture
+def empty_tables():
+    clear_tables()
+    yield
+    clear_tables()
+
+
+def table_pool(n) -> list:
+    """The degree-3 monomials, then sums of four of them with Gaussian
+    rational coefficients."""
+    pool = [f for _, f in monomial_pool(n, 3)]
+    mixed = [sum((f * ExactScalar(Fraction(i + 1, 3), Fraction(-i, 2))
+                  for i, f in enumerate(pool[s:s + 4])), SpherePoly.zero(n))
+             for s in range(0, len(pool), 4)]
+    return pool + mixed
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_table_route_matches_reference_cold_and_warm(n, empty_tables):
+    """From empty tables, the first application of each frame field (which
+    fills its entries) and the second (which reads them) both give the
+    reference's nums and den."""
+    pool = table_pool(n)
+    for x in frame_fields(n):
+        cold = [field_apply(x, f) for f in pool]
+        warm = [field_apply(x, f) for f in pool]
+        for f, c, h in zip(pool, cold, warm):
+            want = ambient_frame.field_apply(x, f)
+            assert same_normal_form(c, want) and same_normal_form(h, want)
+    assert {x._table[0] for x in frame_fields(n)[1:]} == {1}
+    zero = (0,) * (n + 1)
+    e1, e2 = (1,) + zero[1:], (0, 1) + zero[2:]
+    # Z_12(z1 z2) = z1 zbar1 - z2 zbar2 needed reduction: 1 - 2 z2 zbar2 - ...
+    _, images = z_field(n, 1, 2)._table
+    assert images[((1, 1) + zero[2:], zero)][(zero, zero)] == (1, 0)
+    # T multiplies z1 zbar2 by i/2 times its mode 0: an empty image
+    den, images = reeb(n)._table
+    assert den == 2
+    assert images[(e1, e2)] == {}
+
+
+def test_warm_application_forms_no_product_and_reduces_nothing(
+        monkeypatch, empty_tables):
+    from crsphere import ring
+    cases = [(x, f, ambient_frame.field_apply(x, f))
+             for n in (1, 2) for x in frame_fields(n) for f in table_pool(n)]
+    for x, f, _ in cases:
+        field_apply(x, f)
+    calls = []
+    for module, name in ((ring, "reduce_nums"), (ring, "sum_of_products"),
+                         (frames, "sum_of_products"),
+                         (ring, "_term_products"), (frames, "_partial")):
+        original = getattr(module, name)
+
+        def counting(*args, _name=name, _original=original):
+            calls.append(_name)
+            return _original(*args)
+        monkeypatch.setattr(module, name, counting)
+    for x, f, want in cases:
+        assert same_normal_form(field_apply(x, f), want)
+    assert calls == []
+
+
+def test_non_member_vectors_have_no_table():
+    x = z_field(2, 1, 2)
+    for y in (x + zbar_field(2, 1, 3), x * w(2, 1), x.conjugate(),
+              FrameVector(2, x.slots)):
+        assert y._table is None
+    assert all(x._table is not None for x in frame_fields(2))
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_frame_fields_are_shared(n):
     assert reeb(n) is reeb(n)

@@ -199,6 +199,60 @@ def test_two_route_equality_s5():
         assert j_hessian(e).total == j_hessian_via_T(e)
 
 
+def norms_by_projection(e: DeformationTensor) -> dict:
+    """sum over coefficients c of norm2(c^(m)), for each mode m present."""
+    norms = {}
+    for c in e.coefficients().values():
+        for m in c.modes():
+            norms[m] = norms.get(m, ExactScalar.zero()) \
+                + norm2(c.fourier_project(m))
+    return norms
+
+
+def deformations(n):
+    """Deformations with coefficients of up to four terms of degree <= 3,
+    so a coefficient often spans several modes; symmetric for n >= 2."""
+    coefficient = low_degree_polys(n, max_degree=3, max_terms=4)
+    if n == 1:
+        return coefficient.map(defo)
+    pairs = index_pairs(n)
+
+    def build(entries):
+        cs = {}
+        for a, b, c in entries:
+            cs[(a, b)] = cs[(b, a)] = c
+        return DeformationTensor.from_tensor(TensorField(n, cs))
+    entry = st.tuples(st.sampled_from(pairs), st.sampled_from(pairs),
+                      coefficient)
+    return st.lists(entry, min_size=1, max_size=2).map(build)
+
+
+@pytest.mark.parametrize("n, examples", [(1, 60), (2, 25), (3, 8)])
+def test_mode_norms_match_projection_route(n, examples):
+    """j_hessian's mode norms, from one shift grouping per coefficient,
+    equal norm2 of each coefficient's mode projection, summed."""
+    def agree(e):
+        assert not e.asymmetries
+        want = {m: v for m, v in norms_by_projection(e).items()
+                if not v.is_zero()}
+        rep = j_hessian(e)
+        assert {m: nrm for m, nrm, _ in rep.modes} == want
+        assert rep.total == sum((v * (m + 4) for m, v in want.items()),
+                                ExactScalar.zero()) * n
+
+    @settings(max_examples=examples, deadline=None)
+    @given(deformations(n))
+    def check(e):
+        agree(e)
+
+    check()
+    c = z(n, 1) * w(n, 2) + w(n, 1) ** 2 + z(n, 2) * ExactScalar(0, 3)
+    e = defo(c) if n == 1 else DeformationTensor.from_tensor(
+        TensorField(n, {((1, 2), (1, 2)): c}))
+    assert [m for m, _, _ in j_hessian(e).modes] == [-2, 0, 1]
+    agree(e)
+
+
 @pytest.mark.parametrize("n, examples", [(2, 25), (3, 8)])
 def test_two_route_equality_random_symmetric(n, examples):
     @settings(max_examples=examples, deadline=None)

@@ -24,12 +24,14 @@ dzbar_a, d theta_jk = 2 dz_j ^ dz_k.
 
 Image tables: a frame field is a fixed linear operator, so each member of
 the shared frame (T, Z_jk, Zbar_jk) keeps a table from normal-form
-monomial to the field's image of it, as normal-form numerators over the
-field's fixed denominator (2 for T, 1 for Z_jk and Zbar_jk).  The
-ambient route, the field's ambient coefficients times the ambient
-derivatives of the monomial, reduced, fills an entry the first time its
-monomial is met; a table grows with the distinct monomials its field is
-applied to.  Other vectors always take the ambient route.
+monomial to the field's image of it.  Tables are keyed by packed
+monomials (see ``ring``), and an image is a map from packed monomials to
+normal-form numerators over the field's fixed denominator (2 for T, 1
+for Z_jk and Zbar_jk).  The ambient route, the field's ambient
+coefficients times the ambient derivatives of the monomial, reduced,
+fills an entry the first time its monomial is met; a table grows with
+the distinct monomials its field is applied to.  Other vectors always
+take the ambient route.
 
 Tanaka-Webster covariant data used throughout (round structure):
 
@@ -55,8 +57,8 @@ from operator import add, mul
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
-from .ring import (ExactScalar, SpherePoly, TermKey, Terms, TSeries2,
-                   accumulate, sum_of_products)
+from .ring import (_F, _M, ExactScalar, Key, SpherePoly, Terms, TSeries2,
+                   _half, accumulate, sum_of_products)
 
 __all__ = [
     "FrameVector",
@@ -130,17 +132,19 @@ def _partial(p: SpherePoly, side: int, a: int) -> Terms:
     """Numerators of d/dz_a (side 0) or d/dzbar_a (side 1) of p, over p.den.
 
     ``a`` is the 0-based coordinate index; the derivative is taken on the
-    stored representative.  Lowering one exponent keeps a term in normal
-    form and sends distinct terms to distinct terms, so the result needs
-    no reduction.
+    stored representative, and subtracts the key of z_a (or zbar_a) from
+    each term's.  Lowering one exponent keeps a term in normal form and
+    sends distinct terms to distinct terms, so the result needs no
+    reduction.
     """
+    base = side * _half(p.n)
+    s = base + (a + 1) * _F
+    unit = (1 | 1 << (a + 1) * _F) << base
     out = {}
     for key, (re, im) in p.nums.items():
-        e = key[side]
-        if e[a]:
-            low = e[:a] + (e[a] - 1,) + e[a + 1:]
-            out[(low, key[1]) if side == 0 else (key[0], low)] = (re * e[a],
-                                                                  im * e[a])
+        e = key >> s & _M
+        if e:
+            out[key - unit] = (re * e, im * e)
     return out
 
 
@@ -356,7 +360,7 @@ def _ambient_apply(x: FrameVector, f: SpherePoly) -> SpherePoly:
                                  for a, c in enumerate(cs) if c.nums])
 
 
-def _image(x: FrameVector, key: TermKey) -> Terms:
+def _image(x: FrameVector, key: Key) -> Terms:
     """The entry of frame field x's table for the monomial ``key``,
     filled by the ambient route the first time it is asked for."""
     den, images = x._table
@@ -452,19 +456,26 @@ def _d_base(n: int) -> tuple[Slots, ...]:
 def d(a: Slots) -> Slots:
     """Exterior derivative of a 1-form, as a 2-form over :func:`wedge`'s order.
 
-    The coefficient over e^i ^ e^j is X_i(a_j) - X_j(a_i) plus the a_k
-    d e^k terms of the base table.  No field is applied to a zero entry
-    or to its own slot's entry.
+    Each coefficient is :func:`_d_wedge`'s.
+    """
+    return tuple(_d_wedge(a, i, j)
+                 for i, j in itertools.combinations(range(len(a)), 2))
+
+
+def _d_wedge(a: Slots, i: int, j: int) -> Ring:
+    """The coefficient of d a over the wedge e^i ^ e^j, i < j.
+
+    It is X_i(a_j) - X_j(a_i) plus the a_k d e^k terms of the base
+    table.  No field is applied to a zero entry or to its own slot's
+    entry.
     """
     frame = _frame(a[0].n)
-    out = [_apply(frame[i], a[j]) - _apply(frame[j], a[i])
-           for i, j in itertools.combinations(range(len(a)), 2)]
+    w = i * (2 * len(a) - i - 1) // 2 + j - i - 1     # wedge order
+    out = _apply(frame[i], a[j]) - _apply(frame[j], a[i])
     for ak, dk in zip(a, _d_base(a[0].n)):
-        if not ak.is_zero():
-            for w, c in enumerate(dk):
-                if not c.is_zero():
-                    out[w] = out[w] + ak * c
-    return tuple(out)
+        if not (ak.is_zero() or dk[w].is_zero()):
+            out = out + ak * dk[w]
+    return out
 
 
 def form_eval(alpha: FrameForm, x: FrameVector) -> Ring:

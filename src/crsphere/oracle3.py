@@ -38,8 +38,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .ring import ExactScalar, SpherePoly, TSeries2
-from .frames import (conjugate, d, field_apply, reeb, wedge, z_field,
-                     zbar_field)
+from .frames import (_d_wedge, conjugate, d, field_apply, reeb, wedge,
+                     z_field, zbar_field)
 from .variation import DeformationTensor, j_hessian
 
 __all__ = [
@@ -204,9 +204,10 @@ def webster_series(omega: tuple[TSeries2, TSeries2, TSeries2]) -> TSeries2:
     curvature form is d w(t), and W is its theta^1(t) ^ theta^1bar(t)
     coefficient contracted with 1/h.  Over the base wedges theta^1(t) ^
     theta^1bar(t) = D theta^1 ^ theta^1bar, so W = d w_(t1,t1b) / (h D),
-    and D = 1 is asserted as a whole series by ``deform_frame``.
+    and D = 1 is asserted as a whole series by ``deform_frame``.  Only
+    that one wedge of d w(t) is formed.
     """
-    w = d(omega)[2] * Fraction(1, LEVI_CONSTANT)
+    w = _d_wedge(omega, T1, T1B) * Fraction(1, LEVI_CONSTANT)
     if w != w.conjugate():
         raise AssertionError("Webster curvature must be real")
     if w.c0 != SpherePoly.constant(_N, ExactScalar(FRAME_WEBSTER_CONSTANT)):

@@ -4,8 +4,9 @@ Everything in this module is exact.  Polynomials live on the unit sphere
 S^{2n+1} in C^{n+1} and are kept in a canonical normal form modulo the
 sphere relation z_1 zbar_1 + ... + z_{n+1} zbar_{n+1} = 1.  A polynomial
 stores Gaussian-integer numerators, pairs of Python ints, over one positive
-int denominator; the public scalar is :class:`ExactScalar`, a Gaussian
-rational with ``fractions.Fraction`` parts.  No floats appear anywhere here.
+int denominator; so does the public scalar :class:`ExactScalar`, a
+Gaussian rational whose ``re`` and ``im`` read as ``fractions.Fraction``.
+No floats appear anywhere here.
 
 Conventions:
 
@@ -18,6 +19,24 @@ Conventions:
   the pseudohermitian volume 2^{n+1} pi^{n+1} is carried separately as a
   symbolic factor (see :func:`volume_factor`) and never as a float.
 * The circle action z -> e^{i t} z grades monomials by m = |a| - |b|.
+
+Monomial keys: inside the kernel a monomial is one packed ``int``.  For
+dimension n it has 2(n+2) fields of ``_F`` bits: field 0 holds |a| and
+fields 1..n+1 hold a_1..a_{n+1} (the low half, ``(n+2) * _F`` bits);
+the high half holds |b| and b_1..b_{n+1} the same way.  So the product
+of two monomials is the sum of their keys, conjugation swaps the halves,
+the exponent shift a - b is the low half minus the high half (equal
+shifts give equal differences), the bidegree and the mode are read from
+the two degree fields, and a monomial integrates to nonzero exactly when
+its halves are equal.  The top bit of every field is a guard bit: a
+value must stay below ``2^(_F-1)``, so one key addition never carries
+out of a field.  :func:`_encode` rejects exponents that do not fit, and
+every product is reduced by :func:`reduce_nums`, which raises
+``OverflowError`` when a key has a guard bit set; no key ever wraps.
+Tuples ``(a, b)`` appear only at the edges: the :class:`SpherePoly`
+constructor and its ``terms`` view (so ``monomial``, ``z``, ``w`` and
+:func:`parse_poly`), ``to_grammar`` and ``sorted_terms``, through the one
+encoder :func:`_encode` and the one decoder :func:`_decode`.
 """
 
 from __future__ import annotations
@@ -26,7 +45,7 @@ import functools
 import math
 import re
 from fractions import Fraction
-from operator import add, sub
+from operator import or_
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
@@ -50,40 +69,81 @@ __all__ = [
 _RationalLike = int | Fraction
 
 
-def _frac(x: _RationalLike) -> Fraction:
+def _frac(x: _RationalLike) -> tuple[int, int]:
+    """An exact rational as (numerator, denominator) in lowest terms."""
     if isinstance(x, Fraction):
-        return x
+        return x.numerator, x.denominator
     if isinstance(x, int) and not isinstance(x, bool):
-        return Fraction(x)
+        return x, 1
     raise TypeError(f"not an exact rational: {x!r}")
 
 
-class ExactScalar:
-    """A Gaussian rational re + im*i with exact Fraction parts."""
+_set = object.__setattr__
 
-    __slots__ = ("re", "im")
+
+def _scalar(re: int, im: int, den: int) -> "ExactScalar":
+    """The ExactScalar (re + im i) / den for den > 0, put in lowest terms."""
+    g = math.gcd(re, im, den)
+    if g != 1:
+        re, im, den = re // g, im // g, den // g
+    s = object.__new__(ExactScalar)
+    _set(s, "_re", re)
+    _set(s, "_im", im)
+    _set(s, "_den", den)
+    return s
+
+
+def _split(x: "ExactScalar | _RationalLike") -> tuple[int, int, int]:
+    """An exact scalar as (re, im, den): Gaussian-integer numerators over
+    one positive denominator, in lowest terms."""
+    if isinstance(x, ExactScalar):
+        return x._re, x._im, x._den
+    num, den = _frac(x)
+    return num, 0, den
+
+
+class ExactScalar:
+    """A Gaussian rational re + im*i with exact Fraction parts.
+
+    Stored like one :class:`SpherePoly` coefficient: Gaussian-integer
+    numerators over one positive denominator, in lowest terms.
+    """
+
+    __slots__ = ("_re", "_im", "_den")
 
     def __init__(self, re: _RationalLike = 0, im: _RationalLike = 0):
-        object.__setattr__(self, "re", _frac(re))
-        object.__setattr__(self, "im", _frac(im))
+        rn, rd = _frac(re)
+        im_n, im_d = _frac(im)
+        d = math.lcm(rd, im_d)     # p/q, r/s in lowest terms: so is this
+        _set(self, "_re", rn * (d // rd))
+        _set(self, "_im", im_n * (d // im_d))
+        _set(self, "_den", d)
 
     def __setattr__(self, name, value):  # immutable
         raise AttributeError("ExactScalar is immutable")
 
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._re, self._den)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._im, self._den)
+
     # -- constructors -------------------------------------------------
     @staticmethod
     def zero() -> "ExactScalar":
-        return ExactScalar(0, 0)
+        return _scalar(0, 0, 1)
 
     @staticmethod
     def one() -> "ExactScalar":
-        return ExactScalar(1, 0)
+        return _scalar(1, 0, 1)
 
     @staticmethod
     def coerce(x: "ExactScalar | _RationalLike") -> "ExactScalar":
         if isinstance(x, ExactScalar):
             return x
-        return ExactScalar(_frac(x), 0)
+        return _scalar(*_split(x))
 
     # -- arithmetic ----------------------------------------------------
     # An operand of another type gets NotImplemented, so that a type that
@@ -91,16 +151,18 @@ class ExactScalar:
     def __add__(self, other):
         if not isinstance(other, _SCALAR_TYPES):
             return NotImplemented
-        o = ExactScalar.coerce(other)
-        return ExactScalar(self.re + o.re, self.im + o.im)
+        r, i, d = _split(other)
+        e = self._den
+        return _scalar(self._re * d + r * e, self._im * d + i * e, d * e)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         if not isinstance(other, _SCALAR_TYPES):
             return NotImplemented
-        o = ExactScalar.coerce(other)
-        return ExactScalar(self.re - o.re, self.im - o.im)
+        r, i, d = _split(other)
+        e = self._den
+        return _scalar(self._re * d - r * e, self._im * d - i * e, d * e)
 
     def __rsub__(self, other):
         return ExactScalar.coerce(other) - self
@@ -108,45 +170,47 @@ class ExactScalar:
     def __mul__(self, other):
         if not isinstance(other, _SCALAR_TYPES):
             return NotImplemented
-        o = ExactScalar.coerce(other)
-        return ExactScalar(self.re * o.re - self.im * o.im,
-                           self.re * o.im + self.im * o.re)
+        r, i, d = _split(other)
+        sr, si = self._re, self._im
+        return _scalar(sr * r - si * i, sr * i + si * r, self._den * d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = ExactScalar.coerce(other)
-        d = o.re * o.re + o.im * o.im
-        if d == 0:
+        r, i, d = _split(other)
+        n2 = r * r + i * i
+        if n2 == 0:
             raise ZeroDivisionError("division by zero ExactScalar")
-        return ExactScalar((self.re * o.re + self.im * o.im) / d,
-                           (self.im * o.re - self.re * o.im) / d)
+        # (sr + si i) / e * d (r - i i) / (r^2 + i^2)
+        sr, si = self._re, self._im
+        return _scalar((sr * r + si * i) * d, (si * r - sr * i) * d,
+                       self._den * n2)
 
     def __neg__(self):
-        return ExactScalar(-self.re, -self.im)
+        return _scalar(-self._re, -self._im, self._den)
 
     def conjugate(self) -> "ExactScalar":
-        return ExactScalar(self.re, -self.im)
+        return _scalar(self._re, -self._im, self._den)
 
     def abs2(self) -> Fraction:
-        return self.re * self.re + self.im * self.im
+        return Fraction(self._re * self._re + self._im * self._im,
+                        self._den * self._den)
 
     # -- predicates -----------------------------------------------------
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return not (self._re or self._im)
 
     def is_real(self) -> bool:
-        return self.im == 0
+        return not self._im
 
     def __bool__(self) -> bool:
         return not self.is_zero()
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = ExactScalar(other, 0)
-        if not isinstance(other, ExactScalar):
+        if not isinstance(other, _SCALAR_TYPES):
             return NotImplemented
-        return self.re == other.re and self.im == other.im
+        # lowest terms over a positive denominator are unique
+        return (self._re, self._im, self._den) == _split(other)
 
     def __hash__(self):
         return hash((self.re, self.im))
@@ -154,16 +218,16 @@ class ExactScalar:
     # -- serialization ----------------------------------------------------
     def serialize(self) -> str:
         """Canonical ``p/q+r/s*i`` string, lowest terms, round-trip exact."""
-        sign = "+" if self.im >= 0 else "-"
-        a = abs(self.im)
-        return (f"{self.re.numerator}/{self.re.denominator}"
+        sign = "+" if self._im >= 0 else "-"
+        re, a = self.re, abs(self.im)
+        return (f"{re.numerator}/{re.denominator}"
                 f"{sign}{a.numerator}/{a.denominator}*i")
 
     def __repr__(self):
         return self.serialize()
 
     def __float__(self):
-        if self.im != 0:
+        if self._im:
             raise ValueError("non-real ExactScalar has no float value")
         return float(self.re)
 
@@ -192,11 +256,47 @@ def parse_scalar(text: str) -> ExactScalar:
 
 Exponents = tuple[int, ...]
 TermKey = tuple[Exponents, Exponents]
+Key = int
 Gaussian = tuple[int, int]
-Terms = dict[TermKey, Gaussian]
+Terms = dict[Key, Gaussian]
+
+# Bits per field of a packed monomial key: one byte, so ``int.to_bytes``
+# reads every field at once.  The top bit is the guard bit, so every
+# exponent and degree stays below _CAP.
+_F = 8
+_M = (1 << _F) - 1
+_CAP = 1 << (_F - 1)
 
 
-def accumulate(dst: Terms, items: Iterable[tuple[TermKey, Gaussian]],
+def _half(n: int) -> int:
+    """Bits in one half, (|a|, a_1..a_{n+1}), of a dimension-n key."""
+    return (n + 2) * _F
+
+
+def _guard(n: int) -> int:
+    """The guard bits of all 2(n+2) fields of a dimension-n key."""
+    return ((1 << 2 * _half(n)) - 1) // _M * _CAP
+
+
+def _encode(n: int, a: Exponents, b: Exponents) -> Key:
+    """The packed key of z^a zbar^b (layout in the module docstring)."""
+    if len(a) != n + 1 or len(b) != n + 1:
+        raise ValueError("exponent tuple length must be n+1")
+    if min(a) < 0 or min(b) < 0:
+        raise ValueError(f"negative exponent in {(a, b)!r}")
+    if max(sum(a), sum(b)) >= _CAP:
+        raise ValueError(f"monomial degree {max(sum(a), sum(b))} does not "
+                         f"fit a key field (at most {_CAP - 1})")
+    return int.from_bytes(bytes((sum(a), *a, sum(b), *b)), "little")
+
+
+def _decode(n: int, key: Key) -> TermKey:
+    """The exponent tuples (a, b) of a packed key."""
+    fields = key.to_bytes(2 * n + 4, "little")
+    return tuple(fields[1:n + 2]), tuple(fields[n + 3:])
+
+
+def accumulate(dst: Terms, items: Iterable[tuple[Key, Gaussian]],
                scale: int = 1) -> None:
     """``dst[key] += scale * (re, im)`` for each item, keeping no zero term."""
     get = dst.get
@@ -213,13 +313,12 @@ def accumulate(dst: Terms, items: Iterable[tuple[TermKey, Gaussian]],
             del dst[key]
 
 
-def _term_products(xs: Mapping[TermKey, Gaussian],
-                   ys: Mapping[TermKey, Gaussian]):
-    """The unreduced ambient product of each term of xs with each of ys."""
-    return (((tuple(map(add, a1, a2)), tuple(map(add, b1, b2))),
-             (r1 * r2 - i1 * i2, r1 * i2 + i1 * r2))
-            for (a1, b1), (r1, i1) in xs.items()
-            for (a2, b2), (r2, i2) in ys.items())
+def _term_products(xs: Mapping[Key, Gaussian], ys: Mapping[Key, Gaussian]):
+    """The unreduced ambient product of each term of xs with each of ys;
+    the product of two monomials is the sum of their keys."""
+    return ((k1 + k2, (r1 * r2 - i1 * i2, r1 * i2 + i1 * r2))
+            for k1, (r1, i1) in xs.items()
+            for k2, (r2, i2) in ys.items())
 
 
 def _multi_indices(width: int, total: int) -> Iterable[Exponents]:
@@ -233,11 +332,11 @@ def _multi_indices(width: int, total: int) -> Iterable[Exponents]:
 
 
 @functools.cache
-def _sphere_power(n: int, k: int) -> tuple[tuple[Exponents, int], ...]:
+def _sphere_power(n: int, k: int) -> tuple[tuple[Key, int], ...]:
     """Normal form of z_1^k zbar_1^k, i.e. (1 - sum_{j>=2} z_j zbar_j)^k.
 
-    Each entry ``(m, c)`` is the term c z^m zbar^m; m[0] == 0 and c is the
-    signed multinomial coefficient k! / ((k - |m|)! prod m_j!).
+    Each entry ``(key, c)`` is the term c z^m zbar^m; m[0] == 0 and c is
+    the signed multinomial coefficient k! / ((k - |m|)! prod m_j!).
     """
     out = []
     for m in _multi_indices(n, k):
@@ -245,7 +344,7 @@ def _sphere_power(n: int, k: int) -> tuple[tuple[Exponents, int], ...]:
         c = math.factorial(k) // math.factorial(k - s)
         for e in m:
             c //= math.factorial(e)
-        out.append(((0,) + m, -c if s & 1 else c))
+        out.append((_encode(n, (0,) + m, (0,) + m), -c if s & 1 else c))
     return tuple(out)
 
 
@@ -254,12 +353,19 @@ def reduce_nums(n: int, raw: Terms) -> Terms:
 
     Reduction is linear, so a term z^a zbar^b with k = min(a_1, b_1) maps
     to z^a' zbar^b' times the normal form of z_1^k zbar_1^k, where a' and
-    b' drop k from the first exponent: one lookup per term.
+    b' drop k from the first exponent: one lookup per term.  Every
+    product passes here, so this is where a key with a guard bit set, a
+    product whose degree does not fit a field, raises ``OverflowError``.
     """
+    if functools.reduce(or_, raw, 0) & _guard(n):
+        raise OverflowError(f"a product reached degree {_CAP}, which does "
+                            f"not fit a monomial key field")
+    a1 = _M << _F
+    b1 = a1 << _half(n)
     out: Terms = {}
     reducible = []
     for key, c in raw.items():
-        if key[0][0] and key[1][0]:
+        if key & a1 and key & b1:
             reducible.append((key, c))
         else:
             out[key] = c
@@ -267,23 +373,15 @@ def reduce_nums(n: int, raw: Terms) -> Terms:
     return out
 
 
-def _expanded(n: int, items: list[tuple[TermKey, Gaussian]]):
+def _expanded(n: int, items: list[tuple[Key, Gaussian]]):
     """The terms of each item z^a zbar^b with z_1^k zbar_1^k replaced."""
-    for (a, b), (re, im) in items:
-        k = min(a[0], b[0])
-        a0 = (a[0] - k,) + a[1:]
-        b0 = (b[0] - k,) + b[1:]
+    h = _half(n)
+    z1w1 = (1 | 1 << _F) * (1 | 1 << h)     # with its two degree fields
+    for key, (re, im) in items:
+        k = min(key >> _F & _M, key >> h + _F & _M)
+        base = key - k * z1w1
         for m, c in _sphere_power(n, k):
-            yield ((tuple(map(add, a0, m)), tuple(map(add, b0, m))),
-                   (re * c, im * c))
-
-
-def _split(c: ExactScalar) -> tuple[int, int, int]:
-    """c as Gaussian-integer numerators over one positive denominator."""
-    re, im = c.re, c.im
-    d = math.lcm(re.denominator, im.denominator)
-    return (re.numerator * (d // re.denominator),
-            im.numerator * (d // im.denominator), d)
+            yield base + m, (re * c, im * c)
 
 
 def _term_order(item):
@@ -294,12 +392,12 @@ def _term_order(item):
 class SpherePoly:
     """Polynomial function on S^{2n+1}, canonical modulo the sphere relation.
 
-    The stored form is ``nums``, a ``{(a, b): (re, im)}`` map of
-    Gaussian-integer numerators of normal-form monomials, over one positive
-    integer ``den``; the gcd of every numerator and ``den`` is 1 and no
-    zero term is kept.  Instances are immutable; every constructor and
-    operation returns this canonical form, so ``==`` decides equality of
-    functions on the sphere.
+    The stored form is ``nums``, a ``{key: (re, im)}`` map from packed
+    normal-form monomials (see the module docstring) to Gaussian-integer
+    numerators, over one positive integer ``den``; the gcd of every
+    numerator and ``den`` is 1 and no zero term is kept.  Instances are
+    immutable; every constructor and operation returns this canonical
+    form, so ``==`` decides equality of functions on the sphere.
     """
 
     __slots__ = ("n", "nums", "den")
@@ -308,11 +406,7 @@ class SpherePoly:
                  _normalized: bool = False):
         if n < 1:
             raise ValueError("dimension n must be >= 1")
-        split = {}
-        for (a, b), c in terms.items():
-            if len(a) != n + 1 or len(b) != n + 1:
-                raise ValueError("exponent tuple length must be n+1")
-            split[(a, b)] = _split(c)
+        split = {_encode(n, a, b): _split(c) for (a, b), c in terms.items()}
         den = math.lcm(*(d for _, _, d in split.values()))
         nums = {key: (re * (den // d), im * (den // d))
                 for key, (re, im, d) in split.items() if re or im}
@@ -343,10 +437,8 @@ class SpherePoly:
 
     @staticmethod
     def constant(n: int, c: "ExactScalar | _RationalLike") -> "SpherePoly":
-        re, im, d = _split(ExactScalar.coerce(c))
-        z = (0,) * (n + 1)
-        return SpherePoly.from_nums(n, {(z, z): (re, im)} if re or im else {},
-                                    d)
+        re, im, d = _split(c)
+        return SpherePoly.from_nums(n, {0: (re, im)} if re or im else {}, d)
 
     @staticmethod
     def one(n: int) -> "SpherePoly":
@@ -376,10 +468,9 @@ class SpherePoly:
     @property
     def terms(self) -> Mapping[TermKey, ExactScalar]:
         """Read-only ``{(a, b): ExactScalar}`` view of the coefficients."""
-        d = self.den
-        return MappingProxyType({
-            key: ExactScalar(Fraction(re, d), Fraction(im, d))
-            for key, (re, im) in self.nums.items()})
+        n, d = self.n, self.den
+        return MappingProxyType({_decode(n, key): _scalar(re, im, d)
+                                 for key, (re, im) in self.nums.items()})
 
     # -- ring operations -----------------------------------------------
     def _check(self, other: "SpherePoly"):
@@ -435,7 +526,7 @@ class SpherePoly:
         if not isinstance(other, SpherePoly):
             if not isinstance(other, _SCALAR_TYPES):
                 return NotImplemented
-            return self._scaled(*_split(ExactScalar.coerce(other)))
+            return self._scaled(*_split(other))
         self._check(other)
         # a constant factor scales the other one's terms: no term pairs,
         # no reduction
@@ -460,15 +551,18 @@ class SpherePoly:
         while k:
             if k & 1:
                 out = out * base
-            base = base * base
             k >>= 1
+            if k:       # no square beyond the last bit
+                base = base * base
         return out
 
     def conjugate(self) -> "SpherePoly":
+        """The conjugate: each key's halves swap."""
+        h = _half(self.n)
+        low = (1 << h) - 1
         return SpherePoly.from_nums(
-            self.n,
-            {(b, a): (re, -im) for (a, b), (re, im) in self.nums.items()},
-            self.den)
+            self.n, {key >> h | (key & low) << h: (re, -im)
+                     for key, (re, im) in self.nums.items()}, self.den)
 
     # -- structure -------------------------------------------------------
     def is_zero(self) -> bool:
@@ -489,23 +583,24 @@ class SpherePoly:
         return hash((self.n, self.den, frozenset(self.nums.items())))
 
     def constant_term(self) -> ExactScalar:
-        z = (0,) * (self.n + 1)
-        re, im = self.nums.get((z, z), (0, 0))
-        return ExactScalar(Fraction(re, self.den), Fraction(im, self.den))
+        re, im = self.nums.get(0, (0, 0))
+        return _scalar(re, im, self.den)
 
     def is_constant(self) -> bool:
-        return all(sum(a) + sum(b) == 0 for a, b in self.nums)
+        return not any(self.nums)       # the constant monomial's key is 0
 
     # -- circle grading ---------------------------------------------------
     def fourier_project(self, m: int) -> "SpherePoly":
         """Sum of terms with holomorphic minus antiholomorphic degree m."""
+        h = _half(self.n)
         return SpherePoly.from_nums(
             self.n, {key: c for key, c in self.nums.items()
-                     if sum(key[0]) - sum(key[1]) == m}, self.den)
+                     if (key & _M) - (key >> h & _M) == m}, self.den)
 
     def modes(self) -> list[int]:
         """Sorted list of circle-action weights present."""
-        return sorted({sum(a) - sum(b) for a, b in self.nums})
+        h = _half(self.n)
+        return sorted({(key & _M) - (key >> h & _M) for key in self.nums})
 
     def phase_substitute(self, u: ExactScalar) -> "SpherePoly":
         """Substitute z -> u z, zbar -> conj(u) zbar for a unit scalar u."""
@@ -526,11 +621,15 @@ class SpherePoly:
     def integral(self) -> ExactScalar:
         """Integral over the sphere in the probability measure.
 
-        Monomial rule: int z^a zbar^b = 0 unless a == b, in which case it is
+        Monomial rule: int z^a zbar^b = 0 unless a == b, that is unless
+        the key's halves are equal, in which case it is
         n! * prod(a_j!) / (n + |a|)!.
         """
-        return _moments(self.n, [(a, c) for (a, b), c in self.nums.items()
-                                 if a == b], self.den)
+        h = _half(self.n)
+        low = (1 << h) - 1
+        return _moments(self.n, [(key >> h, c)
+                                 for key, c in self.nums.items()
+                                 if key & low == key >> h], self.den)
 
     # -- textual form -------------------------------------------------------
     def sorted_terms(self) -> list[tuple[TermKey, ExactScalar]]:
@@ -540,9 +639,11 @@ class SpherePoly:
         """Render in the textual term grammar; ``(re,im) z1^a ... w1^b ...``."""
         if not self.nums:
             return "(0/1,0/1)"
-        d = self.den
+        n, d = self.n, self.den
         parts = []
-        for (a, b), (re, im) in sorted(self.nums.items(), key=_term_order):
+        for (a, b), (re, im) in sorted(
+                ((_decode(n, key), c) for key, c in self.nums.items()),
+                key=_term_order):
             gr, gi = math.gcd(re, d), math.gcd(im, d)
             factors = [f"({re // gr}/{d // gr},{im // gi}/{d // gi})"]
             for j, e in enumerate(a):
@@ -584,8 +685,7 @@ def _constant_nums(p: SpherePoly) -> Gaussian | None:
     """The numerator of a constant polynomial p (0 included), else None."""
     if len(p.nums) > 1:
         return None
-    z = (0,) * (p.n + 1)
-    return p.nums.get((z, z), None if p.nums else (0, 0))
+    return p.nums.get(0, None if p.nums else (0, 0))
 
 
 def _init(p: SpherePoly, n: int, nums: Terms, den: int) -> None:
@@ -604,32 +704,40 @@ def _init(p: SpherePoly, n: int, nums: Terms, den: int) -> None:
     object.__setattr__(p, "den", den)
 
 
-def _moments(n: int, diag: list[tuple[Exponents, Gaussian]],
+def _moments(n: int, diag: list[tuple[Key, Gaussian]],
              den: int) -> ExactScalar:
     """sum (re + i im) int |z^a|^2 / den over the items (a, (re, im)).
 
+    Each a is one half of a key.  Its fields may hold values up to
+    2 (_CAP - 1), the sum of two halves, which still fits a field.
     int |z^a|^2 = n! prod(a_j!) / (n + |a|)!; the sum runs over the common
     denominator (n + top)!, top the largest |a| present.
     """
     if not diag:
         return ExactScalar.zero()
-    top = math.factorial(n + max(sum(a) for a, _ in diag))
+    fact = math.factorial
+    top = fact(n + max(a & _M for a, _ in diag))
+    scale = fact(n) * top
     re_sum = im_sum = 0
     for a, (re, im) in diag:
-        w = math.factorial(n) * top // math.factorial(n + sum(a))
-        for e in a:
-            w *= math.factorial(e)
+        fields = a.to_bytes(n + 2, "little")    # |a|, a_1, ..., a_{n+1}
+        w = scale // fact(n + fields[0])
+        for e in fields[1:]:
+            w *= fact(e)
         re_sum += re * w
         im_sum += im * w
-    d = top * den
-    return ExactScalar(Fraction(re_sum, d), Fraction(im_sum, d))
+    return _scalar(re_sum, im_sum, top * den)
 
 
-def _shift_groups(p: SpherePoly) -> dict[Exponents, list]:
-    """p's terms (a, b, (re, im)), grouped by the exponent shift a - b."""
-    groups: dict[Exponents, list] = {}
-    for (a, b), c in p.nums.items():
-        groups.setdefault(tuple(map(sub, a, b)), []).append((a, b, c))
+def _shift_groups(p: SpherePoly) -> dict[int, list]:
+    """p's terms (A, B, (re, im)), A and B the two halves of the key,
+    grouped by A - B, which identifies the exponent shift a - b."""
+    h = _half(p.n)
+    low = (1 << h) - 1
+    groups: dict[int, list] = {}
+    for key, c in p.nums.items():
+        a, b = key & low, key >> h
+        groups.setdefault(a - b, []).append((a, b, c))
     return groups
 
 
@@ -654,10 +762,10 @@ def _shift_pairs(left: list, right: list) -> list:
     """The ambient monomials of int p * conj(q) from one shift group each.
 
     Each term c z^a zbar^b of ``left`` with each c' z^a' zbar^b' of
-    ``right`` gives (a + b', c conj(c')), the exponents and numerator of
-    the product's diagonal monomial.
+    ``right`` gives (a + b', c conj(c')), the low half of the product's
+    diagonal monomial and its numerator.
     """
-    return [(tuple(map(add, a1, b2)), (r1 * r2 + i1 * i2, i1 * r2 - r1 * i2))
+    return [(a1 + b2, (r1 * r2 + i1 * i2, i1 * r2 - r1 * i2))
             for a1, _, (r1, i1) in left
             for _, b2, (r2, i2) in right]
 
@@ -665,7 +773,7 @@ def _shift_pairs(left: list, right: list) -> list:
 def norm2(p: SpherePoly) -> ExactScalar:
     """L^2 norm squared in the probability measure, :func:`inner` (p, p)."""
     v = inner(p, p)
-    if v.im != 0:
+    if not v.is_real():
         raise AssertionError("norm squared must be real")
     return v
 

@@ -26,7 +26,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .ring import ExactScalar, SpherePoly, Terms, accumulate, inner
+from .ring import (_F, _M, ExactScalar, SpherePoly, Terms, _half, accumulate,
+                   inner)
 
 __all__ = [
     "HarmonicDecomposition",
@@ -44,19 +45,25 @@ __all__ = [
 # the factor at 2.
 GRADIENT_CALIBRATION = 2
 
-# Ambient polynomials are Gaussian-integer numerator maps, as SpherePoly.nums;
-# each caller tracks its denominator.
+# Ambient polynomials are Gaussian-integer numerator maps over packed
+# monomial keys, as SpherePoly.nums; each caller tracks its denominator.
 Ambient = Terms
 
 
-def _amb_box(p: Ambient) -> Ambient:
-    """Ambient operator sum_a d/dz_a d/dzbar_a, exact power rule."""
+def _amb_box(n: int, p: Ambient) -> Ambient:
+    """Ambient operator sum_a d/dz_a d/dzbar_a on normal-form terms.
+
+    On a key, d/dz_a d/dzbar_a subtracts the key of z_a zbar_a.  No
+    normal-form term holds z_1 zbar_1, so the sum starts at a = 2.
+    """
+    h = _half(n)
+    units = [(s, (1 | 1 << s) * (1 | 1 << h))
+             for s in range(2 * _F, h, _F)]
     out: Ambient = {}
-    accumulate(out, (((a[:j] + (a[j] - 1,) + a[j + 1:],
-                       b[:j] + (b[j] - 1,) + b[j + 1:]),
-                      (re * a[j] * b[j], im * a[j] * b[j]))
-                     for (a, b), (re, im) in p.items()
-                     for j in range(len(a)) if a[j] and b[j]))
+    accumulate(out, ((key - u, (re * e, im * e))
+                     for key, (re, im) in p.items()
+                     for s, u in units
+                     if (e := (key >> s & _M) * (key >> h + s & _M))))
     return out
 
 
@@ -115,27 +122,35 @@ class HarmonicDecomposition:
 
 
 def harmonic_decompose(f: SpherePoly) -> HarmonicDecomposition:
-    """Split f into restrictions of ambient harmonic bihomogeneous pieces."""
-    n = f.n
-    by_bidegree: dict[tuple[int, int], Ambient] = {}
-    for (a, b), c in f.nums.items():
-        by_bidegree.setdefault((sum(a), sum(b)), {})[(a, b)] = c
+    """Split f into restrictions of ambient harmonic bihomogeneous pieces.
 
-    layers = []
-    for (p, q), part in sorted(by_bidegree.items()):
-        powers = [part]
-        for _ in range(min(p, q)):
-            powers.append(_amb_box(powers[-1]))
-        for k, d, row in _layer_rows(p, q, n):
-            h: Ambient = {}
-            for power, a in zip(powers[k:], row):
-                accumulate(h, power.items(), a)
-            if h:
-                layers.append(((p - k, q - k), h, d))
-    den = math.lcm(*(d for _, _, d in layers))
+    box lowers a bidegree (P, Q) to (P - 1, Q - 1), so box^j f holds
+    box^j of every part of f at once, each part at its own bidegree: a
+    term of bidegree (p, q) in box^j f belongs to the part (p + j, q + j).
+    """
+    n = f.n
+    h = _half(n)
+    # parts[(P, Q)][j] is box^j of f's bidegree-(P, Q) part
+    parts: dict[tuple[int, int], list[Ambient]] = {}
+    power, j = f.nums, 0
+    while power:
+        for key, c in power.items():
+            part = parts.setdefault(((key & _M) + j, (key >> h & _M) + j), [])
+            if len(part) == j:
+                part.append({})
+            part[j][key] = c
+        power, j = _amb_box(n, power), j + 1
+    parts = sorted(parts.items())
+    # every layer over one denominator; from_nums divides out what is common
+    den = math.lcm(*(d for (p, q), _ in parts
+                     for _, d, _ in _layer_rows(p, q, n)))
     sums: dict[tuple[int, int], Ambient] = {}
-    for key, h, d in layers:
-        accumulate(sums.setdefault(key, {}), h.items(), den // d)
+    for (p, q), powers in parts:
+        for k, d, row in _layer_rows(p, q, n):
+            if k < len(powers):
+                dst = sums.setdefault((p - k, q - k), {})
+                for power, a in zip(powers[k:], row):
+                    accumulate(dst, power.items(), a * (den // d))
     components = {key: SpherePoly.from_nums(n, nums, den * f.den)
                   for key, nums in sums.items() if nums}
     return HarmonicDecomposition(n=n, components=components)
@@ -159,13 +174,13 @@ def sublaplacian(f: SpherePoly) -> SpherePoly:
     every coefficient stays integral.
     """
     n = f.n
-    by_bidegree: dict[tuple[int, int], list] = {}
-    for key, c in f.nums.items():
-        by_bidegree.setdefault((sum(key[0]), sum(key[1])), []).append((key, c))
+    h = _half(n)
     out: Ambient = {}
-    accumulate(out, _amb_box(f.nums).items(), 2)
-    for (p, q), items in by_bidegree.items():
-        accumulate(out, items, -_double_eigenvalue(p, q, n))
+    for key, (re, im) in f.nums.items():
+        lam = _double_eigenvalue(key & _M, key >> h & _M, n)
+        if lam:
+            out[key] = (-re * lam, -im * lam)
+    accumulate(out, _amb_box(n, f.nums).items(), 2)
     return SpherePoly.from_nums(n, out, 2 * f.den)
 
 

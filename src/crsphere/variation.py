@@ -25,8 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .ring import (ExactScalar, SpherePoly, TSeries2, _moments, _shift_groups,
-                   _shift_pairs, inner, norm2)
+from .ring import (_M, ExactScalar, SpherePoly, TSeries2, _moments,
+                   _shift_groups, _shift_pairs, inner, norm2)
 from .spectral import sublaplacian, sublaplacian_energy
 from .frames import TensorField, covariant_T, index_pairs, tight_expand
 
@@ -207,8 +207,10 @@ def _mode_norms(c: SpherePoly) -> dict[int, ExactScalar]:
     mode's norm sums the same-shift pairs of the shifts that add up to m.
     """
     diags: dict[int, list] = {}
-    for shift, group in _shift_groups(c).items():
-        diags.setdefault(sum(shift), []).extend(_shift_pairs(group, group))
+    for group in _shift_groups(c).values():
+        a, b, _ = group[0]      # key halves: the degree fields give the mode
+        diags.setdefault((a & _M) - (b & _M), []).extend(
+            _shift_pairs(group, group))
     out = {}
     for m, diag in diags.items():
         nrm = _moments(c.n, diag, c.den * c.den)

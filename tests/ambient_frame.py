@@ -30,13 +30,12 @@ from crsphere.ring import ExactScalar, SpherePoly, TSeries2
 def partial(p: SpherePoly, side: int, a: int) -> SpherePoly:
     """d/dz_a (side 0) or d/dzbar_a (side 1) of p, ``a`` 0-based."""
     out = {}
-    for key, (re, im) in p.nums.items():
+    for key, c in p.terms.items():
         e = key[side]
         if e[a]:
             low = e[:a] + (e[a] - 1,) + e[a + 1:]
-            out[(low, key[1]) if side == 0 else (key[0], low)] = (re * e[a],
-                                                                  im * e[a])
-    return SpherePoly.from_nums(p.n, out, p.den)
+            out[(low, key[1]) if side == 0 else (key[0], low)] = c * e[a]
+    return SpherePoly(p.n, out)
 
 
 def field_apply(x: FrameVector, f: SpherePoly) -> SpherePoly:

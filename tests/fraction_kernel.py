@@ -177,3 +177,8 @@ def to_grammar(s: Terms) -> str:
                 factors.append(f"w{j + 1}" + (f"^{e}" if e != 1 else ""))
         parts.append(" ".join(factors))
     return " ".join(parts)
+
+
+def inner(n: int, s: Terms, t: Terms) -> ExactScalar:
+    """int s * conj(t), through the reduced product."""
+    return integral(n, mul(n, s, conjugate(t)))

@@ -437,7 +437,8 @@ def test_oracle_solve_multiplies_few_polynomials(monkeypatch):
     constant factor runs no term-pair loop, and the exterior derivative
     applies no field to a zero coefficient or to its own slot.  The
     deformed frame is stated, not solved for, and its one Levi-norm
-    series is computed once; the Webster series is read off d w.  A
+    series is computed once; the Webster series is read off one wedge
+    of d w.  A
     frame field reads its warm images from its table, so field
     applications form no product and reduce nothing."""
     e = parse_poly("(1/1,0/1) w1 w2^3", 1)
@@ -455,7 +456,7 @@ def test_oracle_solve_multiplies_few_polynomials(monkeypatch):
     assert sum(map(len, products)) <= 36       # 49 re-expanding d w over wedges
     assert len(loops) <= 5                     # 21 reducing every application
     assert len(sums) == 0                      # 16, one per application
-    assert len(fields) <= 16                   # 36 on every coefficient
+    assert len(fields) <= 10                   # 16 forming all of d w
 
 
 @pytest.mark.parametrize("slot, raises", [
@@ -523,17 +524,17 @@ def test_webster_read_off_fault_fails_the_gate(tmp_path, capsys, monkeypatch,
     """t^order added to the (t1, t1b) entry of d w, where the Webster
     series is read off, fails verify's oracle3 suite and analyze --oracle.
     The connection form is the 1-form with a theta part."""
-    exterior = oracle3.d
+    exterior = oracle3._d_wedge
 
-    def spoiled(a):
-        out = exterior(a)
-        if a[oracle3.TH].is_zero():
+    def spoiled(a, i, j):
+        out = exterior(a, i, j)
+        if a[oracle3.TH].is_zero() or (i, j) != (oracle3.T1, oracle3.T1B):
             return out
         bump = [SpherePoly.zero(1)] * 3
         bump[order] = SpherePoly.one(1)
-        return out[:2] + (out[2] + TSeries2(*bump),)
+        return out + TSeries2(*bump)
 
-    monkeypatch.setattr(oracle3, "d", spoiled)
+    monkeypatch.setattr(oracle3, "_d_wedge", spoiled)
     code, _, _ = run(capsys, "verify", "--n", "1", "--degree", "1",
                      "--suites", "oracle3", "--output",
                      str(tmp_path / "r.txt"))
@@ -688,9 +689,14 @@ def test_output_independent_of_hash_seed(tmp_path):
     f = tmp_path / "d.txt"
     f.write_text("n = 2\nE[1 2, 1 3] = (1/1,0/1) z3 (0/1,2/1) w1\n"
                  "E[2 3, 1 2] = (-1/2,0/1) z1 w2\n")
+    g = tmp_path / "e.txt"
+    g.write_text("n = 1\nE = (1/1,0/1) (1/2,1/1) z1 w2^2 (0/1,-1/3) w1^3\n")
     for argv, status in ((["verify", "--n", "2", "--degree", "1",
                            "--samples", "0"], 0),
-                         (["analyze", str(f)], 1)):
+                         (["verify", "--n", "3", "--degree", "2",
+                           "--suites", "ring,spectral"], 0),
+                         (["analyze", str(f)], 1),
+                         (["analyze", str(g), "--oracle"], 0)):
         runs = [_cli_bytes(tmp_path, seed, *argv) for seed in (0, 1)]
         assert runs[0][0] == status
         assert runs[0] == runs[1]

@@ -6,8 +6,8 @@ from itertools import combinations, product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from crsphere import frames
-from crsphere.ring import ExactScalar, SpherePoly, TSeries2
+from crsphere import frames, ring
+from crsphere.ring import ExactScalar, SpherePoly, TSeries2, inner
 from crsphere.frames import (FrameVector, TensorField, bracket, contact_form,
                              covariant_T, covariant_Z, field_apply, form_eval,
                              index_pairs, levi_pairing, reeb, sharp_pairing,
@@ -601,16 +601,16 @@ def test_table_route_matches_reference_cold_and_warm(n, empty_tables):
     e1, e2 = (1,) + zero[1:], (0, 1) + zero[2:]
     # Z_12(z1 z2) = z1 zbar1 - z2 zbar2 needed reduction: 1 - 2 z2 zbar2 - ...
     _, images = z_field(n, 1, 2)._table
-    assert images[((1, 1) + zero[2:], zero)][(zero, zero)] == (1, 0)
+    one = ring._encode(n, zero, zero)
+    assert images[ring._encode(n, (1, 1) + zero[2:], zero)][one] == (1, 0)
     # T multiplies z1 zbar2 by i/2 times its mode 0: an empty image
     den, images = reeb(n)._table
     assert den == 2
-    assert images[(e1, e2)] == {}
+    assert images[ring._encode(n, e1, e2)] == {}
 
 
 def test_warm_application_forms_no_product_and_reduces_nothing(
         monkeypatch, empty_tables):
-    from crsphere import ring
     cases = [(x, f, ambient_frame.field_apply(x, f))
              for n in (1, 2) for x in frame_fields(n) for f in table_pool(n)]
     for x, f, _ in cases:
@@ -628,6 +628,51 @@ def test_warm_application_forms_no_product_and_reduces_nothing(
     for x, f, want in cases:
         assert same_normal_form(field_apply(x, f), want)
     assert calls == []
+
+
+def test_every_n1_table_entry_is_pinned_by_an_identity(empty_tables):
+    """Fill the n = 1 tables from monomial_pool(1, 4) and check, on every
+    pool member f, three identities computed another way: T f is
+    (i/2)(|a| - |b|) f term by term, [Z_1, Zbar_1] f = -2i T f, and
+    inner(Z_1 f, g) = -inner(f, Zbar_1 g) for the first 35 pool members
+    g, where ``inner`` pairs by the moment rule with no table.  Then
+    negate each nonempty table entry in turn: every negation must break
+    one of the identities."""
+    t, z1, zb1 = frame_fields(1)
+    pool = [f for _, f in monomial_pool(1, 4)]
+    partners = pool[:35]
+    modes = [SpherePoly(1, {(a, b): c * ExactScalar(0, Fraction(
+        sum(a) - sum(b), 2)) for (a, b), c in f.terms.items()})
+        for f in pool]
+
+    def identities_hold() -> bool:
+        zbar_g = [field_apply(zb1, g) for g in partners]
+        for f, want in zip(pool, modes):
+            tf = field_apply(t, f)
+            zf, zbf = field_apply(z1, f), field_apply(zb1, f)
+            if (tf != want
+                    or field_apply(z1, zbf) - field_apply(zb1, zf)
+                    != tf * ExactScalar(0, -2)
+                    or any(inner(zf, g) != -inner(f, zg)
+                           for g, zg in zip(partners, zbar_g))):
+                return False
+        return True
+
+    assert identities_hold()
+    entries = [(x, key) for x in (t, z1, zb1)
+               for key, image in x._table[1].items() if image]
+    assert len(entries) == 126
+    survivors = []
+    for x, key in entries:
+        images = x._table[1]
+        image = images[key]
+        images[key] = {k: (-re, -im) for k, (re, im) in image.items()}
+        try:
+            if identities_hold():
+                survivors.append((x, ring._decode(1, key)))
+        finally:
+            images[key] = image
+    assert survivors == []
 
 
 def test_non_member_vectors_have_no_table():

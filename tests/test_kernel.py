@@ -10,12 +10,12 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import fraction_kernel as ref
 from crsphere import ring
-from crsphere.ring import (MAX_TERM_DEGREE, ExactScalar, SpherePoly, norm2,
-                           parse_poly)
+from crsphere.ring import (MAX_TERM_DEGREE, ExactScalar, SpherePoly, inner,
+                           norm2, parse_poly)
 from crsphere.spectral import harmonic_decompose, sublaplacian
 
 
@@ -25,17 +25,26 @@ def scalars():
     return st.builds(ExactScalar, fr, fr)
 
 
-def raw_terms(n, max_terms):
-    """A term dict, not reduced: exponents 0..2 in every coordinate."""
-    exps = st.tuples(*[st.integers(0, 2) for _ in range(n + 1)])
+def exponents(n, first=2, rest=2):
+    """Exponent tuples: 0..first for z_1 (or zbar_1), 0..rest elsewhere."""
+    return st.tuples(st.integers(0, first),
+                     *[st.integers(0, rest) for _ in range(n)])
 
-    def build(ts):
-        acc = {}
-        for a, b, c in ts:
-            acc[(a, b)] = acc.get((a, b), ExactScalar.zero()) + c
-        return acc
+
+def summed(ts):
+    """The term dict {(a, b): sum of c} of the triples (a, b, c)."""
+    acc = {}
+    for a, b, c in ts:
+        acc[(a, b)] = acc.get((a, b), ExactScalar.zero()) + c
+    return acc
+
+
+def raw_terms(n, max_terms, first=2, rest=2):
+    """A term dict, not reduced: exponents 0..2 in every coordinate unless
+    ``first`` and ``rest`` say otherwise."""
+    exps = exponents(n, first, rest)
     return st.lists(st.tuples(exps, exps, scalars()), max_size=max_terms
-                    ).map(build)
+                    ).map(summed)
 
 
 # (n, s, t, c): two raw term dicts in dimension n and a scalar
@@ -111,8 +120,8 @@ DEEP_CASES = [
 @pytest.mark.parametrize("n, text", DEEP_CASES)
 def test_deep_layers_match_reference(n, text):
     p = parse_poly(text, n)
-    assert max(min(sum(a), sum(b)) for a, b in p.nums) >= 4
-    assert all(sum(a) + sum(b) <= MAX_TERM_DEGREE for a, b in p.nums)
+    assert max(min(sum(a), sum(b)) for a, b in p.terms) >= 4
+    assert all(sum(a) + sum(b) <= MAX_TERM_DEGREE for a, b in p.terms)
     got = harmonic_decompose(p).components
     want = ref.harmonic_components(n, dict(p.terms))
     assert list(got) == list(want)
@@ -221,3 +230,74 @@ def test_reduction_matches_stack_reference():
         b = (k + 1,) + (0,) * (n - 1) + (2,)
         raw = {(a, b): ExactScalar(Fraction(-5, 3), 2)}
         assert dict(SpherePoly(n, raw).terms) == reduced(n, raw)
+
+
+# -- packed monomial keys -----------------------------------------------------
+
+@given(st.integers(1, 3).flatmap(lambda n: st.tuples(
+    st.just(n), raw_terms(n, 4, MAX_TERM_DEGREE, MAX_TERM_DEGREE))))
+def test_terms_round_trip_through_the_constructor(case):
+    """Every field of a key, up to MAX_TERM_DEGREE in each exponent,
+    decodes to the exponents it was built from."""
+    n, s = case
+    p = SpherePoly(n, s)
+    again = SpherePoly(n, p.terms)
+    assert again == p
+    assert (again.nums, again.den) == (p.nums, p.den)
+
+
+def wide_terms(n, max_terms):
+    """A raw term dict in which one side of each term has exponents up to
+    6 off the first coordinate, so key fields and degrees run high, and
+    the other side and z_1, zbar_1 stay at 2 or less, so the reference's
+    reduction and harmonic peeling stay small."""
+    term = st.tuples(exponents(n, 2, 6), exponents(n), scalars(),
+                     st.booleans())
+    return st.lists(term, max_size=max_terms).map(lambda ts: summed(
+        (b, a, c) if swap else (a, b, c) for a, b, c, swap in ts))
+
+
+wide_cases = st.integers(1, 3).flatmap(lambda n: st.tuples(
+    st.just(n), wide_terms(n, 2), wide_terms(n, 2)))
+
+
+@settings(deadline=None)
+@given(wide_cases)
+def test_wide_exponents_match_reference(case):
+    n, s, t = case
+    p, q = SpherePoly(n, s), SpherePoly(n, t)
+    rs, rt = reduced(n, s), reduced(n, t)
+    assert dict(p.terms) == rs
+    prod = ref.mul(n, rs, rt)
+    assert dict((p * q).terms) == prod
+    assert (p * q).integral() == ref.integral(n, prod)
+    assert inner(p, q) == ref.inner(n, rs, rt)
+    assert dict(sublaplacian(p).terms) == ref.sublaplacian(n, rs)
+    got = harmonic_decompose(p).components
+    assert {k: dict(v.terms) for k, v in got.items()} == \
+        ref.harmonic_components(n, rs)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_key_overflow_raises(n):
+    """An exponent or degree of 2^7 does not fit a key field: the
+    constructor rejects it, and a product reaching it raises instead of
+    carrying into the next field."""
+    top = ring._CAP - 1
+    e = (0,) * n
+    big = SpherePoly.monomial(n, e + (top,), (0,) * (n + 1))
+    assert dict(big.terms) == {(e + (top,), (0,) * (n + 1)): 1}
+    with pytest.raises(ValueError, match="does not fit"):
+        SpherePoly.monomial(n, e + (top + 1,), (0,) * (n + 1))
+    with pytest.raises(ValueError, match="does not fit"):
+        SpherePoly.monomial(n, (0,) * (n + 1), (top // 2 + 1,) + e[1:]
+                            + (top // 2 + 1,))
+    with pytest.raises(ValueError, match="negative"):
+        SpherePoly.monomial(n, (-1,) + e, (0,) * (n + 1))
+    z = SpherePoly.z(n, n + 1)
+    for factor in (z, big, z ** 64):
+        with pytest.raises(OverflowError):
+            big * factor
+    with pytest.raises(OverflowError):
+        SpherePoly.w(n, 2) ** 64 * SpherePoly.w(n, 1) ** 64
+    assert (z ** 63 * z ** 63) == z ** 126

@@ -22,16 +22,13 @@ tuple of frame derivatives, and d a = (X_i a_j - X_j a_i) + a_k d e^k with
 the d e^k tabled once per n from df and wedge: d theta = 2i sum dz_a ^
 dzbar_a, d theta_jk = 2 dz_j ^ dz_k.
 
-Image tables: a frame field is a fixed linear operator, so each member of
-the shared frame (T, Z_jk, Zbar_jk) keeps a table from normal-form
-monomial to the field's image of it.  Tables are keyed by packed
-monomials (see ``ring``), and an image is a map from packed monomials to
-normal-form numerators over the field's fixed denominator (2 for T, 1
-for Z_jk and Zbar_jk).  The ambient route, the field's ambient
-coefficients times the ambient derivatives of the monomial, reduced,
-fills an entry the first time its monomial is met; a table grows with
-the distinct monomials its field is applied to.  Other vectors always
-take the ambient route.
+Image tables: a frame field X_s is a fixed linear operator, so each slot
+s has a table, one per n, from packed normal-form monomial (see ``ring``)
+to the numerators of its image over the field's fixed denominator (2 for
+T, 1 for Z_jk and Zbar_jk).  The field's ambient coefficients times the
+ambient derivatives of a monomial, reduced, fill its entry the first time
+it is met.  Every vector applies as x(f) = sum_s x_s X_s(f), each X_s(f)
+read from the tables, whether slots and f are polynomials or series.
 
 Tanaka-Webster covariant data used throughout (round structure):
 
@@ -177,18 +174,12 @@ class _SlotTuple:
 class FrameVector(_SlotTuple):
     """Tangential vector field: its slots over (T, Z_jk..., Zbar_jk...).
 
-    The induced ambient derivation always annihilates sum z_a zbar_a - 1
-    because every frame element does.  The members of :func:`_frame` also
-    carry their image table (see :func:`field_apply`); every other vector
-    has none.
+    It is the derivation sum_s x_s X_s over the frame fields X_s of
+    :func:`_frame`; each of them annihilates sum z_a zbar_a - 1, so every
+    vector does.
     """
 
-    __slots__ = ("_ambient", "_table")
-
-    def __init__(self, n: int, slots: Iterable[Ring]):
-        super().__init__(n, slots)
-        object.__setattr__(self, "_ambient", None)
-        object.__setattr__(self, "_table", None)
+    __slots__ = ()
 
     # -- type predicates ---------------------------------------------------
     def _blocks(self) -> tuple[Slots, Slots, Slots]:
@@ -222,33 +213,14 @@ class FrameVector(_SlotTuple):
 
     # -- ambient picture ------------------------------------------------------
     def ambient(self) -> tuple[tuple[Ring, ...], tuple[Ring, ...]]:
-        """Coefficients (v_a, w_a) of the derivation sum v_a d_a + w_a dbar_a."""
-        if self._ambient is not None:
-            return self._ambient
-        n = self.n
-        z, zb = _coords(n)
-        v = [SpherePoly.zero(n)] * (n + 1)
-        w = [SpherePoly.zero(n)] * (n + 1)
-        half_i = ExactScalar(0, Fraction(1, 2))
-        t, zs, zbs = self._blocks()
-        if not t[0].is_zero():
-            for a in range(n + 1):
-                v[a] = v[a] + t[0] * z[a] * half_i
-                w[a] = w[a] - t[0] * zb[a] * half_i
-        for (j, k), c, cb in zip(index_pairs(n), zs, zbs):
-            if not c.is_zero():
-                v[k - 1] = v[k - 1] + c * zb[j - 1]
-                v[j - 1] = v[j - 1] - c * zb[k - 1]
-            if not cb.is_zero():
-                w[k - 1] = w[k - 1] + cb * z[j - 1]
-                w[j - 1] = w[j - 1] - cb * z[k - 1]
-        amb = (tuple(v), tuple(w))
-        object.__setattr__(self, "_ambient", amb)
-        return amb
+        """Coefficients (v_a, w_a) of the derivation sum v_a d_a + w_a dbar_a,
+        its values v_a = x(z_a) and w_a = x(zbar_a) on the coordinates."""
+        return tuple(tuple(field_apply(self, c) for c in cs)
+                     for cs in _coords(self.n))
 
     @staticmethod
-    def from_ambient(n: int, v: Iterable[SpherePoly],
-                     w: Iterable[SpherePoly]) -> "FrameVector":
+    def from_ambient(n: int, v: Iterable[Ring],
+                     w: Iterable[Ring]) -> "FrameVector":
         """Expand a tangential ambient derivation over the frame.
 
         The slots are theta(X), theta_jk(X) and thetabar_jk(X), read off
@@ -278,9 +250,6 @@ class FrameVector(_SlotTuple):
             return NotImplemented
         return self.n == other.n and self.ambient() == other.ambient()
 
-
-# The frame fields are the shared members of :func:`_frame`, so each one's
-# ambient coefficients are computed once per n.
 
 def reeb(n: int) -> FrameVector:
     return _frame(n)[0]
@@ -324,75 +293,94 @@ def thetabar_form(n: int, j: int, k: int) -> FrameForm:
     return FrameForm(n, _unit(n, _slot(n, j, k) + len(_slot_of(n))))
 
 
-def field_apply(x: FrameVector, f: SpherePoly) -> Ring:
-    """Apply the tangential derivation sum v_a d_a + w_a dbar_a to f.
+def field_apply(x: FrameVector, f: Ring) -> Ring:
+    """x(f) = sum_s x_s X_s(f) for a function or series f.
 
-    A frame field reads each monomial's image from its table: the image's
-    normal-form numerators over the field's fixed denominator, the lcm of
-    its ambient-coefficient denominators.  The images, scaled by f's
-    numerators, are summed into one term map, with no product and no
-    reduction.  A monomial met for the first time gets its entry from
-    :func:`_ambient_apply` on that monomial alone, so a table grows with
-    the distinct monomials its field is applied to.  Any other vector
-    takes the ambient route on the whole of f.
+    Each X_s(f) is read from frame field X_s's table (:func:`_field_image`)
+    and multiplied by x_s unless x_s is the shared 1 of a frame field's
+    slot, so a frame field forms no product.  Slots and f may be
+    polynomials or series.
     """
     if x.n != f.n:
         raise ValueError("dimension mismatch")
     if f.is_zero():
         return f
-    if isinstance(x.slots[0], TSeries2):    # x0 + t x1 + t^2 x2, term by term
-        parts = zip(*((c.c0, c.c1, c.c2) for c in x.slots))
-        return TSeries2(*(field_apply(FrameVector(x.n, p), f) for p in parts))
-    if x._table is None:
-        return _ambient_apply(x, f)
+    one = SpherePoly.one(x.n)
+    out = None
+    for s, c in enumerate(x.slots):
+        if c is one:
+            part = _field_image(x.n, s, f)
+        elif c.is_zero():
+            continue
+        else:
+            part = c * _field_image(x.n, s, f)
+        out = part if out is None else out + part
+    return x.slots[0] * f if out is None else out     # x = 0: 0 * f
+
+
+def _field_image(n: int, s: int, f: Ring) -> Ring:
+    """X_s(f) for a function or series f: the table images of f's
+    monomials, scaled by its numerators and summed into one term map,
+    with no product and no reduction."""
+    if isinstance(f, TSeries2):
+        return TSeries2(*(c if c.is_zero() else _field_image(n, s, c)
+                          for c in (f.c0, f.c1, f.c2)))
+    den, images = _tables(n)[s]
     raw: Terms = {}
     accumulate(raw, ((k, (re * r - im * i, re * i + im * r))
                      for key, (re, im) in f.nums.items()
-                     for k, (r, i) in _image(x, key).items()))
-    return SpherePoly.from_nums(f.n, raw, x._table[0] * f.den)
+                     for k, (r, i) in (images[key] if key in images
+                                       else _image(n, s, key)).items()))
+    return SpherePoly.from_nums(n, raw, den * f.den)
 
 
-def _ambient_apply(x: FrameVector, f: SpherePoly) -> SpherePoly:
-    """x(f) from x's ambient coefficients: the products v_a d_a f and
-    w_a dbar_a f, summed with one reduction."""
-    return sum_of_products(f.n, [(c, _partial(f, side, a), f.den)
-                                 for side, cs in enumerate(x.ambient())
-                                 for a, c in enumerate(cs) if c.nums])
-
-
-def _image(x: FrameVector, key: Key) -> Terms:
-    """The entry of frame field x's table for the monomial ``key``,
-    filled by the ambient route the first time it is asked for."""
-    den, images = x._table
-    image = images.get(key)
-    if image is None:
-        p = _ambient_apply(x, SpherePoly.from_nums(x.n, {key: (1, 0)}, 1))
-        s = den // p.den
-        image = images[key] = {k: (re * s, im * s)
-                               for k, (re, im) in p.nums.items()}
+def _image(n: int, s: int, key: Key) -> Terms:
+    """Fill slot s's table entry for the monomial ``key`` from the field's
+    ambient coefficients: the products v_a d_a and w_a dbar_a of the
+    monomial, summed with one reduction."""
+    den, images = _tables(n)[s]
+    m = SpherePoly.from_nums(n, {key: (1, 0)}, 1)
+    p = sum_of_products(n, [(c, _partial(m, side, a), 1)
+                            for side, cs in enumerate(_ambients(n)[s])
+                            for a, c in enumerate(cs) if c.nums])
+    scale = den // p.den
+    images[key] = image = {k: (re * scale, im * scale)
+                           for k, (re, im) in p.nums.items()}
     return image
 
 
-def _apply(x: FrameVector, f: Ring) -> Ring:
-    """x(f) for a function or a series; zero terms are not applied."""
-    if isinstance(f, TSeries2):
-        return TSeries2(*(_apply(x, c) for c in (f.c0, f.c1, f.c2)))
-    return f if f.is_zero() else field_apply(x, f)
+@functools.cache
+def _ambients(n: int) -> tuple[tuple[tuple[SpherePoly, ...],
+                                     tuple[SpherePoly, ...]], ...]:
+    """The ambient coefficients (v, w) of each frame field, by slot.
+
+    T = (i/2) sum (z_a d_a - zbar_a dbar_a), Z_jk = zbar_j d_k - zbar_k d_j
+    and Zbar_jk = z_j dbar_k - z_k dbar_j.
+    """
+    z, zb = _coords(n)
+    half_i = ExactScalar(0, Fraction(1, 2))
+    zeros = (SpherePoly.zero(n),) * (n + 1)
+
+    def pair_field(c, j, k):    # c_j d_k - c_k d_j on one side
+        return tuple(c[j - 1] if a == k - 1 else -c[k - 1] if a == j - 1
+                     else zeros[a] for a in range(n + 1))
+    pairs = index_pairs(n)
+    return (((tuple(c * half_i for c in z), tuple(c * -half_i for c in zb)),)
+            + tuple((pair_field(zb, j, k), zeros) for j, k in pairs)
+            + tuple((zeros, pair_field(z, j, k)) for j, k in pairs))
+
+
+@functools.cache
+def _tables(n: int) -> tuple[tuple[int, dict[Key, Terms]], ...]:
+    """Each frame field's fixed denominator and image table, by slot."""
+    return tuple((math.lcm(*(c.den for c in v + w)), {})
+                 for v, w in _ambients(n))
 
 
 @functools.cache
 def _frame(n: int) -> tuple[FrameVector, ...]:
-    """The frame (T, Z_jk..., Zbar_jk...), one field per slot.
-
-    Each member gets an empty image table over its fixed denominator:
-    2 for T, 1 for each Z_jk and Zbar_jk.
-    """
-    frame = tuple(FrameVector(n, _unit(n, s)) for s in range(_width(n)))
-    for x in frame:
-        v, w = x.ambient()
-        object.__setattr__(x, "_table",
-                           (math.lcm(*(c.den for c in v + w)), {}))
-    return frame
+    """The frame (T, Z_jk..., Zbar_jk...), one shared field per slot."""
+    return tuple(FrameVector(n, _unit(n, s)) for s in range(_width(n)))
 
 
 # -- the form algebra on slot tuples -----------------------------------------
@@ -430,7 +418,7 @@ def df(f: Ring) -> Slots:
     df(V) = V(f) and V = sum e^s(V) X_s over the frame X by tightness, so
     the coefficient of e^s is X_s(f).
     """
-    return tuple(_apply(x, f) for x in _frame(f.n))
+    return tuple(field_apply(x, f) for x in _frame(f.n))
 
 
 @functools.cache
@@ -471,7 +459,7 @@ def _d_wedge(a: Slots, i: int, j: int) -> Ring:
     """
     frame = _frame(a[0].n)
     w = i * (2 * len(a) - i - 1) // 2 + j - i - 1     # wedge order
-    out = _apply(frame[i], a[j]) - _apply(frame[j], a[i])
+    out = field_apply(frame[i], a[j]) - field_apply(frame[j], a[i])
     for ak, dk in zip(a, _d_base(a[0].n)):
         if not (ak.is_zero() or dk[w].is_zero()):
             out = out + ak * dk[w]
@@ -515,7 +503,8 @@ def sharp_pairing(v: FrameVector, wbar: FrameVector) -> SpherePoly:
 
 
 def bracket(x: FrameVector, y: FrameVector) -> FrameVector:
-    """Lie bracket, computed on ambient coefficients and re-expanded."""
+    """Lie bracket x(y) - y(x), computed on ambient coefficients and
+    re-expanded; slots may be polynomials or series."""
     if x.n != y.n:
         raise ValueError("dimension mismatch")
     n = x.n
@@ -589,10 +578,10 @@ def _gram_right(n: int) -> Mapping[tuple[Pair, Pair], SpherePoly]:
     thetabar_pq(Zbar_jk) = conj H[(pq),(jk)] is therefore H[(jk),(pq)].
     """
     zs, _ = _coords(n)
+    pairs = index_pairs(n)
     out = {}
-    for rs in index_pairs(n):
-        v, _ = z_field(n, *rs).ambient()
-        for l, m in index_pairs(n):
+    for rs, (v, _) in zip(pairs, _ambients(n)[1:]):
+        for l, m in pairs:
             out[((l, m), rs)] = zs[l - 1] * v[m - 1] - zs[m - 1] * v[l - 1]
     return MappingProxyType(out)    # shared by every caller: read-only
 
@@ -666,19 +655,14 @@ def covariant_T(obj):
 
 
 def _nabla_z_zbar(n: int, jk: Pair, lm: Pair) -> FrameVector:
-    """nabla_{Z_jk} Zbar_lm: antiholomorphic projection of the bracket."""
-    br = bracket(z_field(n, *jk), zbar_field(n, *lm))
-    _, w = br.ambient()
-    # Hbar projection: with phi = sum w_a z_a the tangency defect, the T
-    # component of the bracket contributes exactly phi * zbar_a to the
-    # dbar coefficients, so removing it isolates the (0,1) part.
-    zs, ws = _coords(n)
-    phi = SpherePoly.zero(n)
-    for a in range(n + 1):
-        phi = phi + w[a] * zs[a]
-    wproj = [w[a] - phi * ws[a] for a in range(n + 1)]
-    zero = [SpherePoly.zero(n)] * (n + 1)
-    return FrameVector.from_ambient(n, zero, wproj)
+    """nabla_{Z_jk} Zbar_lm: the Zbar block of [Z_jk, Zbar_lm]'s slots.
+
+    The (0,1) projection subtracts phi zbar_a from each dbar coefficient
+    w_a, phi the tangency defect, and phi cancels in every Zbar slot
+    zbar_j w_k - zbar_k w_j.
+    """
+    _, z, zb = bracket(z_field(n, *jk), zbar_field(n, *lm))._blocks()
+    return FrameVector(n, (SpherePoly.zero(n),) * (1 + len(z)) + zb)
 
 
 def covariant_Z(direction: FrameVector, target: FrameVector) -> FrameVector:

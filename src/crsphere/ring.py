@@ -402,17 +402,14 @@ class SpherePoly:
 
     __slots__ = ("n", "nums", "den")
 
-    def __init__(self, n: int, terms: Mapping[TermKey, ExactScalar], *,
-                 _normalized: bool = False):
+    def __init__(self, n: int, terms: Mapping[TermKey, ExactScalar]):
         if n < 1:
             raise ValueError("dimension n must be >= 1")
         split = {_encode(n, a, b): _split(c) for (a, b), c in terms.items()}
         den = math.lcm(*(d for _, _, d in split.values()))
         nums = {key: (re * (den // d), im * (den // d))
                 for key, (re, im, d) in split.items() if re or im}
-        if not _normalized:
-            nums = reduce_nums(n, nums)
-        _init(self, n, nums, den)
+        _init(self, n, reduce_nums(n, nums), den)
 
     def __setattr__(self, name, value):
         raise AttributeError("SpherePoly is immutable")
@@ -441,7 +438,9 @@ class SpherePoly:
         return SpherePoly.from_nums(n, {0: (re, im)} if re or im else {}, d)
 
     @staticmethod
+    @functools.cache
     def one(n: int) -> "SpherePoly":
+        """The polynomial 1: one shared instance per n."""
         return SpherePoly.constant(n, 1)
 
     @staticmethod
@@ -603,19 +602,27 @@ class SpherePoly:
         return sorted({(key & _M) - (key >> h & _M) for key in self.nums})
 
     def phase_substitute(self, u: ExactScalar) -> "SpherePoly":
-        """Substitute z -> u z, zbar -> conj(u) zbar for a unit scalar u."""
+        """Substitute z -> u z, zbar -> conj(u) zbar for a unit scalar u.
+
+        As u conj(u) = 1, a term's factor u^|a| conj(u)^|b| is u^m for its
+        mode m = |a| - |b|, read off the key's degree fields (conj(u)^-m
+        for m < 0); no key changes, so nothing is reduced."""
         if u.abs2() != 1:
             raise ValueError("phase must have |u| = 1")
-        ub = u.conjugate()
-        out: dict[TermKey, ExactScalar] = {}
-        for (a, b), c in self.terms.items():
-            f = ExactScalar.one()
-            for _ in range(sum(a)):
-                f = f * u
-            for _ in range(sum(b)):
-                f = f * ub
-            out[(a, b)] = c * f
-        return SpherePoly(self.n, out, _normalized=True)
+        ur, ui, ud = _split(u)
+        top = max(map(abs, self.modes()), default=0)
+        powers = [(ud ** top, 0)]       # u^k over ud^top, k = 0..top
+        for _ in range(top):
+            r, i = powers[-1]
+            powers.append(((r * ur - i * ui) // ud, (r * ui + i * ur) // ud))
+        h = _half(self.n)
+        nums = {}
+        for key, (re, im) in self.nums.items():
+            m = (key & _M) - (key >> h & _M)
+            pr, pi = powers[abs(m)]
+            pi = pi if m >= 0 else -pi
+            nums[key] = (re * pr - im * pi, re * pi + im * pr)
+        return SpherePoly.from_nums(self.n, nums, self.den * ud ** top)
 
     # -- integration -------------------------------------------------------
     def integral(self) -> ExactScalar:
@@ -886,7 +893,9 @@ class TSeries2:
         return TSeries2(SpherePoly.one(self.n), lin, quad)
 
     def __eq__(self, other):
-        if not isinstance(other, TSeries2):
+        if isinstance(other, SpherePoly):     # a constant series
+            other = TSeries2(other)
+        elif not isinstance(other, TSeries2):
             return NotImplemented
         return (self.c0, self.c1, self.c2) == (other.c0, other.c1, other.c2)
 

@@ -14,6 +14,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import settings
 
+from crsphere import frames
 from crsphere.ring import ExactScalar, SpherePoly
 
 settings.register_profile("det", derandomize=True, max_examples=60)
@@ -63,7 +64,7 @@ def coordinate_phase(p: SpherePoly, j: int, u: ExactScalar) -> SpherePoly:
         for _ in range(b[j - 1]):
             f = f * ub
         out[(a, b)] = c * f
-    return SpherePoly(p.n, out, _normalized=True)
+    return SpherePoly(p.n, out)
 
 
 def ambient_box_oracle(terms: dict) -> dict:
@@ -86,3 +87,19 @@ def ambient_box_oracle(terms: dict) -> dict:
 @pytest.fixture(scope="session")
 def unit_phase() -> ExactScalar:
     return ExactScalar(Fraction(3, 5), Fraction(4, 5))
+
+
+@pytest.fixture
+def frame_tables():
+    """``frames._tables``, with the n = 1, 2, 3 image tables emptied for
+    the test and their entries put back after it."""
+    saved = {n: [dict(images) for _, images in frames._tables(n)]
+             for n in (1, 2, 3)}
+    for n in saved:
+        for _, images in frames._tables(n):
+            images.clear()
+    yield frames._tables
+    for n, entries in saved.items():
+        for (_, images), old in zip(frames._tables(n), entries):
+            images.clear()
+            images.update(old)

@@ -462,27 +462,25 @@ def test_oracle_solve_multiplies_few_polynomials(monkeypatch):
 @pytest.mark.parametrize("slot, raises", [
     (0, None), (1, None), (2, "Webster curvature must be real")],
     ids=["T", "Z1", "Zbar1"])
-def test_poisoned_image_table_fails_the_gate(tmp_path, capsys, slot, raises):
+def test_poisoned_image_table_fails_the_gate(tmp_path, capsys, slot, raises,
+                                             frame_tables):
     """Negating the first nonempty image in the table of an n=1 frame
     field fails the oracle3 suite, through a failed check or the solver's
     own assertion; with the table cleared and refilled it passes again."""
     out = tmp_path / "r.txt"
     args = ("verify", "--n", "1", "--degree", "2", "--suites", "oracle3",
             "--samples", "0", "--output", str(out))
-    images = frames._frame(1)[slot]._table[1]
+    _, images = frame_tables(1)[slot]
+    assert run(capsys, *args)[0] == 0
+    key = next(k for k, image in images.items() if image)
+    images[key] = {k: (-re, -im) for k, (re, im) in images[key].items()}
+    if raises:
+        with pytest.raises(AssertionError, match=raises):
+            run(capsys, *args)
+    else:
+        assert run(capsys, *args)[0] == 1
+        assert "  FAIL " in out.read_text()
     images.clear()
-    try:
-        assert run(capsys, *args)[0] == 0
-        key = next(k for k, image in images.items() if image)
-        images[key] = {k: (-re, -im) for k, (re, im) in images[key].items()}
-        if raises:
-            with pytest.raises(AssertionError, match=raises):
-                run(capsys, *args)
-        else:
-            assert run(capsys, *args)[0] == 1
-            assert "  FAIL " in out.read_text()
-    finally:
-        images.clear()
     assert run(capsys, *args)[0] == 0
 
 

@@ -1,7 +1,9 @@
 """Frame fields, dual forms, pairings and covariant differentiation."""
 
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations, product
+from operator import add
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -349,21 +351,21 @@ def test_gram_is_hermitian_idempotent_and_conjugate_to_left_gram(n):
 
 
 def test_gram_built_once_per_n(monkeypatch):
-    """H is read off the ambient coefficients of the Z_rs once per n; a
-    second canonicalization builds no frame field."""
+    """H is read off the per-n ambient coefficients of the Z_rs once; a
+    second canonicalization reads none."""
     calls = []
-    original = frames.z_field
+    original = frames._ambients
 
     def counting(*args):
         calls.append(args)
         return original(*args)
 
-    monkeypatch.setattr(frames, "z_field", counting)
+    monkeypatch.setattr(frames, "_ambients", counting)
     frames._gram_right.cache_clear()
     pairs = index_pairs(2)
     t = TensorField(2, {(pairs[0], pairs[1]): z(2, 3)})
     first = tight_expand(t)
-    assert len(calls) == len(pairs)
+    assert calls == [(2,)]
     calls.clear()
     assert tight_expand(t) == first
     assert calls == []
@@ -421,6 +423,62 @@ def test_bracket_with_T(n):
         assert bracket(t, zf) == zf * ExactScalar(0, -1)
         zbf = zbar_field(n, *jk)
         assert bracket(t, zbf) == zbf * ExactScalar(0, 1)
+
+
+@pytest.mark.parametrize("n, examples", [(1, 10), (2, 5)])
+def test_jacobi_identity(n, examples):
+    """[x, [y, v]] + [y, [v, x]] + [v, [x, y]] = 0 on every triple of
+    frame fields and on vectors with polynomial slots."""
+    zero = FrameVector(n, [SpherePoly.zero(n)] * len(frame_fields(n)))
+
+    def jacobiator(x, y, v):
+        return (bracket(x, bracket(y, v)) + bracket(y, bracket(v, x))
+                + bracket(v, bracket(x, y)))
+    for triple in combinations(frame_fields(n), 3):
+        assert jacobiator(*triple) == zero
+
+    @settings(max_examples=examples, deadline=None)
+    @given(slot_tuples(n), slot_tuples(n), slot_tuples(n))
+    def check(a, b, c):
+        assert jacobiator(*(FrameVector(n, s) for s in (a, b, c))) == zero
+
+    check()
+
+
+def series_vector(xs) -> FrameVector:
+    """x_0 + t x_1 + t^2 x_2 from the polynomial vectors x_k."""
+    return FrameVector(xs[0].n, map(TSeries2, *(x.slots for x in xs)))
+
+
+def order_slots(x: FrameVector, k: int) -> tuple:
+    """The order-k polynomial slots of a series vector."""
+    return tuple(orders(c)[k] for c in x.slots)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_series_vectors_match_polynomial_orders(n):
+    """bracket, covariant_Z and covariant_T of series vectors x and y give,
+    at each order k, the truncated sum over i + j = k of the operation on
+    the polynomial vectors x_i and y_j (covariant_T is linear: y_k).  Each
+    series slot is nonzero at orders 0, 1 and 2 and zero in some
+    coefficients."""
+    one, first, last = SpherePoly.one(n), index_pairs(n)[0], index_pairs(n)[-1]
+    xs = [z_field(n, *first) * (one + z(n, 1) * w(n, 2)),
+          z_field(n, *first) * w(n, 1) + z_field(n, *last) * z(n, 1),
+          z_field(n, *last) * ExactScalar(0, 2)]
+    ys = [zbar_field(n, *first) * z(n, 2) + reeb(n) * w(n, 1),
+          z_field(n, *last) * w(n, 2),
+          zbar_field(n, *last) + zbar_field(n, *first) * z(n, 1)
+          + reeb(n) * ExactScalar(1, 1)]
+    x, y = series_vector(xs), series_vector(ys)
+    for op in (bracket, covariant_Z):
+        got = op(x, y)
+        for k in range(3):
+            want = reduce(add, (op(xs[i], ys[k - i]) for i in range(k + 1)))
+            assert order_slots(got, k) == want.slots, (op.__name__, k)
+    got = covariant_T(y)
+    for k in range(3):
+        assert order_slots(got, k) == covariant_T(ys[k]).slots
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -561,19 +619,6 @@ def test_df_of_series_matches_per_coordinate_route(n, examples):
 
 # -- image tables of the frame fields ------------------------------------------------
 
-def clear_tables():
-    for n in (1, 2, 3):
-        for x in frames._frame(n):
-            x._table[1].clear()
-
-
-@pytest.fixture
-def empty_tables():
-    clear_tables()
-    yield
-    clear_tables()
-
-
 def table_pool(n) -> list:
     """The degree-3 monomials, then sums of four of them with Gaussian
     rational coefficients."""
@@ -585,7 +630,7 @@ def table_pool(n) -> list:
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
-def test_table_route_matches_reference_cold_and_warm(n, empty_tables):
+def test_table_route_matches_reference_cold_and_warm(n, frame_tables):
     """From empty tables, the first application of each frame field (which
     fills its entries) and the second (which reads them) both give the
     reference's nums and den."""
@@ -596,41 +641,72 @@ def test_table_route_matches_reference_cold_and_warm(n, empty_tables):
         for f, c, h in zip(pool, cold, warm):
             want = ambient_frame.field_apply(x, f)
             assert same_normal_form(c, want) and same_normal_form(h, want)
-    assert {x._table[0] for x in frame_fields(n)[1:]} == {1}
+    assert {den for den, _ in frame_tables(n)[1:]} == {1}
     zero = (0,) * (n + 1)
     e1, e2 = (1,) + zero[1:], (0, 1) + zero[2:]
     # Z_12(z1 z2) = z1 zbar1 - z2 zbar2 needed reduction: 1 - 2 z2 zbar2 - ...
-    _, images = z_field(n, 1, 2)._table
+    _, images = frame_tables(n)[1]
     one = ring._encode(n, zero, zero)
     assert images[ring._encode(n, (1, 1) + zero[2:], zero)][one] == (1, 0)
     # T multiplies z1 zbar2 by i/2 times its mode 0: an empty image
-    den, images = reeb(n)._table
+    den, images = frame_tables(n)[0]
     assert den == 2
     assert images[ring._encode(n, e1, e2)] == {}
 
 
-def test_warm_application_forms_no_product_and_reduces_nothing(
-        monkeypatch, empty_tables):
-    cases = [(x, f, ambient_frame.field_apply(x, f))
-             for n in (1, 2) for x in frame_fields(n) for f in table_pool(n)]
-    for x, f, _ in cases:
-        field_apply(x, f)
+def recorded_calls(monkeypatch, targets) -> list:
+    """Record the name of every call to the (module, name) targets."""
     calls = []
-    for module, name in ((ring, "reduce_nums"), (ring, "sum_of_products"),
-                         (frames, "sum_of_products"),
-                         (ring, "_term_products"), (frames, "_partial")):
+    for module, name in targets:
         original = getattr(module, name)
 
         def counting(*args, _name=name, _original=original):
             calls.append(_name)
             return _original(*args)
         monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+FILLING = ((ring, "sum_of_products"), (frames, "sum_of_products"),
+           (frames, "_partial"))
+
+
+def test_warm_application_forms_no_product_and_reduces_nothing(
+        monkeypatch, frame_tables):
+    cases = [(x, f, ambient_frame.field_apply(x, f))
+             for n in (1, 2) for x in frame_fields(n) for f in table_pool(n)]
+    for x, f, _ in cases:
+        field_apply(x, f)
+    calls = recorded_calls(monkeypatch, FILLING + (
+        (ring, "reduce_nums"), (ring, "_term_products")))
     for x, f, want in cases:
         assert same_normal_form(field_apply(x, f), want)
     assert calls == []
 
 
-def test_every_n1_table_entry_is_pinned_by_an_identity(empty_tables):
+def test_warm_non_member_application_reads_the_tables(monkeypatch):
+    """A vector that is not a frame field applies through the frame
+    fields' tables too: once they are warm it takes no ambient derivative
+    and calls no sum_of_products, on polynomial and on series slots."""
+    n = 2
+    x = z_field(n, 1, 2)
+    vectors = [x + zbar_field(n, 1, 3), x * w(n, 1), x.conjugate(),
+               reeb(n) * z(n, 3) + x * ExactScalar(2, -1)]
+    vectors.append(FrameVector(n, map(TSeries2, vectors[3].slots,
+                                      vectors[1].slots)))
+    pool = table_pool(n)
+    cases = [(y, f, ambient_frame.field_apply(y, f))
+             for y in vectors for f in pool]
+    for y, f, _ in cases:
+        field_apply(y, f)
+    calls = recorded_calls(monkeypatch, FILLING)
+    for y, f, want in cases:
+        assert all(map(same_normal_form, orders(field_apply(y, f)),
+                       orders(want)))
+    assert calls == []
+
+
+def test_every_n1_table_entry_is_pinned_by_an_identity(frame_tables):
     """Fill the n = 1 tables from monomial_pool(1, 4) and check, on every
     pool member f, three identities computed another way: T f is
     (i/2)(|a| - |b|) f term by term, [Z_1, Zbar_1] f = -2i T f, and
@@ -659,28 +735,20 @@ def test_every_n1_table_entry_is_pinned_by_an_identity(empty_tables):
         return True
 
     assert identities_hold()
-    entries = [(x, key) for x in (t, z1, zb1)
-               for key, image in x._table[1].items() if image]
+    entries = [(s, key) for s, (_, images) in enumerate(frame_tables(1))
+               for key, image in images.items() if image]
     assert len(entries) == 126
     survivors = []
-    for x, key in entries:
-        images = x._table[1]
+    for s, key in entries:
+        _, images = frame_tables(1)[s]
         image = images[key]
         images[key] = {k: (-re, -im) for k, (re, im) in image.items()}
         try:
             if identities_hold():
-                survivors.append((x, ring._decode(1, key)))
+                survivors.append((s, ring._decode(1, key)))
         finally:
             images[key] = image
     assert survivors == []
-
-
-def test_non_member_vectors_have_no_table():
-    x = z_field(2, 1, 2)
-    for y in (x + zbar_field(2, 1, 3), x * w(2, 1), x.conjugate(),
-              FrameVector(2, x.slots)):
-        assert y._table is None
-    assert all(x._table is not None for x in frame_fields(2))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

@@ -299,12 +299,12 @@ def field_apply(x: FrameVector, f: Ring) -> Ring:
     Each X_s(f) is read from frame field X_s's table (:func:`_field_image`)
     and multiplied by x_s unless x_s is the shared 1 of a frame field's
     slot, so a frame field forms no product.  Slots and f may be
-    polynomials or series.
+    polynomials or series; x(f) is a series when either is, zero too.
     """
     if x.n != f.n:
         raise ValueError("dimension mismatch")
     if f.is_zero():
-        return f
+        return x.slots[0] * f if isinstance(x.slots[0], TSeries2) else f
     one = SpherePoly.one(x.n)
     out = None
     for s, c in enumerate(x.slots):
@@ -677,8 +677,7 @@ def covariant_Z(direction: FrameVector, target: FrameVector) -> FrameVector:
     if not direction.is_holomorphic():
         raise ValueError("direction must be holomorphic-type")
     n = direction.n
-    out = FrameVector(n, (c if c.is_zero() else field_apply(direction, c)
-                          for c in target.slots))
+    out = FrameVector(n, (field_apply(direction, c) for c in target.slots))
     pairs = index_pairs(n)
     _, dz, _ = direction._blocks()
     _, _, tzb = target._blocks()

@@ -1,10 +1,13 @@
 """Reference ambient routes for the frame tests.
 
-``field_apply`` below applies a tangential derivation the way
-``crsphere.frames.field_apply`` did before it summed every product into
-one reduction and before the frame fields kept image tables: one
+``ambient`` below builds a vector's ambient coefficients (v_a, w_a) from
+the closed forms of the frame fields, combined with the vector's slots,
+and ``field_apply`` applies the derivation sum v_a d_a + w_a dbar_a the
+way ``crsphere.frames.field_apply`` did before it summed every product
+into one reduction and before the frame fields kept image tables: one
 normalized product v_a d_a f or w_a dbar_a f per ambient coordinate,
-added up one at a time.  ``test_frames.py`` checks against it the table
+added up one at a time.  Neither reads ``crsphere.frames``'s tables or
+ambient coefficients.  ``test_frames.py`` checks against it the table
 route that every vector takes, cold (filling the tables from the frame
 fields' ambient coefficients) and warm.
 
@@ -13,7 +16,7 @@ The rest of this module is the reference for ``test_oracle3.py``.
 ``crsphere.oracle3`` holds the deformed frame Z_1(t) as its components
 over the base frame (T, Z_1, Zbar_1) of ``crsphere.frames``, Z_1 = Z_12.  Here Z_1(t) is built instead as an
 ambient derivation sum v_a d_a + w_a dbar_a with series coefficients, from
-the ambient coefficients of ``crsphere.frames``, and the base coframe
+the closed-form ambient coefficients of ``ambient``, and the base coframe
 (theta, theta^1, theta^1bar) is evaluated on it through the ambient
 coordinates.  This is the route the oracle took before it used the slot
 form; it is kept only as an independent oracle.
@@ -23,7 +26,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from crsphere.frames import FrameVector, z_field
+from crsphere.frames import FrameVector, index_pairs, z_field
 from crsphere.ring import ExactScalar, SpherePoly, TSeries2
 
 
@@ -38,9 +41,30 @@ def partial(p: SpherePoly, side: int, a: int) -> SpherePoly:
     return SpherePoly(p.n, out)
 
 
+def ambient(x: FrameVector) -> tuple[list, list]:
+    """(v_a, w_a) of x = sum_s x_s X_s, from the closed forms
+    T = (i/2) sum (z_a d_a - zbar_a dbar_a), Z_jk = zbar_j d_k - zbar_k d_j
+    and Zbar_jk = z_j dbar_k - z_k dbar_j."""
+    n = x.n
+    zs = [SpherePoly.z(n, a) for a in range(1, n + 2)]
+    ws = [SpherePoly.w(n, a) for a in range(1, n + 2)]
+    half_i = ExactScalar(0, Fraction(1, 2))
+    pairs = index_pairs(n)
+    p = len(pairs)
+    t, zc, zbc = x.slots[0], x.slots[1:p + 1], x.slots[p + 1:]
+    v = [t * zs[a] * half_i for a in range(n + 1)]
+    w = [t * ws[a] * -half_i for a in range(n + 1)]
+    for (j, k), c, cb in zip(pairs, zc, zbc):
+        v[k - 1] = v[k - 1] + c * ws[j - 1]
+        v[j - 1] = v[j - 1] - c * ws[k - 1]
+        w[k - 1] = w[k - 1] + cb * zs[j - 1]
+        w[j - 1] = w[j - 1] - cb * zs[k - 1]
+    return v, w
+
+
 def field_apply(x: FrameVector, f: SpherePoly) -> SpherePoly:
     """x(f), one normalized product per ambient coefficient of x."""
-    v, w = x.ambient()
+    v, w = ambient(x)
     out = SpherePoly.zero(f.n)
     for a in range(f.n + 1):
         if not v[a].is_zero():
@@ -91,8 +115,8 @@ def deformed_frame(e: SpherePoly, tweak: SpherePoly | None = None,
     the scaled one has Levi norm 1 through t^2.
     """
     z1 = z_field(N, 1, 2)
-    z1v, _ = z1.ambient()
-    _, zb1w = z1.conjugate().ambient()
+    z1v, _ = ambient(z1)
+    _, zb1w = ambient(z1.conjugate())
     zero = SpherePoly.zero(N)
     lin = e * ExactScalar(0, -1)
     quad = zero if tweak is None else tweak * ExactScalar(0, -1)

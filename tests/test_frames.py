@@ -461,7 +461,8 @@ def test_series_vectors_match_polynomial_orders(n):
     at each order k, the truncated sum over i + j = k of the operation on
     the polynomial vectors x_i and y_j (covariant_T is linear: y_k).  Each
     series slot is nonzero at orders 0, 1 and 2 and zero in some
-    coefficients."""
+    coefficients.  A series vector also meets a frame field, a polynomial
+    vector whose t and t^2 parts are zero, on either side."""
     one, first, last = SpherePoly.one(n), index_pairs(n)[0], index_pairs(n)[-1]
     xs = [z_field(n, *first) * (one + z(n, 1) * w(n, 2)),
           z_field(n, *first) * w(n, 1) + z_field(n, *last) * z(n, 1),
@@ -471,11 +472,17 @@ def test_series_vectors_match_polynomial_orders(n):
           zbar_field(n, *last) + zbar_field(n, *first) * z(n, 1)
           + reeb(n) * ExactScalar(1, 1)]
     x, y = series_vector(xs), series_vector(ys)
+    zero = xs[0] * SpherePoly.zero(n)
+    zf, zbf = z_field(n, *last), zbar_field(n, *first)
+    cases = ((x, xs, y, ys), (x, xs, zbf, [zbf, zero, zero]),
+             (zf, [zf, zero, zero], y, ys))
     for op in (bracket, covariant_Z):
-        got = op(x, y)
-        for k in range(3):
-            want = reduce(add, (op(xs[i], ys[k - i]) for i in range(k + 1)))
-            assert order_slots(got, k) == want.slots, (op.__name__, k)
+        for a, a_orders, b, b_orders in cases:
+            got = op(a, b)
+            for k in range(3):
+                want = reduce(add, (op(a_orders[i], b_orders[k - i])
+                                    for i in range(k + 1)))
+                assert order_slots(got, k) == want.slots, (op.__name__, k)
     got = covariant_T(y)
     for k in range(3):
         assert order_slots(got, k) == covariant_T(ys[k]).slots

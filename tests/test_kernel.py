@@ -206,7 +206,7 @@ def test_reduction_closed_form_n1():
     want = {((0, j), (0, j)): ExactScalar((-1) ** j * math.comb(20, j))
             for j in range(21)}
     got = SpherePoly.monomial(1, (20, 0), (20, 0))
-    assert got == SpherePoly(1, want)
+    assert dict(got.terms) == want
 
 
 def test_reduction_closed_form_n3():
@@ -221,7 +221,7 @@ def test_reduction_closed_form_n3():
             want[((0,) + m, (0,) + m)] = ExactScalar((-1) ** s * c)
     assert len(want) == 165
     got = SpherePoly.monomial(3, (8, 0, 0, 0), (8, 0, 0, 0))
-    assert got == SpherePoly(3, want)
+    assert dict(got.terms) == want
 
 
 def test_reduction_matches_stack_reference():

@@ -132,6 +132,23 @@ def test_integral_vanishes_off_zero_mode(p):
     assert q.integral().is_zero()
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+@given(data=st.data())
+def test_phase_substitute_matches_coordinate_phases(n, data):
+    """z -> u z, zbar -> conj(u) zbar on every coordinate at once equals the
+    coordinate phases applied one coordinate at a time, on modes of both
+    signs."""
+    p = data.draw(polys(n, max_terms=4))
+    p = p + z(n, 1) ** 3 * w(n, 2) + w(n, n + 1) ** 2 * z(n, 1)   # m = 2, -1
+    for u in (ExactScalar(Fraction(3, 5), Fraction(4, 5)),
+              ExactScalar(Fraction(5, 13), Fraction(-12, 13)),
+              ExactScalar(0, 1), ExactScalar(-1)):
+        want = p
+        for j in range(1, n + 2):
+            want = coordinate_phase(want, j, u)
+        assert p.phase_substitute(u) == want
+
+
 # -- grading -----------------------------------------------------------------------
 
 def test_fourier_examples():

@@ -33,7 +33,7 @@ def load_config(path: str) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     for ln, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
@@ -95,7 +95,7 @@ def parse_deformation_file(path: str) -> variation.DeformationTensor:
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read deformation file {path}: {exc}")
 
     n: int | None = None

@@ -34,8 +34,9 @@ Tanaka-Webster covariant data used throughout (round structure):
 
     nabla_T Z_jk = -i Z_jk,   nabla_T Zbar_jk = +i Zbar_jk,   nabla T = 0,
     nabla_{Z_jk} Z_pq = 0,
-    nabla_{Z_jk} Zbar_lm = projection of [Z_jk, Zbar_lm] onto the
-    antiholomorphic sub-bundle.
+    nabla_X Ybar = pi_{0,1}[X, Ybar] for any holomorphic X: the Zbar
+    block of the one bracket [X, Y], since the T and Z parts of Y
+    bracket with X into T + T^{1,0}.
 
 Sign conventions: the Levi pairing is the positive-definite coefficient
 pairing sum v_a conj(w_a); the musical pairing used for the sharp map is
@@ -654,35 +655,19 @@ def covariant_T(obj):
     raise TypeError("covariant_T accepts FrameVector, TensorField")
 
 
-def _nabla_z_zbar(n: int, jk: Pair, lm: Pair) -> FrameVector:
-    """nabla_{Z_jk} Zbar_lm: the Zbar block of [Z_jk, Zbar_lm]'s slots.
-
-    The (0,1) projection subtracts phi zbar_a from each dbar coefficient
-    w_a, phi the tangency defect, and phi cancels in every Zbar slot
-    zbar_j w_k - zbar_k w_j.
-    """
-    _, z, zb = bracket(z_field(n, *jk), zbar_field(n, *lm))._blocks()
-    return FrameVector(n, (SpherePoly.zero(n),) * (1 + len(z)) + zb)
-
-
 def covariant_Z(direction: FrameVector, target: FrameVector) -> FrameVector:
-    """Tanaka-Webster derivative along a holomorphic-type direction.
+    """Tanaka-Webster derivative along a holomorphic-type direction X.
 
-    nabla_{Z_jk} T = 0 and nabla_{Z_jk} Z_pq = 0; on conjugate frame
-    fields the derivative is the antiholomorphic projection of the Lie
-    bracket, returned re-expanded over the frame.
+    nabla_X T = 0 and nabla_X Z_pq = 0, so the T and Z slots are X applied
+    to the target's.  nabla_X Ybar = pi_{0,1}[X, Ybar] for any holomorphic X: the
+    T and Z parts of the target bracket with X into T + T^{1,0}, with
+    zero Zbar slots, so the Zbar block is read off the one bracket [X, Y].
     """
     if direction.n != target.n:
         raise ValueError("dimension mismatch")
     if not direction.is_holomorphic():
         raise ValueError("direction must be holomorphic-type")
-    n = direction.n
-    out = FrameVector(n, (field_apply(direction, c) for c in target.slots))
-    pairs = index_pairs(n)
-    _, dz, _ = direction._blocks()
-    _, _, tzb = target._blocks()
-    for lm, c in zip(pairs, tzb):
-        for jk, dc in zip(pairs, dz):
-            if not (c.is_zero() or dc.is_zero()):
-                out = out + _nabla_z_zbar(n, jk, lm) * (c * dc)
-    return out
+    t, z, _ = target._blocks()
+    _, _, zb = bracket(direction, target)._blocks()
+    return FrameVector(direction.n, tuple(field_apply(direction, c)
+                                          for c in t + z) + zb)

@@ -207,13 +207,13 @@ class ExactScalar:
         return not self.is_zero()
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, _SCALAR_TYPES):
+        if not isinstance(other, _SCALAR_TYPES) or isinstance(other, bool):
             return NotImplemented
         # lowest terms over a positive denominator are unique
         return (self._re, self._im, self._den) == _split(other)
 
-    def __hash__(self):
-        return hash((self.re, self.im))
+    def __hash__(self):     # a real scalar hashes as the rational it equals
+        return hash((self.re, self.im) if self._im else self.re)
 
     # -- serialization ----------------------------------------------------
     def serialize(self) -> str:
@@ -572,13 +572,15 @@ class SpherePoly:
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SpherePoly):
-            if not isinstance(other, (int, Fraction, ExactScalar)):
+            if not isinstance(other, _SCALAR_TYPES) or isinstance(other, bool):
                 return NotImplemented
             other = SpherePoly.constant(self.n, other)
         return (self.n == other.n and self.den == other.den
                 and self.nums == other.nums)
 
-    def __hash__(self):
+    def __hash__(self):     # a constant hashes as the scalar it equals
+        if self.is_constant():
+            return hash(self.constant_term())
         return hash((self.n, self.den, frozenset(self.nums.items())))
 
     def constant_term(self) -> ExactScalar:

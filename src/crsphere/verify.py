@@ -52,6 +52,8 @@ class SuiteConfig:
                 "pools are maintained for n <= 3 only")
         if self.samples < 0:
             raise ValueError("sample count must be >= 0")
+        if not 0 <= self.seed < 2 ** 32:
+            raise ValueError("seed must be >= 0 and < 2^32")
         choices = f"choose from {', '.join(SUITE_NAMES)} or 'all'"
         if not self.suites:
             raise ValueError(f"no suite selected; {choices}")

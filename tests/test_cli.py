@@ -610,6 +610,41 @@ def test_verify_rejects_degree_above_cap(tmp_path, capsys, monkeypatch,
     assert not (tmp_path / "r.txt").exists()
 
 
+@pytest.mark.parametrize("argv, config", [
+    (["--seed", "-5", "--samples", "3"], None),
+    (["--seed", "-5"], None),
+    (["--seed", str(2 ** 32)], None),
+    ([], "seed = -1\n"),
+])
+def test_verify_rejects_seed_out_of_range(tmp_path, capsys, monkeypatch,
+                                          argv, config):
+    def no_work(cfg):
+        raise AssertionError("suites ran on a seed out of range")
+
+    monkeypatch.setattr(cli, "run_suite", no_work)
+    if config is not None:
+        (tmp_path / "cfg.txt").write_text(config)
+        argv = argv + ["--config", str(tmp_path / "cfg.txt")]
+    code, stdout, err = run(capsys, "verify", "--n", "1", "--degree", "1",
+                            "--suites", "ring", "--samples", "0",
+                            "--output", str(tmp_path / "r.txt"), *argv)
+    assert code == 2 and stdout == ""
+    assert err == "config error: seed must be >= 0 and < 2^32\n"
+    assert not (tmp_path / "r.txt").exists()
+
+
+@pytest.mark.parametrize("argv, prefix", [
+    (["analyze"], "parse error: cannot read deformation file"),
+    (["verify", "--config"], "config error: cannot read config file"),
+])
+def test_non_utf8_file_exits_2(tmp_path, capsys, argv, prefix):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"\xff\xfe n = 1\n")
+    code, stdout, err = run(capsys, *argv, str(bad))
+    assert code == 2 and stdout == ""
+    assert err.startswith(f"{prefix} {bad}: ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("n, body, col", [
     (1, "E =", 4), (1, "E = +", 6), (2, "E[1 2, 1 2] =", 14)])
 def test_analyze_rejects_empty_polynomial(tmp_path, capsys, n, body, col):

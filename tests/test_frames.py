@@ -531,13 +531,55 @@ def test_covariant_Z_annihilates_frame(n):
             assert covariant_Z(z_field(n, *jk), z_field(n, *pq)).is_zero()
 
 
-@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("n", [1, 2, 3])
 def test_covariant_Z_mixed_matches_closed_formula(n):
     for jk in index_pairs(n):
         for lm in index_pairs(n):
             got = covariant_Z(z_field(n, *jk), zbar_field(n, *lm))
             want = closed_nabla_z_zbar(n, *jk, *lm)
             assert got == want
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_covariant_Z_leibniz(n):
+    """nabla_X Y for X = sum dc_jk Z_jk and Y = t T + sum a_pq Z_pq +
+    sum b_lm Zbar_lm, all coefficients nonconstant: X applied to each of
+    Y's coefficients plus sum dc_jk b_lm nabla_{Z_jk} Zbar_lm, the last
+    from the closed formula."""
+    pairs = index_pairs(n)
+    dc = {(j, k): z(n, j) * w(n, k) + i for i, (j, k) in enumerate(pairs)}
+    a = {(j, k): w(n, j) + z(n, k) * I for j, k in pairs}
+    b = {(j, k): z(n, k) ** 2 + w(n, j) * ExactScalar(i, 1)
+         for i, (j, k) in enumerate(pairs)}
+    t = z(n, 1) * w(n, n + 1) + 1
+    x = reduce(add, (z_field(n, *jk) * c for jk, c in dc.items()))
+    y = reduce(add, [reeb(n) * t]
+               + [z_field(n, *pq) * c for pq, c in a.items()]
+               + [zbar_field(n, *lm) * c for lm, c in b.items()])
+    want = reduce(add, [reeb(n) * field_apply(x, t)]
+                  + [z_field(n, *pq) * field_apply(x, c)
+                     for pq, c in a.items()]
+                  + [zbar_field(n, *lm) * field_apply(x, c)
+                     for lm, c in b.items()]
+                  + [closed_nabla_z_zbar(n, *jk, *lm) * (dc[jk] * b[lm])
+                     for jk in pairs for lm in pairs])
+    assert covariant_Z(x, y) == want
+
+
+def test_covariant_Z_makes_one_bracket(monkeypatch):
+    """Two direction slots and two Zbar target slots: one bracket."""
+    p, q, r = index_pairs(2)
+    x = z_field(2, *p) * w(2, 1) + z_field(2, *q) * z(2, 2)
+    y = zbar_field(2, *p) * z(2, 3) + zbar_field(2, *r) * w(2, 2)
+    calls = []
+    original = frames.bracket
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+    monkeypatch.setattr(frames, "bracket", counting)
+    covariant_Z(x, y)
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("n", [1, 2])

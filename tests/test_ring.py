@@ -264,6 +264,27 @@ def test_scalar_rejects_bool():
         ExactScalar(0, False)
 
 
+@given(scalars(), st.integers(1, 3))
+def test_equal_scalars_hash_alike(c, n):
+    """A scalar, its constant polynomial and, when real, its rational are
+    equal and hash alike, so set and dict lookups agree with ==."""
+    equal = [c, SpherePoly.constant(n, c)]
+    if c.is_real():
+        equal.append(c.re)
+        if c.re.denominator == 1:
+            equal.append(c.re.numerator)
+    for a in equal:
+        for b in equal:
+            assert a == b and hash(a) == hash(b) and a in {b}
+
+
+def test_scalar_and_constant_are_not_bools():
+    for one in (ExactScalar(1), SpherePoly.one(1)):
+        assert one != True and not one == True
+        assert True not in {one}
+    assert ExactScalar(0) != False and SpherePoly.zero(2) != False
+
+
 def test_dimension_mismatch_rejected():
     with pytest.raises(ValueError):
         z(1, 1) * z(2, 1)

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
+import dataclasses
 import functools
 import re
 import sys
@@ -52,14 +54,13 @@ def load_config(path: str) -> dict:
 
 
 def _build_suite_config(args) -> SuiteConfig:
-    base = {"n": 1, "degree": 4, "suites": "all", "samples": 0, "seed": 0,
-            "output": "report.txt"}
+    base = {**dataclasses.asdict(SuiteConfig()), "suites": "all"}
     if args.config:
         for k, v in load_config(args.config).items():
             if k not in base:
                 raise ConfigError(f"unknown config key {k!r}")
             base[k] = v
-    for k in ("n", "degree", "suites", "samples", "seed", "output"):
+    for k in base:
         v = getattr(args, k, None)
         if v is not None:
             base[k] = v
@@ -184,24 +185,27 @@ def parse_deformation_file(path: str) -> variation.DeformationTensor:
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _check_writable(path: str) -> None:
-    """Fail before any work if the report path cannot be opened."""
+@contextlib.contextmanager
+def _writing(path: str):
+    """Raise an OSError met while opening or writing path as a ConfigError."""
     try:
-        with open(path, "a", encoding="utf-8"):
-            pass
+        yield
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
+def _check_writable(path: str) -> None:
+    """Fail before any work if the report path cannot be opened."""
+    with _writing(path), open(path, "a", encoding="utf-8"):
+        pass
+
+
 def _cmd_verify(args) -> int:
-    try:
-        cfg = _build_suite_config(args)
-        _check_writable(cfg.output)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+    cfg = _build_suite_config(args)
+    _check_writable(cfg.output)
     report = run_suite(cfg)
-    report.write(cfg.output)
+    with _writing(cfg.output):
+        report.write(cfg.output)
     for name, recs in report.suites:
         bad = sum(1 for r in recs if not r.ok)
         status = "PASS" if bad == 0 else f"FAIL ({bad})"
@@ -214,11 +218,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_analyze(args) -> int:
     if args.output:
-        try:
-            _check_writable(args.output)
-        except ConfigError as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return 2
+        _check_writable(args.output)
     try:
         e = parse_deformation_file(args.file)
     except ConfigError as exc:
@@ -246,8 +246,7 @@ def _cmd_analyze(args) -> int:
         lines.append(f"  m={m}: norm2={nrm.serialize()} "
                      f"(m+4)-weighted={wt.serialize()}")
     if e.n == 1:
-        bad = [m for m in e.coefficient_modes()
-               if m <= variation.EMBEDDABILITY_MODE_CUTOFF]
+        bad = variation.obstructing_modes(e)
         note = f" (obstructing modes: {bad})" if bad else ""
         lines.append("embeddable: "
                      f"{'yes' if rep.embeddable else 'no'}{note}")
@@ -292,7 +291,7 @@ def _cmd_analyze(args) -> int:
 def _emit(output: str | None, text: str) -> None:
     print(text, end="")
     if output:
-        with open(output, "w", encoding="utf-8") as fh:
+        with _writing(output), open(output, "w", encoding="utf-8") as fh:
             fh.write(text)
         print(f"(written to {output})")
 
@@ -302,9 +301,8 @@ def _cmd_spectrum(args) -> int:
     dmax = args.degree
     for flag, value in (("n-max", nmax), ("degree", dmax)):
         if not 1 <= value <= MAX_TERM_DEGREE:
-            print(f"config error: {flag} must be >= 1 and <= "
-                  f"{MAX_TERM_DEGREE}", file=sys.stderr)
-            return 2
+            raise ConfigError(f"{flag} must be >= 1 and <= "
+                              f"{MAX_TERM_DEGREE}")
     print("sub-Laplacian eigenvalues lambda(p,q,n) = p q + n (p+q)/2")
     for n in range(1, nmax + 1):
         print(f"n = {n} (S^{2 * n + 1}):")
@@ -333,8 +331,7 @@ def _cmd_spectrum(args) -> int:
 
 def _cmd_conventions(args) -> int:
     if args.n < 1:
-        print("config error: n must be >= 1", file=sys.stderr)
-        return 2
+        raise ConfigError("n must be >= 1")
     print(conventions_text(args.n))
     return 0
 
@@ -388,7 +385,11 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

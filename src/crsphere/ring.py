@@ -459,10 +459,7 @@ class SpherePoly:
     @staticmethod
     def w(n: int, j: int) -> "SpherePoly":
         """Conjugate coordinate zbar_j, 1-based."""
-        if not 1 <= j <= n + 1:
-            raise ValueError(f"coordinate index {j} out of range 1..{n + 1}")
-        b = tuple(1 if k == j - 1 else 0 for k in range(n + 1))
-        return SpherePoly.monomial(n, (0,) * (n + 1), b)
+        return SpherePoly.z(n, j).conjugate()
 
     @property
     def terms(self) -> Mapping[TermKey, ExactScalar]:

@@ -35,6 +35,7 @@ __all__ = [
     "HessianReport",
     "validate_symmetry",
     "fourier_modes",
+    "obstructing_modes",
     "is_embeddable",
     "j_hessian",
     "j_hessian_via_T",
@@ -161,26 +162,29 @@ class DeformationTensor:
 
 def fourier_modes(e: DeformationTensor) -> dict[int, DeformationTensor]:
     """Coefficient-wise circle-mode split; the parts sum back to e."""
-    if e.n == 1:
-        return {m: DeformationTensor.from_coefficient(
-                    e.coefficient.fourier_project(m))
-                for m in e.coefficient_modes()}
     return {m: DeformationTensor.from_tensor(TensorField(e.n, {
-                k: c.fourier_project(m) for k, c in e.tensor.coeffs.items()}))
+                k: c.fourier_project(m) for k, c in e.coefficients().items()}))
             for m in e.coefficient_modes()}
 
 
-def is_embeddable(e: DeformationTensor) -> bool:
-    """Embeddability of the infinitesimally perturbed structure on S^3.
+def obstructing_modes(e: DeformationTensor) -> list[int]:
+    """The circle modes of a deformation on S^3 that obstruct embeddability.
 
-    True exactly when every nonzero Fourier component has mode m > -4.
-    In dimension five and higher perturbed structures are always
-    embeddable, so the classifier refuses to run there.
+    These are the modes m <= -4 of its nonzero Fourier components, in
+    increasing order.  In dimension five and higher perturbed structures
+    are always embeddable, so the classifier refuses to run there.
     """
     if e.n != 1:
         raise ValueError("mode classifier applies to S^3 only; higher "
                          "dimensions are always embeddable")
-    return all(m > EMBEDDABILITY_MODE_CUTOFF for m in e.coefficient_modes())
+    return [m for m in e.coefficient_modes()
+            if m <= EMBEDDABILITY_MODE_CUTOFF]
+
+
+def is_embeddable(e: DeformationTensor) -> bool:
+    """Embeddability of the infinitesimally perturbed structure on S^3:
+    true exactly when no mode obstructs (:func:`obstructing_modes`)."""
+    return not obstructing_modes(e)
 
 
 @dataclass(frozen=True)
@@ -284,17 +288,10 @@ def yamabe_energy_series(v: SpherePoly) -> TSeries2:
     u = TSeries2(SpherePoly.one(n), v)
     lap_u = TSeries2(SpherePoly.zero(n), sublaplacian(v))
     integrand = u * (lap_u * ExactScalar(-b_n) + u * ExactScalar(w0))
-    n0, n1, n2 = integrand.integral()
-    numerator = TSeries2(SpherePoly.constant(n, n0),
-                         SpherePoly.constant(n, n1),
-                         SpherePoly.constant(n, n2))
-
-    s = Fraction(2 * q_hom, q_hom - 2)
-    d1 = v.integral() * ExactScalar(s)
-    d2 = norm2(v) * ExactScalar(s * (s - 1) / 2)
-    denominator = TSeries2(SpherePoly.one(n),
-                           SpherePoly.constant(n, d1),
-                           SpherePoly.constant(n, d2))
+    volume = u.fractional_power(Fraction(2 * q_hom, q_hom - 2))
+    numerator, denominator = (
+        TSeries2(*(SpherePoly.constant(n, c) for c in x.integral()))
+        for x in (integrand, volume))
     dpow = denominator.fractional_power(Fraction(-(q_hom - 2), q_hom))
     return numerator * dpow
 

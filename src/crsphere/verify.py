@@ -6,6 +6,11 @@ is sorted by (total degree, exponents), so a given configuration always
 produces byte-identical reports.  Optional Monte-Carlo cross-checks are
 float-only sanity guards on the measure conventions and never touch the
 exact verdicts.
+
+Only the ``oracle3`` pool follows the configured degree in full.  The
+ring, spectral and conformal pools stop at degree 4, the variation
+suite's tensors are fixed (``structured_tensors``, degree <= 3), the
+frames suite reads no degree, and the Monte-Carlo pool stops at 6.
 """
 
 from __future__ import annotations
@@ -15,8 +20,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import __version__ as _version
-from .ring import (MAX_TERM_DEGREE, ExactScalar, SpherePoly, norm2,
-                   parse_poly, parse_scalar, volume_factor)
+from .ring import (MAX_TERM_DEGREE, ExactScalar, SpherePoly, _multi_indices,
+                   norm2, parse_poly, parse_scalar, volume_factor)
 from . import spectral
 from . import frames
 from . import variation
@@ -167,27 +172,15 @@ def conventions_text(n: int) -> str:
 # pools
 # ---------------------------------------------------------------------------
 
-def _exponents(width: int, total: int):
-    if width == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _exponents(width - 1, total - head):
-            yield (head,) + rest
-
-
 def monomial_pool(n: int, degree: int) -> list[tuple[str, SpherePoly]]:
     """All monomials z^a zbar^b with |a| + |b| <= degree, in pool order."""
+    keys = sorted((sum(a) + sum(b), a, b)
+                  for a in _multi_indices(n + 1, degree)
+                  for b in _multi_indices(n + 1, degree - sum(a)))
     out = []
-    for d in range(degree + 1):
-        keys = []
-        for da in range(d + 1):
-            for a in _exponents(n + 1, da):
-                for b in _exponents(n + 1, d - da):
-                    keys.append((a, b))
-        for a, b in sorted(keys):
-            p = SpherePoly.monomial(n, a, b)
-            out.append((p.to_grammar(), p))
+    for _, a, b in keys:
+        p = SpherePoly.monomial(n, a, b)
+        out.append((p.to_grammar(), p))
     return out
 
 
@@ -586,13 +579,9 @@ def run_montecarlo_suite(cfg: SuiteConfig) -> list[CheckRecord]:
     return recs
 
 
-_RUNNERS = {
-    "ring": run_ring_suite,
-    "spectral": run_spectral_suite,
-    "frames": run_frames_suite,
-    "variation": run_variation_suite,
-    "oracle3": run_oracle3_suite,
-}
+_RUNNERS = dict(zip(SUITE_NAMES, (run_ring_suite, run_spectral_suite,
+                                  run_frames_suite, run_variation_suite,
+                                  run_oracle3_suite), strict=True))
 
 
 def run_suite(cfg: SuiteConfig) -> Report:

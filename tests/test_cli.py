@@ -1,6 +1,8 @@
 """Command-line interface: subcommands, config handling, determinism."""
 
+import errno
 import hashlib
+import io
 import os
 import subprocess
 import sys
@@ -8,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from crsphere import cli, frames, oracle3, ring, spectral, variation
+from crsphere import cli, frames, oracle3, ring, spectral, variation, verify
 from crsphere.cli import main, load_config, parse_deformation_file, ConfigError
 from crsphere.ring import MAX_TERM_DEGREE, SpherePoly, TSeries2, parse_poly
 
@@ -100,6 +102,23 @@ def test_analyze_mode_minus_five(tmp_path, capsys):
     assert code == 0
     assert "embeddable: no" in stdout
     assert "hessian total: -1/6+0/1*i" in stdout
+
+
+@pytest.mark.parametrize("body, modes", [
+    ("(1/1,0/1) w1^5 (1/1,0/1) w1 w2^3 (1/1,0/1)", [-5, -4]),
+    ("(1/1,0/1) z1 z2 (2/1,0/1) w1^6", [-6]),
+    ("(1/1,0/1) w1^4 z2", []),
+], ids=["modes-5-4-0", "modes-6-0", "mode-3"])
+def test_analyze_notes_the_obstructing_modes(tmp_path, capsys, body, modes):
+    f = tmp_path / "d.txt"
+    f.write_text(f"n = 1\nE = {body}\n")
+    assert variation.obstructing_modes(parse_deformation_file(str(f))) \
+        == modes
+    code, stdout, _ = run(capsys, "analyze", str(f))
+    assert code == 0
+    line = "embeddable: " + (f"no (obstructing modes: {modes})" if modes
+                             else "yes")
+    assert line + "\n" in stdout
 
 
 def test_analyze_tensor_file_s5(tmp_path, capsys):
@@ -258,6 +277,43 @@ def test_analyze_unwritable_output_fails_before_work(tmp_path, capsys,
     code, stdout, err = run(capsys, "analyze", str(f), "--output", str(bad))
     assert code == 2 and stdout == ""
     assert err.startswith(f"config error: cannot write {bad}: ")
+
+
+class _FullFile(io.StringIO):
+    """A file on a full device: every write fails."""
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+def test_verify_failed_report_write_exits_2(tmp_path, capsys, monkeypatch):
+    def write(report, path):
+        with _FullFile() as fh:
+            fh.write(report.to_text())
+
+    monkeypatch.setattr(verify.Report, "write", write)
+    out = tmp_path / "r.txt"
+    code, stdout, err = run(capsys, "verify", "--n", "1", "--degree", "1",
+                            "--suites", "ring", "--output", str(out))
+    assert code == 2 and stdout == ""
+    assert err == (f"config error: cannot write {out}: [Errno 28] "
+                   f"{os.strerror(errno.ENOSPC)}\n")
+
+
+def test_analyze_failed_output_write_exits_2(tmp_path, capsys, monkeypatch):
+    def full_open(path, mode="r", **kwargs):
+        return _FullFile() if mode == "w" else open(path, mode, **kwargs)
+
+    monkeypatch.setattr(cli, "open", full_open, raising=False)
+    f = tmp_path / "d.txt"
+    f.write_text("n = 1\nE = (1/1,0/1) w1^5\n")
+    out = tmp_path / "r.txt"
+    code, stdout, err = run(capsys, "analyze", str(f), "--output", str(out))
+    assert code == 2
+    assert stdout.startswith("crsphere deformation analysis\n")
+    assert "written to" not in stdout
+    assert err == (f"config error: cannot write {out}: [Errno 28] "
+                   f"{os.strerror(errno.ENOSPC)}\n")
 
 
 # -- deformation files that repeat or mix lines --------------------------------
@@ -511,6 +567,31 @@ def test_wrong_constant_fails_the_gate(tmp_path, capsys, monkeypatch):
     code, stdout, _ = run(capsys, "analyze", str(f), "--oracle")
     assert code == 1
     assert "oracle second derivative: 4/1+0/1*i [FAIL]" in stdout
+
+
+def test_wrong_binomial_fails_the_conformal_route(tmp_path, capsys,
+                                                 monkeypatch):
+    """With s(s+1)/2 in place of s(s-1)/2 in the binomial series, the
+    volume series of every direction is wrong, and the series route no
+    longer matches the spectral route."""
+    def fractional_power(self, exponent):
+        s = Fraction(exponent)
+        quad = self.c2 * ring.ExactScalar(s) \
+            + (self.c1 * self.c1) * ring.ExactScalar(s * (s + 1) / 2)
+        return TSeries2(SpherePoly.one(self.n),
+                        self.c1 * ring.ExactScalar(s), quad)
+
+    monkeypatch.setattr(TSeries2, "fractional_power", fractional_power)
+    out = tmp_path / "r.txt"
+    code, _, _ = run(capsys, "verify", "--n", "1", "--degree", "2",
+                     "--suites", "variation", "--samples", "0",
+                     "--output", str(out))
+    assert code == 1
+    failed = [line for line in out.read_text().splitlines()
+              if line.startswith("  FAIL ")]
+    assert failed
+    assert all(line.startswith("  FAIL conformal-route[")
+               for line in failed)
 
 
 @pytest.mark.parametrize("order, fails, line", [

@@ -5,14 +5,16 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from crsphere.ring import ExactScalar, SpherePoly, norm2
+from crsphere.ring import ExactScalar, SpherePoly, TSeries2, norm2
 from crsphere.frames import TensorField, index_pairs, tight_expand, z_field
 from crsphere.variation import (DeformationTensor, conformal_exponent,
                                 conformal_first_variation, conformal_hessian,
                                 fourier_modes, is_embeddable, j_hessian,
-                                j_hessian_via_T, round_webster_curvature,
-                                validate_symmetry, yamabe_energy_series)
-from crsphere.spectral import harmonic_decompose
+                                j_hessian_via_T, obstructing_modes,
+                                round_webster_curvature, validate_symmetry,
+                                yamabe_energy_series)
+from crsphere.spectral import harmonic_decompose, sublaplacian
+from crsphere.verify import monomial_pool
 
 from test_frames import low_degree_polys, tensors
 from test_ring import polys, z, w
@@ -75,6 +77,21 @@ def test_mode_examples():
     assert sorted(fourier_modes(e2)) == [-5, 0]
 
 
+def _split_coefficient(e):
+    """The circle-mode split of an S^3 deformation, coefficient by
+    coefficient, without a tensor."""
+    return {m: defo(e.coefficient.fourier_project(m))
+            for m in e.coefficient_modes()}
+
+
+def test_mode_split_at_n1_is_coefficient_split():
+    pool = [p for _, p in monomial_pool(1, 4)]
+    for i, p in enumerate(pool):
+        for q in pool[i:]:
+            e = defo(p + q)
+            assert fourier_modes(e) == _split_coefficient(e)
+
+
 @given(polys(n=1))
 def test_modes_sum_back(p):
     e = defo(p)
@@ -104,8 +121,22 @@ def test_embeddability_examples():
 def test_embeddability_rejected_above_s3():
     pairs = index_pairs(2)
     t = TensorField(2, {(pairs[0], pairs[0]): SpherePoly.one(2)})
-    with pytest.raises(ValueError):
-        is_embeddable(DeformationTensor.from_tensor(t))
+    for classify in (is_embeddable, obstructing_modes):
+        with pytest.raises(ValueError):
+            classify(DeformationTensor.from_tensor(t))
+
+
+def test_obstructing_modes_example():
+    e = defo(w(1, 1) ** 5 + w(1, 1) * w(1, 2) ** 3 + SpherePoly.one(1))
+    assert obstructing_modes(e) == [-5, -4]
+    assert not is_embeddable(e)
+
+
+def test_embeddable_exactly_without_obstructing_modes():
+    for _, p in monomial_pool(1, 6):
+        if not p.is_zero():
+            e = defo(p)
+            assert is_embeddable(e) == (not obstructing_modes(e))
 
 
 # -- structure Hessian ------------------------------------------------------------------
@@ -359,6 +390,46 @@ def test_yamabe_route_equality_s5():
     assert series.c0.constant_term() == ExactScalar(round_webster_curvature(2))
     assert series.c1.constant_term().is_zero()
     assert series.c2.constant_term() * 2 == conformal_hessian(v)
+
+
+def _closed_form_yamabe_series(v):
+    """The normalized energy along 1 + t v, with the volume series
+    int (1 + t v)^s = 1 + s int v t + s(s-1)/2 ||v||^2 t^2 written out."""
+    n = v.n
+    q_hom = 2 * n + 2
+    u = TSeries2(SpherePoly.one(n), v)
+    lap_u = TSeries2(SpherePoly.zero(n), sublaplacian(v))
+    integrand = u * (lap_u * ExactScalar(-conformal_exponent(n))
+                     + u * ExactScalar(round_webster_curvature(n)))
+    n0, n1, n2 = integrand.integral()
+    numerator = TSeries2(SpherePoly.constant(n, n0),
+                         SpherePoly.constant(n, n1),
+                         SpherePoly.constant(n, n2))
+    s = Fraction(2 * q_hom, q_hom - 2)
+    d1 = v.integral() * ExactScalar(s)
+    d2 = norm2(v) * ExactScalar(s * (s - 1) / 2)
+    denominator = TSeries2(SpherePoly.one(n), SpherePoly.constant(n, d1),
+                           SpherePoly.constant(n, d2))
+    return numerator * denominator.fractional_power(
+        Fraction(-(q_hom - 2), q_hom))
+
+
+def _conformal_directions(n, max_degree):
+    """The real mean-zero directions of ``verify.conformal_checks``."""
+    out = {}
+    for _, p in monomial_pool(n, max_degree):
+        for v in (p + p.conjugate(),
+                  (p - p.conjugate()) * ExactScalar(0, 1)):
+            v = v - SpherePoly.constant(n, v.integral())
+            if not v.is_zero():
+                out.setdefault(v, None)
+    return list(out)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_yamabe_series_matches_closed_form(n):
+    for v in _conformal_directions(n, 3):
+        assert yamabe_energy_series(v) == _closed_form_yamabe_series(v)
 
 
 @pytest.mark.parametrize("n, examples", [(2, 40), (3, 25)])

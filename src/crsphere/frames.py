@@ -661,13 +661,17 @@ def covariant_Z(direction: FrameVector, target: FrameVector) -> FrameVector:
     nabla_X T = 0 and nabla_X Z_pq = 0, so the T and Z slots are X applied
     to the target's.  nabla_X Ybar = pi_{0,1}[X, Ybar] for any holomorphic X: the
     T and Z parts of the target bracket with X into T + T^{1,0}, with
-    zero Zbar slots, so the Zbar block is read off the one bracket [X, Y].
+    zero Zbar slots, so the Zbar block is read off the one bracket [X, Y],
+    and is zero, with no bracket formed, when Y has no Zbar part.
     """
     if direction.n != target.n:
         raise ValueError("dimension mismatch")
     if not direction.is_holomorphic():
         raise ValueError("direction must be holomorphic-type")
-    t, z, _ = target._blocks()
-    _, _, zb = bracket(direction, target)._blocks()
-    return FrameVector(direction.n, tuple(field_apply(direction, c)
-                                          for c in t + z) + zb)
+    t, z, zb = target._blocks()
+    tz = tuple(field_apply(direction, c) for c in t + z)
+    if any(not c.is_zero() for c in zb):
+        _, _, zb = bracket(direction, target)._blocks()
+    else:
+        zb = (type(tz[0]).zero(direction.n),) * len(zb)
+    return FrameVector(direction.n, tz + zb)

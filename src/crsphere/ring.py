@@ -18,6 +18,9 @@ Conventions:
 * Integration is against the rotation-invariant probability measure;
   the pseudohermitian volume 2^{n+1} pi^{n+1} is carried separately as a
   symbolic factor (see :func:`volume_factor`) and never as a float.
+  The moment int |z^a|^2 = n! prod(a_j!) / (n + |a|)! of a diagonal
+  monomial is read as (|a|, n! prod(a_j!)) from a per-n table keyed by
+  the key's half, filled as halves are met (:func:`_moments`).
 * The circle action z -> e^{i t} z grades monomials by m = |a| - |b|.
 
 Monomial keys: inside the kernel a monomial is one packed ``int``.  For
@@ -273,6 +276,7 @@ def _half(n: int) -> int:
     return (n + 2) * _F
 
 
+@functools.cache
 def _guard(n: int) -> int:
     """The guard bits of all 2(n+2) fields of a dimension-n key."""
     return ((1 << 2 * _half(n)) - 1) // _M * _CAP
@@ -313,12 +317,31 @@ def accumulate(dst: Terms, items: Iterable[tuple[Key, Gaussian]],
             del dst[key]
 
 
-def _term_products(xs: Mapping[Key, Gaussian], ys: Mapping[Key, Gaussian]):
-    """The unreduced ambient product of each term of xs with each of ys;
-    the product of two monomials is the sum of their keys."""
-    return ((k1 + k2, (r1 * r2 - i1 * i2, r1 * i2 + i1 * r2))
-            for k1, (r1, i1) in xs.items()
-            for k2, (r2, i2) in ys.items())
+def _add_products(dst: Terms, xs: Mapping[Key, Gaussian],
+                  ys: Mapping[Key, Gaussian], scale: int = 1) -> None:
+    """``dst += scale * xs * ys``, unreduced, keeping no zero term: the
+    product of two monomials is the sum of their keys.
+
+    The terms are summed in one loop, as in :func:`accumulate`; xs and
+    ys hold no zero term and ``scale`` is nonzero, so no product is zero.
+    """
+    get = dst.get
+    ys = ys.items()
+    for k1, (r1, i1) in xs.items():
+        r1, i1 = r1 * scale, i1 * scale
+        for k2, (r2, i2) in ys:
+            key = k1 + k2
+            re, im = r1 * r2 - i1 * i2, r1 * i2 + i1 * r2
+            prev = get(key)
+            if prev is None:
+                dst[key] = (re, im)
+            else:
+                re += prev[0]
+                im += prev[1]
+                if re or im:
+                    dst[key] = (re, im)
+                else:
+                    del dst[key]
 
 
 def _multi_indices(width: int, total: int) -> Iterable[Exponents]:
@@ -409,7 +432,10 @@ class SpherePoly:
         den = math.lcm(*(d for _, _, d in split.values()))
         nums = {key: (re * (den // d), im * (den // d))
                 for key, (re, im, d) in split.items() if re or im}
-        _init(self, n, reduce_nums(n, nums), den)
+        p = SpherePoly.from_nums(n, reduce_nums(n, nums), den)
+        _set_n(self, n)
+        _set_nums(self, p.nums)
+        _set_den(self, p.den)
 
     def __setattr__(self, name, value):
         raise AttributeError("SpherePoly is immutable")
@@ -420,10 +446,23 @@ class SpherePoly:
         """The polynomial sum nums[key] / den over normal-form keys.
 
         Takes ownership of ``nums``, which must hold no zero term and no
-        monomial divisible by z_1 zbar_1; ``den`` must be positive.
+        monomial divisible by z_1 zbar_1; ``den`` must be positive.  Every
+        instance is made here, with common factors divided out.
         """
+        if den != 1:
+            g = den
+            for re, im in nums.values():
+                g = math.gcd(g, re, im)
+                if g == 1:
+                    break
+            if g != 1:
+                for key, (re, im) in nums.items():     # values only: no resize
+                    nums[key] = (re // g, im // g)
+                den //= g
         p = object.__new__(SpherePoly)
-        _init(p, n, nums, den)
+        _set_n(p, n)
+        _set_nums(p, nums)
+        _set_den(p, den)
         return p
 
     @staticmethod
@@ -533,7 +572,7 @@ class SpherePoly:
         if c is not None:
             return other._scaled(*c, self.den)
         raw: Terms = {}
-        accumulate(raw, _term_products(self.nums, other.nums))
+        _add_products(raw, self.nums, other.nums)
         return SpherePoly.from_nums(self.n, reduce_nums(self.n, raw),
                                     self.den * other.den)
 
@@ -665,6 +704,11 @@ class SpherePoly:
         return f"SpherePoly(n={self.n}, {self.to_grammar()})"
 
 
+# The slot setters, past SpherePoly.__setattr__, which refuses assignment
+_set_n, _set_nums, _set_den = (SpherePoly.__dict__[name].__set__
+                               for name in SpherePoly.__slots__)
+
+
 def sum_of_products(n: int, items: Iterable[tuple[SpherePoly, Terms, int]]
                     ) -> SpherePoly:
     """sum x * (ys / d) over the items (x, ys, d), reduced once.
@@ -683,7 +727,7 @@ def sum_of_products(n: int, items: Iterable[tuple[SpherePoly, Terms, int]]
     den = math.lcm(*(d for _, _, d in used))
     raw: Terms = {}
     for x, ys, d in used:
-        accumulate(raw, _term_products(x.nums, ys), den // d)
+        _add_products(raw, x.nums, ys, den // d)
     return SpherePoly.from_nums(n, reduce_nums(n, raw), den)
 
 
@@ -694,20 +738,26 @@ def _constant_nums(p: SpherePoly) -> Gaussian | None:
     return p.nums.get(0, None if p.nums else (0, 0))
 
 
-def _init(p: SpherePoly, n: int, nums: Terms, den: int) -> None:
-    """Set p's slots to nums / den with common factors divided out."""
-    if den != 1:
-        g = den
-        for re, im in nums.values():
-            g = math.gcd(g, re, im)
-            if g == 1:
-                break
-        if g != 1:
-            nums = {key: (re // g, im // g) for key, (re, im) in nums.items()}
-            den //= g
-    object.__setattr__(p, "n", n)
-    object.__setattr__(p, "nums", nums)
-    object.__setattr__(p, "den", den)
+@functools.cache
+def _moment_table(n: int) -> dict[Key, tuple[int, int]]:
+    """(|a|, n! prod(a_j!)) by half key a, filled as halves are met."""
+    return {}
+
+
+def _moment(n: int, a: Key) -> tuple[int, int]:
+    """Fill the moment table's entry for the half key ``a``."""
+    fields = a.to_bytes(n + 2, "little")    # |a|, a_1, ..., a_{n+1}
+    entry = fields[0], math.factorial(n) * math.prod(
+        map(math.factorial, fields[1:]))
+    _moment_table(n)[a] = entry
+    return entry
+
+
+@functools.cache
+def _factorial_ratios(n: int, top: int) -> tuple[int, tuple[int, ...]]:
+    """(n + top)! and the ratios (n + top)! / (n + d)! for d = 0 .. top."""
+    fact = math.factorial(n + top)
+    return fact, tuple(fact // math.factorial(n + d) for d in range(top + 1))
 
 
 def _moments(n: int, diag: list[tuple[Key, Gaussian]],
@@ -716,20 +766,18 @@ def _moments(n: int, diag: list[tuple[Key, Gaussian]],
 
     Each a is one half of a key.  Its fields may hold values up to
     2 (_CAP - 1), the sum of two halves, which still fits a field.
-    int |z^a|^2 = n! prod(a_j!) / (n + |a|)!; the sum runs over the common
-    denominator (n + top)!, top the largest |a| present.
+    int |z^a|^2 = n! prod(a_j!) / (n + |a|)!, with (|a|, n! prod(a_j!))
+    read from a per-n table; the sum runs over the common denominator
+    (n + top)!, top the largest |a| present.
     """
     if not diag:
         return ExactScalar.zero()
-    fact = math.factorial
-    top = fact(n + max(a & _M for a, _ in diag))
-    scale = fact(n) * top
+    table = _moment_table(n)
+    moments = [table.get(a) or _moment(n, a) for a, _ in diag]
+    top, ratios = _factorial_ratios(n, max(moments)[0])
     re_sum = im_sum = 0
-    for a, (re, im) in diag:
-        fields = a.to_bytes(n + 2, "little")    # |a|, a_1, ..., a_{n+1}
-        w = scale // fact(n + fields[0])
-        for e in fields[1:]:
-            w *= fact(e)
+    for (deg, w), (_, (re, im)) in zip(moments, diag):
+        w *= ratios[deg]
         re_sum += re * w
         im_sum += im * w
     return _scalar(re_sum, im_sum, top * den)
@@ -759,21 +807,21 @@ def inner(p: SpherePoly, q: SpherePoly) -> ExactScalar:
     p._check(q)
     right = _shift_groups(q)
     left = right if p is q else _shift_groups(p)
-    diag = [item for shift, group in left.items()
-            for item in _shift_pairs(group, right.get(shift, ()))]
-    return _moments(p.n, diag, p.den * q.den)
+    return _moments(p.n, _shift_pairs(left, right), p.den * q.den)
 
 
-def _shift_pairs(left: list, right: list) -> list:
-    """The ambient monomials of int p * conj(q) from one shift group each.
+def _shift_pairs(left: dict[int, list], right: dict[int, list]) -> list:
+    """The ambient monomials of int p * conj(q) from shift groupings of p
+    and q.
 
-    Each term c z^a zbar^b of ``left`` with each c' z^a' zbar^b' of
-    ``right`` gives (a + b', c conj(c')), the low half of the product's
-    diagonal monomial and its numerator.
+    Each term c z^a zbar^b of a ``left`` group with each c' z^a' zbar^b'
+    of the ``right`` group of the same shift gives (a + b', c conj(c')),
+    the low half of the product's diagonal monomial and its numerator.
     """
     return [(a1 + b2, (r1 * r2 + i1 * i2, i1 * r2 - r1 * i2))
-            for a1, _, (r1, i1) in left
-            for _, b2, (r2, i2) in right]
+            for shift, group in left.items() if shift in right
+            for a1, _, (r1, i1) in group
+            for _, b2, (r2, i2) in right[shift]]
 
 
 def norm2(p: SpherePoly) -> ExactScalar:

@@ -17,6 +17,25 @@ operations below rest on that identity, with |z|^2 = 1 on the sphere.
   multiple is formed and no reduction runs.
 * :func:`sublaplacian` needs no splitting: box - lambda_{P,Q,n} sends each
   layer to -lambda_{P-k,Q-k,n} times itself, so it acts term by term.
+
+Both operators are linear and fixed, so each applies through a per-n
+image table keyed by normal-form monomial, filled the first time a
+monomial is met (:func:`_tables`); an operator sums c times the image of
+each term c z^a zbar^b in one loop over integer weights.
+
+* A monomial's decomposition image is its nonzero layers h_k, from its
+  box powers and :func:`_layer_rows`: each is a slot (P, Q, k) packed
+  into one int, the row's denominator and (key, integer weight) pairs.
+* Its sub-Laplacian image is (key, -2 lambda) and (key', 2 box weight)
+  over the denominator 2, from :func:`_double_eigenvalue` and
+  :func:`_amb_box`.
+
+Component order: parts by ascending (P, Q), each from its deepest
+nonzero layer up to k = 0, in the order the box-power solve meets them.
+A part A's layer k is nonzero exactly when box^k A is: box^k A holds no
+z_1 zbar_1, so when nonzero it is no |z|^2 multiple and has a nonzero
+harmonic layer.  So the nonzero slots, sorted, give that order, though
+layers of several monomials may cancel.
 """
 
 from __future__ import annotations
@@ -26,8 +45,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .ring import (_F, _M, ExactScalar, SpherePoly, Terms, _half, accumulate,
-                   inner)
+from .ring import (_F, _M, ExactScalar, Key, SpherePoly, Terms, _half,
+                   accumulate, inner)
 
 __all__ = [
     "HarmonicDecomposition",
@@ -100,6 +119,68 @@ def _layer_rows(deg_p: int, deg_q: int,
     return tuple(out)
 
 
+# A layer of a decomposition image: (slot, d, ((key, weight), ...))
+Layer = tuple[int, int, tuple[tuple[Key, int], ...]]
+
+
+@functools.cache
+def _bidegree(slot: int) -> tuple[int, int]:
+    """The component (P - k, Q - k) of the slot (P, Q, k), one shared tuple."""
+    k = _M - (slot & _M)
+    return (slot >> 2 * _F) - k, (slot >> _F & _M) - k
+
+
+@functools.cache
+def _tables(n: int) -> tuple[dict[Key, tuple[Layer, ...]],
+                             dict[Key, tuple[tuple[Key, int], ...]]]:
+    """The decomposition and sub-Laplacian image tables of dimension n,
+    keyed by normal-form monomial and filled as monomials are met."""
+    return {}, {}
+
+
+def _layers(n: int, key: Key) -> tuple[Layer, ...]:
+    """Fill the decomposition table's entry for the monomial ``key``.
+
+    Its nonzero layers h_k, from its box powers and :func:`_layer_rows`,
+    deepest first: each is (slot, d, pairs), h_k = sum w z^a' zbar^b' / d
+    over the pairs (key of z^a' zbar^b', w), integer w over the row's
+    denominator d, and slot = (P, Q, k) packed so that slots sort as
+    (P, Q, -k).
+    """
+    h = _half(n)
+    p, q = key & _M, key >> h & _M
+    powers = [{key: (1, 0)}]
+    while powers[-1]:
+        powers.append(_amb_box(n, powers[-1]))
+    image = []
+    for k, d, row in _layer_rows(p, q, n):
+        layer: Ambient = {}
+        for power, a in zip(powers[k:-1], row):
+            accumulate(layer, power.items(), a)
+        if layer:
+            image.append(((p << _F | q) << _F | _M - k, d,
+                          tuple((k2, re) for k2, (re, _)
+                                in layer.items())))
+    _tables(n)[0][key] = image = tuple(image)
+    return image
+
+
+def _sublaplacian_image(n: int, key: Key) -> tuple[tuple[Key, int], ...]:
+    """Fill the sub-Laplacian table's entry for the monomial ``key``: the
+    numerators over 2 of (2 box - 2 lambda_{|a|,|b|,n}) z^a zbar^b.
+
+    box never touches z_1 zbar_1, which no normal-form term holds, so the
+    image is already reduced.
+    """
+    h = _half(n)
+    lam = _double_eigenvalue(key & _M, key >> h & _M, n)
+    image = [(key, -lam)] if lam else []
+    box = _amb_box(n, {key: (1, 0)})
+    image += [(k, 2 * re) for k, (re, _) in box.items()]
+    _tables(n)[1][key] = image = tuple(image)
+    return image
+
+
 @dataclass(frozen=True)
 class HarmonicDecomposition:
     """Bidegree components of a SpherePoly.
@@ -124,35 +205,47 @@ class HarmonicDecomposition:
 def harmonic_decompose(f: SpherePoly) -> HarmonicDecomposition:
     """Split f into restrictions of ambient harmonic bihomogeneous pieces.
 
-    box lowers a bidegree (P, Q) to (P - 1, Q - 1), so box^j f holds
-    box^j of every part of f at once, each part at its own bidegree: a
-    term of bidegree (p, q) in box^j f belongs to the part (p + j, q + j).
+    The sum of c times the table image of each term c z^a zbar^b: each
+    slot (P, Q, k) sums layer k of f's bidegree-(P, Q) part over its
+    row's denominator, and the nonzero slots, in slot order, add up to
+    the components in the module docstring's order.
     """
     n = f.n
-    h = _half(n)
-    # parts[(P, Q)][j] is box^j of f's bidegree-(P, Q) part
-    parts: dict[tuple[int, int], list[Ambient]] = {}
-    power, j = f.nums, 0
-    while power:
-        for key, c in power.items():
-            part = parts.setdefault(((key & _M) + j, (key >> h & _M) + j), [])
-            if len(part) == j:
-                part.append({})
-            part[j][key] = c
-        power, j = _amb_box(n, power), j + 1
-    parts = sorted(parts.items())
-    # every layer over one denominator; from_nums divides out what is common
-    den = math.lcm(*(d for (p, q), _ in parts
-                     for _, d, _ in _layer_rows(p, q, n)))
-    sums: dict[tuple[int, int], Ambient] = {}
-    for (p, q), powers in parts:
-        for k, d, row in _layer_rows(p, q, n):
-            if k < len(powers):
-                dst = sums.setdefault((p - k, q - k), {})
-                for power, a in zip(powers[k:], row):
-                    accumulate(dst, power.items(), a * (den // d))
-    components = {key: SpherePoly.from_nums(n, nums, den * f.den)
-                  for key, nums in sums.items() if nums}
+    images = _tables(n)[0]
+    slots: dict[int, Ambient] = {}
+    dens: dict[int, int] = {}
+    for key, (re, im) in f.nums.items():
+        for slot, d, pairs in images.get(key) or _layers(n, key):
+            dst = slots.get(slot)
+            if dst is None:
+                dst = slots[slot] = {}
+                dens[slot] = d
+            get = dst.get
+            for k2, w in pairs:
+                prev = get(k2)
+                if prev is None:
+                    dst[k2] = (re * w, im * w)
+                else:
+                    r, i = prev[0] + re * w, prev[1] + im * w
+                    if r or i:
+                        dst[k2] = (r, i)
+                    else:
+                        del dst[k2]
+    groups: dict[tuple[int, int], list[int]] = {}
+    for s in sorted([slot for slot, layer in slots.items() if layer]):
+        groups.setdefault(_bidegree(s), []).append(s)
+    components = {}
+    for pq, group in groups.items():
+        if len(group) == 1:
+            den, dst = dens[group[0]], slots[group[0]]
+        else:
+            den = math.lcm(*(dens[t] for t in group))
+            dst = {}
+            for t in group:
+                accumulate(dst, slots[t].items(), den // dens[t])
+            if not dst:
+                continue
+        components[pq] = SpherePoly.from_nums(n, dst, den * f.den)
     return HarmonicDecomposition(n=n, components=components)
 
 
@@ -169,18 +262,27 @@ def eigenvalue(p: int, q: int, n: int) -> Fraction:
 def sublaplacian(f: SpherePoly) -> SpherePoly:
     """Sub-Laplacian, term by term: box - lambda_{|a|,|b|,n} on c z^a zbar^b.
 
-    box never touches z_1 zbar_1, which no normal-form term holds, so the
-    result is already reduced.  It is summed as (2 box - 2 lambda) / 2, so
-    every coefficient stays integral.
+    The sum of c times the table image of each term c z^a zbar^b, over
+    the table's denominator 2.
     """
     n = f.n
-    h = _half(n)
+    images = _tables(n)[1]
     out: Ambient = {}
+    get = out.get
     for key, (re, im) in f.nums.items():
-        lam = _double_eigenvalue(key & _M, key >> h & _M, n)
-        if lam:
-            out[key] = (-re * lam, -im * lam)
-    accumulate(out, _amb_box(n, f.nums).items(), 2)
+        pairs = images.get(key)
+        if pairs is None:
+            pairs = _sublaplacian_image(n, key)
+        for k, w in pairs:
+            prev = get(k)
+            if prev is None:
+                out[k] = (re * w, im * w)
+            else:
+                r, i = prev[0] + re * w, prev[1] + im * w
+                if r or i:
+                    out[k] = (r, i)
+                else:
+                    del out[k]
     return SpherePoly.from_nums(n, out, 2 * f.den)
 
 

@@ -210,14 +210,13 @@ def _mode_norms(c: SpherePoly) -> dict[int, ExactScalar]:
     of equal shift pair to a nonzero integral (see ``ring.inner``), so a
     mode's norm sums the same-shift pairs of the shifts that add up to m.
     """
-    diags: dict[int, list] = {}
-    for group in _shift_groups(c).values():
+    by_mode: dict[int, dict[int, list]] = {}
+    for shift, group in _shift_groups(c).items():
         a, b, _ = group[0]      # key halves: the degree fields give the mode
-        diags.setdefault((a & _M) - (b & _M), []).extend(
-            _shift_pairs(group, group))
+        by_mode.setdefault((a & _M) - (b & _M), {})[shift] = group
     out = {}
-    for m, diag in diags.items():
-        nrm = _moments(c.n, diag, c.den * c.den)
+    for m, groups in by_mode.items():
+        nrm = _moments(c.n, _shift_pairs(groups, groups), c.den * c.den)
         if nrm.im != 0:
             raise AssertionError("norm squared must be real")
         out[m] = nrm

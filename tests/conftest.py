@@ -14,7 +14,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import settings
 
-from crsphere import frames
+from crsphere import frames, spectral
 from crsphere.ring import ExactScalar, SpherePoly
 
 settings.register_profile("det", derandomize=True, max_examples=60)
@@ -103,3 +103,20 @@ def frame_tables():
         for (_, images), old in zip(frames._tables(n), entries):
             images.clear()
             images.update(old)
+
+
+@pytest.fixture
+def spectral_tables():
+    """``spectral._tables``, with the n = 1, 2, 3 decomposition and
+    sub-Laplacian tables emptied for the test and their entries put back
+    after it."""
+    saved = {n: [dict(table) for table in spectral._tables(n)]
+             for n in (1, 2, 3)}
+    for n in saved:
+        for table in spectral._tables(n):
+            table.clear()
+    yield spectral._tables
+    for n, entries in saved.items():
+        for table, old in zip(spectral._tables(n), entries):
+            table.clear()
+            table.update(old)

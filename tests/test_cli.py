@@ -629,7 +629,7 @@ def test_webster_read_off_fault_fails_the_gate(tmp_path, capsys, monkeypatch,
 
 
 def test_wrong_eigenvalue_fails_the_eigen_check(tmp_path, capsys,
-                                               monkeypatch):
+                                               monkeypatch, spectral_tables):
     # The table is the integer 2 * lambda, which both the operator and
     # spectral.eigenvalue read.  The eigen records compare each harmonic
     # component with -lambda times itself, lambda from verify's own
@@ -649,7 +649,7 @@ def test_wrong_eigenvalue_fails_the_eigen_check(tmp_path, capsys,
 
 
 def test_wrong_box_factor_fails_the_eigen_check(tmp_path, capsys,
-                                                monkeypatch):
+                                                monkeypatch, spectral_tables):
     # harmonic_decompose solves its layers with the box factors
     # k (n + s + k), while the operator applies the eigenvalue table, so
     # the eigen records compare two routes with independent constants.

@@ -583,6 +583,33 @@ def test_covariant_Z_makes_one_bracket(monkeypatch):
 
 
 @pytest.mark.parametrize("n", [1, 2])
+def test_covariant_Z_without_Zbar_part_forms_no_bracket(n, monkeypatch):
+    """A target with no Zbar part gets a zero Zbar block, equal slot by
+    slot, ring included, to the one read off the bracket, with polynomial
+    and series directions and targets, and no bracket is formed."""
+    first, last = index_pairs(n)[0], index_pairs(n)[-1]
+    x = z_field(n, *first) * w(n, 1) + z_field(n, *last) * z(n, 2)
+    y = reeb(n) * z(n, 1) + z_field(n, *last) * w(n, 2)
+    zf = z_field(n, *first)
+    zero = x * SpherePoly.zero(n)
+    xt, yt = series_vector([x, zf, zero]), series_vector([y, zero, zf])
+    cases = [(x, y), (x, zf), (xt, y), (x, yt), (xt, yt), (xt, zf)]
+
+    def bracket_route(a, b):
+        t, zs, _ = b._blocks()
+        _, _, zb = bracket(a, b)._blocks()
+        return tuple(field_apply(a, c) for c in t + zs) + zb
+
+    wants = [bracket_route(a, b) for a, b in cases]
+    calls = recorded_calls(monkeypatch, [(frames, "bracket")])
+    for (a, b), want in zip(cases, wants):
+        got = covariant_Z(a, b).slots
+        assert got == want
+        assert list(map(type, got)) == list(map(type, want))
+    assert calls == []
+
+
+@pytest.mark.parametrize("n", [1, 2])
 def test_tanaka_compatibility(n):
     """X dtheta(Y, Zbar) = dtheta(Y, [X, Zbar]_{Hbar}) for frame triples,
     certifying nabla_{Z_jk} Z_pq = 0 through the defining property."""
@@ -727,7 +754,7 @@ def test_warm_application_forms_no_product_and_reduces_nothing(
     for x, f, _ in cases:
         field_apply(x, f)
     calls = recorded_calls(monkeypatch, FILLING + (
-        (ring, "reduce_nums"), (ring, "_term_products")))
+        (ring, "reduce_nums"), (ring, "_add_products")))
     for x, f, want in cases:
         assert same_normal_form(field_apply(x, f), want)
     assert calls == []
@@ -760,7 +787,7 @@ def test_every_n1_table_entry_is_pinned_by_an_identity(frame_tables):
     pool member f, three identities computed another way: T f is
     (i/2)(|a| - |b|) f term by term, [Z_1, Zbar_1] f = -2i T f, and
     inner(Z_1 f, g) = -inner(f, Zbar_1 g) for the first 35 pool members
-    g, where ``inner`` pairs by the moment rule with no table.  Then
+    g, where ``inner`` pairs by the moment rule with no frame table.  Then
     negate each nonempty table entry in turn: every negation must break
     one of the identities."""
     t, z1, zb1 = frame_fields(1)

@@ -6,6 +6,7 @@ the same scalars and the same text, for n = 1..3.
 """
 
 import itertools
+import random
 import math
 from fractions import Fraction
 
@@ -301,3 +302,35 @@ def test_key_overflow_raises(n):
     with pytest.raises(OverflowError):
         SpherePoly.w(n, 2) ** 64 * SpherePoly.w(n, 1) ** 64
     assert (z ** 63 * z ** 63) == z ** 126
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_moments_match_factorial_rule_up_to_the_field_bound(n):
+    """``ring._moments`` reads n! prod(a_j!) from its per-n table; on halves
+    whose fields reach 2 (_CAP - 1), as a product's diagonal can, it gives
+    the reference's factorial rule, summed over items of mixed degree,
+    cold and warm."""
+    top = 2 * (ring._CAP - 1)
+    rng = random.Random(f"moments/{n}")
+    exps = [(0,) * (n + 1), (top,) + (0,) * n, (0,) * n + (top,),
+            tuple(top // (n + 1) for _ in range(n + 1))]
+    for _ in range(12):
+        d = rng.choice((3, 40, top))
+        cuts = sorted(rng.randint(0, d) for _ in range(n))
+        exps.append(tuple(b - a for a, b in zip([0] + cuts, cuts + [d])))
+    assert all(sum(a) <= top for a in exps)
+    assert any(sum(a) == top for a in exps)
+    den = 6
+    coeffs = [(rng.randint(-9, 9), rng.randint(-9, 9)) for _ in exps]
+    diag = [(int.from_bytes(bytes((sum(a), *a)), "little"), c)
+            for a, c in zip(exps, coeffs)]
+    want = sum((ref.integral(n, {(a, a): ExactScalar(Fraction(re, den),
+                                                     Fraction(im, den))})
+                for a, (re, im) in zip(exps, coeffs)), ExactScalar.zero())
+    ring._moment_table(n).clear()
+    assert ring._moments(n, diag, den) == want
+    assert len(ring._moment_table(n)) == len(set(exps))
+    assert ring._moments(n, diag, den) == want
+    for (half, c), a in zip(diag, exps):
+        assert ring._moments(n, [(half, c)], 1) == ref.integral(
+            n, {(a, a): ExactScalar(*c)})

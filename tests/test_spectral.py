@@ -1,18 +1,24 @@
 """Harmonic decomposition, sub-Laplacian and Dirichlet energies."""
 
+import importlib.util
+import math
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
 from crsphere import ring, spectral, variation
-from crsphere.ring import ExactScalar, SpherePoly, norm2
+from crsphere.ring import ExactScalar, SpherePoly, norm2, parse_poly
 from crsphere.spectral import (GRADIENT_CALIBRATION, dirichlet_energy,
                                eigenvalue, harmonic_decompose, sublaplacian,
                                sublaplacian_energy)
+from crsphere.verify import monomial_pool
 
 import fraction_kernel as ref
 from conftest import ambient_box_oracle
+from test_kernel import DEEP_CASES
 from test_ring import polys, z, w
 
 
@@ -178,9 +184,11 @@ def test_no_decomposition_behind_the_operator(monkeypatch):
     assert calls == []
 
 
-def test_decomposition_multiplies_and_reduces_nothing(monkeypatch):
+def test_decomposition_multiplies_and_reduces_nothing(monkeypatch,
+                                                     spectral_tables):
     # the layers come from box powers, which stay in normal form, by a
-    # table built once per (P, Q, n)
+    # table built once per (P, Q, n); once every monomial's image is
+    # tabled, neither operator takes a box power or solves a layer
     f = (z(3, 2) * w(3, 2)) ** 3 * (z(3, 3) * w(3, 4)) ** 2 + z(3, 1) * w(3, 2)
     g = f * ExactScalar(2, -1) + z(3, 4) * w(3, 3)     # the same (P, Q)
     calls = {}
@@ -201,6 +209,14 @@ def test_decomposition_multiplies_and_reduces_nothing(monkeypatch):
     assert calls.keys() == {"_box_factor"}
     calls.clear()
     harmonic_decompose(g)
+    assert calls == {}
+    sublaplacian(f)
+    sublaplacian(g)
+    count(spectral, "_amb_box")
+    count(spectral, "_layer_rows")
+    for h in (f, g):
+        harmonic_decompose(h)
+        sublaplacian(h)
     assert calls == {}
 
 
@@ -266,3 +282,149 @@ def test_gap_weights_vanish_only_on_linear(n):
                 assert wgt == 0
             else:
                 assert wgt > 0
+
+
+# -- image tables -------------------------------------------------------------------
+
+def reference_decompose(f):
+    """The components of f by box powers of its parts and the layer rows,
+    solved on every call: the route the image tables replaced."""
+    n = f.n
+    h = ring._half(n)
+    parts = {}
+    power, j = f.nums, 0
+    while power:
+        for key, c in power.items():
+            part = parts.setdefault(((key & ring._M) + j,
+                                     (key >> h & ring._M) + j), [])
+            if len(part) == j:
+                part.append({})
+            part[j][key] = c
+        power, j = spectral._amb_box(n, power), j + 1
+    parts = sorted(parts.items())
+    den = math.lcm(*(d for (p, q), _ in parts
+                     for _, d, _ in spectral._layer_rows(p, q, n)))
+    sums = {}
+    for (p, q), powers in parts:
+        for k, d, row in spectral._layer_rows(p, q, n):
+            if k < len(powers):
+                dst = sums.setdefault((p - k, q - k), {})
+                for power, a in zip(powers[k:], row):
+                    ring.accumulate(dst, power.items(), a * (den // d))
+    return {key: SpherePoly.from_nums(n, nums, den * f.den)
+            for key, nums in sums.items() if nums}
+
+
+def reference_sublaplacian(f):
+    """box - lambda on each term, computed on every call."""
+    n = f.n
+    h = ring._half(n)
+    out = {}
+    for key, (re, im) in f.nums.items():
+        lam = spectral._double_eigenvalue(key & ring._M, key >> h & ring._M, n)
+        if lam:
+            out[key] = (-re * lam, -im * lam)
+    ring.accumulate(out, spectral._amb_box(n, f.nums).items(), 2)
+    return SpherePoly.from_nums(n, out, 2 * f.den)
+
+
+def assert_matches_reference(f):
+    """The table route gives the reference's components, in its order,
+    and its sub-Laplacian, with equal nums and den."""
+    want = reference_decompose(f)
+    got = harmonic_decompose(f).components
+    assert list(got) == list(want)
+    assert all((got[pq].nums, got[pq].den) == (c.nums, c.den)
+               for pq, c in want.items())
+    lap, want_lap = sublaplacian(f), reference_sublaplacian(f)
+    assert (lap.nums, lap.den) == (want_lap.nums, want_lap.den)
+
+
+def test_table_route_matches_reference_cold_and_warm(spectral_tables):
+    @given(polys_n123)
+    def check(f):
+        for table in spectral_tables(f.n):
+            table.clear()
+        assert_matches_reference(f)      # fills the tables
+        assert_matches_reference(f)      # reads them
+
+    check()
+
+
+@pytest.mark.parametrize("n, text", DEEP_CASES + [
+    (2, "(1/1,0/1) z2 w2 (-1/1,0/1) z3 w3 (1/1,0/1) z2^2 w2^2"),
+    (2, "(1/1,0/1) z2 w2 (1/1,0/1) z2^2 w2^2")])
+def test_deep_parts_match_reference_cold_and_warm(n, text, spectral_tables):
+    # the first extra case's (1, 1) part is harmonic, so its box image is
+    # zero although each of its monomials has a (0, 0) layer: the (0, 0)
+    # component is first met by the (2, 2) part, after (1, 1)
+    f = parse_poly(text, n)
+    assert_matches_reference(f)
+    assert_matches_reference(f)
+
+
+def test_kernel_products_match_reference(monkeypatch, spectral_tables):
+    """Every kernel-s7 seed-1 item, every 7th repetition: 440 products of
+    random n = 3 polynomials, as the benchmark serves them."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # for dataclass
+    spec.loader.exec_module(workloads)
+    products = [a * b for item in workloads.kernel_items(1, 44)
+                for a, b in map(item.factors, range(0, 64, 7))]
+    assert len(products) == 440
+    for f in products:
+        assert_matches_reference(f)
+
+
+def test_every_table_weight_is_pinned_by_an_identity(spectral_tables):
+    """Fill the n = 1 and n = 2 tables from monomial_pool(n, 4) through the
+    spectral suite's two identities: the components reconstruct f, and
+    each is an eigenfunction with eigenvalue pq + n(p + q)/2.  Then negate
+    each weight of each table entry in turn: every negation must break an
+    identity on a pool member whose decomposition reads that entry."""
+    def broken(f):
+        dec = harmonic_decompose(f)
+        return dec.reconstruct() != f or any(
+            sublaplacian(c) != c * ExactScalar(-ref.eigenvalue(p, q, f.n))
+            for (p, q), c in dec.components.items())
+
+    def negated(entry, i, j=None):
+        """The entry with weight i, or weight j of layer i, negated."""
+        if j is None:
+            key, w = entry[i]
+            return entry[:i] + ((key, -w),) + entry[i + 1:]
+        slot, d, pairs = entry[i]
+        return entry[:i] + ((slot, d, negated(pairs, j)),) + entry[i + 1:]
+
+    survivors = []
+    for n in (1, 2):
+        pool = [f for _, f in monomial_pool(n, 4)]
+        assert not any(map(broken, pool))
+        # the pool members whose identities read each entry
+        readers = ({}, {})
+        for f in pool:
+            for key in f.nums:
+                readers[0].setdefault(key, []).append(f)
+            for c in harmonic_decompose(f).components.values():
+                for key in c.nums:
+                    readers[1].setdefault(key, []).append(f)
+        decompose_table, sublaplacian_table = spectral_tables(n)
+        sites = ([(0, key, i, j) for key, entry in decompose_table.items()
+                  for i, (_, _, pairs) in enumerate(entry)
+                  for j in range(len(pairs))]
+                 + [(1, key, i, None)
+                    for key, entry in sublaplacian_table.items()
+                    for i in range(len(entry))])
+        assert len(sites) == {1: 154, 2: 534}[n]
+        for table_index, key, i, j in sites:
+            table = spectral_tables(n)[table_index]
+            entry = table[key]
+            table[key] = negated(entry, i, j)
+            try:
+                if not any(map(broken, readers[table_index][key])):
+                    survivors.append((n, table_index, ring._decode(n, key)))
+            finally:
+                table[key] = entry
+    assert survivors == []

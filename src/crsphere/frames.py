@@ -26,9 +26,10 @@ Image tables: a frame field X_s is a fixed linear operator, so each slot
 s has a table, one per n, from packed normal-form monomial (see ``ring``)
 to the numerators of its image over the field's fixed denominator (2 for
 T, 1 for Z_jk and Zbar_jk).  The field's ambient coefficients times the
-ambient derivatives of a monomial, reduced, fill its entry the first time
-it is met.  Every vector applies as x(f) = sum_s x_s X_s(f), each X_s(f)
-read from the tables, whether slots and f are polynomials or series.
+monomial's ambient derivatives (``ring.partial``), reduced, fill its entry
+the first time it is met; no key is read here.  Every vector applies as
+x(f) = sum_s x_s X_s(f), each X_s(f) read from the tables, whether slots
+and f are polynomials or series.
 
 Tanaka-Webster covariant data used throughout (round structure):
 
@@ -55,8 +56,8 @@ from operator import add, mul
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
-from .ring import (_F, _M, ExactScalar, Key, SpherePoly, Terms, TSeries2,
-                   _half, accumulate, sum_of_products)
+from .ring import (ExactScalar, Key, SpherePoly, Terms, TSeries2, accumulate,
+                   partial, sum_of_products)
 
 __all__ = [
     "FrameVector",
@@ -122,28 +123,6 @@ def _coords(n: int) -> tuple[tuple[SpherePoly, ...], tuple[SpherePoly, ...]]:
     """The coordinates (z_1..z_{n+1}) and (zbar_1..zbar_{n+1}), built once."""
     return (tuple(SpherePoly.z(n, a) for a in range(1, n + 2)),
             tuple(SpherePoly.w(n, a) for a in range(1, n + 2)))
-
-
-# -- ambient derivatives on normal-form representatives ---------------------
-
-def _partial(p: SpherePoly, side: int, a: int) -> Terms:
-    """Numerators of d/dz_a (side 0) or d/dzbar_a (side 1) of p, over p.den.
-
-    ``a`` is the 0-based coordinate index; the derivative is taken on the
-    stored representative, and subtracts the key of z_a (or zbar_a) from
-    each term's.  Lowering one exponent keeps a term in normal form and
-    sends distinct terms to distinct terms, so the result needs no
-    reduction.
-    """
-    base = side * _half(p.n)
-    s = base + (a + 1) * _F
-    unit = (1 | 1 << (a + 1) * _F) << base
-    out = {}
-    for key, (re, im) in p.nums.items():
-        e = key >> s & _M
-        if e:
-            out[key - unit] = (re * e, im * e)
-    return out
 
 
 class _SlotTuple:
@@ -340,8 +319,7 @@ def _image(n: int, s: int, key: Key) -> Terms:
     ambient coefficients: the products v_a d_a and w_a dbar_a of the
     monomial, summed with one reduction."""
     den, images = _tables(n)[s]
-    m = SpherePoly.from_nums(n, {key: (1, 0)}, 1)
-    p = sum_of_products(n, [(c, _partial(m, side, a), 1)
+    p = sum_of_products(n, [(c, partial(n, {key: (1, 0)}, side, a), 1)
                             for side, cs in enumerate(_ambients(n)[s])
                             for a, c in enumerate(cs) if c.nums])
     scale = den // p.den

@@ -39,7 +39,10 @@ every product is reduced by :func:`reduce_nums`, which raises
 Tuples ``(a, b)`` appear only at the edges: the :class:`SpherePoly`
 constructor and its ``terms`` view (so ``monomial``, ``z``, ``w`` and
 :func:`parse_poly`), ``to_grammar`` and ``sorted_terms``, through the one
-encoder :func:`_encode` and the one decoder :func:`_decode`.
+encoder :func:`_encode` and the one decoder :func:`_decode`.  Only this
+module reads a key: other modules take a term map's :func:`bidegree`,
+its derivatives (:func:`partial`, the one ambient-derivative route, and
+:func:`box`, built from it) and its :func:`mode_norms` from here.
 """
 
 from __future__ import annotations
@@ -65,7 +68,12 @@ __all__ = [
     "accumulate",
     "reduce_nums",
     "sum_of_products",
+    "bidegree",
+    "partial",
+    "box",
+    "multi_indices",
     "inner",
+    "mode_norms",
     "norm2",
 ]
 
@@ -300,6 +308,11 @@ def _decode(n: int, key: Key) -> TermKey:
     return tuple(fields[1:n + 2]), tuple(fields[n + 3:])
 
 
+def bidegree(n: int, key: Key) -> tuple[int, int]:
+    """(|a|, |b|) of the monomial z^a zbar^b with key ``key``."""
+    return key & _M, key >> _half(n) & _M
+
+
 def accumulate(dst: Terms, items: Iterable[tuple[Key, Gaussian]],
                scale: int = 1) -> None:
     """``dst[key] += scale * (re, im)`` for each item, keeping no zero term."""
@@ -344,13 +357,38 @@ def _add_products(dst: Terms, xs: Mapping[Key, Gaussian],
                     del dst[key]
 
 
-def _multi_indices(width: int, total: int) -> Iterable[Exponents]:
+def partial(n: int, nums: Terms, side: int, a: int) -> Terms:
+    """d/dz_a (side 0) or d/dzbar_a (side 1) of the term map ``nums``,
+    ``a`` the 0-based coordinate index: it subtracts the key of z_a (or
+    zbar_a) from each term's.  Lowering one exponent keeps a term in
+    normal form and distinct terms distinct, so nothing is reduced."""
+    base = side * _half(n)
+    s = base + (a + 1) * _F
+    unit = (1 | 1 << (a + 1) * _F) << base
+    out = {}
+    for key, (re, im) in nums.items():
+        e = key >> s & _M
+        if e:
+            out[key - unit] = (re * e, im * e)
+    return out
+
+
+def box(n: int, nums: Terms) -> Terms:
+    """sum_a d/dz_a d/dzbar_a of the normal-form term map ``nums``; no
+    normal-form term holds z_1 zbar_1, so the sum starts at z_2."""
+    out: Terms = {}
+    for a in range(1, n + 1):
+        accumulate(out, partial(n, partial(n, nums, 1, a), 0, a).items())
+    return out
+
+
+def multi_indices(width: int, total: int) -> Iterable[Exponents]:
     """Exponent tuples of length ``width`` with entries summing to <= total."""
     if width == 0:
         yield ()
         return
     for e in range(total + 1):
-        for rest in _multi_indices(width - 1, total - e):
+        for rest in multi_indices(width - 1, total - e):
             yield (e,) + rest
 
 
@@ -362,7 +400,7 @@ def _sphere_power(n: int, k: int) -> tuple[tuple[Key, int], ...]:
     the signed multinomial coefficient k! / ((k - |m|)! prod m_j!).
     """
     out = []
-    for m in _multi_indices(n, k):
+    for m in multi_indices(n, k):
         s = sum(m)
         c = math.factorial(k) // math.factorial(k - s)
         for e in m:
@@ -822,6 +860,24 @@ def _shift_pairs(left: dict[int, list], right: dict[int, list]) -> list:
             for shift, group in left.items() if shift in right
             for a1, _, (r1, i1) in group
             for _, b2, (r2, i2) in right[shift]]
+
+
+def mode_norms(p: SpherePoly) -> dict[int, ExactScalar]:
+    """||p^(m)||^2 for each circle mode m of p, from one grouping of p:
+    only terms of equal shift a - b pair to a nonzero integral (see
+    :func:`inner`), and a mode's norm sums the same-shift pairs of the
+    shifts whose entries add up to m."""
+    by_mode: dict[int, dict[int, list]] = {}
+    for shift, group in _shift_groups(p).items():
+        a, b, _ = group[0]      # key halves: the degree fields give the mode
+        by_mode.setdefault((a & _M) - (b & _M), {})[shift] = group
+    out = {}
+    for m, groups in by_mode.items():
+        out[m] = nrm = _moments(p.n, _shift_pairs(groups, groups),
+                                p.den * p.den)
+        if nrm.im != 0:
+            raise AssertionError("norm squared must be real")
+    return out
 
 
 def norm2(p: SpherePoly) -> ExactScalar:

@@ -28,7 +28,7 @@ each term c z^a zbar^b in one loop over integer weights.
   into one int, the row's denominator and (key, integer weight) pairs.
 * Its sub-Laplacian image is (key, -2 lambda) and (key', 2 box weight)
   over the denominator 2, from :func:`_double_eigenvalue` and
-  :func:`_amb_box`.
+  ``ring.box``.  Keys are read only by ``ring`` (box, ``bidegree``).
 
 Component order: parts by ascending (P, Q), each from its deepest
 nonzero layer up to k = 0, in the order the box-power solve meets them.
@@ -45,8 +45,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .ring import (_F, _M, ExactScalar, Key, SpherePoly, Terms, _half,
-                   accumulate, inner)
+from .ring import (ExactScalar, Key, SpherePoly, Terms, accumulate, bidegree,
+                   box, inner)
 
 __all__ = [
     "HarmonicDecomposition",
@@ -63,28 +63,6 @@ __all__ = [
 # with null space exactly the constants plus linear functions, which pins
 # the factor at 2.
 GRADIENT_CALIBRATION = 2
-
-# Ambient polynomials are Gaussian-integer numerator maps over packed
-# monomial keys, as SpherePoly.nums; each caller tracks its denominator.
-Ambient = Terms
-
-
-def _amb_box(n: int, p: Ambient) -> Ambient:
-    """Ambient operator sum_a d/dz_a d/dzbar_a on normal-form terms.
-
-    On a key, d/dz_a d/dzbar_a subtracts the key of z_a zbar_a.  No
-    normal-form term holds z_1 zbar_1, so the sum starts at a = 2.
-    """
-    h = _half(n)
-    units = [(s, (1 | 1 << s) * (1 | 1 << h))
-             for s in range(2 * _F, h, _F)]
-    out: Ambient = {}
-    accumulate(out, ((key - u, (re * e, im * e))
-                     for key, (re, im) in p.items()
-                     for s, u in units
-                     if (e := (key >> s & _M) * (key >> h + s & _M))))
-    return out
-
 
 def _box_factor(k: int, s: int, n: int) -> int:
     """box(|z|^{2k} H) / |z|^{2k-2} H for H harmonic of degree s."""
@@ -122,12 +100,17 @@ def _layer_rows(deg_p: int, deg_q: int,
 # A layer of a decomposition image: (slot, d, ((key, weight), ...))
 Layer = tuple[int, int, tuple[tuple[Key, int], ...]]
 
+# A slot (P, Q, k) is the int (P W + Q) W + W - 1 - k with W = _SLOT, so
+# slots sort as (P, Q, -k); every degree is below 128 (see ``ring``).
+_SLOT = 256
+
 
 @functools.cache
 def _bidegree(slot: int) -> tuple[int, int]:
     """The component (P - k, Q - k) of the slot (P, Q, k), one shared tuple."""
-    k = _M - (slot & _M)
-    return (slot >> 2 * _F) - k, (slot >> _F & _M) - k
+    pq, r = divmod(slot, _SLOT)
+    k = _SLOT - 1 - r
+    return pq // _SLOT - k, pq % _SLOT - k
 
 
 @functools.cache
@@ -147,18 +130,17 @@ def _layers(n: int, key: Key) -> tuple[Layer, ...]:
     denominator d, and slot = (P, Q, k) packed so that slots sort as
     (P, Q, -k).
     """
-    h = _half(n)
-    p, q = key & _M, key >> h & _M
+    p, q = bidegree(n, key)
     powers = [{key: (1, 0)}]
     while powers[-1]:
-        powers.append(_amb_box(n, powers[-1]))
+        powers.append(box(n, powers[-1]))
     image = []
     for k, d, row in _layer_rows(p, q, n):
-        layer: Ambient = {}
+        layer: Terms = {}
         for power, a in zip(powers[k:-1], row):
             accumulate(layer, power.items(), a)
         if layer:
-            image.append(((p << _F | q) << _F | _M - k, d,
+            image.append(((p * _SLOT + q) * _SLOT + _SLOT - 1 - k, d,
                           tuple((k2, re) for k2, (re, _)
                                 in layer.items())))
     _tables(n)[0][key] = image = tuple(image)
@@ -172,11 +154,9 @@ def _sublaplacian_image(n: int, key: Key) -> tuple[tuple[Key, int], ...]:
     box never touches z_1 zbar_1, which no normal-form term holds, so the
     image is already reduced.
     """
-    h = _half(n)
-    lam = _double_eigenvalue(key & _M, key >> h & _M, n)
+    lam = _double_eigenvalue(*bidegree(n, key), n)
     image = [(key, -lam)] if lam else []
-    box = _amb_box(n, {key: (1, 0)})
-    image += [(k, 2 * re) for k, (re, _) in box.items()]
+    image += [(k, 2 * re) for k, (re, _) in box(n, {key: (1, 0)}).items()]
     _tables(n)[1][key] = image = tuple(image)
     return image
 
@@ -212,7 +192,7 @@ def harmonic_decompose(f: SpherePoly) -> HarmonicDecomposition:
     """
     n = f.n
     images = _tables(n)[0]
-    slots: dict[int, Ambient] = {}
+    slots: dict[int, Terms] = {}
     dens: dict[int, int] = {}
     for key, (re, im) in f.nums.items():
         for slot, d, pairs in images.get(key) or _layers(n, key):
@@ -267,7 +247,7 @@ def sublaplacian(f: SpherePoly) -> SpherePoly:
     """
     n = f.n
     images = _tables(n)[1]
-    out: Ambient = {}
+    out: Terms = {}
     get = out.get
     for key, (re, im) in f.nums.items():
         pairs = images.get(key)

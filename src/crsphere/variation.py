@@ -25,8 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .ring import (_M, ExactScalar, SpherePoly, TSeries2, _moments,
-                   _shift_groups, _shift_pairs, inner, norm2)
+from .ring import (ExactScalar, SpherePoly, TSeries2, inner, mode_norms,
+                   norm2)
 from .spectral import sublaplacian, sublaplacian_energy
 from .frames import TensorField, covariant_T, index_pairs, tight_expand
 
@@ -203,33 +203,13 @@ class HessianReport:
         return acc
 
 
-def _mode_norms(c: SpherePoly) -> dict[int, ExactScalar]:
-    """||c^(m)||^2 for each circle mode m of c, from one grouping of c.
-
-    A term's mode is the sum of its exponent shift a - b, and only terms
-    of equal shift pair to a nonzero integral (see ``ring.inner``), so a
-    mode's norm sums the same-shift pairs of the shifts that add up to m.
-    """
-    by_mode: dict[int, dict[int, list]] = {}
-    for shift, group in _shift_groups(c).items():
-        a, b, _ = group[0]      # key halves: the degree fields give the mode
-        by_mode.setdefault((a & _M) - (b & _M), {})[shift] = group
-    out = {}
-    for m, groups in by_mode.items():
-        nrm = _moments(c.n, _shift_pairs(groups, groups), c.den * c.den)
-        if nrm.im != 0:
-            raise AssertionError("norm squared must be real")
-        out[m] = nrm
-    return out
-
-
 def j_hessian(e: DeformationTensor) -> HessianReport:
     """Mode-diagonal second variation: total = n sum_m (m+4) ||E^(m)||^2."""
     if e.asymmetries:
         raise ValueError("deformation tensor has asymmetric lowered form")
     norms: dict[int, ExactScalar] = {}
     for c in e.coefficients().values():
-        for m, nrm in _mode_norms(c).items():
+        for m, nrm in mode_norms(c).items():
             norms[m] = norms.get(m, ExactScalar.zero()) + nrm
     rows = []
     total = ExactScalar.zero()

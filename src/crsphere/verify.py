@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import __version__ as _version
-from .ring import (MAX_TERM_DEGREE, ExactScalar, SpherePoly, _multi_indices,
+from .ring import (MAX_TERM_DEGREE, ExactScalar, SpherePoly, multi_indices,
                    norm2, parse_poly, parse_scalar, volume_factor)
 from . import spectral
 from . import frames
@@ -32,6 +32,7 @@ __all__ = ["SuiteConfig", "CheckRecord", "Report", "run_suite",
            "conventions", "conventions_text", "SUITE_NAMES"]
 
 SUITE_NAMES = ("ring", "spectral", "frames", "variation", "oracle3")
+MAX_SAMPLES = 1_000_000     # 10^6 samples at (n, degree) = (1, 6): 0.4 GB
 
 
 @dataclass(frozen=True)
@@ -55,8 +56,9 @@ class SuiteConfig:
             raise ValueError(
                 f"n = {self.n} is not supported for pool suites; exact "
                 "pools are maintained for n <= 3 only")
-        if self.samples < 0:
-            raise ValueError("sample count must be >= 0")
+        if self.samples and not 2 <= self.samples <= MAX_SAMPLES:
+            raise ValueError(f"sample count must be 0 (no Monte-Carlo) or 2"
+                             f" to {MAX_SAMPLES}; one has no standard error")
         if not 0 <= self.seed < 2 ** 32:
             raise ValueError("seed must be >= 0 and < 2^32")
         choices = f"choose from {', '.join(SUITE_NAMES)} or 'all'"
@@ -175,8 +177,8 @@ def conventions_text(n: int) -> str:
 def monomial_pool(n: int, degree: int) -> list[tuple[str, SpherePoly]]:
     """All monomials z^a zbar^b with |a| + |b| <= degree, in pool order."""
     keys = sorted((sum(a) + sum(b), a, b)
-                  for a in _multi_indices(n + 1, degree)
-                  for b in _multi_indices(n + 1, degree - sum(a)))
+                  for a in multi_indices(n + 1, degree)
+                  for b in multi_indices(n + 1, degree - sum(a)))
     out = []
     for _, a, b in keys:
         p = SpherePoly.monomial(n, a, b)
@@ -279,12 +281,13 @@ def run_spectral_suite(cfg: SuiteConfig) -> list[CheckRecord]:
         dec = spectral.harmonic_decompose(f)
         recs.append(_rec(f"decompose.reconstruct[{name}]", f,
                          dec.reconstruct()))
-        # eigen property on each component, against the formula
-        ok = True
-        for (p, q), comp in dec.components.items():
-            lam = ExactScalar(_eigenvalue(p, q, n))
-            if spectral.sublaplacian(comp) != comp * lam * -1:
-                ok = False
+        # eigen property on each component, against the formula; off
+        # (0, 0) a harmonic component is orthogonal to the constants, which
+        # the moment rule checks without box
+        ok = all(
+            spectral.sublaplacian(c) == c * -ExactScalar(_eigenvalue(p, q, n))
+            and ((p, q) == (0, 0) or c.integral().is_zero())
+            for (p, q), c in dec.components.items())
         recs.append(_rec_bool(f"decompose.eigen[{name}]", ok))
 
     # self-adjointness and negativity on real samples

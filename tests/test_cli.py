@@ -667,6 +667,28 @@ def test_wrong_box_factor_fails_the_eigen_check(tmp_path, capsys,
     assert "FAIL decompose.eigen[(1/1,0/1) z2 w2]" in out.read_text()
 
 
+def test_box_dropping_a_coordinate_fails_the_gate(tmp_path, capsys,
+                                                  monkeypatch, spectral_tables):
+    # the decomposition and sub-Laplacian tables are filled from box; one
+    # that leaves out d/dz_3 d/dzbar_3 must fail the spectral suite at n = 2.
+    # Both tables agree with each other, so the eigen records pass the
+    # wrong (1, 1) component z3 zbar3; its nonzero mean fails it.
+    def short_box(n, nums):
+        out = {}
+        for a in range(1, n):
+            ring.accumulate(out, ring.partial(
+                n, ring.partial(n, nums, 1, a), 0, a).items())
+        return out
+
+    monkeypatch.setattr(spectral, "box", short_box)
+    out = tmp_path / "r.txt"
+    code, _, _ = run(capsys, "verify", "--n", "2", "--degree", "2",
+                     "--suites", "spectral", "--samples", "0",
+                     "--output", str(out))
+    assert code == 1
+    assert "FAIL decompose.eigen[(1/1,0/1) z3 w3]" in out.read_text()
+
+
 # -- run sizes are capped ---------------------------------------------------------
 
 @pytest.mark.parametrize("argv, config", [
@@ -711,6 +733,35 @@ def test_verify_rejects_seed_out_of_range(tmp_path, capsys, monkeypatch,
                             "--output", str(tmp_path / "r.txt"), *argv)
     assert code == 2 and stdout == ""
     assert err == "config error: seed must be >= 0 and < 2^32\n"
+    assert not (tmp_path / "r.txt").exists()
+
+
+@pytest.mark.parametrize("samples, config", [
+    (["--samples", "1"], None),
+    ([], "samples = 1\n"),
+    (["--samples", "-1"], None),
+    (["--samples", str(verify.MAX_SAMPLES + 1)], None),
+    (["--samples", "3000000000"], None),
+])
+def test_verify_rejects_sample_count(tmp_path, capsys, monkeypatch,
+                                     samples, config):
+    # one sample has no standard error (every float record would read NaN),
+    # and a count past the cap would exhaust memory
+    def no_work(cfg):
+        raise AssertionError("suites ran on a bad sample count")
+
+    monkeypatch.setattr(cli, "run_suite", no_work)
+    argv = list(samples)
+    if config is not None:
+        (tmp_path / "cfg.txt").write_text(config)
+        argv += ["--config", str(tmp_path / "cfg.txt")]
+    code, stdout, err = run(capsys, "verify", "--n", "1", "--degree", "1",
+                            "--suites", "ring",
+                            "--output", str(tmp_path / "r.txt"), *argv)
+    assert code == 2 and stdout == ""
+    assert err == (f"config error: sample count must be 0 (no Monte-Carlo)"
+                   f" or 2 to {verify.MAX_SAMPLES}; one has no standard"
+                   f" error\n")
     assert not (tmp_path / "r.txt").exists()
 
 

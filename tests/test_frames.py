@@ -77,8 +77,8 @@ def test_derivation_rule(f, g):
 @given(st.integers(1, 3).flatmap(lambda n: polys(n=n)), st.integers(0, 3),
        st.integers(0, 1))
 def test_partial_output_is_normal_form(p, a, side):
-    out = SpherePoly.from_nums(p.n, frames._partial(p, side, a % (p.n + 1)),
-                               p.den)
+    out = SpherePoly.from_nums(
+        p.n, ring.partial(p.n, p.nums, side, a % (p.n + 1)), p.den)
     assert SpherePoly(p.n, dict(out.terms)) == out
 
 
@@ -744,7 +744,7 @@ def recorded_calls(monkeypatch, targets) -> list:
 
 
 FILLING = ((ring, "sum_of_products"), (frames, "sum_of_products"),
-           (frames, "_partial"))
+           (frames, "partial"))
 
 
 def test_warm_application_forms_no_product_and_reduces_nothing(

@@ -5,7 +5,9 @@ A deletion that leaves its name behind in ``__all__`` breaks
 fails first.
 """
 
+import ast
 import importlib
+import pathlib
 import pkgutil
 
 import pytest
@@ -26,3 +28,18 @@ def test_all_names_resolve(name):
     exported = module.__all__
     assert len(set(exported)) == len(exported)
     assert [n for n in exported if not hasattr(module, n)] == []
+
+
+def test_only_ring_reads_its_private_names():
+    """The packed monomial key is ``ring``'s layout: no other module
+    imports an underscore name from it."""
+    offenders = []
+    for path in sorted(pathlib.Path(crsphere.__file__).parent.glob("*.py")):
+        if path.stem == "ring":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.ImportFrom)
+                    and node.module in ("ring", "crsphere.ring")):
+                offenders += [(path.stem, alias.name) for alias in node.names
+                              if alias.name.startswith("_")]
+    assert offenders == []

@@ -212,7 +212,7 @@ def test_decomposition_multiplies_and_reduces_nothing(monkeypatch,
     assert calls == {}
     sublaplacian(f)
     sublaplacian(g)
-    count(spectral, "_amb_box")
+    count(spectral, "box")
     count(spectral, "_layer_rows")
     for h in (f, g):
         harmonic_decompose(h)
@@ -286,6 +286,35 @@ def test_gap_weights_vanish_only_on_linear(n):
 
 # -- image tables -------------------------------------------------------------------
 
+def amb_box(n, p):
+    """sum_a d/dz_a d/dzbar_a on normal-form terms, fused on packed keys:
+    d/dz_a d/dzbar_a subtracts the key of z_a zbar_a.  No normal-form term
+    holds z_1 zbar_1, so the sum starts at a = 2.  Written apart from
+    ``ring.box`` and ``ring.partial`` so that it can check them."""
+    h = ring._half(n)
+    units = [(s, (1 | 1 << s) * (1 | 1 << h))
+             for s in range(2 * ring._F, h, ring._F)]
+    out = {}
+    ring.accumulate(out, ((key - u, (re * e, im * e))
+                          for key, (re, im) in p.items()
+                          for s, u in units
+                          if (e := (key >> s & ring._M)
+                              * (key >> h + s & ring._M))))
+    return out
+
+
+@given(polys_n123)
+def test_box_and_partial_match_the_fused_box(f):
+    n = f.n
+    assert ring.box(n, f.nums) == amb_box(n, f.nums)
+    out = {}
+    for a in range(n + 1):
+        mixed = ring.partial(n, ring.partial(n, f.nums, 1, a), 0, a)
+        assert mixed == ring.partial(n, ring.partial(n, f.nums, 0, a), 1, a)
+        ring.accumulate(out, mixed.items())
+    assert out == amb_box(n, f.nums)
+
+
 def reference_decompose(f):
     """The components of f by box powers of its parts and the layer rows,
     solved on every call: the route the image tables replaced."""
@@ -300,7 +329,7 @@ def reference_decompose(f):
             if len(part) == j:
                 part.append({})
             part[j][key] = c
-        power, j = spectral._amb_box(n, power), j + 1
+        power, j = amb_box(n, power), j + 1
     parts = sorted(parts.items())
     den = math.lcm(*(d for (p, q), _ in parts
                      for _, d, _ in spectral._layer_rows(p, q, n)))
@@ -324,7 +353,7 @@ def reference_sublaplacian(f):
         lam = spectral._double_eigenvalue(key & ring._M, key >> h & ring._M, n)
         if lam:
             out[key] = (-re * lam, -im * lam)
-    ring.accumulate(out, spectral._amb_box(n, f.nums).items(), 2)
+    ring.accumulate(out, amb_box(n, f.nums).items(), 2)
     return SpherePoly.from_nums(n, out, 2 * f.den)
 
 

@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from crsphere.ring import ExactScalar, SpherePoly, TSeries2, norm2
+from crsphere.ring import (ExactScalar, SpherePoly, TSeries2, mode_norms,
+                           norm2)
 from crsphere.frames import TensorField, index_pairs, tight_expand, z_field
 from crsphere.variation import (DeformationTensor, conformal_exponent,
                                 conformal_first_variation, conformal_hessian,
@@ -260,10 +261,14 @@ def deformations(n):
 
 @pytest.mark.parametrize("n, examples", [(1, 60), (2, 25), (3, 8)])
 def test_mode_norms_match_projection_route(n, examples):
-    """j_hessian's mode norms, from one shift grouping per coefficient,
-    equal norm2 of each coefficient's mode projection, summed."""
+    """``ring.mode_norms``, from one shift grouping per coefficient,
+    equals norm2 of each of the coefficient's mode projections, and
+    j_hessian's mode norms are those sums over the coefficients."""
     def agree(e):
         assert not e.asymmetries
+        for c in e.coefficients().values():
+            assert mode_norms(c) == {m: norm2(c.fourier_project(m))
+                                     for m in c.modes()}
         want = {m: v for m, v in norms_by_projection(e).items()
                 if not v.is_zero()}
         rep = j_hessian(e)

@@ -29,7 +29,12 @@ T, 1 for Z_jk and Zbar_jk).  The field's ambient coefficients times the
 monomial's ambient derivatives (``ring.partial``), reduced, fill its entry
 the first time it is met; no key is read here.  Every vector applies as
 x(f) = sum_s x_s X_s(f), each X_s(f) read from the tables, whether slots
-and f are polynomials or series.
+and f are polynomials or series.  The tight-frame projection
+c -> conj(H) c H of a tensor's coefficients is fixed and linear too: its
+table (:func:`_projections`) is keyed by input pair and monomial and
+holds the reduced images at every output pair, filled from products
+with H as monomials are met, so :func:`tight_expand` forms no product
+once its entries are in.
 
 Tanaka-Webster covariant data used throughout (round structure):
 
@@ -565,6 +570,32 @@ def _gram_right(n: int) -> Mapping[tuple[Pair, Pair], SpherePoly]:
     return MappingProxyType(out)    # shared by every caller: read-only
 
 
+@functools.cache
+def _projections(n: int) -> dict[tuple[Pair, Pair],
+                                 dict[Key, tuple[tuple[int, Terms], ...]]]:
+    """The image table of c -> conj(H) c H, keyed by input pair (jk, lm)
+    and then by monomial, filled as monomials are met
+    (:func:`_projection`)."""
+    return {}
+
+
+def _projection(n: int, jklm: tuple[Pair, Pair],
+                key: Key) -> tuple[tuple[int, Terms], ...]:
+    """Fill the projection table's entry for the monomial ``key`` at input
+    pair (jk, lm): for each output pair (pq, rs), numbered pq-major, with
+    a nonzero image, that number and the reduced numerators of
+    H[jk, pq] z^a zbar^b H[lm, rs].  H has integer coefficients, so each
+    image is over the denominator 1."""
+    h, pairs = _gram_right(n), index_pairs(n)
+    jk, lm = jklm
+    mono = SpherePoly.from_nums(n, {key: (1, 0)}, 1)
+    left = [h[(jk, pq)] * mono for pq in pairs]
+    images = [x * h[(lm, rs)] for x in left for rs in pairs]
+    _projections(n).setdefault(jklm, {})[key] = entry = tuple(
+        (o, p.nums) for o, p in enumerate(images) if p.nums)
+    return entry
+
+
 def tight_expand(obj):
     """Canonical tight-frame coefficients.
 
@@ -574,7 +605,10 @@ def tight_expand(obj):
     TensorField, returns the TensorField with canonical coefficients
     c'_{pq,rs} = sum thetabar_pq(Zbar_jk) c_{jk,lm} theta_lm(Z_rs), i.e.
     c' = conj(H) c H with H the Gram of :func:`_gram_right`; the operation
-    is idempotent.
+    is idempotent.  The map is fixed and linear, so c' is the sum of each
+    term's reduced images from :func:`_projections`, scaled by its
+    numerator over the coefficients' common denominator: no product and
+    no reduction once the entries are filled.
     """
     if isinstance(obj, FrameVector):
         n = obj.n
@@ -588,22 +622,35 @@ def tight_expand(obj):
     if not isinstance(obj, TensorField):
         raise TypeError("tight_expand accepts FrameVector or TensorField")
     n = obj.n
-    h = _gram_right(n)
-    pairs = index_pairs(n)
-    lms = list(dict.fromkeys(lm for _, lm in obj.coeffs))
-    # (conj(H) c)[(pq),(lm)] once for every rs, then c' = (conj(H) c) H
-    left = {(pq, lm): sum_of_products(n, [(h[(jk, pq)], c.nums, c.den)
-                                          for (jk, l), c in obj.coeffs.items()
-                                          if l == lm])
-            for pq in pairs for lm in lms}
-    out: dict[tuple[Pair, Pair], SpherePoly] = {}
-    for pq in pairs:
-        for rs in pairs:
-            acc = sum_of_products(n, [(left[(pq, lm)], h[(lm, rs)].nums,
-                                       h[(lm, rs)].den) for lm in lms])
-            if not acc.is_zero():
-                out[(pq, rs)] = acc
-    return TensorField(n, out)
+    table = _projections(n)
+    den = math.lcm(*(c.den for c in obj.coeffs.values()))
+    outs = list(itertools.product(index_pairs(n), repeat=2))
+    raws: list[Terms] = [{} for _ in outs]
+    for jklm, c in obj.coeffs.items():
+        images = table.get(jklm, {})
+        f = den // c.den
+        for key, (re, im) in c.nums.items():
+            entry = images.get(key)
+            if entry is None:
+                entry = _projection(n, jklm, key)
+            re, im = re * f, im * f
+            for o, terms in entry:
+                raw = raws[o]
+                get = raw.get
+                for k, (r, i) in terms.items():
+                    r, i = re * r - im * i, re * i + im * r
+                    prev = get(k)
+                    if prev is None:
+                        raw[k] = (r, i)
+                    else:
+                        r += prev[0]
+                        i += prev[1]
+                        if r or i:
+                            raw[k] = (r, i)
+                        else:
+                            del raw[k]
+    return TensorField(n, {pqrs: SpherePoly.from_nums(n, raw, den)
+                           for pqrs, raw in zip(outs, raws) if raw})
 
 
 # -- covariant differentiation ----------------------------------------------

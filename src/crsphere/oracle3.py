@@ -46,6 +46,7 @@ __all__ = [
     "DeformedCoframe",
     "PseudohermitianSeries",
     "OracleVerdict",
+    "render",
     "deform_frame",
     "solve_structure",
     "webster_series",
@@ -217,32 +218,37 @@ def webster_series(omega: tuple[TSeries2, TSeries2, TSeries2]) -> TSeries2:
 
 # -- verdicts ------------------------------------------------------------------
 
+def render(x) -> str:
+    """A checked value as report text: a polynomial in the term grammar,
+    anything else (an exact scalar serializes) as ``str``."""
+    return x.to_grammar() if isinstance(x, SpherePoly) else str(x)
+
+
 @dataclass(frozen=True)
 class OracleVerdict:
-    """Outcome of one exact identity check, with both sides recorded."""
+    """Outcome of one exact identity check, with both sides recorded.
+
+    Each comparison keeps its two sides as values; they are rendered
+    (:func:`render`) only when the verdict's text is read.
+    """
 
     name: str
     ok: bool
-    comparisons: tuple[tuple[str, str, str, bool], ...]
+    comparisons: tuple[tuple[str, object, object, bool], ...]
 
     def to_text(self) -> str:
         lines = [f"{self.name}: {'PASS' if self.ok else 'FAIL'}"]
         for label, want, got, ok in self.comparisons:
             mark = "ok" if ok else "MISMATCH"
-            lines.append(f"  {label}: expected {want} actual {got} [{mark}]")
+            lines.append(f"  {label}: expected {render(want)} "
+                         f"actual {render(got)} [{mark}]")
         return "\n".join(lines)
 
 
 def _verdict(name: str, pairs) -> OracleVerdict:
-    comps = []
-    ok = True
-    for label, want, got in pairs:
-        ws = want.to_grammar() if isinstance(want, SpherePoly) else str(want)
-        gs = got.to_grammar() if isinstance(got, SpherePoly) else str(got)
-        good = want == got
-        ok = ok and good
-        comps.append((label, ws, gs, good))
-    return OracleVerdict(name=name, ok=ok, comparisons=tuple(comps))
+    comps = tuple((label, want, got, want == got) for label, want, got in pairs)
+    return OracleVerdict(name=name, ok=all(c[3] for c in comps),
+                         comparisons=comps)
 
 
 def check_first_variation(e: SpherePoly,
@@ -261,8 +267,8 @@ def check_first_variation(e: SpherePoly,
     return _verdict(
         f"first-variation[{e.to_grammar()}]",
         [("pointwise dW/dt", closed, ps.webster.c1),
-         ("criticality int dW/dt", ExactScalar.zero().serialize(),
-          ps.webster.c1.integral().serialize())])
+         ("criticality int dW/dt", ExactScalar.zero(),
+          ps.webster.c1.integral())])
 
 
 def check_torsion_variation(e: SpherePoly,
@@ -320,8 +326,8 @@ def second_derivative_check(
     d2 = coeff * 2
     coeff_target = modes * ExactScalar(SECOND_VARIATION_COEFF)
     verdict = _verdict(f"second-variation[{e.to_grammar()}]", [
-        ("mode-formula", modes.serialize(), d2.serialize()),
-        ("covariant-route", via_t.serialize(), d2.serialize()),
-        ("series-coefficient", coeff_target.serialize(), coeff.serialize()),
+        ("mode-formula", modes, d2),
+        ("covariant-route", via_t, d2),
+        ("series-coefficient", coeff_target, coeff),
     ])
     return verdict, d2

@@ -229,10 +229,10 @@ class ExactScalar:
     # -- serialization ----------------------------------------------------
     def serialize(self) -> str:
         """Canonical ``p/q+r/s*i`` string, lowest terms, round-trip exact."""
-        sign = "+" if self._im >= 0 else "-"
-        re, a = self.re, abs(self.im)
-        return (f"{re.numerator}/{re.denominator}"
-                f"{sign}{a.numerator}/{a.denominator}*i")
+        re, im, d = self._re, self._im, self._den
+        gr, gi = math.gcd(re, d), math.gcd(im, d)
+        return (f"{re // gr}/{d // gr}{'+' if im >= 0 else '-'}"
+                f"{abs(im) // gi}/{d // gi}*i")
 
     def __repr__(self):
         return self.serialize()
@@ -362,6 +362,9 @@ def partial(n: int, nums: Terms, side: int, a: int) -> Terms:
     ``a`` the 0-based coordinate index: it subtracts the key of z_a (or
     zbar_a) from each term's.  Lowering one exponent keeps a term in
     normal form and distinct terms distinct, so nothing is reduced."""
+    if side not in (0, 1) or not 0 <= a <= n:
+        raise ValueError(f"no derivative on side {side!r} in coordinate "
+                         f"{a!r} for n={n}")
     base = side * _half(n)
     s = base + (a + 1) * _F
     unit = (1 | 1 << (a + 1) * _F) << base
@@ -584,6 +587,8 @@ class SpherePoly:
         return (-self) + other
 
     def __neg__(self):
+        if not self.nums:
+            return self
         return SpherePoly.from_nums(
             self.n, {key: (-re, -im) for key, (re, im) in self.nums.items()},
             self.den)
@@ -631,6 +636,8 @@ class SpherePoly:
 
     def conjugate(self) -> "SpherePoly":
         """The conjugate: each key's halves swap."""
+        if not self.nums:
+            return self
         h = _half(self.n)
         low = (1 << h) - 1
         return SpherePoly.from_nums(
@@ -719,27 +726,44 @@ class SpherePoly:
         return sorted(self.terms.items(), key=_term_order)
 
     def to_grammar(self) -> str:
-        """Render in the textual term grammar; ``(re,im) z1^a ... w1^b ...``."""
+        """Render in the textual term grammar; ``(re,im) z1^a ... w1^b ...``.
+
+        Terms go in (|a| + |b|, a, b) order; each monomial's rank in that
+        order and its text are read from a per-n table (:func:`_texts`).
+        """
         if not self.nums:
             return "(0/1,0/1)"
         n, d = self.n, self.den
+        table = _texts(n)
         parts = []
-        for (a, b), (re, im) in sorted(
-                ((_decode(n, key), c) for key, c in self.nums.items()),
-                key=_term_order):
+        for (_, text), (re, im) in sorted(
+                (table.get(key) or _text(n, key), c)
+                for key, c in self.nums.items()):
             gr, gi = math.gcd(re, d), math.gcd(im, d)
-            factors = [f"({re // gr}/{d // gr},{im // gi}/{d // gi})"]
-            for j, e in enumerate(a):
-                if e:
-                    factors.append(f"z{j + 1}" + (f"^{e}" if e != 1 else ""))
-            for j, e in enumerate(b):
-                if e:
-                    factors.append(f"w{j + 1}" + (f"^{e}" if e != 1 else ""))
-            parts.append(" ".join(factors))
+            parts.append(f"({re // gr}/{d // gr},{im // gi}/{d // gi}){text}")
         return " ".join(parts)
 
     def __repr__(self):
         return f"SpherePoly(n={self.n}, {self.to_grammar()})"
+
+
+@functools.cache
+def _texts(n: int) -> dict[Key, tuple[int, str]]:
+    """(rank, text) by monomial key, filled as monomials are met."""
+    return {}
+
+
+def _text(n: int, key: Key) -> tuple[int, str]:
+    """Fill the text table's entry for ``key``: the int whose bytes are
+    |a| + |b|, a and b, which sorts as (|a| + |b|, a, b), and the
+    monomial's factors, each after a space."""
+    a, b = _decode(n, key)
+    _texts(n)[key] = entry = (
+        int.from_bytes(bytes((sum(a) + sum(b), *a, *b)), "big"),
+        "".join(f" {v}{j}" + (f"^{e}" if e != 1 else "")
+                for v, exps in (("z", a), ("w", b))
+                for j, e in enumerate(exps, 1) if e))
+    return entry
 
 
 # The slot setters, past SpherePoly.__setattr__, which refuses assignment
@@ -862,19 +886,27 @@ def _shift_pairs(left: dict[int, list], right: dict[int, list]) -> list:
             for _, b2, (r2, i2) in right[shift]]
 
 
-def mode_norms(p: SpherePoly) -> dict[int, ExactScalar]:
-    """||p^(m)||^2 for each circle mode m of p, from one grouping of p:
-    only terms of equal shift a - b pair to a nonzero integral (see
+def mode_norms(*ps: SpherePoly) -> dict[int, ExactScalar]:
+    """sum over the ps of ||p^(m)||^2 for each circle mode m present, the
+    mode norms of their direct sum (a tensor's coefficients, say), in one
+    moment sum per mode over the ps' common denominator: only terms of
+    one p with equal shift a - b pair to a nonzero integral (see
     :func:`inner`), and a mode's norm sums the same-shift pairs of the
     shifts whose entries add up to m."""
-    by_mode: dict[int, dict[int, list]] = {}
-    for shift, group in _shift_groups(p).items():
-        a, b, _ = group[0]      # key halves: the degree fields give the mode
-        by_mode.setdefault((a & _M) - (b & _M), {})[shift] = group
+    den = math.lcm(*(p.den for p in ps))
+    by_mode: dict[int, dict[tuple[int, int], list]] = {}
+    for i, p in enumerate(ps):
+        ps[0]._check(p)
+        f = den // p.den
+        for shift, group in _shift_groups(p).items():
+            if f != 1:
+                group = [(a, b, (re * f, im * f)) for a, b, (re, im) in group]
+            a, b, _ = group[0]  # key halves: the degree fields give the mode
+            by_mode.setdefault((a & _M) - (b & _M), {})[i, shift] = group
     out = {}
     for m, groups in by_mode.items():
-        out[m] = nrm = _moments(p.n, _shift_pairs(groups, groups),
-                                p.den * p.den)
+        out[m] = nrm = _moments(ps[0].n, _shift_pairs(groups, groups),
+                                den * den)
         if nrm.im != 0:
             raise AssertionError("norm squared must be real")
     return out

@@ -204,16 +204,13 @@ class HessianReport:
 
 
 def j_hessian(e: DeformationTensor) -> HessianReport:
-    """Mode-diagonal second variation: total = n sum_m (m+4) ||E^(m)||^2."""
+    """Mode-diagonal second variation: total = n sum_m (m+4) ||E^(m)||^2,
+    the mode norms of all of E's coefficients from one ``mode_norms``."""
     if e.asymmetries:
         raise ValueError("deformation tensor has asymmetric lowered form")
-    norms: dict[int, ExactScalar] = {}
-    for c in e.coefficients().values():
-        for m, nrm in mode_norms(c).items():
-            norms[m] = norms.get(m, ExactScalar.zero()) + nrm
     rows = []
     total = ExactScalar.zero()
-    for m, nrm in sorted(norms.items()):
+    for m, nrm in sorted(mode_norms(*e.coefficients().values()).items()):
         if nrm.is_zero():
             continue
         weighted = nrm * (m + 4)

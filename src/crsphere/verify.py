@@ -187,14 +187,9 @@ def monomial_pool(n: int, degree: int) -> list[tuple[str, SpherePoly]]:
 
 
 def _rec(name: str, want, got) -> CheckRecord:
-    def s(x):
-        if isinstance(x, SpherePoly):
-            return x.to_grammar()
-        if isinstance(x, ExactScalar):
-            return x.serialize()
-        return str(x)
-    return CheckRecord(name=name, expected=s(want), actual=s(got),
-                       ok=s(want) == s(got))
+    expected, actual = oracle3.render(want), oracle3.render(got)
+    return CheckRecord(name=name, expected=expected, actual=actual,
+                       ok=expected == actual)
 
 
 def _rec_bool(name: str, ok: bool, detail: str = "") -> CheckRecord:
@@ -511,7 +506,8 @@ def run_oracle3_suite(cfg: SuiteConfig) -> list[CheckRecord]:
             variation.DeformationTensor.from_coefficient(e))
         verdict, _ = oracle3.second_derivative_check(
             e, ps, oracle3.mode_weighted_norm(e), via)
-        recs += [CheckRecord(f"{label}[{name}]", want, got, ok)
+        recs += [CheckRecord(f"{label}[{name}]", oracle3.render(want),
+                             oracle3.render(got), ok)
                  for label, want, got, ok in verdict.comparisons]
 
     # closed-form first-order slices on a diverse subset

@@ -106,6 +106,19 @@ def frame_tables():
 
 
 @pytest.fixture
+def projection_tables():
+    """``frames._projections``, with the n = 1, 2, 3 tables emptied for
+    the test and their entries put back after it."""
+    saved = {n: dict(frames._projections(n)) for n in (1, 2, 3)}
+    for n in saved:
+        frames._projections(n).clear()
+    yield frames._projections
+    for n, entries in saved.items():
+        frames._projections(n).clear()
+        frames._projections(n).update(entries)
+
+
+@pytest.fixture
 def spectral_tables():
     """``spectral._tables``, with the n = 1, 2, 3 decomposition and
     sub-Laplacian tables emptied for the test and their entries put back

@@ -362,6 +362,7 @@ def test_gram_built_once_per_n(monkeypatch):
 
     monkeypatch.setattr(frames, "_ambients", counting)
     frames._gram_right.cache_clear()
+    frames._projections.cache_clear()
     pairs = index_pairs(2)
     t = TensorField(2, {(pairs[0], pairs[1]): z(2, 3)})
     first = tight_expand(t)
@@ -395,6 +396,68 @@ def test_tight_expand_matches_entrywise_sum(n, examples):
         assert all(same_normal_form(got[k], want[k]) for k in want)
 
     check()
+
+
+def entrywise_reference(t: TensorField) -> dict:
+    """c'[pq, rs] = sum over the entries of H[jk, pq] c[jk, lm] H[lm, rs],
+    each product reduced on its own, as in the test above."""
+    h, pairs = frames._gram_right(t.n), index_pairs(t.n)
+    want = {}
+    for pq in pairs:
+        for rs in pairs:
+            acc = SpherePoly.zero(t.n)
+            for (jk, lm), c in t.coeffs.items():
+                acc = acc + h[(jk, pq)] * c * h[(lm, rs)]
+            if not acc.is_zero():
+                want[(pq, rs)] = acc
+    return want
+
+
+def test_warm_tight_expand_forms_no_product_and_reduces_nothing(
+        monkeypatch):
+    n = 2
+    pairs = index_pairs(n)
+    t = TensorField(n, {(pairs[0], pairs[2]): z(n, 3) * ExactScalar(1, -2),
+                        (pairs[2], pairs[0]): w(n, 2) * Fraction(1, 3)})
+    want = entrywise_reference(t)
+    assert tight_expand(t).coeffs == want
+    calls = recorded_calls(monkeypatch, FILLING + (
+        (ring, "reduce_nums"), (ring, "_add_products")))
+    assert tight_expand(t).coeffs == want
+    assert calls == []
+
+
+def test_every_n2_projection_entry_is_pinned_by_the_entrywise_sum(
+        projection_tables):
+    """Fill the n = 2 projection table from the degree-2 pool at every
+    input pair, then negate each stored image in turn: the entrywise sum
+    must catch every negation on the monomial that owns it."""
+    n = 2
+    pairs = index_pairs(n)
+    assert {g.den for g in frames._gram_right(n).values()} == {1}
+    for jklm in product(pairs, repeat=2):
+        for _, f in monomial_pool(n, 2):
+            tight_expand(TensorField(n, {jklm: f}))
+    cases = []
+    for jklm, entries in projection_tables(n).items():
+        for key, entry in entries.items():
+            t = TensorField(n, {jklm: SpherePoly.from_nums(n, {key: (1, 0)},
+                                                           1)})
+            want = entrywise_reference(t)
+            assert tight_expand(t).coeffs == want
+            cases += [(t, want, entry, i) for i in range(len(entry))]
+    assert len(cases) == 2187     # 27 monomials at 9 input pairs, 9 images each
+    survivors = []
+    for t, want, entry, i in cases:
+        o, image = entry[i]
+        saved = dict(image)
+        image.update((k, (-re, -im)) for k, (re, im) in saved.items())
+        try:
+            if tight_expand(t).coeffs == want:
+                survivors.append((t, o))
+        finally:
+            image.update(saved)
+    assert survivors == []
 
 
 @pytest.mark.parametrize("n, examples", [(2, 40), (3, 20)])

@@ -351,3 +351,18 @@ def test_webster_is_read_off_d_omega(monkeypatch):
     assert oracle3.webster_series(ps.omega) == ps.webster == \
         frames.d(ps.omega)[2] * Fraction(1, LEVI_CONSTANT)
     assert calls == {"_solve2": [], "wedge": []}
+
+
+def test_verdict_keeps_both_sides_and_renders_them_in_its_text():
+    e = z(1, 2) * w(1, 1)
+    wrong = series_of(e * 2)
+    v = check_torsion_variation(e, wrong)
+    (label, want, got, ok), = v.comparisons
+    assert not (v.ok or ok) and want != got
+    assert v.to_text() == (f"torsion-variation[{e.to_grammar()}]: FAIL\n"
+                           f"  dA/dt: expected {want.to_grammar()} "
+                           f"actual {got.to_grammar()} [MISMATCH]")
+    modes = mode_weighted_norm(e)
+    v, _ = second_derivative_check(e, wrong, modes, modes)
+    assert [c[1] for c in v.comparisons][:2] == [modes, modes]
+    assert f"expected {modes.serialize()} actual" in v.to_text()

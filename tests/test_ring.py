@@ -376,3 +376,84 @@ def test_sum_of_products_matches_summed_products(case):
 def test_sum_of_products_rejects_dimension_mismatch():
     with pytest.raises(ValueError):
         sum_of_products(2, [(z(1, 1), z(2, 1).nums, 1)])
+
+
+# -- argument checks and exact edge cases -----------------------------------------
+
+@pytest.mark.parametrize("side, a", [(0, 2), (0, -1), (1, 2), (1, -1),
+                                     (2, 0), (-1, 1)])
+def test_partial_rejects_coordinate_or_side_out_of_range(side, a):
+    # at n = 1 a coordinate 2 or -1 would read a neighbouring key field
+    nums = (z(1, 1) * w(1, 2) ** 2 + z(1, 2) * w(1, 2)).nums
+    with pytest.raises(ValueError):
+        ring.partial(1, nums, side, a)
+
+
+def test_scalar_division_by_zero_raises():
+    for zero in (0, Fraction(0), ExactScalar.zero()):
+        with pytest.raises(ZeroDivisionError):
+            ExactScalar(Fraction(1, 3), -2) / zero
+
+
+@given(scalars())
+def test_scalar_division_by_units_is_exact(c):
+    i = ExactScalar(0, 1)
+    assert c / 1 == c and c / -1 == -c
+    assert c / i == c * -i and c / -i == c * i
+    assert (c / i) * i == c
+
+
+@given(polys(n=2))
+def test_zeroth_power_is_one(p):
+    assert p ** 0 == SpherePoly.one(p.n)
+
+
+def test_zero_conjugate_and_negation_are_the_operand():
+    zero = SpherePoly.zero(2)
+    assert zero.conjugate() is zero and -zero is zero
+    s = TSeries2(z(2, 1))
+    assert s.conjugate().c1 is s.c1 and (-s).c2 is s.c2
+
+
+# -- the text table ------------------------------------------------------------------
+
+def reference_terms(p: SpherePoly) -> list:
+    """Every decoded term, sorted by (|a| + |b|, a, b)."""
+    def order(item):
+        (a, b), _ = item
+        return sum(a) + sum(b), a, b
+    return sorted(p.terms.items(), key=order)
+
+
+def reference_grammar(p: SpherePoly) -> str:
+    """Format the terms of :func:`reference_terms` one by one."""
+    parts = []
+    for (a, b), c in reference_terms(p):
+        text = (f"({c.re.numerator}/{c.re.denominator},"
+                f"{c.im.numerator}/{c.im.denominator})")
+        for var, exps in (("z", a), ("w", b)):
+            for j, e in enumerate(exps, 1):
+                if e:
+                    text += f" {var}{j}" + (f"^{e}" if e != 1 else "")
+        parts.append(text)
+    return " ".join(parts) or "(0/1,0/1)"
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@given(data=st.data())
+def test_to_grammar_matches_decode_and_sort_cold_and_warm(n, data):
+    p = data.draw(polys(n, max_terms=6))
+    want = reference_grammar(p)
+    ring._texts(n).clear()
+    assert p.to_grammar() == want
+    assert p.to_grammar() == want
+    assert p.sorted_terms() == reference_terms(p)
+
+
+def test_to_grammar_orders_and_formats_the_widest_keys():
+    # a degree-254 monomial fills the rank's first byte
+    big = SpherePoly.monomial(1, (0, 127), (127, 0), ExactScalar(-2, 1))
+    p = big + SpherePoly.monomial(1, (3, 0), (0, 1)) + z(1, 2) - 1
+    for _ in range(2):
+        assert p.to_grammar() == reference_grammar(p)
+    assert p.to_grammar().endswith("(-2/1,1/1) z2^127 w1^127")

@@ -227,6 +227,35 @@ def test_self_adjoint(f, g):
     assert lhs == rhs
 
 
+def self_adjoint_failures(n: int) -> list:
+    """The pairs (i, j), i < j, of the real pool functions f + conj(f) of
+    degree <= 2 on which int f_i L f_j != int f_j L f_i."""
+    reals = [g for _, f in monomial_pool(n, 2)
+             if not (g := f + f.conjugate()).is_zero()]
+    lap = [sublaplacian(g) for g in reals]
+    return [(i, j) for i in range(len(reals)) for j in range(i + 1, len(reals))
+            if (reals[i] * lap[j]).integral() != (reals[j] * lap[i]).integral()]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_self_adjoint_on_degree_two_pool(n, monkeypatch, spectral_tables):
+    """The sub-Laplacian is self-adjoint on the degree-2 real pool, where
+    box is not zero; a box that drops z_(n+1) breaks it there."""
+    assert self_adjoint_failures(n) == []
+
+    def short_box(n, nums):
+        out = {}
+        for a in range(1, n):
+            ring.accumulate(out, ring.partial(
+                n, ring.partial(n, nums, 1, a), 0, a).items())
+        return out
+
+    for table in spectral_tables(n):
+        table.clear()
+    monkeypatch.setattr(spectral, "box", short_box)
+    assert self_adjoint_failures(n) != []
+
+
 @given(real_polys())
 def test_nonpositive_with_constant_kernel(f):
     val = (f * sublaplacian(f)).integral()

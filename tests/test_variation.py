@@ -259,6 +259,19 @@ def deformations(n):
     return st.lists(entry, min_size=1, max_size=2).map(build)
 
 
+@given(st.integers(1, 3).flatmap(lambda n: st.lists(
+    polys(n=n, max_terms=3), max_size=3)))
+def test_mode_norms_of_several_polynomials_add_per_mode(ps):
+    """``mode_norms(*ps)``, one moment sum per mode over the ps' common
+    denominator, is the per-mode sum of norm2 of their projections."""
+    want = {}
+    for p in ps:
+        for m in p.modes():
+            want[m] = (want.get(m, ExactScalar.zero())
+                       + norm2(p.fourier_project(m)))
+    assert mode_norms(*ps) == want
+
+
 @pytest.mark.parametrize("n, examples", [(1, 60), (2, 25), (3, 8)])
 def test_mode_norms_match_projection_route(n, examples):
     """``ring.mode_norms``, from one shift grouping per coefficient,

@@ -23,18 +23,18 @@ the d e^k tabled once per n from df and wedge: d theta = 2i sum dz_a ^
 dzbar_a, d theta_jk = 2 dz_j ^ dz_k.
 
 Image tables: a frame field X_s is a fixed linear operator, so each slot
-s has a table, one per n, from packed normal-form monomial (see ``ring``)
-to the numerators of its image over the field's fixed denominator (2 for
-T, 1 for Z_jk and Zbar_jk).  The field's ambient coefficients times the
+s has a ``ring.LazyTable``, one per n, from packed normal-form monomial
+(see ``ring``) to its image's integer weights, times i/2 for T, which
+``ring.apply_table`` applies.  The field's ambient coefficients times the
 monomial's ambient derivatives (``ring.partial``), reduced, fill its entry
 the first time it is met; no key is read here.  Every vector applies as
 x(f) = sum_s x_s X_s(f), each X_s(f) read from the tables, whether slots
 and f are polynomials or series.  The tight-frame projection
-c -> conj(H) c H of a tensor's coefficients is fixed and linear too: its
-table (:func:`_projections`) is keyed by input pair and monomial and
-holds the reduced images at every output pair, filled from products
-with H as monomials are met, so :func:`tight_expand` forms no product
-once its entries are in.
+c -> conj(H) c H of a tensor's coefficients is fixed and linear too: it
+has one table per input pair (:func:`_projections`), whose entry for a
+monomial holds its reduced integer images at every output pair, filled
+from products with H, so :func:`tight_expand` forms no product once its
+entries are in.
 
 Tanaka-Webster covariant data used throughout (round structure):
 
@@ -56,13 +56,12 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from fractions import Fraction
 from operator import add, mul
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
-from .ring import (ExactScalar, Key, SpherePoly, Terms, TSeries2, accumulate,
-                   partial, sum_of_products)
+from .ring import (ExactScalar, Key, LazyTable, SpherePoly, Terms, TSeries2,
+                   apply_table, partial, sum_of_products)
 
 __all__ = [
     "FrameVector",
@@ -90,6 +89,7 @@ __all__ = [
 ]
 
 Pair = tuple[int, int]
+_Weights = tuple[tuple[Key, int], ...]
 Ring = SpherePoly | TSeries2
 Slots = tuple[Ring, ...]
 
@@ -216,16 +216,17 @@ class FrameVector(_SlotTuple):
         zs, ws = _coords(n)
         tangency = theta_of = SpherePoly.zero(n)
         for a in range(n + 1):    # theta = i sum (z_a dzbar_a - zbar_a dz_a)
-            tangency = tangency + v[a] * ws[a] + w[a] * zs[a]
-            theta_of = theta_of + (zs[a] * w[a] - ws[a] * v[a]) * _I
+            zw, wv = _times(zs[a], w[a]), _times(ws[a], v[a])
+            tangency = tangency + wv + zw
+            theta_of = theta_of + zw - wv
         if not tangency.is_zero():
             raise ValueError("derivation is not tangent to the sphere")
         pairs = index_pairs(n)
-        out = FrameVector(n, [theta_of]
-                          + [zs[j - 1] * v[k - 1] - zs[k - 1] * v[j - 1]
-                             for j, k in pairs]
-                          + [ws[j - 1] * w[k - 1] - ws[k - 1] * w[j - 1]
-                             for j, k in pairs])
+        out = FrameVector(n, [_times(_I, theta_of)]
+                          + [_times(zs[j - 1], v[k - 1])
+                             - _times(zs[k - 1], v[j - 1]) for j, k in pairs]
+                          + [_times(ws[j - 1], w[k - 1])
+                             - _times(ws[k - 1], w[j - 1]) for j, k in pairs])
         if out.ambient() != (v, w):
             raise AssertionError("tight-frame reconstruction failed")
         return out
@@ -234,6 +235,11 @@ class FrameVector(_SlotTuple):
         if not isinstance(other, FrameVector):
             return NotImplemented
         return self.n == other.n and self.ambient() == other.ambient()
+
+
+def _times(c, x: Ring) -> Ring:
+    """c x, or x itself when x is zero: no product with a zero factor."""
+    return x if x.is_zero() else c * x
 
 
 def reeb(n: int) -> FrameVector:
@@ -281,84 +287,81 @@ def thetabar_form(n: int, j: int, k: int) -> FrameForm:
 def field_apply(x: FrameVector, f: Ring) -> Ring:
     """x(f) = sum_s x_s X_s(f) for a function or series f.
 
-    Each X_s(f) is read from frame field X_s's table (:func:`_field_image`)
-    and multiplied by x_s unless x_s is the shared 1 of a frame field's
-    slot, so a frame field forms no product.  Slots and f may be
-    polynomials or series; x(f) is a series when either is, zero too.
+    Each nonzero X_s(f) is read from frame field X_s's table
+    (:func:`_field_image`) and multiplied by a nonzero x_s unless x_s is
+    the shared 1 of a frame field's slot.  Slots and f may be polynomials
+    or series; x(f) is a series when either is, zero too.
     """
     if x.n != f.n:
         raise ValueError("dimension mismatch")
-    if f.is_zero():
-        return x.slots[0] * f if isinstance(x.slots[0], TSeries2) else f
     one = SpherePoly.one(x.n)
-    out = None
-    for s, c in enumerate(x.slots):
-        if c is one:
-            part = _field_image(x.n, s, f)
-        elif c.is_zero():
-            continue
-        else:
-            part = c * _field_image(x.n, s, f)
-        out = part if out is None else out + part
-    return x.slots[0] * f if out is None else out     # x = 0: 0 * f
+    parts = [part if c is one else c * part for s, c in enumerate(x.slots)
+             if not c.is_zero()
+             and not (part := _field_image(x.n, s, f)).is_zero()]
+    if parts:
+        return functools.reduce(add, parts)
+    series = isinstance(x.slots[0], TSeries2) or isinstance(f, TSeries2)
+    return (TSeries2 if series else SpherePoly).zero(x.n)
 
 
 def _field_image(n: int, s: int, f: Ring) -> Ring:
-    """X_s(f) for a function or series f: the table images of f's
-    monomials, scaled by its numerators and summed into one term map,
-    with no product and no reduction."""
+    """X_s(f) for a function or series f: ``ring.apply_table`` over the
+    slot's table, times i/2 for T, with no product and no reduction."""
     if isinstance(f, TSeries2):
         return TSeries2(*(c if c.is_zero() else _field_image(n, s, c)
                           for c in (f.c0, f.c1, f.c2)))
-    den, images = _tables(n)[s]
-    raw: Terms = {}
-    accumulate(raw, ((k, (re * r - im * i, re * i + im * r))
-                     for key, (re, im) in f.nums.items()
-                     for k, (r, i) in (images[key] if key in images
-                                       else _image(n, s, key)).items()))
-    return SpherePoly.from_nums(n, raw, den * f.den)
+    out: dict[int, Terms] = {}
+    apply_table(out, f.nums, _tables(n)[s])
+    raw = out.get(0, {})
+    if s:
+        return SpherePoly.from_nums(n, raw, f.den)
+    return SpherePoly.from_nums(n, {k: (-im, re) for k, (re, im)
+                                    in raw.items()}, 2 * f.den)
 
 
-def _image(n: int, s: int, key: Key) -> Terms:
-    """Fill slot s's table entry for the monomial ``key`` from the field's
-    ambient coefficients: the products v_a d_a and w_a dbar_a of the
-    monomial, summed with one reduction."""
-    den, images = _tables(n)[s]
+def _image(n: int, s: int, key: Key) -> tuple[tuple[int, _Weights], ...]:
+    """Slot s's image of the monomial ``key`` (over i/2 for T) from the
+    field's ambient coefficients: the products v_a d_a and w_a dbar_a of
+    the monomial, summed with one reduction."""
     p = sum_of_products(n, [(c, partial(n, {key: (1, 0)}, side, a), 1)
                             for side, cs in enumerate(_ambients(n)[s])
                             for a, c in enumerate(cs) if c.nums])
-    scale = den // p.den
-    images[key] = image = {k: (re * scale, im * scale)
-                           for k, (re, im) in p.nums.items()}
-    return image
+    return ((0, _weights(p)),) if p.nums else ()
+
+
+def _weights(p: SpherePoly) -> _Weights:
+    """The (key, weight) pairs of p, a real integer polynomial."""
+    if p.den != 1 or any(im for _, im in p.nums.values()):
+        raise AssertionError("image table weights must be real integers")
+    return tuple((k, re) for k, (re, _) in p.nums.items())
 
 
 @functools.cache
 def _ambients(n: int) -> tuple[tuple[tuple[SpherePoly, ...],
                                      tuple[SpherePoly, ...]], ...]:
-    """The ambient coefficients (v, w) of each frame field, by slot.
+    """The ambient coefficients (v, w) of each frame field, by slot, T's
+    over i/2.
 
     T = (i/2) sum (z_a d_a - zbar_a dbar_a), Z_jk = zbar_j d_k - zbar_k d_j
     and Zbar_jk = z_j dbar_k - z_k dbar_j.
     """
     z, zb = _coords(n)
-    half_i = ExactScalar(0, Fraction(1, 2))
     zeros = (SpherePoly.zero(n),) * (n + 1)
 
     def pair_field(c, j, k):    # c_j d_k - c_k d_j on one side
         return tuple(c[j - 1] if a == k - 1 else -c[k - 1] if a == j - 1
                      else zeros[a] for a in range(n + 1))
     pairs = index_pairs(n)
-    return (((tuple(c * half_i for c in z), tuple(c * -half_i for c in zb)),)
+    return (((z, tuple(-c for c in zb)),)
             + tuple((pair_field(zb, j, k), zeros) for j, k in pairs)
             + tuple((zeros, pair_field(z, j, k)) for j, k in pairs))
 
 
 @functools.cache
-def _tables(n: int) -> tuple[tuple[int, dict[Key, Terms]], ...]:
-    """Each frame field's fixed denominator and image table, by slot."""
-    return tuple((math.lcm(*(c.den for c in v + w)), {})
-                 for v, w in _ambients(n))
+def _tables(n: int) -> tuple[LazyTable, ...]:
+    """Each frame field's image table, by slot."""
+    return tuple(LazyTable(functools.partial(_image, n, s))
+                 for s in range(_width(n)))
 
 
 @functools.cache
@@ -571,29 +574,26 @@ def _gram_right(n: int) -> Mapping[tuple[Pair, Pair], SpherePoly]:
 
 
 @functools.cache
-def _projections(n: int) -> dict[tuple[Pair, Pair],
-                                 dict[Key, tuple[tuple[int, Terms], ...]]]:
-    """The image table of c -> conj(H) c H, keyed by input pair (jk, lm)
-    and then by monomial, filled as monomials are met
-    (:func:`_projection`)."""
-    return {}
+def _projections(n: int) -> Mapping[tuple[Pair, Pair], LazyTable]:
+    """The image tables of c -> conj(H) c H by input pair (jk, lm), each
+    keyed by monomial (:func:`_projection`)."""
+    return MappingProxyType({
+        jklm: LazyTable(functools.partial(_projection, n, jklm))
+        for jklm in itertools.product(index_pairs(n), repeat=2)})
 
 
 def _projection(n: int, jklm: tuple[Pair, Pair],
-                key: Key) -> tuple[tuple[int, Terms], ...]:
-    """Fill the projection table's entry for the monomial ``key`` at input
-    pair (jk, lm): for each output pair (pq, rs), numbered pq-major, with
-    a nonzero image, that number and the reduced numerators of
-    H[jk, pq] z^a zbar^b H[lm, rs].  H has integer coefficients, so each
-    image is over the denominator 1."""
+                key: Key) -> tuple[tuple[tuple[Pair, Pair], _Weights], ...]:
+    """The projection image of the monomial ``key`` at input pair
+    (jk, lm): for each output pair (pq, rs) with a nonzero image, the
+    reduced weights of H[jk, pq] z^a zbar^b H[lm, rs].  H has real integer
+    coefficients, so each image has integer weights."""
     h, pairs = _gram_right(n), index_pairs(n)
     jk, lm = jklm
     mono = SpherePoly.from_nums(n, {key: (1, 0)}, 1)
-    left = [h[(jk, pq)] * mono for pq in pairs]
-    images = [x * h[(lm, rs)] for x in left for rs in pairs]
-    _projections(n).setdefault(jklm, {})[key] = entry = tuple(
-        (o, p.nums) for o, p in enumerate(images) if p.nums)
-    return entry
+    left = [(pq, h[(jk, pq)] * mono) for pq in pairs]
+    images = [((pq, rs), x * h[(lm, rs)]) for pq, x in left for rs in pairs]
+    return tuple((o, _weights(p)) for o, p in images if p.nums)
 
 
 def tight_expand(obj):
@@ -611,46 +611,26 @@ def tight_expand(obj):
     no reduction once the entries are filled.
     """
     if isinstance(obj, FrameVector):
-        n = obj.n
-        if obj.is_holomorphic():
-            return {jk: form_eval(theta_form(n, *jk), obj)
-                    for jk in index_pairs(n)}
-        if obj.is_antiholomorphic():
-            return {jk: form_eval(thetabar_form(n, *jk), obj)
-                    for jk in index_pairs(n)}
-        raise ValueError("vector expansion needs a pure (1,0) or (0,1) field")
+        form = (theta_form if obj.is_holomorphic() else thetabar_form
+                if obj.is_antiholomorphic() else None)
+        if form is None:
+            raise ValueError("vector expansion needs a pure (1,0) or (0,1) "
+                             "field")
+        return {jk: form_eval(form(obj.n, *jk), obj)
+                for jk in index_pairs(obj.n)}
     if not isinstance(obj, TensorField):
         raise TypeError("tight_expand accepts FrameVector or TensorField")
     n = obj.n
-    table = _projections(n)
+    tables = _projections(n)
     den = math.lcm(*(c.den for c in obj.coeffs.values()))
-    outs = list(itertools.product(index_pairs(n), repeat=2))
-    raws: list[Terms] = [{} for _ in outs]
+    raws: dict[tuple[Pair, Pair], Terms] = {}
     for jklm, c in obj.coeffs.items():
-        images = table.get(jklm, {})
         f = den // c.den
-        for key, (re, im) in c.nums.items():
-            entry = images.get(key)
-            if entry is None:
-                entry = _projection(n, jklm, key)
-            re, im = re * f, im * f
-            for o, terms in entry:
-                raw = raws[o]
-                get = raw.get
-                for k, (r, i) in terms.items():
-                    r, i = re * r - im * i, re * i + im * r
-                    prev = get(k)
-                    if prev is None:
-                        raw[k] = (r, i)
-                    else:
-                        r += prev[0]
-                        i += prev[1]
-                        if r or i:
-                            raw[k] = (r, i)
-                        else:
-                            del raw[k]
+        apply_table(raws, c.nums if f == 1 else
+                    {key: (re * f, im * f) for key, (re, im) in c.nums.items()},
+                    tables[jklm])
     return TensorField(n, {pqrs: SpherePoly.from_nums(n, raw, den)
-                           for pqrs, raw in zip(outs, raws) if raw})
+                           for pqrs, raw in sorted(raws.items()) if raw})
 
 
 # -- covariant differentiation ----------------------------------------------

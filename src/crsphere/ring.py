@@ -43,6 +43,13 @@ encoder :func:`_encode` and the one decoder :func:`_decode`.  Only this
 module reads a key: other modules take a term map's :func:`bidegree`,
 its derivatives (:func:`partial`, the one ambient-derivative route, and
 :func:`box`, built from it) and its :func:`mode_norms` from here.
+
+Image tables: every per-n table of a fixed map on monomials is a
+:class:`LazyTable`, which fills an entry the first time its key is read
+(the moments and texts here, the frame fields, the tight-frame
+projection, the harmonic decomposition and the sub-Laplacian elsewhere).
+:func:`apply_table` is the one loop that applies a linear map's table,
+so other modules only say what the map does to one monomial.
 """
 
 from __future__ import annotations
@@ -66,6 +73,8 @@ __all__ = [
     "PolyParseError",
     "MAX_TERM_DEGREE",
     "accumulate",
+    "LazyTable",
+    "apply_table",
     "reduce_nums",
     "sum_of_products",
     "bidegree",
@@ -328,6 +337,50 @@ def accumulate(dst: Terms, items: Iterable[tuple[Key, Gaussian]],
             dst[key] = (re, im)
         elif prev is not None:
             del dst[key]
+
+
+class LazyTable(dict):
+    """A per-n image table: ``table[key]`` is ``fill(key)``, computed the
+    first time ``key`` is read and stored."""
+
+    __slots__ = ("fill",)
+
+    def __init__(self, fill):
+        self.fill = fill
+
+    def __missing__(self, key):
+        self[key] = entry = self.fill(key)
+        return entry
+
+
+def apply_table(outs: dict, nums: Mapping[Key, Gaussian],
+                table: LazyTable) -> None:
+    """``outs[dest] += c * image`` over the terms c z^a zbar^b of ``nums``,
+    each image a tuple of ``(dest, ((key, int weight), ...))``; a term map
+    in ``outs`` keeps no zero term but may be left empty.  The loop is
+    :func:`accumulate`'s, written out."""
+    get = table.get
+    last = None
+    for key, (re, im) in nums.items():
+        image = get(key)
+        if image is None:
+            image = table[key]
+        for dest, pairs in image:
+            if dest is not last:    # the same destination object as before
+                last, dst = dest, outs.get(dest)
+                if dst is None:
+                    dst = outs[dest] = {}
+                put = dst.get
+            for k, w in pairs:
+                prev = put(k)
+                if prev is None:
+                    dst[k] = (re * w, im * w)
+                else:
+                    r, i = prev[0] + re * w, prev[1] + im * w
+                    if r or i:
+                        dst[k] = (r, i)
+                    else:
+                        del dst[k]
 
 
 def _add_products(dst: Terms, xs: Mapping[Key, Gaussian],
@@ -737,7 +790,7 @@ class SpherePoly:
         table = _texts(n)
         parts = []
         for (_, text), (re, im) in sorted(
-                (table.get(key) or _text(n, key), c)
+                (table[key], c)
                 for key, c in self.nums.items()):
             gr, gi = math.gcd(re, d), math.gcd(im, d)
             parts.append(f"({re // gr}/{d // gr},{im // gi}/{d // gi}){text}")
@@ -748,22 +801,20 @@ class SpherePoly:
 
 
 @functools.cache
-def _texts(n: int) -> dict[Key, tuple[int, str]]:
+def _texts(n: int) -> LazyTable:
     """(rank, text) by monomial key, filled as monomials are met."""
-    return {}
+    return LazyTable(functools.partial(_text, n))
 
 
 def _text(n: int, key: Key) -> tuple[int, str]:
-    """Fill the text table's entry for ``key``: the int whose bytes are
+    """The text table's entry for ``key``: the int whose bytes are
     |a| + |b|, a and b, which sorts as (|a| + |b|, a, b), and the
     monomial's factors, each after a space."""
     a, b = _decode(n, key)
-    _texts(n)[key] = entry = (
-        int.from_bytes(bytes((sum(a) + sum(b), *a, *b)), "big"),
-        "".join(f" {v}{j}" + (f"^{e}" if e != 1 else "")
-                for v, exps in (("z", a), ("w", b))
-                for j, e in enumerate(exps, 1) if e))
-    return entry
+    return (int.from_bytes(bytes((sum(a) + sum(b), *a, *b)), "big"),
+            "".join(f" {v}{j}" + (f"^{e}" if e != 1 else "")
+                    for v, exps in (("z", a), ("w", b))
+                    for j, e in enumerate(exps, 1) if e))
 
 
 # The slot setters, past SpherePoly.__setattr__, which refuses assignment
@@ -801,18 +852,16 @@ def _constant_nums(p: SpherePoly) -> Gaussian | None:
 
 
 @functools.cache
-def _moment_table(n: int) -> dict[Key, tuple[int, int]]:
+def _moment_table(n: int) -> LazyTable:
     """(|a|, n! prod(a_j!)) by half key a, filled as halves are met."""
-    return {}
+    return LazyTable(functools.partial(_moment, n))
 
 
 def _moment(n: int, a: Key) -> tuple[int, int]:
-    """Fill the moment table's entry for the half key ``a``."""
+    """The moment table's entry for the half key ``a``."""
     fields = a.to_bytes(n + 2, "little")    # |a|, a_1, ..., a_{n+1}
-    entry = fields[0], math.factorial(n) * math.prod(
+    return fields[0], math.factorial(n) * math.prod(
         map(math.factorial, fields[1:]))
-    _moment_table(n)[a] = entry
-    return entry
 
 
 @functools.cache
@@ -835,7 +884,7 @@ def _moments(n: int, diag: list[tuple[Key, Gaussian]],
     if not diag:
         return ExactScalar.zero()
     table = _moment_table(n)
-    moments = [table.get(a) or _moment(n, a) for a, _ in diag]
+    moments = [table[a] for a, _ in diag]
     top, ratios = _factorial_ratios(n, max(moments)[0])
     re_sum = im_sum = 0
     for (deg, w), (_, (re, im)) in zip(moments, diag):

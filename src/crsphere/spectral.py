@@ -19,14 +19,15 @@ operations below rest on that identity, with |z|^2 = 1 on the sphere.
   layer to -lambda_{P-k,Q-k,n} times itself, so it acts term by term.
 
 Both operators are linear and fixed, so each applies through a per-n
-image table keyed by normal-form monomial, filled the first time a
-monomial is met (:func:`_tables`); an operator sums c times the image of
-each term c z^a zbar^b in one loop over integer weights.
+``ring.LazyTable`` keyed by normal-form monomial (:func:`_tables`), and
+``ring.apply_table`` sums c times the image of each term c z^a zbar^b
+over integer weights.  This module says what each does to one monomial:
 
-* A monomial's decomposition image is its nonzero layers h_k, from its
-  box powers and :func:`_layer_rows`: each is a slot (P, Q, k) packed
-  into one int, the row's denominator and (key, integer weight) pairs.
-* Its sub-Laplacian image is (key, -2 lambda) and (key', 2 box weight)
+* its decomposition image is its nonzero layers h_k, from its box
+  powers and :func:`_layer_rows`, each a slot (P, Q, k) packed into one
+  int, its destination, and (key, integer weight) pairs over the row's
+  denominator, which a third table holds by slot with its component;
+* its sub-Laplacian image is (key, -2 lambda) and (key', 2 box weight)
   over the denominator 2, from :func:`_double_eigenvalue` and
   ``ring.box``.  Keys are read only by ``ring`` (box, ``bidegree``).
 
@@ -45,8 +46,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .ring import (ExactScalar, Key, SpherePoly, Terms, accumulate, bidegree,
-                   box, inner)
+from .ring import (ExactScalar, Key, LazyTable, SpherePoly, Terms, accumulate,
+                   apply_table, bidegree, box, inner)
 
 __all__ = [
     "HarmonicDecomposition",
@@ -97,8 +98,8 @@ def _layer_rows(deg_p: int, deg_q: int,
     return tuple(out)
 
 
-# A layer of a decomposition image: (slot, d, ((key, weight), ...))
-Layer = tuple[int, int, tuple[tuple[Key, int], ...]]
+# An image: ((destination, ((key, weight), ...)), ...)
+Image = tuple[tuple[int, tuple[tuple[Key, int], ...]], ...]
 
 # A slot (P, Q, k) is the int (P W + Q) W + W - 1 - k with W = _SLOT, so
 # slots sort as (P, Q, -k); every degree is below 128 (see ``ring``).
@@ -106,26 +107,29 @@ _SLOT = 256
 
 
 @functools.cache
-def _bidegree(slot: int) -> tuple[int, int]:
-    """The component (P - k, Q - k) of the slot (P, Q, k), one shared tuple."""
-    pq, r = divmod(slot, _SLOT)
-    k = _SLOT - 1 - r
-    return pq // _SLOT - k, pq % _SLOT - k
-
-
-@functools.cache
-def _tables(n: int) -> tuple[dict[Key, tuple[Layer, ...]],
-                             dict[Key, tuple[tuple[Key, int], ...]]]:
+def _tables(n: int) -> tuple[LazyTable, LazyTable, LazyTable]:
     """The decomposition and sub-Laplacian image tables of dimension n,
-    keyed by normal-form monomial and filled as monomials are met."""
-    return {}, {}
+    keyed by normal-form monomial, and each slot's component and row
+    denominator, keyed by slot."""
+    return (LazyTable(functools.partial(_layers, n)),
+            LazyTable(functools.partial(_sublaplacian_image, n)),
+            LazyTable(functools.partial(_slot_row, n)))
 
 
-def _layers(n: int, key: Key) -> tuple[Layer, ...]:
-    """Fill the decomposition table's entry for the monomial ``key``.
+def _slot_row(n: int, slot: int) -> tuple[tuple[int, int], int]:
+    """The component (P - k, Q - k) of the slot (P, Q, k) and the
+    denominator of its layer row."""
+    pq, r = divmod(slot, _SLOT)
+    p, q = divmod(pq, _SLOT)
+    k = _SLOT - 1 - r
+    return (p - k, q - k), _layer_rows(p, q, n)[min(p, q) - k][1]
+
+
+def _layers(n: int, key: Key) -> Image:
+    """The decomposition image of the monomial ``key``.
 
     Its nonzero layers h_k, from its box powers and :func:`_layer_rows`,
-    deepest first: each is (slot, d, pairs), h_k = sum w z^a' zbar^b' / d
+    deepest first: each is (slot, pairs), h_k = sum w z^a' zbar^b' / d
     over the pairs (key of z^a' zbar^b', w), integer w over the row's
     denominator d, and slot = (P, Q, k) packed so that slots sort as
     (P, Q, -k).
@@ -135,21 +139,20 @@ def _layers(n: int, key: Key) -> tuple[Layer, ...]:
     while powers[-1]:
         powers.append(box(n, powers[-1]))
     image = []
-    for k, d, row in _layer_rows(p, q, n):
+    for k, _, row in _layer_rows(p, q, n):
         layer: Terms = {}
         for power, a in zip(powers[k:-1], row):
             accumulate(layer, power.items(), a)
         if layer:
-            image.append(((p * _SLOT + q) * _SLOT + _SLOT - 1 - k, d,
+            image.append(((p * _SLOT + q) * _SLOT + _SLOT - 1 - k,
                           tuple((k2, re) for k2, (re, _)
                                 in layer.items())))
-    _tables(n)[0][key] = image = tuple(image)
-    return image
+    return tuple(image)
 
 
-def _sublaplacian_image(n: int, key: Key) -> tuple[tuple[Key, int], ...]:
-    """Fill the sub-Laplacian table's entry for the monomial ``key``: the
-    numerators over 2 of (2 box - 2 lambda_{|a|,|b|,n}) z^a zbar^b.
+def _sublaplacian_image(n: int, key: Key) -> Image:
+    """The sub-Laplacian image of the monomial ``key``: the numerators
+    over 2 of (2 box - 2 lambda_{|a|,|b|,n}) z^a zbar^b.
 
     box never touches z_1 zbar_1, which no normal-form term holds, so the
     image is already reduced.
@@ -157,8 +160,7 @@ def _sublaplacian_image(n: int, key: Key) -> tuple[tuple[Key, int], ...]:
     lam = _double_eigenvalue(*bidegree(n, key), n)
     image = [(key, -lam)] if lam else []
     image += [(k, 2 * re) for k, (re, _) in box(n, {key: (1, 0)}).items()]
-    _tables(n)[1][key] = image = tuple(image)
-    return image
+    return ((0, tuple(image)),) if image else ()
 
 
 @dataclass(frozen=True)
@@ -191,38 +193,22 @@ def harmonic_decompose(f: SpherePoly) -> HarmonicDecomposition:
     the components in the module docstring's order.
     """
     n = f.n
-    images = _tables(n)[0]
+    images, _, rows = _tables(n)
     slots: dict[int, Terms] = {}
-    dens: dict[int, int] = {}
-    for key, (re, im) in f.nums.items():
-        for slot, d, pairs in images.get(key) or _layers(n, key):
-            dst = slots.get(slot)
-            if dst is None:
-                dst = slots[slot] = {}
-                dens[slot] = d
-            get = dst.get
-            for k2, w in pairs:
-                prev = get(k2)
-                if prev is None:
-                    dst[k2] = (re * w, im * w)
-                else:
-                    r, i = prev[0] + re * w, prev[1] + im * w
-                    if r or i:
-                        dst[k2] = (r, i)
-                    else:
-                        del dst[k2]
-    groups: dict[tuple[int, int], list[int]] = {}
+    apply_table(slots, f.nums, images)
+    groups: dict[tuple[int, int], list[tuple[int, Terms]]] = {}
     for s in sorted([slot for slot, layer in slots.items() if layer]):
-        groups.setdefault(_bidegree(s), []).append(s)
+        pq, d = rows[s]
+        groups.setdefault(pq, []).append((d, slots[s]))
     components = {}
     for pq, group in groups.items():
         if len(group) == 1:
-            den, dst = dens[group[0]], slots[group[0]]
+            [(den, dst)] = group
         else:
-            den = math.lcm(*(dens[t] for t in group))
+            den = math.lcm(*(d for d, _ in group))
             dst = {}
-            for t in group:
-                accumulate(dst, slots[t].items(), den // dens[t])
+            for d, layer in group:
+                accumulate(dst, layer.items(), den // d)
             if not dst:
                 continue
         components[pq] = SpherePoly.from_nums(n, dst, den * f.den)
@@ -245,25 +231,9 @@ def sublaplacian(f: SpherePoly) -> SpherePoly:
     The sum of c times the table image of each term c z^a zbar^b, over
     the table's denominator 2.
     """
-    n = f.n
-    images = _tables(n)[1]
-    out: Terms = {}
-    get = out.get
-    for key, (re, im) in f.nums.items():
-        pairs = images.get(key)
-        if pairs is None:
-            pairs = _sublaplacian_image(n, key)
-        for k, w in pairs:
-            prev = get(k)
-            if prev is None:
-                out[k] = (re * w, im * w)
-            else:
-                r, i = prev[0] + re * w, prev[1] + im * w
-                if r or i:
-                    out[k] = (r, i)
-                else:
-                    del out[k]
-    return SpherePoly.from_nums(n, out, 2 * f.den)
+    out: dict[int, Terms] = {}
+    apply_table(out, f.nums, _tables(f.n)[1])
+    return SpherePoly.from_nums(f.n, out.get(0, {}), 2 * f.den)
 
 
 def sublaplacian_energy(f: SpherePoly) -> ExactScalar:

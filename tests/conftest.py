@@ -90,46 +90,39 @@ def unit_phase() -> ExactScalar:
 
 
 @pytest.fixture
-def frame_tables():
-    """``frames._tables``, with the n = 1, 2, 3 image tables emptied for
-    the test and their entries put back after it."""
-    saved = {n: [dict(images) for _, images in frames._tables(n)]
-             for n in (1, 2, 3)}
-    for n in saved:
-        for _, images in frames._tables(n):
-            images.clear()
-    yield frames._tables
-    for n, entries in saved.items():
-        for (_, images), old in zip(frames._tables(n), entries):
-            images.clear()
-            images.update(old)
+def emptied():
+    """``emptied(*tables)`` empties each ``ring.LazyTable`` given for the
+    test; their entries are put back after it."""
+    saved = []
+
+    def empty(*tables):
+        for table in tables:
+            saved.append((table, dict(table)))
+            table.clear()
+
+    yield empty
+    for table, entries in reversed(saved):
+        table.clear()
+        table.update(entries)
 
 
 @pytest.fixture
-def projection_tables():
-    """``frames._projections``, with the n = 1, 2, 3 tables emptied for
-    the test and their entries put back after it."""
-    saved = {n: dict(frames._projections(n)) for n in (1, 2, 3)}
-    for n in saved:
-        frames._projections(n).clear()
-    yield frames._projections
-    for n, entries in saved.items():
-        frames._projections(n).clear()
-        frames._projections(n).update(entries)
+def frame_tables(emptied):
+    """``frames._tables``, with the n = 1, 2, 3 image tables emptied."""
+    emptied(*(t for n in (1, 2, 3) for t in frames._tables(n)))
+    return frames._tables
 
 
 @pytest.fixture
-def spectral_tables():
-    """``spectral._tables``, with the n = 1, 2, 3 decomposition and
-    sub-Laplacian tables emptied for the test and their entries put back
-    after it."""
-    saved = {n: [dict(table) for table in spectral._tables(n)]
-             for n in (1, 2, 3)}
-    for n in saved:
-        for table in spectral._tables(n):
-            table.clear()
-    yield spectral._tables
-    for n, entries in saved.items():
-        for table, old in zip(spectral._tables(n), entries):
-            table.clear()
-            table.update(old)
+def projection_tables(emptied):
+    """``frames._projections``, with the n = 1, 2, 3 tables emptied."""
+    emptied(*(t for n in (1, 2, 3) for t in frames._projections(n).values()))
+    return frames._projections
+
+
+@pytest.fixture
+def spectral_tables(emptied):
+    """``spectral._tables``, with the n = 1, 2, 3 decomposition,
+    sub-Laplacian and row-denominator tables emptied."""
+    emptied(*(t for n in (1, 2, 3) for t in spectral._tables(n)))
+    return spectral._tables

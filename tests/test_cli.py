@@ -526,10 +526,11 @@ def test_poisoned_image_table_fails_the_gate(tmp_path, capsys, slot, raises,
     out = tmp_path / "r.txt"
     args = ("verify", "--n", "1", "--degree", "2", "--suites", "oracle3",
             "--samples", "0", "--output", str(out))
-    _, images = frame_tables(1)[slot]
+    images = frame_tables(1)[slot]
     assert run(capsys, *args)[0] == 0
     key = next(k for k, image in images.items() if image)
-    images[key] = {k: (-re, -im) for k, (re, im) in images[key].items()}
+    images[key] = tuple((dest, tuple((k, -w) for k, w in pairs))
+                        for dest, pairs in images[key])
     if raises:
         with pytest.raises(AssertionError, match=raises):
             run(capsys, *args)

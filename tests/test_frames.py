@@ -54,6 +54,49 @@ def test_field_apply_examples():
     assert field_apply(reeb(1), z(1, 1)) == z(1, 1) * ExactScalar(0, Fraction(1, 2))
 
 
+def test_bracket_forms_no_product_with_a_zero_factor(monkeypatch):
+    """[Z_12, Zbar_13] at n = 2 keeps its slots, and neither field_apply
+    (which skips a zero image X_s(f)) nor the ambient re-expansion
+    multiplies by a zero polynomial, series or scalar."""
+    n = 2
+    x, y = z_field(n, 1, 2), zbar_field(n, 1, 3)
+    zero = SpherePoly.zero(n)
+    want = (w(n, 2) * z(n, 3) * ExactScalar(0, -2), z(n, 1) * z(n, 3), zero,
+            -z(n, 3) ** 2, zero, -w(n, 1) * w(n, 2), -w(n, 2) ** 2)
+    products = []
+    for cls in (SpherePoly, TSeries2):
+        for name in ("__mul__", "__rmul__"):
+            def counting(a, b, _original=getattr(cls, name)):
+                products.append(a.is_zero()
+                                or (b.is_zero() if hasattr(b, "is_zero")
+                                    else b == 0))
+                return _original(a, b)
+            monkeypatch.setattr(cls, name, counting)
+    got = bracket(x, y)
+    assert got.slots == want
+    assert products and not any(products)
+    series = [FrameVector(n, (TSeries2(c, c * z(n, 1)) for c in v.slots))
+              for v in (x, y)]
+    products.clear()
+    assert order_slots(bracket(*series), 0) == want
+    assert products and not any(products)
+
+
+def test_field_apply_returns_the_zero_of_its_ring():
+    """Z_12 * zbar_3 has no nonzero image on a constant, so it applies to
+    the zero of its ring: a series when a slot or f is one."""
+    n = 2
+    x = z_field(n, 1, 2) * w(n, 3)
+    c = SpherePoly.constant(n, 5)
+    sx = FrameVector(n, map(TSeries2, x.slots))
+    for vector, f, ring_type in ((x, c, SpherePoly), (sx, c, TSeries2),
+                                 (x, TSeries2(c, c), TSeries2),
+                                 (x, SpherePoly.zero(n), SpherePoly),
+                                 (sx, TSeries2.zero(n), TSeries2)):
+        got = field_apply(vector, f)
+        assert type(got) is ring_type and got.is_zero()
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_tangency(n):
     # every frame field annihilates the defining relation, term by term:
@@ -445,18 +488,19 @@ def test_every_n2_projection_entry_is_pinned_by_the_entrywise_sum(
                                                            1)})
             want = entrywise_reference(t)
             assert tight_expand(t).coeffs == want
-            cases += [(t, want, entry, i) for i in range(len(entry))]
+            cases += [(t, want, entries, key, i) for i in range(len(entry))]
     assert len(cases) == 2187     # 27 monomials at 9 input pairs, 9 images each
     survivors = []
-    for t, want, entry, i in cases:
-        o, image = entry[i]
-        saved = dict(image)
-        image.update((k, (-re, -im)) for k, (re, im) in saved.items())
+    for t, want, entries, key, i in cases:
+        entry = entries[key]
+        o, pairs = entry[i]
+        entries[key] = (entry[:i] + ((o, tuple((k, -w) for k, w in pairs)),)
+                        + entry[i + 1:])
         try:
             if tight_expand(t).coeffs == want:
                 survivors.append((t, o))
         finally:
-            image.update(saved)
+            entries[key] = entry
     assert survivors == []
 
 
@@ -780,17 +824,19 @@ def test_table_route_matches_reference_cold_and_warm(n, frame_tables):
         for f, c, h in zip(pool, cold, warm):
             want = ambient_frame.field_apply(x, f)
             assert same_normal_form(c, want) and same_normal_form(h, want)
-    assert {den for den, _ in frame_tables(n)[1:]} == {1}
     zero = (0,) * (n + 1)
     e1, e2 = (1,) + zero[1:], (0, 1) + zero[2:]
     # Z_12(z1 z2) = z1 zbar1 - z2 zbar2 needed reduction: 1 - 2 z2 zbar2 - ...
-    _, images = frame_tables(n)[1]
+    images = frame_tables(n)[1]
     one = ring._encode(n, zero, zero)
-    assert images[ring._encode(n, (1, 1) + zero[2:], zero)][one] == (1, 0)
-    # T multiplies z1 zbar2 by i/2 times its mode 0: an empty image
-    den, images = frame_tables(n)[0]
-    assert den == 2
-    assert images[ring._encode(n, e1, e2)] == {}
+    [(dest, pairs)] = images[ring._encode(n, (1, 1) + zero[2:], zero)]
+    assert dest == 0 and dict(pairs)[one] == 1
+    # T multiplies z1 zbar2 by i/2 times its mode 0: an empty image, and
+    # z1^2 zbar2 by i/2 times its mode 1: the weight 1
+    images = frame_tables(n)[0]
+    assert images[ring._encode(n, e1, e2)] == ()
+    key = ring._encode(n, (2,) + zero[1:], e2)
+    assert images[key] == ((0, ((key, 1),)),)
 
 
 def recorded_calls(monkeypatch, targets) -> list:
@@ -874,14 +920,15 @@ def test_every_n1_table_entry_is_pinned_by_an_identity(frame_tables):
         return True
 
     assert identities_hold()
-    entries = [(s, key) for s, (_, images) in enumerate(frame_tables(1))
+    entries = [(s, key) for s, images in enumerate(frame_tables(1))
                for key, image in images.items() if image]
     assert len(entries) == 126
     survivors = []
     for s, key in entries:
-        _, images = frame_tables(1)[s]
+        images = frame_tables(1)[s]
         image = images[key]
-        images[key] = {k: (-re, -im) for k, (re, im) in image.items()}
+        images[key] = tuple((dest, tuple((k, -w) for k, w in pairs))
+                            for dest, pairs in image)
         try:
             if identities_hold():
                 survivors.append((s, ring._decode(1, key)))

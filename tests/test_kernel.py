@@ -305,6 +305,36 @@ def test_key_overflow_raises(n):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
+def test_every_key_field_is_guarded(n):
+    """A product that reaches 2^7 in a key field raises OverflowError, for
+    every exponent a_j and b_j and for both degree fields |a| and |b|
+    with every exponent below 2^7; reaching 127 there gives the product."""
+    assert ring._CAP == 128
+    zero = (0,) * (n + 1)
+
+    def mono(side, exps):       # z^exps (side 0) or zbar^exps (side 1)
+        return SpherePoly.monomial(n, *((exps, zero), (zero, exps))[side])
+
+    def unit(j, e):
+        return tuple(e if i == j else 0 for i in range(n + 1))
+
+    for side in (0, 1):
+        cases = [(unit(j, 64), unit(j, e)) for j in range(n + 1)
+                 for e in (63, 64)]
+        cases += [(unit(0, 64), unit(j, e)) for j in range(1, n + 1)
+                  for e in (63, 64)]
+        for a, b in cases:
+            x, y = mono(side, a), mono(side, b)
+            total = tuple(map(sum, zip(a, b)))
+            if sum(b) == 64:
+                with pytest.raises(OverflowError, match="reached degree 128"):
+                    x * y
+            else:
+                assert max(total) < 128 and sum(total) == 127
+                assert x * y == mono(side, total)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
 def test_moments_match_factorial_rule_up_to_the_field_bound(n):
     """``ring._moments`` reads n! prod(a_j!) from its per-n table; on halves
     whose fields reach 2 (_CAP - 1), as a product's diagonal can, it gives

@@ -30,16 +30,77 @@ def test_all_names_resolve(name):
     assert [n for n in exported if not hasattr(module, n)] == []
 
 
+def other_modules():
+    """(name, syntax tree) of every module but ``ring``."""
+    for path in sorted(pathlib.Path(crsphere.__file__).parent.glob("*.py")):
+        if path.stem != "ring":
+            yield path.stem, ast.parse(path.read_text(encoding="utf-8"))
+
+
 def test_only_ring_reads_its_private_names():
     """The packed monomial key is ``ring``'s layout: no other module
     imports an underscore name from it."""
     offenders = []
-    for path in sorted(pathlib.Path(crsphere.__file__).parent.glob("*.py")):
-        if path.stem == "ring":
-            continue
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+    for name, tree in other_modules():
+        for node in ast.walk(tree):
             if (isinstance(node, ast.ImportFrom)
                     and node.module in ("ring", "crsphere.ring")):
-                offenders += [(path.stem, alias.name) for alias in node.names
+                offenders += [(name, alias.name) for alias in node.names
                               if alias.name.startswith("_")]
     assert offenders == []
+
+
+def is_cache(decorator) -> bool:
+    """``functools.cache``, ``cache`` or an ``lru_cache``, called or not."""
+    if isinstance(decorator, ast.Call):
+        decorator = decorator.func
+    name = (decorator.attr if isinstance(decorator, ast.Attribute)
+            else getattr(decorator, "id", None))
+    return name in ("cache", "lru_cache")
+
+
+def is_bare_table(value) -> bool:
+    """A bare ``{}``, or a tuple of them."""
+    if isinstance(value, ast.Tuple):
+        return bool(value.elts) and all(map(is_bare_table, value.elts))
+    return isinstance(value, ast.Dict) and not value.keys
+
+
+def private_tables(tree) -> list[int]:
+    """Lines of a cached function returning a bare table, and of a
+    subscript deleted inside a ``for`` loop."""
+    lines = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.FunctionDef)
+                and any(map(is_cache, node.decorator_list))):
+            lines += [ret.lineno for ret in ast.walk(node)
+                      if isinstance(ret, ast.Return)
+                      and is_bare_table(ret.value)]
+        if isinstance(node, ast.For):
+            lines += [sub.lineno for sub in ast.walk(node)
+                      if isinstance(sub, ast.Delete)
+                      and any(isinstance(t, ast.Subscript)
+                              for t in sub.targets)]
+    return sorted(set(lines))
+
+
+def test_image_tables_and_their_apply_loop_live_in_ring():
+    """Every per-n image table is a ``ring.LazyTable``, applied by the one
+    loop ``ring.apply_table``: no other module caches a bare ``{}`` (or a
+    tuple of them) as a table, or deletes a subscript inside a ``for``
+    loop, as a written-out apply loop does when a sum cancels."""
+    assert [(name, line) for name, tree in other_modules()
+            for line in private_tables(tree)] == []
+
+
+@pytest.mark.parametrize("source, found", [
+    ("@functools.cache\ndef t(n):\n    return {}\n", True),
+    ("@cache\ndef t(n):\n    return {}, {}\n", True),
+    ("@functools.lru_cache(None)\ndef t(n):\n    return {}\n", True),
+    ("@functools.cache\ndef t(n):\n    return {0: 1}\n", False),
+    ("def t(n):\n    return {}\n", False),
+    ("for k in d:\n    if k:\n        del d[k]\n", True),
+    ("for k in d:\n    del k\n", False),
+    ("del d[0]\n", False)])
+def test_table_guard_sees_each_pattern(source, found):
+    assert bool(private_tables(ast.parse(source))) is found

@@ -243,6 +243,25 @@ def test_parse_error_positions():
             parse_poly(text, 1)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_coordinate_index_range_is_1_to_n_plus_1(n):
+    """z_j and w_j exist for j = 1 .. n+1, in the constructor and in the
+    grammar; an index just outside fails at the variable's column."""
+    last = SpherePoly.z(n, n + 1)
+    assert last.terms == {((0,) * n + (1,), (0,) * (n + 1)): 1}
+    for j in (0, n + 2):
+        with pytest.raises(ValueError, match=f"index {j} out of range"):
+            SpherePoly.z(n, j)
+    assert (parse_poly(f"(1/1,0/1) z{n + 1} w{n + 1}", n)
+            == last * last.conjugate())
+    for var, j in (("z", 0), ("w", 0), ("z", n + 2), ("w", n + 2)):
+        with pytest.raises(PolyParseError) as exc:
+            parse_poly(f"(1/1,0/1) z1\n(2/1,0/1) w1 {var}{j}^2", n)
+        assert (exc.value.line, exc.value.column) == (2, 14)
+        assert exc.value.message == (f"index {j} out of range 1..{n + 1} "
+                                     f"for n={n}")
+
+
 def test_parse_caps_term_degree_and_literal_length():
     assert MAX_TERM_DEGREE == 12
     assert parse_poly("(1/1,0/1) z1^6 w1^6", 1) == (z(1, 1) * w(1, 1)) ** 6

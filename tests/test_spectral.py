@@ -448,13 +448,12 @@ def test_every_table_weight_is_pinned_by_an_identity(spectral_tables):
             sublaplacian(c) != c * ExactScalar(-ref.eigenvalue(p, q, f.n))
             for (p, q), c in dec.components.items())
 
-    def negated(entry, i, j=None):
-        """The entry with weight i, or weight j of layer i, negated."""
-        if j is None:
-            key, w = entry[i]
-            return entry[:i] + ((key, -w),) + entry[i + 1:]
-        slot, d, pairs = entry[i]
-        return entry[:i] + ((slot, d, negated(pairs, j)),) + entry[i + 1:]
+    def negated(entry, i, j):
+        """The entry with weight j of destination i negated."""
+        dest, pairs = entry[i]
+        key, w = pairs[j]
+        pairs = pairs[:j] + ((key, -w),) + pairs[j + 1:]
+        return entry[:i] + ((dest, pairs),) + entry[i + 1:]
 
     survivors = []
     for n in (1, 2):
@@ -468,13 +467,11 @@ def test_every_table_weight_is_pinned_by_an_identity(spectral_tables):
             for c in harmonic_decompose(f).components.values():
                 for key in c.nums:
                     readers[1].setdefault(key, []).append(f)
-        decompose_table, sublaplacian_table = spectral_tables(n)
-        sites = ([(0, key, i, j) for key, entry in decompose_table.items()
-                  for i, (_, _, pairs) in enumerate(entry)
-                  for j in range(len(pairs))]
-                 + [(1, key, i, None)
-                    for key, entry in sublaplacian_table.items()
-                    for i in range(len(entry))])
+        sites = [(table_index, key, i, j)
+                 for table_index in (0, 1)
+                 for key, entry in spectral_tables(n)[table_index].items()
+                 for i, (_, pairs) in enumerate(entry)
+                 for j in range(len(pairs))]
         assert len(sites) == {1: 154, 2: 534}[n]
         for table_index, key, i, j in sites:
             table = spectral_tables(n)[table_index]

@@ -29,7 +29,12 @@ s has a ``ring.LazyTable``, one per n, from packed normal-form monomial
 monomial's ambient derivatives (``ring.partial``), reduced, fill its entry
 the first time it is met; no key is read here.  Every vector applies as
 x(f) = sum_s x_s X_s(f), each X_s(f) read from the tables, whether slots
-and f are polynomials or series.  The tight-frame projection
+and f are polynomials or series; a shared frame field X_s and the
+exterior derivative read X_s(f) straight from slot s's table.  A
+series' image is computed per coefficient: the table is applied to each
+order's terms without the order field (``TSeries2.orders``) and the
+order is added back, so the tables stay keyed by plain monomials.  The
+tight-frame projection
 c -> conj(H) c H of a tensor's coefficients is fixed and linear too: it
 has one table per input pair (:func:`_projections`), whose entry for a
 monomial holds its reduced integer images at every output pair, filled
@@ -61,7 +66,7 @@ from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from .ring import (ExactScalar, Key, LazyTable, SpherePoly, Terms, TSeries2,
-                   apply_table, partial, sum_of_products)
+                   accumulate, apply_table, partial, sum_of_products)
 
 __all__ = [
     "FrameVector",
@@ -287,16 +292,16 @@ def thetabar_form(n: int, j: int, k: int) -> FrameForm:
 def field_apply(x: FrameVector, f: Ring) -> Ring:
     """x(f) = sum_s x_s X_s(f) for a function or series f.
 
-    Each nonzero X_s(f) is read from frame field X_s's table
-    (:func:`_field_image`) and multiplied by a nonzero x_s unless x_s is
-    the shared 1 of a frame field's slot.  Slots and f may be polynomials
-    or series; x(f) is a series when either is, zero too.
+    A shared frame field X_s reads X_s(f) straight from its table
+    (:func:`_field_image`).  Any other vector multiplies each nonzero
+    X_s(f) by a nonzero x_s.  Slots and f may be polynomials or series;
+    x(f) is a series when either is, zero too.
     """
     if x.n != f.n:
         raise ValueError("dimension mismatch")
-    one = SpherePoly.one(x.n)
-    parts = [part if c is one else c * part for s, c in enumerate(x.slots)
-             if not c.is_zero()
+    if type(x) is _FrameField:
+        return _field_image(x.n, x.slot, f)
+    parts = [c * part for s, c in enumerate(x.slots) if not c.is_zero()
              and not (part := _field_image(x.n, s, f)).is_zero()]
     if parts:
         return functools.reduce(add, parts)
@@ -304,19 +309,27 @@ def field_apply(x: FrameVector, f: Ring) -> Ring:
     return (TSeries2 if series else SpherePoly).zero(x.n)
 
 
-def _field_image(n: int, s: int, f: Ring) -> Ring:
-    """X_s(f) for a function or series f: ``ring.apply_table`` over the
-    slot's table, times i/2 for T, with no product and no reduction."""
-    if isinstance(f, TSeries2):
-        return TSeries2(*(c if c.is_zero() else _field_image(n, s, c)
-                          for c in (f.c0, f.c1, f.c2)))
-    out: dict[int, Terms] = {}
-    apply_table(out, f.nums, _tables(n)[s])
-    raw = out.get(0, {})
-    if s:
-        return SpherePoly.from_nums(n, raw, f.den)
-    return SpherePoly.from_nums(n, {k: (-im, re) for k, (re, im)
-                                    in raw.items()}, 2 * f.den)
+def _field_image(n: int, s: int, f: Ring, plus: int = 0) -> Ring:
+    """X_s(f) + plus * f for a function or series f, plus * f added
+    before T's factor i/2 (so T(f) + (i plus / 2) f): ``ring.apply_table``
+    over the slot's table, once per order of a series, with no product
+    and no reduction."""
+    series = isinstance(f, TSeries2)
+    table = _tables(n)[s]
+    raws = []
+    for part in (f.orders() if series else (f.nums,)):
+        out: dict[int, Terms] = {}
+        if part:
+            apply_table(out, part, table)
+        raw = out.get(0, {})
+        if plus:
+            accumulate(raw, part.items(), plus)
+        raws.append(raw if s else {k: (-im, re) for k, (re, im)
+                                   in raw.items()})
+    den = f.den if s else 2 * f.den
+    if series:
+        return TSeries2.from_orders(n, raws, den)
+    return SpherePoly.from_nums(n, raws[0], den)
 
 
 def _image(n: int, s: int, key: Key) -> tuple[tuple[int, _Weights], ...]:
@@ -364,10 +377,21 @@ def _tables(n: int) -> tuple[LazyTable, ...]:
                  for s in range(_width(n)))
 
 
+class _FrameField(FrameVector):
+    """The frame field X_s of slot s: the vector with slot s equal to 1
+    and every other slot 0."""
+
+    __slots__ = ("slot",)
+
+    def __init__(self, n: int, s: int):
+        super().__init__(n, _unit(n, s))
+        object.__setattr__(self, "slot", s)
+
+
 @functools.cache
 def _frame(n: int) -> tuple[FrameVector, ...]:
     """The frame (T, Z_jk..., Zbar_jk...), one shared field per slot."""
-    return tuple(FrameVector(n, _unit(n, s)) for s in range(_width(n)))
+    return tuple(_FrameField(n, s) for s in range(_width(n)))
 
 
 # -- the form algebra on slot tuples -----------------------------------------
@@ -394,9 +418,14 @@ def _pair(a: Slots, x: Slots) -> Ring:
 
 
 def wedge(a: Slots, b: Slots) -> Slots:
-    """a ^ b of two 1-forms: a_i b_j - a_j b_i over each wedge (i, j)."""
-    return tuple(a[i] * b[j] - a[j] * b[i]
-                 for i, j in itertools.combinations(range(len(a)), 2))
+    """a ^ b of two 1-forms: a_i b_j - a_j b_i over each wedge (i, j),
+    one fused sum per wedge when a form is a series form."""
+    pairs = itertools.combinations(range(len(a)), 2)
+    if isinstance(a[0], TSeries2) or isinstance(b[0], TSeries2):
+        n = a[0].n
+        return tuple(TSeries2.sum_of_products(
+            n, ((a[i], b[j], 1), (a[j], b[i], -1))) for i, j in pairs)
+    return tuple(a[i] * b[j] - a[j] * b[i] for i, j in pairs)
 
 
 def df(f: Ring) -> Slots:
@@ -440,14 +469,18 @@ def d(a: Slots) -> Slots:
 def _d_wedge(a: Slots, i: int, j: int) -> Ring:
     """The coefficient of d a over the wedge e^i ^ e^j, i < j.
 
-    It is X_i(a_j) - X_j(a_i) plus the a_k d e^k terms of the base
-    table.  No field is applied to a zero entry or to its own slot's
-    entry.
+    It is X_i(a_j) - X_j(a_i), each image read from the slot's table,
+    plus the a_k d e^k terms of the base table.  No field is applied to a
+    zero entry or to its own slot's entry.
     """
-    frame = _frame(a[0].n)
+    n = a[0].n
     w = i * (2 * len(a) - i - 1) // 2 + j - i - 1     # wedge order
-    out = field_apply(frame[i], a[j]) - field_apply(frame[j], a[i])
-    for ak, dk in zip(a, _d_base(a[0].n)):
+    out = type(a[0]).zero(n)
+    if not a[j].is_zero():
+        out = _field_image(n, i, a[j])
+    if not a[i].is_zero():
+        out = out - _field_image(n, j, a[i])
+    for ak, dk in zip(a, _d_base(n)):
         if not (ak.is_zero() or dk[w].is_zero()):
             out = out + ak * dk[w]
     return out
@@ -642,21 +675,19 @@ def covariant_T(obj):
     A TensorField's coefficients sit on products theta_jk theta_lm, and
     the weights +i of the two theta factors add, giving coefficient
     T(c) + 2i c; a weight-m coefficient therefore returns i(m/2 + 2)
-    times itself.
+    times itself.  Each T(c) + i w c, for frame weight w, is one read of
+    T's table with 2 w c added before T's factor i/2
+    (:func:`_field_image`).
     """
     if isinstance(obj, FrameVector):
-        t = reeb(obj.n)
         p = len(_slot_of(obj.n))
         weights = (0,) + (-1,) * p + (1,) * p
         return FrameVector(obj.n, (
-            c if c.is_zero() else field_apply(t, c) + c * ExactScalar(0, wt)
+            c if c.is_zero() else _field_image(obj.n, 0, c, 2 * wt)
             for c, wt in zip(obj.slots, weights)))
     if isinstance(obj, TensorField):
-        t = reeb(obj.n)
-        two_i = ExactScalar(0, 2)
-        return TensorField(obj.n,
-                           {k: field_apply(t, c) + c * two_i
-                            for k, c in obj.coeffs.items()})
+        return TensorField(obj.n, {k: _field_image(obj.n, 0, c, 4)
+                                   for k, c in obj.coeffs.items()})
     raise TypeError("covariant_T accepts FrameVector, TensorField")
 
 

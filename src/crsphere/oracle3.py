@@ -12,8 +12,11 @@ connection form w(t) and torsion A(t) from the Cartan structure equation
     d theta^1(t) = theta^1(t) ^ w(t) + A(t) theta ^ theta^1bar(t)
 
 with the reality constraint w + conj(w) = 0.  Everything is an exact
-degree-2 series with SpherePoly coefficients, so every claimed variation
-identity is checked as exact polynomial equality.
+series truncated after t^2 (``ring.TSeries2``), so every claimed
+variation identity is checked as exact polynomial equality.  Each
+bilinear formula (the Levi norm, the renormalizer, the Cramer solves,
+z and the structure-equation residual) sums all its products before one
+reduction (``TSeries2.sum_of_products``).
 
 Fixed base structure, over ``frames``' n = 1 frame (T, Z_1, Zbar_1) with
 Z_1 = Z_12 and its dual coframe (theta, theta^1, theta^1bar):
@@ -34,8 +37,10 @@ indexed by TH, T1 and T1B, and d, wedge, conjugation and pairing are
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import ne
 
 from .ring import ExactScalar, SpherePoly, TSeries2
 from .frames import (_d_wedge, conjugate, d, field_apply, reeb, wedge,
@@ -86,12 +91,13 @@ _RENORMALIZER_WEIGHT = Fraction(1, 2)
 
 
 def _levi_norm(x) -> TSeries2:
-    """|x^1|^2 - |x^1bar|^2 of a slot triple.
+    """|x^1|^2 - |x^1bar|^2 of a slot triple, in one fused sum.
 
     For a contact vector this is its Levi norm; for a 1-form a theta^1 +
     b theta^1bar it is the determinant |a|^2 - |b|^2 of the Cramer solves.
     """
-    return x[T1] * x[T1].conjugate() - x[T1B] * x[T1B].conjugate()
+    return TSeries2.sum_of_products(_N, ((x[T1], x[T1].conjugate(), 1),
+                                         (x[T1B], x[T1B].conjugate(), -1)))
 
 
 # -- the deformation ---------------------------------------------------------
@@ -130,7 +136,8 @@ def deform_frame(e: SpherePoly, second_order_tweak: SpherePoly | None = None,
     quad = (zero if second_order_tweak is None
             else second_order_tweak * ExactScalar(0, -1))
     m1 = TSeries2(zero, e * ExactScalar(0, -1), quad)
-    m0 = _S_ONE + m1 * m1.conjugate() * _RENORMALIZER_WEIGHT
+    m0 = _S_ONE + TSeries2.sum_of_products(
+        _N, ((m1, m1.conjugate(), 1),)) * _RENORMALIZER_WEIGHT
     z1t = (_S_ZERO, m0, m1)
     if phase is not None:
         if phase.abs2() != 1:
@@ -155,8 +162,9 @@ class PseudohermitianSeries:
 
 def _solve2(m00, m01, m10, m11, r0, r1):
     """Cramer's rule for [[m00, m01], [m10, m11]] (u0, u1) = (r0, r1) with
-    determinant 1."""
-    return m11 * r0 - m01 * r1, m00 * r1 - m10 * r0
+    determinant 1, one fused sum per unknown."""
+    return (TSeries2.sum_of_products(_N, ((m11, r0, 1), (m01, r1, -1))),
+            TSeries2.sum_of_products(_N, ((m00, r1, 1), (m10, r0, -1))))
 
 
 def solve_structure(cf: DeformedCoframe) -> PseudohermitianSeries:
@@ -179,18 +187,24 @@ def solve_structure(cf: DeformedCoframe) -> PseudohermitianSeries:
     if theta1[TH] != _S_ZERO:
         raise AssertionError("deformed coframe must have no theta component")
     _, a, b = theta1
+    theta1bar = conjugate(theta1)
+    _, bbar, abar = theta1bar
     lhs = d(theta1)
-    torsion, x = _solve2(b.conjugate(), -a, a.conjugate(), -b,
-                         lhs[0], lhs[1])
-    if x + x.conjugate() != _S_ZERO:
+    torsion, x = _solve2(bbar, -a, abar, -b, lhs[0], lhs[1])
+    if x.conjugate() != -x:
         raise AssertionError("theta component of the connection form "
                              "must be imaginary")
     l3 = lhs[2]
-    z = a.conjugate() * l3 - b * l3.conjugate()
+    z = TSeries2.sum_of_products(_N, ((abar, l3, 1), (b, l3.conjugate(), -1)))
     omega = (x, -z.conjugate(), z)
 
-    rhs = zip(lhs, wedge(theta1, omega), wedge(_THETA, conjugate(theta1)))
-    if any(l != u + torsion * v for l, u, v in rhs):
+    # theta^1(t) ^ w + A theta ^ theta^1bar(t), one fused sum per wedge
+    pairs = itertools.combinations(range(3), 2)
+    rhs = (TSeries2.sum_of_products(_N, ((theta1[i], omega[j], 1),
+                                         (theta1[j], omega[i], -1),
+                                         (torsion, v, 1)))
+           for (i, j), v in zip(pairs, wedge(_THETA, theta1bar)))
+    if any(map(ne, lhs, rhs)):
         raise AssertionError("structure-equation residual is nonzero")
     if not torsion.c0.is_zero():
         raise AssertionError("round sphere must be torsion-free")

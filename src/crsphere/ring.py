@@ -44,6 +44,13 @@ module reads a key: other modules take a term map's :func:`bidegree`,
 its derivatives (:func:`partial`, the one ambient-derivative route, and
 :func:`box`, built from it) and its :func:`mode_norms` from here.
 
+Series keys: a :class:`TSeries2` key is a monomial key with the term's
+power of t in one more field above the two halves, so a product adds
+orders as it adds monomials, and reduction, which reads only the
+monomial fields, leaves the order alone.  Only :class:`TSeries2` reads
+that field; it hands other modules each order's terms without it
+(:meth:`TSeries2.orders`), so no image table is ever keyed by an order.
+
 Image tables: every per-n table of a fixed map on monomials is a
 :class:`LazyTable`, which fills an entry the first time its key is read
 (the moments and texts here, the frame fields, the tight-frame
@@ -66,6 +73,7 @@ __all__ = [
     "ExactScalar",
     "SpherePoly",
     "TSeries2",
+    "ORDER",
     "VolumeFactor",
     "volume_factor",
     "parse_scalar",
@@ -410,6 +418,45 @@ def _add_products(dst: Terms, xs: Mapping[Key, Gaussian],
                     del dst[key]
 
 
+def _lowest(nums: Terms, den: int) -> int:
+    """Divide the common factor of ``den`` and every numerator out of
+    ``nums`` in place (values only: no resize); return the denominator
+    left."""
+    g = den
+    for re, im in nums.values():
+        g = math.gcd(g, re, im)
+        if g == 1:
+            return den
+    for key, (re, im) in nums.items():
+        nums[key] = (re // g, im // g)
+    return den // g
+
+
+def _sum(nums: Terms, den: int, other: Terms, oden: int,
+         sign: int) -> tuple[Terms, int]:
+    """nums / den + sign * other / oden as a new term map over the lcm of
+    the denominators, not yet in lowest terms."""
+    d = math.lcm(den, oden)
+    f = d // den
+    out = (dict(nums) if f == 1 else
+           {key: (re * f, im * f) for key, (re, im) in nums.items()})
+    accumulate(out, other.items(), sign * (d // oden))
+    return out, d
+
+
+def _scale(nums: Terms, cr: int, ci: int) -> Terms:
+    """Each term times the Gaussian integer cr + ci i."""
+    return {key: (re * cr - im * ci, re * ci + im * cr)
+            for key, (re, im) in nums.items()} if cr or ci else {}
+
+
+def _constant(nums: Terms) -> Gaussian | None:
+    """The numerator of a constant term map (0 included), else None."""
+    if len(nums) > 1:
+        return None
+    return nums.get(0, None if nums else (0, 0))
+
+
 def partial(n: int, nums: Terms, side: int, a: int) -> Terms:
     """d/dz_a (side 0) or d/dzbar_a (side 1) of the term map ``nums``,
     ``a`` the 0-based coordinate index: it subtracts the key of z_a (or
@@ -541,23 +588,10 @@ class SpherePoly:
 
         Takes ownership of ``nums``, which must hold no zero term and no
         monomial divisible by z_1 zbar_1; ``den`` must be positive.  Every
-        instance is made here, with common factors divided out.
+        instance is made here, with common factors divided out, but for a
+        negation or conjugate, which keeps lowest terms (:func:`_poly`).
         """
-        if den != 1:
-            g = den
-            for re, im in nums.values():
-                g = math.gcd(g, re, im)
-                if g == 1:
-                    break
-            if g != 1:
-                for key, (re, im) in nums.items():     # values only: no resize
-                    nums[key] = (re // g, im // g)
-                den //= g
-        p = object.__new__(SpherePoly)
-        _set_n(p, n)
-        _set_nums(p, nums)
-        _set_den(p, den)
-        return p
+        return _poly(n, nums, _lowest(nums, den) if den != 1 else 1)
 
     @staticmethod
     @functools.cache
@@ -621,12 +655,8 @@ class SpherePoly:
             return self
         if not self.nums:
             return other if sign > 0 else -other
-        den = math.lcm(self.den, other.den)
-        f = den // self.den
-        nums = (dict(self.nums) if f == 1 else
-                {key: (re * f, im * f) for key, (re, im) in self.nums.items()})
-        accumulate(nums, other.nums.items(), sign * (den // other.den))
-        return SpherePoly.from_nums(self.n, nums, den)
+        return SpherePoly.from_nums(
+            self.n, *_sum(self.nums, self.den, other.nums, other.den, sign))
 
     def __add__(self, other):
         return self._combine(other, 1)
@@ -640,18 +670,16 @@ class SpherePoly:
         return (-self) + other
 
     def __neg__(self):
+        """-self; lowest terms are kept, so no common factor is sought."""
         if not self.nums:
             return self
-        return SpherePoly.from_nums(
-            self.n, {key: (-re, -im) for key, (re, im) in self.nums.items()},
-            self.den)
+        return _poly(self.n, {key: (-re, -im) for key, (re, im)
+                              in self.nums.items()}, self.den)
 
     def _scaled(self, cr: int, ci: int, cd: int) -> "SpherePoly":
         """self times the Gaussian rational (cr + ci i) / cd, term by term."""
-        return SpherePoly.from_nums(
-            self.n, {key: (re * cr - im * ci, re * ci + im * cr)
-                     for key, (re, im) in self.nums.items()}
-            if cr or ci else {}, self.den * cd)
+        return SpherePoly.from_nums(self.n, _scale(self.nums, cr, ci),
+                                    self.den * cd)
 
     def __mul__(self, other):
         if not isinstance(other, SpherePoly):
@@ -661,10 +689,10 @@ class SpherePoly:
         self._check(other)
         # a constant factor scales the other one's terms: no term pairs,
         # no reduction
-        c = _constant_nums(other)
+        c = _constant(other.nums)
         if c is not None:
             return self._scaled(*c, other.den)
-        c = _constant_nums(self)
+        c = _constant(self.nums)
         if c is not None:
             return other._scaled(*c, self.den)
         raw: Terms = {}
@@ -688,14 +716,14 @@ class SpherePoly:
         return out
 
     def conjugate(self) -> "SpherePoly":
-        """The conjugate: each key's halves swap."""
+        """The conjugate: each key's halves swap, in lowest terms still."""
         if not self.nums:
             return self
         h = _half(self.n)
         low = (1 << h) - 1
-        return SpherePoly.from_nums(
-            self.n, {key >> h | (key & low) << h: (re, -im)
-                     for key, (re, im) in self.nums.items()}, self.den)
+        return _poly(self.n, {key >> h | (key & low) << h: (re, -im)
+                              for key, (re, im) in self.nums.items()},
+                     self.den)
 
     # -- structure -------------------------------------------------------
     def is_zero(self) -> bool:
@@ -822,6 +850,16 @@ _set_n, _set_nums, _set_den = (SpherePoly.__dict__[name].__set__
                                for name in SpherePoly.__slots__)
 
 
+def _poly(n: int, nums: Terms, den: int) -> SpherePoly:
+    """The polynomial nums / den, taken as given: in lowest terms, normal
+    form and with no zero term."""
+    p = object.__new__(SpherePoly)
+    _set_n(p, n)
+    _set_nums(p, nums)
+    _set_den(p, den)
+    return p
+
+
 def sum_of_products(n: int, items: Iterable[tuple[SpherePoly, Terms, int]]
                     ) -> SpherePoly:
     """sum x * (ys / d) over the items (x, ys, d), reduced once.
@@ -842,13 +880,6 @@ def sum_of_products(n: int, items: Iterable[tuple[SpherePoly, Terms, int]]
     for x, ys, d in used:
         _add_products(raw, x.nums, ys, den // d)
     return SpherePoly.from_nums(n, reduce_nums(n, raw), den)
-
-
-def _constant_nums(p: SpherePoly) -> Gaussian | None:
-    """The numerator of a constant polynomial p (0 included), else None."""
-    if len(p.nums) > 1:
-        return None
-    return p.nums.get(0, None if p.nums else (0, 0))
 
 
 @functools.cache
@@ -973,119 +1004,276 @@ def norm2(p: SpherePoly) -> ExactScalar:
 # Truncated power series in the deformation parameter
 # ---------------------------------------------------------------------------
 
-class TSeries2:
-    """Degree-2 truncated series c0 + c1 t + c2 t^2 with SpherePoly entries.
+# The truncation order of TSeries2: no term of a higher order is formed.
+ORDER = 2
 
-    All ring operations truncate at order 2 exactly; nothing of order t^3
-    is ever retained.  Most coefficients met in practice are zero, so a
-    product of two series multiplies only the pairs of nonzero
-    coefficients, and a polynomial or scalar operand multiplies (or, for
-    ``+`` and ``-``, enters) the coefficients directly, never lifted to a
-    series first.
+
+def _order_shift(n: int) -> int:
+    """The offset of a series key's order field, above both halves."""
+    return (n + 2) * 2 * _F
+
+
+class TSeries2:
+    """Truncated series c0 + c1 t + c2 t^2 (through t^ORDER) with
+    polynomial coefficients.
+
+    Stored like a :class:`SpherePoly`: one term map ``nums`` over one
+    positive ``den`` in lowest terms, each key a monomial's with the
+    term's power of t in an order field above the two halves.  So a sum is
+    one pass over one map, and a product adds orders as it adds keys,
+    pairs only the order buckets i, j with i + j <= ORDER and reduces
+    once.  A polynomial is an order-0 series as it stands, so it enters
+    as it is, never lifted, and a constant operand scales.  ``c0``,
+    ``c1`` and ``c2`` are read-only coefficient views, each built once;
+    an empty order's view is the shared :meth:`SpherePoly.zero`.
     """
 
-    __slots__ = ("n", "c0", "c1", "c2")
+    __slots__ = ("n", "nums", "den", "_views", "_parts")
 
     def __init__(self, c0: SpherePoly, c1: SpherePoly | None = None,
                  c2: SpherePoly | None = None):
         n = c0.n
-        c1 = SpherePoly.zero(n) if c1 is None else c1
-        c2 = SpherePoly.zero(n) if c2 is None else c2
-        if c1.n != n or c2.n != n:
-            raise ValueError("series coefficients must share a dimension")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "c0", c0)
-        object.__setattr__(self, "c1", c1)
-        object.__setattr__(self, "c2", c2)
+        zero = SpherePoly.zero(n)
+        views = [c0, zero if c1 is None else c1, zero if c2 is None else c2]
+        den = math.lcm(c0.den, views[1].den, views[2].den)  # lowest terms
+        s = _order_shift(n)
+        nums = {}
+        for k, c in enumerate(views):
+            if c.n != n:
+                raise ValueError("series coefficients must share a dimension")
+            if not c.nums:
+                views[k] = zero
+            f = den // c.den
+            for key, (re, im) in c.nums.items():
+                nums[key | k << s] = (re * f, im * f)
+        _series(n, nums, den, views, self)
 
     def __setattr__(self, name, value):
         raise AttributeError("TSeries2 is immutable")
 
+    _check = SpherePoly._check
+
+    @staticmethod
+    def from_nums(n: int, nums: Terms, den: int) -> "TSeries2":
+        """The series sum nums[key] / den over order-field keys, put in
+        lowest terms; it takes ownership of ``nums``."""
+        return _series(n, nums, _lowest(nums, den) if den != 1 else 1)
+
+    @staticmethod
+    def from_orders(n: int, parts: Iterable[Terms], den: int) -> "TSeries2":
+        """The series sum_k t^k parts[k] / den, each part a term map
+        without the order field, put in lowest terms."""
+        s = _order_shift(n)
+        return TSeries2.from_nums(n, {key | k << s: c for k, part
+                                      in enumerate(parts)
+                                      for key, c in part.items()}, den)
+
     @staticmethod
     def constant(n: int, c: "ExactScalar | _RationalLike") -> "TSeries2":
-        return TSeries2(SpherePoly.constant(n, c))
+        re, im, d = _split(c)
+        return _series(n, {0: (re, im)} if re or im else {}, d)
 
     @staticmethod
+    @functools.cache
     def zero(n: int) -> "TSeries2":
-        return TSeries2(SpherePoly.zero(n))
+        """The zero series: one shared instance per n."""
+        return _series(n, {}, 1)
 
-    def _coeffs(self) -> tuple[SpherePoly, SpherePoly, SpherePoly]:
-        return (self.c0, self.c1, self.c2)
+    def _by_order(self) -> list[Terms]:
+        """The terms by order, keys whole, sorted out on first use."""
+        parts = self._parts
+        if parts is None:
+            s = _order_shift(self.n)
+            parts = [{} for _ in range(ORDER + 1)]
+            for key, c in self.nums.items():
+                parts[key >> s][key] = c
+            _set_parts(self, parts)
+        return parts
+
+    def orders(self) -> list[Terms]:
+        """Each order's terms over ``den``, keys without the order field;
+        read-only."""
+        s = _order_shift(self.n)
+        return [{key - (k << s): c for key, c in part.items()}
+                if k and part else part
+                for k, part in enumerate(self._by_order())]
+
+    def _view(self, k: int) -> SpherePoly:
+        """The coefficient of t^k, built on first use."""
+        views = self._views
+        if views is None:
+            views = [None] * (ORDER + 1)
+            _set_views(self, views)
+        if views[k] is None:
+            part, shift = self._by_order()[k], k << _order_shift(self.n)
+            views[k] = (SpherePoly.from_nums(self.n, {
+                key - shift: c for key, c in part.items()}, self.den)
+                if part else SpherePoly.zero(self.n))
+        return views[k]
+
+    c0, c1, c2 = (property(lambda self, k=k: self._view(k))
+                  for k in range(ORDER + 1))
 
     def is_zero(self) -> bool:
-        return not (self.c0.nums or self.c1.nums or self.c2.nums)
+        return not self.nums
+
+    def _combine(self, other, sign: int) -> "TSeries2":
+        """self + sign * other in one pass over the lcm of the
+        denominators; a zero operand returns the other one."""
+        if not isinstance(other, (TSeries2, SpherePoly)):
+            if not isinstance(other, _SCALAR_TYPES):
+                return NotImplemented
+            other = TSeries2.constant(self.n, other)
+        elif other.n != self.n:
+            self._check(other)
+        if not other.nums:
+            return self
+        if not self.nums:
+            out = _series(self.n, other.nums, other.den)
+            return out if sign > 0 else -out
+        return TSeries2.from_nums(self.n, *_sum(
+            self.nums, self.den, other.nums, other.den, sign))
 
     def __add__(self, other):
-        if isinstance(other, TSeries2):
-            return TSeries2(self.c0 + other.c0, self.c1 + other.c1,
-                            self.c2 + other.c2)
-        return TSeries2(self.c0 + other, self.c1, self.c2)
+        return self._combine(other, 1)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, TSeries2):
-            return TSeries2(self.c0 - other.c0, self.c1 - other.c1,
-                            self.c2 - other.c2)
-        return TSeries2(self.c0 - other, self.c1, self.c2)
+        return self._combine(other, -1)
 
     def __rsub__(self, other):
-        return TSeries2(other - self.c0, -self.c1, -self.c2)
+        return (-self) + other
 
     def __neg__(self):
-        return TSeries2(-self.c0, -self.c1, -self.c2)
+        """-self; lowest terms are kept, so no common factor is sought."""
+        if not self.nums:
+            return self
+        return _series(self.n, {key: (-re, -im) for key, (re, im)
+                                in self.nums.items()}, self.den)
+
+    def conjugate(self) -> "TSeries2":
+        """Each coefficient's conjugate: the halves swap, the order field
+        stays, and lowest terms are kept."""
+        if not self.nums:
+            return self
+        h = _half(self.n)
+        low = (1 << h) - 1
+        return _series(self.n, {key >> 2 * h << 2 * h | key >> h & low
+                                | (key & low) << h: (re, -im)
+                                for key, (re, im) in self.nums.items()},
+                       self.den)
 
     def __mul__(self, other):
-        if not isinstance(other, TSeries2):
-            if isinstance(other, SpherePoly):
-                self.c0._check(other)
-            elif not isinstance(other, _SCALAR_TYPES):
+        if not isinstance(other, (TSeries2, SpherePoly)):
+            if not isinstance(other, _SCALAR_TYPES):
                 return NotImplemented
-            return TSeries2(*(c if c.is_zero() else c * other
-                              for c in self._coeffs()))
-        self.c0._check(other.c0)
-        # c_k = sum_{i+j=k} a_i b_j over the pairs with both factors
-        # nonzero; adding to a zero polynomial costs nothing
-        zero = SpherePoly.zero(self.n)
-        out = [zero, zero, zero]
-        b = other._coeffs()
-        for i, x in enumerate(self._coeffs()):
-            if x.is_zero():
-                continue
-            for j, y in enumerate(b[:3 - i]):
-                if not y.is_zero():
-                    out[i + j] = out[i + j] + x * y
-        return TSeries2(*out)
+            other = TSeries2.constant(self.n, other)
+        elif other.n != self.n:
+            self._check(other)
+        den = self.den * other.den
+        c = _constant(other.nums)
+        if c is not None:
+            return TSeries2.from_nums(self.n, _scale(self.nums, *c), den)
+        c = _constant(self.nums)
+        if c is not None:
+            return TSeries2.from_nums(self.n, _scale(other.nums, *c), den)
+        raw: Terms = {}
+        _add_series_products(raw, self, other, 1)
+        return TSeries2.from_nums(self.n, reduce_nums(self.n, raw), den)
 
     __rmul__ = __mul__
 
-    def conjugate(self) -> "TSeries2":
-        return TSeries2(self.c0.conjugate(), self.c1.conjugate(),
-                        self.c2.conjugate())
+    @staticmethod
+    def sum_of_products(n: int, items: Iterable[tuple[object, object, int]]
+                        ) -> "TSeries2":
+        """sum k x y over the items (x, y, k), reduced once: x and y series
+        or polynomials of dimension n, k a nonzero int.  As in
+        :func:`sum_of_products`, every term pair goes into one raw term
+        map over the lcm of the products' denominators."""
+        used = []
+        linear = True       # every product has a constant factor
+        for x, y, k in items:
+            if x.n != n or y.n != n:
+                raise ValueError(f"dimension mismatch: not n={n}")
+            if x.nums and y.nums:
+                used.append((x, y, k, x.den * y.den))
+                linear = linear and (_constant(x.nums) is not None
+                                     or _constant(y.nums) is not None)
+        if not used:
+            return TSeries2.zero(n)
+        den = math.lcm(*[d for *_, d in used])
+        raw: Terms = {}
+        for x, y, k, d in used:
+            _add_series_products(raw, x, y, k * (den // d))
+        return TSeries2.from_nums(n, raw if linear else reduce_nums(n, raw),
+                                  den)
 
-    def integral(self) -> tuple[ExactScalar, ExactScalar, ExactScalar]:
-        return (self.c0.integral(), self.c1.integral(), self.c2.integral())
+    def integral(self) -> tuple[ExactScalar, ...]:
+        return tuple(self._view(k).integral() for k in range(ORDER + 1))
 
     def fractional_power(self, exponent: Fraction) -> "TSeries2":
-        """(1 + e)^s by exact binomial truncation; requires c0 == 1."""
-        if self.c0 != SpherePoly.one(self.n):
+        """(1 + e)^s = sum_k binom(s, k) e^k through order ORDER, by the
+        recursion binom(s, k) e^k = binom(s, k-1) e^(k-1) e (s-k+1)/k;
+        requires c0 == 1, so e has no order-0 term."""
+        if self._by_order()[0] != {0: (self.den, 0)}:
             raise ValueError("fractional_power needs constant term 1")
         s = Fraction(exponent)
-        e1, e2 = self.c1, self.c2
-        lin = e1 * ExactScalar(s)
-        quad = e2 * ExactScalar(s) + (e1 * e1) * ExactScalar(s * (s - 1) / 2)
-        return TSeries2(SpherePoly.one(self.n), lin, quad)
+        e = self - 1
+        out = term = TSeries2.constant(self.n, 1)
+        for k in range(1, ORDER + 1):
+            term = term * e * ((s - k + 1) / k)
+            out = out + term
+        return out
 
     def __eq__(self, other):
-        if isinstance(other, SpherePoly):     # a constant series
-            other = TSeries2(other)
-        elif not isinstance(other, TSeries2):
-            return NotImplemented
-        return (self.c0, self.c1, self.c2) == (other.c0, other.c1, other.c2)
+        """A polynomial or exact scalar equals the constant series."""
+        if not isinstance(other, (TSeries2, SpherePoly)):
+            if not isinstance(other, _SCALAR_TYPES) or isinstance(other, bool):
+                return NotImplemented
+            other = TSeries2.constant(self.n, other)
+        # lowest terms over a positive denominator are unique
+        return (self.n == other.n and self.den == other.den
+                and self.nums == other.nums)
 
     def __repr__(self):
-        return (f"TSeries2({self.c0.to_grammar()} | {self.c1.to_grammar()} |"
-                f" {self.c2.to_grammar()})")
+        return "TSeries2(" + " | ".join(self._view(k).to_grammar()
+                                        for k in range(ORDER + 1)) + ")"
+
+
+_set_tn, _set_tnums, _set_tden, _set_views, _set_parts = (
+    TSeries2.__dict__[name].__set__ for name in TSeries2.__slots__)
+
+
+def _series(n: int, nums: Terms, den: int, views=None,
+            p: TSeries2 | None = None) -> TSeries2:
+    """The series nums / den (set into ``p`` if given), taken as given:
+    in lowest terms, with no zero term and no order above ORDER."""
+    if p is None:
+        p = object.__new__(TSeries2)
+    _set_tn(p, n)
+    _set_tnums(p, nums)
+    _set_tden(p, den)
+    _set_views(p, views)
+    _set_parts(p, None)
+    return p
+
+
+def _add_series_products(raw: Terms, x, y, scale: int) -> None:
+    """``raw += scale * x * y``, unreduced, for series or polynomials x
+    and y: keys add, so orders add, and only the order buckets i, j with
+    i + j <= ORDER are paired; no bucket is formed when the top orders
+    (a polynomial's is 0) add up to at most ORDER."""
+    if type(x) is not TSeries2 or type(y) is not TSeries2 or (
+            max(x.nums) + max(y.nums) >> _order_shift(x.n) <= ORDER):
+        _add_products(raw, x.nums, y.nums, scale)
+        return
+    by = y._parts or y._by_order()
+    for i, part in enumerate(x._parts or x._by_order()):
+        if part:
+            for other in by[:ORDER + 1 - i]:
+                if other:
+                    _add_products(raw, part, other, scale)
 
 
 # ---------------------------------------------------------------------------

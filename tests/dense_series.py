@@ -4,7 +4,8 @@ This is the dense degree-2 product ``crsphere.ring.TSeries2`` used before
 it skipped zero coefficients: every operand, a polynomial or a scalar
 included, is first lifted to a three-coefficient series, and a product
 forms all six coefficient products a0 b0, a0 b1, a1 b0, a0 b2, a1 b1 and
-a2 b0, zero or not.  It is kept only as an independent oracle.
+a2 b0, zero or not, each a polynomial product.  It is kept only as an
+independent oracle of ``TSeries2``'s one term map.
 """
 
 from __future__ import annotations
@@ -26,6 +27,11 @@ def mul(n: int, x, y) -> TSeries2:
     a0, a1, a2 = lift(n, x)
     b0, b1, b2 = lift(n, y)
     return TSeries2(a0 * b0, a0 * b1 + a1 * b0, a0 * b2 + a1 * b1 + a2 * b0)
+
+
+def conjugate(n: int, x) -> TSeries2:
+    """Each coefficient's conjugate."""
+    return TSeries2(*(a.conjugate() for a in lift(n, x)))
 
 
 def combine(n: int, x, y, sign: int) -> TSeries2:

@@ -489,30 +489,53 @@ def test_analyze_oracle_solves_structure_once(tmp_path, capsys, monkeypatch):
 
 
 def test_oracle_solve_multiplies_few_polynomials(monkeypatch):
-    """Zero series coefficients and lifted scalars cost no product, a
-    constant factor runs no term-pair loop, and the exterior derivative
-    applies no field to a zero coefficient or to its own slot.  The
-    deformed frame is stated, not solved for, and its one Levi-norm
-    series is computed once; the Webster series is read off one wedge
-    of d w.  A
-    frame field reads its warm images from its table, so field
-    applications form no product and reduce nothing."""
+    """Counted in the units of the one-map series: the term pairs of
+    ``ring._add_products``, ``reduce_nums`` calls, fused sums
+    (``TSeries2.sum_of_products``), series normalizations and frame-table
+    reads (``apply_table``).  No series product forms a term pair whose
+    orders sum above ORDER.  The deformed frame is stated, not solved
+    for, and its one Levi-norm series is computed once; the Webster
+    series is read off one wedge of d w; the exterior derivative reads
+    each image straight from its slot's table, so it calls no
+    ``field_apply``, applies no field to a zero coefficient or to its own
+    slot, and a constant factor scales.  Each bound is the count measured
+    for this E."""
     e = parse_poly("(1/1,0/1) w1 w2^3", 1)
     oracle3.solve_structure(oracle3.deform_frame(e))    # warm frame tables
+    shift = 2 * ring._half(1)
+    orders, pairs = [], []
+    add_products = ring._add_products
+
+    def counting_pairs(dst, xs, ys, scale=1):
+        pairs.append(len(xs) * len(ys))
+        orders.append((max(xs) >> shift) + (max(ys) >> shift))
+        return add_products(dst, xs, ys, scale)
+    monkeypatch.setattr(ring, "_add_products", counting_pairs)
     products = [_counting(monkeypatch, SpherePoly, name)
                 for name in ("__mul__", "__rmul__")]
     loops = _counting_bindings(monkeypatch, ring, "reduce_nums")
     sums = _counting_bindings(monkeypatch, ring, "sum_of_products")
+    fused = _counting(monkeypatch, TSeries2, "sum_of_products")
+    normal = _counting(monkeypatch, TSeries2, "from_nums")
+    reads = _counting_bindings(monkeypatch, ring, "apply_table")
     fields = _counting(monkeypatch, frames, "field_apply")
     norms = _counting(monkeypatch, oracle3, "_levi_norm")
     cf = oracle3.deform_frame(e)
-    assert sum(map(len, products)) <= 7        # 22 solving for the renormalizer
+    assert sum(map(len, products)) == 1        # E times -i
     assert len(norms) == 1                     # 3 recomputing D
+    assert (sum(pairs), len(loops), len(fused), len(normal)) == (7, 2, 2, 4)
+    for calls in (pairs, loops, fused, normal, *products):
+        calls.clear()
     oracle3.solve_structure(cf)
-    assert sum(map(len, products)) <= 36       # 49 re-expanding d w over wedges
-    assert len(loops) <= 5                     # 21 reducing every application
+    assert sum(map(len, products)) == 0
+    assert (sum(pairs), len(pairs)) == (28, 16)     # 16 pair loops
+    assert len(loops) == 4
     assert len(sums) == 0                      # 16, one per application
-    assert len(fields) <= 10                   # 16 forming all of d w
+    assert len(fused) == 9
+    assert len(normal) == 22
+    assert len(reads) == 10                    # one per nonzero order
+    assert len(fields) == 0                    # 16 forming all of d w
+    assert max(orders) <= ring.ORDER
 
 
 @pytest.mark.parametrize("slot, raises", [
@@ -539,6 +562,22 @@ def test_poisoned_image_table_fails_the_gate(tmp_path, capsys, slot, raises,
         assert "  FAIL " in out.read_text()
     images.clear()
     assert run(capsys, *args)[0] == 0
+
+
+def test_frame_tables_stay_order_free(tmp_path, capsys, frame_tables):
+    """A series' field image applies the tables to each order's terms
+    without the order field, so after the oracle3 suite, which images
+    series of every order, no key of an n = 1 frame table, and no key of
+    an image, has a bit set above its two halves."""
+    args = ("verify", "--n", "1", "--degree", "2", "--suites", "oracle3",
+            "--samples", "0", "--output", str(tmp_path / "r.txt"))
+    assert run(capsys, *args)[0] == 0
+    top = 2 * ring._half(1)
+    tables = frame_tables(1)
+    assert all(tables)
+    assert all(key >> top == 0 for table in tables for key in table)
+    assert all(k >> top == 0 for table in tables for image in table.values()
+               for _, pairs in image for k, _ in pairs)
 
 
 @pytest.mark.parametrize("sign, status", [("1/1", 0), ("-1/1", 1)])

@@ -427,11 +427,30 @@ def test_zeroth_power_is_one(p):
     assert p ** 0 == SpherePoly.one(p.n)
 
 
-def test_zero_conjugate_and_negation_are_the_operand():
+def test_zero_conjugate_and_negation_are_the_operand(monkeypatch):
+    """A zero operand is its own conjugate and negation; a nonzero one
+    keeps lowest terms, so neither runs a normalization (0 calls), and an
+    empty order's coefficient view is the shared zero polynomial."""
     zero = SpherePoly.zero(2)
     assert zero.conjugate() is zero and -zero is zero
-    s = TSeries2(z(2, 1))
-    assert s.conjugate().c1 is s.c1 and (-s).c2 is s.c2
+    szero = TSeries2.zero(2)
+    assert szero.conjugate() is szero and -szero is szero
+    p = z(2, 1) * Fraction(2, 3) + w(2, 3) * ExactScalar(0, Fraction(1, 6))
+    s = TSeries2(p, None, p * z(2, 2))
+    normalized = []
+    for cls in (SpherePoly, TSeries2):
+        original = cls.from_nums
+        monkeypatch.setattr(cls, "from_nums", lambda *a, _f=original: (
+            normalized.append(a) or _f(*a)))
+    got = [p.conjugate(), -p, s.conjugate(), -s]
+    assert normalized == []
+    monkeypatch.undo()
+    pbar = SpherePoly(2, {(b, a): c.conjugate()
+                          for (a, b), c in p.terms.items()})
+    assert got[0] == pbar and got[1] + p == zero
+    assert got[2] == TSeries2(pbar, None, pbar * w(2, 2))
+    assert got[3] + s == szero
+    assert got[2].c1 is zero and got[3].c1 is zero and s.c1 is zero
 
 
 # -- the text table ------------------------------------------------------------------

@@ -1,9 +1,10 @@
 """Truncated series against the dense reference, and mixed-type operators.
 
-``dense_series`` is the product ``TSeries2`` used before it skipped zero
-coefficients and stopped lifting polynomial and scalar operands; every
-operation here must give the same series, for n = 1 and 2, whichever
-side the series is on.
+``dense_series`` is coefficient-by-coefficient polynomial arithmetic on
+dense three-coefficient series, every operand lifted to a series first;
+every operation of ``TSeries2``'s one term map (sums, products, fused
+sums, conjugation, negation and binomial powers) must give the same
+series, for n = 1, 2 and 3, whichever side the series is on.
 """
 
 import operator
@@ -13,7 +14,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 import dense_series as dense
-from crsphere.ring import ExactScalar, SpherePoly, TSeries2
+from crsphere import ring
+from crsphere.ring import ORDER, ExactScalar, SpherePoly, TSeries2
 
 
 def scalars():
@@ -34,20 +36,24 @@ def polys(n):
                     max_size=3).map(build)
 
 
-def series(n, c0=None):
-    """Each coefficient independently zero or a random polynomial."""
-    coeff = st.one_of(st.just(SpherePoly.zero(n)), polys(n))
+def series(n, c0=None, full=False):
+    """Each coefficient independently zero or a random polynomial; with
+    ``full`` every coefficient is nonzero, so a product of two such series
+    has term pairs of orders 3 and 4 to drop."""
+    coeff = polys(n) if full else st.one_of(st.just(SpherePoly.zero(n)),
+                                            polys(n))
     return st.tuples(coeff if c0 is None else st.just(c0), coeff, coeff
                      ).map(lambda cs: TSeries2(*cs))
 
 
 def operands(n):
-    return st.one_of(series(n), polys(n), scalars(), st.integers(-3, 3))
+    return st.one_of(series(n), series(n, full=True), polys(n), scalars(),
+                     st.integers(-3, 3))
 
 
 # (n, s, x): a series and an operand of any supported type
-cases = st.integers(1, 2).flatmap(lambda n: st.tuples(
-    st.just(n), series(n), operands(n)))
+cases = st.integers(1, 3).flatmap(lambda n: st.tuples(
+    st.just(n), st.one_of(series(n), series(n, full=True)), operands(n)))
 
 
 @given(cases)
@@ -67,8 +73,38 @@ def test_sum_and_difference_match_dense_reference(case):
     assert x - s == dense.combine(n, x, s, -1)
 
 
+@given(cases)
+def test_conjugate_and_negation_match_dense_reference(case):
+    n, s, _ = case
+    assert s.conjugate() == dense.conjugate(n, s)
+    assert -s == dense.combine(n, TSeries2.zero(n), s, -1)
+    assert s.conjugate().conjugate() == s == -(-s)
+
+
+def factors(n):
+    return st.one_of(series(n), series(n, full=True), polys(n))
+
+
+# (n, items): one to three products (x, y, k) of series and polynomials
+sums = st.integers(1, 3).flatmap(lambda n: st.tuples(st.just(n), st.lists(
+    st.tuples(factors(n), factors(n),
+              st.sampled_from([-3, -2, -1, 1, 2, 3])),
+    min_size=1, max_size=3)))
+
+
+@given(sums)
+def test_sum_of_products_matches_dense_reference(case):
+    """One fused sum equals the sum of the dense products, reduced one by
+    one; the fused map is reduced once."""
+    n, items = case
+    want = TSeries2.zero(n)
+    for x, y, k in items:
+        want = dense.combine(n, want, dense.mul(n, x, y) * k, 1)
+    assert TSeries2.sum_of_products(n, items) == want
+
+
 # (n, s, e): a series with constant term 1 and an exponent p/q
-powers = st.integers(1, 2).flatmap(lambda n: st.tuples(
+powers = st.integers(1, 3).flatmap(lambda n: st.tuples(
     st.just(n), series(n, c0=SpherePoly.one(n)),
     st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))))
 
@@ -86,34 +122,69 @@ def test_fractional_power_matches_dense_powers(case):
             TSeries2.constant(n, 1)
 
 
-def _count_products(monkeypatch):
-    calls = []
-    for name in ("__mul__", "__rmul__"):
-        original = SpherePoly.__dict__[name]
+@pytest.mark.parametrize("n, exponents", [
+    (1, (Fraction(4), Fraction(-1, 2))),
+    (2, (Fraction(3), Fraction(-2, 3))),
+    (3, (Fraction(8, 3), Fraction(-3, 4)))])
+def test_fractional_power_of_the_yamabe_exponents(n, exponents):
+    """The volume exponent 2Q/(Q-2) and the normalizing exponent
+    -(Q-2)/Q of ``yamabe_energy_series`` (Q = 2n + 2) against dense
+    powers, on a series with every coefficient nonzero."""
+    z, w = SpherePoly.z, SpherePoly.w
+    s = TSeries2(SpherePoly.one(n), z(n, 1) * w(n, n + 1) + z(n, 2),
+                 w(n, 2) * ExactScalar(Fraction(1, 3), -1))
+    for e in exponents:
+        r = s.fractional_power(e)
+        lhs = dense.power(n, r, e.denominator)
+        rhs = dense.power(n, s, abs(e.numerator))
+        assert (lhs if e > 0 else dense.mul(n, lhs, rhs)) == \
+            (rhs if e > 0 else TSeries2.constant(n, 1))
 
-        def wrapper(self, other, original=original):
-            calls.append(other)
-            return original(self, other)
-        monkeypatch.setattr(SpherePoly, name, wrapper)
+
+def _count_pairs(monkeypatch):
+    """The term pairs each ``ring._add_products`` call forms, as the
+    orders (i, j) of its two factors' terms."""
+    calls = []
+    original = ring._add_products
+    shift = 2 * ring._half(1)
+
+    def wrapper(dst, xs, ys, scale=1):
+        calls.extend((k1 >> shift, k2 >> shift) for k1 in xs for k2 in ys)
+        return original(dst, xs, ys, scale)
+    monkeypatch.setattr(ring, "_add_products", wrapper)
     return calls
 
 
 def test_product_multiplies_only_nonzero_pairs(monkeypatch):
+    """A series product pairs only order buckets i + j <= ORDER, reduces
+    once, and a constant factor scales: no pair, no reduction."""
     z1, w2 = SpherePoly.z(1, 1), SpherePoly.w(1, 2)
     zero = SpherePoly.zero(1)
     s = TSeries2(SpherePoly.one(1), zero, z1)
     t = TSeries2(zero, w2, zero)
     want = {"series": dense.mul(1, s, t), "poly": dense.mul(1, s, w2),
             "scalar": dense.mul(1, s, ExactScalar(0, 2))}
-    calls = _count_products(monkeypatch)
+    pairs = _count_pairs(monkeypatch)
+    reductions = []
+    reduce_nums = ring.reduce_nums
+    monkeypatch.setattr(ring, "reduce_nums", lambda n, raw: reductions.append(
+        raw) or reduce_nums(n, raw))
     assert s * t == want["series"]
-    assert len(calls) == 1          # only c0 * d1; c2 * d1 is order t^3
-    calls.clear()
+    assert pairs == [(0, 1)]        # 1 * w2; z1 * w2 is order t^3
+    assert len(reductions) == 1
+    pairs.clear(), reductions.clear()
     assert s * w2 == want["poly"]
-    assert len(calls) == 2          # c0 and c2; c1 is zero
-    calls.clear()
+    assert sorted(pairs) == [(0, 0), (2, 0)]    # c0 and c2; c1 is zero
+    assert len(reductions) == 1
+    pairs.clear(), reductions.clear()
     assert s * ExactScalar(0, 2) == want["scalar"]
-    assert all(not isinstance(x, (SpherePoly, TSeries2)) for x in calls)
+    assert pairs == [] and reductions == []
+    full = TSeries2(z1, w2, z1 * w2)
+    want = dense.mul(1, full, full)
+    pairs.clear()
+    assert full * full == want
+    assert sorted(pairs) == [(i, j) for i in range(ORDER + 1)
+                             for j in range(ORDER + 1 - i)]
 
 
 # -- mixed-type operators -------------------------------------------------------
@@ -137,6 +208,25 @@ def test_mixed_operators_agree_in_both_orders(x, s):
     assert x * s == s * x == dense.mul(1, s, x)
     assert x + s == s + x == dense.combine(1, s, x, 1)
     assert x - s == -(s - x) == dense.combine(1, x, s, -1)
+
+
+@pytest.mark.parametrize("x", [1, 0, Fraction(-2, 3),
+                               ExactScalar(Fraction(1, 2), -1)],
+                         ids=["int", "zero", "fraction", "gaussian"])
+def test_series_equals_a_scalar_as_a_polynomial_does(x):
+    """A series compares with an exact scalar as its constant series, on
+    either side of == and !=, as a polynomial does; a bool is no scalar."""
+    for const, other in ((TSeries2.constant(1, x), TSeries2.constant(1, x)
+                          + TSeries2(SpherePoly.zero(1), SpherePoly.one(1))),
+                         (SpherePoly.constant(1, x),
+                          SpherePoly.constant(1, x) + SpherePoly.z(1, 1))):
+        assert const == x and x == const
+        assert not (const != x) and not (x != const)
+        assert other != x and x != other
+        assert not (other == x) and not (x == other)
+        assert const != x + 1 and x + 1 != const
+        assert const == SpherePoly.constant(1, x) == const
+    assert TSeries2.constant(1, 1) != True and True != TSeries2.constant(1, 1)
 
 
 def test_poly_and_scalar_times_zero_series():

@@ -33,8 +33,8 @@ and f are polynomials or series; a shared frame field X_s and the
 exterior derivative read X_s(f) straight from slot s's table.  A
 series' image is computed per coefficient: the table is applied to each
 order's terms without the order field (``TSeries2.orders``) and the
-order is added back, so the tables stay keyed by plain monomials.  The
-tight-frame projection
+order is added back, so the tables stay keyed by plain
+monomials.  The tight-frame projection
 c -> conj(H) c H of a tensor's coefficients is fixed and linear too: it
 has one table per input pair (:func:`_projections`), whose entry for a
 monomial holds its reduced integer images at every output pair, filled
@@ -418,14 +418,9 @@ def _pair(a: Slots, x: Slots) -> Ring:
 
 
 def wedge(a: Slots, b: Slots) -> Slots:
-    """a ^ b of two 1-forms: a_i b_j - a_j b_i over each wedge (i, j),
-    one fused sum per wedge when a form is a series form."""
-    pairs = itertools.combinations(range(len(a)), 2)
-    if isinstance(a[0], TSeries2) or isinstance(b[0], TSeries2):
-        n = a[0].n
-        return tuple(TSeries2.sum_of_products(
-            n, ((a[i], b[j], 1), (a[j], b[i], -1))) for i, j in pairs)
-    return tuple(a[i] * b[j] - a[j] * b[i] for i, j in pairs)
+    """a ^ b of two 1-forms: a_i b_j - a_j b_i over each wedge (i, j)."""
+    return tuple(a[i] * b[j] - a[j] * b[i]
+                 for i, j in itertools.combinations(range(len(a)), 2))
 
 
 def df(f: Ring) -> Slots:

@@ -14,9 +14,9 @@ connection form w(t) and torsion A(t) from the Cartan structure equation
 with the reality constraint w + conj(w) = 0.  Everything is an exact
 series truncated after t^2 (``ring.TSeries2``), so every claimed
 variation identity is checked as exact polynomial equality.  Each
-bilinear formula (the Levi norm, the renormalizer, the Cramer solves,
-z and the structure-equation residual) sums all its products before one
-reduction (``TSeries2.sum_of_products``).
+bilinear formula (the Levi norm, the Cramer solves, z and the
+structure-equation residual) sums all its products before one reduction
+(``TSeries2.sum_of_products``).
 
 Fixed base structure, over ``frames``' n = 1 frame (T, Z_1, Zbar_1) with
 Z_1 = Z_12 and its dual coframe (theta, theta^1, theta^1bar):
@@ -136,8 +136,7 @@ def deform_frame(e: SpherePoly, second_order_tweak: SpherePoly | None = None,
     quad = (zero if second_order_tweak is None
             else second_order_tweak * ExactScalar(0, -1))
     m1 = TSeries2(zero, e * ExactScalar(0, -1), quad)
-    m0 = _S_ONE + TSeries2.sum_of_products(
-        _N, ((m1, m1.conjugate(), 1),)) * _RENORMALIZER_WEIGHT
+    m0 = _S_ONE + m1 * m1.conjugate() * _RENORMALIZER_WEIGHT
     z1t = (_S_ZERO, m0, m1)
     if phase is not None:
         if phase.abs2() != 1:

@@ -1024,25 +1024,24 @@ class TSeries2:
     pairs only the order buckets i, j with i + j <= ORDER and reduces
     once.  A polynomial is an order-0 series as it stands, so it enters
     as it is, never lifted, and a constant operand scales.  ``c0``,
-    ``c1`` and ``c2`` are read-only coefficient views, each built once;
-    an empty order's view is the shared :meth:`SpherePoly.zero`.
+    ``c1`` and ``c2`` are read-only coefficient views, built together
+    once; an empty order's view is the shared :meth:`SpherePoly.zero`.
     """
 
-    __slots__ = ("n", "nums", "den", "_views", "_parts")
+    __slots__ = ("n", "nums", "den", "_views")
 
     def __init__(self, c0: SpherePoly, c1: SpherePoly | None = None,
                  c2: SpherePoly | None = None):
         n = c0.n
         zero = SpherePoly.zero(n)
-        views = [c0, zero if c1 is None else c1, zero if c2 is None else c2]
-        den = math.lcm(c0.den, views[1].den, views[2].den)  # lowest terms
+        views = tuple(zero if c is None else c for c in (c0, c1, c2))
+        if any(c.n != n for c in views):
+            raise ValueError("series coefficients must share a dimension")
+        views = tuple(c if c.nums else zero for c in views)
+        den = math.lcm(*(c.den for c in views))     # lowest terms
         s = _order_shift(n)
         nums = {}
         for k, c in enumerate(views):
-            if c.n != n:
-                raise ValueError("series coefficients must share a dimension")
-            if not c.nums:
-                views[k] = zero
             f = den // c.den
             for key, (re, im) in c.nums.items():
                 nums[key | k << s] = (re * f, im * f)
@@ -1060,15 +1059,6 @@ class TSeries2:
         return _series(n, nums, _lowest(nums, den) if den != 1 else 1)
 
     @staticmethod
-    def from_orders(n: int, parts: Iterable[Terms], den: int) -> "TSeries2":
-        """The series sum_k t^k parts[k] / den, each part a term map
-        without the order field, put in lowest terms."""
-        s = _order_shift(n)
-        return TSeries2.from_nums(n, {key | k << s: c for k, part
-                                      in enumerate(parts)
-                                      for key, c in part.items()}, den)
-
-    @staticmethod
     def constant(n: int, c: "ExactScalar | _RationalLike") -> "TSeries2":
         re, im, d = _split(c)
         return _series(n, {0: (re, im)} if re or im else {}, d)
@@ -1079,39 +1069,33 @@ class TSeries2:
         """The zero series: one shared instance per n."""
         return _series(n, {}, 1)
 
-    def _by_order(self) -> list[Terms]:
-        """The terms by order, keys whole, sorted out on first use."""
-        parts = self._parts
-        if parts is None:
-            s = _order_shift(self.n)
-            parts = [{} for _ in range(ORDER + 1)]
-            for key, c in self.nums.items():
-                parts[key >> s][key] = c
-            _set_parts(self, parts)
-        return parts
+    @staticmethod
+    def from_orders(n: int, parts: Iterable[Terms], den: int) -> "TSeries2":
+        """The series sum_k t^k parts[k] / den, each part a term map
+        without the order field, put in lowest terms."""
+        s = _order_shift(n)
+        return TSeries2.from_nums(n, {key | k << s: c for k, part
+                                      in enumerate(parts)
+                                      for key, c in part.items()}, den)
 
     def orders(self) -> list[Terms]:
-        """Each order's terms over ``den``, keys without the order field;
-        read-only."""
+        """Each order's terms over ``den``, keys without the order field."""
         s = _order_shift(self.n)
-        return [{key - (k << s): c for key, c in part.items()}
-                if k and part else part
-                for k, part in enumerate(self._by_order())]
+        parts = [{} for _ in range(ORDER + 1)]
+        for key, c in self.nums.items():
+            parts[key >> s][key & (1 << s) - 1] = c
+        return parts
 
-    def _view(self, k: int) -> SpherePoly:
-        """The coefficient of t^k, built on first use."""
-        views = self._views
-        if views is None:
-            views = [None] * (ORDER + 1)
-            _set_views(self, views)
-        if views[k] is None:
-            part, shift = self._by_order()[k], k << _order_shift(self.n)
-            views[k] = (SpherePoly.from_nums(self.n, {
-                key - shift: c for key, c in part.items()}, self.den)
-                if part else SpherePoly.zero(self.n))
-        return views[k]
+    def coefficients(self) -> tuple[SpherePoly, ...]:
+        """(c0, c1, c2), built together on first use."""
+        if self._views is None:
+            zero = SpherePoly.zero(self.n)
+            _set_views(self, tuple(SpherePoly.from_nums(self.n, part, self.den)
+                                   if part else zero
+                                   for part in self.orders()))
+        return self._views
 
-    c0, c1, c2 = (property(lambda self, k=k: self._view(k))
+    c0, c1, c2 = (property(lambda self, k=k: self.coefficients()[k])
                   for k in range(ORDER + 1))
 
     def is_zero(self) -> bool:
@@ -1192,31 +1176,27 @@ class TSeries2:
         :func:`sum_of_products`, every term pair goes into one raw term
         map over the lcm of the products' denominators."""
         used = []
-        linear = True       # every product has a constant factor
         for x, y, k in items:
             if x.n != n or y.n != n:
                 raise ValueError(f"dimension mismatch: not n={n}")
             if x.nums and y.nums:
                 used.append((x, y, k, x.den * y.den))
-                linear = linear and (_constant(x.nums) is not None
-                                     or _constant(y.nums) is not None)
         if not used:
             return TSeries2.zero(n)
         den = math.lcm(*[d for *_, d in used])
         raw: Terms = {}
         for x, y, k, d in used:
             _add_series_products(raw, x, y, k * (den // d))
-        return TSeries2.from_nums(n, raw if linear else reduce_nums(n, raw),
-                                  den)
+        return TSeries2.from_nums(n, reduce_nums(n, raw), den)
 
     def integral(self) -> tuple[ExactScalar, ...]:
-        return tuple(self._view(k).integral() for k in range(ORDER + 1))
+        return tuple(c.integral() for c in self.coefficients())
 
     def fractional_power(self, exponent: Fraction) -> "TSeries2":
         """(1 + e)^s = sum_k binom(s, k) e^k through order ORDER, by the
         recursion binom(s, k) e^k = binom(s, k-1) e^(k-1) e (s-k+1)/k;
         requires c0 == 1, so e has no order-0 term."""
-        if self._by_order()[0] != {0: (self.den, 0)}:
+        if self.c0 != SpherePoly.one(self.n):
             raise ValueError("fractional_power needs constant term 1")
         s = Fraction(exponent)
         e = self - 1
@@ -1237,11 +1217,11 @@ class TSeries2:
                 and self.nums == other.nums)
 
     def __repr__(self):
-        return "TSeries2(" + " | ".join(self._view(k).to_grammar()
-                                        for k in range(ORDER + 1)) + ")"
+        return "TSeries2(" + " | ".join(c.to_grammar()
+                                        for c in self.coefficients()) + ")"
 
 
-_set_tn, _set_tnums, _set_tden, _set_views, _set_parts = (
+_set_tn, _set_tnums, _set_tden, _set_views = (
     TSeries2.__dict__[name].__set__ for name in TSeries2.__slots__)
 
 
@@ -1255,25 +1235,21 @@ def _series(n: int, nums: Terms, den: int, views=None,
     _set_tnums(p, nums)
     _set_tden(p, den)
     _set_views(p, views)
-    _set_parts(p, None)
     return p
 
 
 def _add_series_products(raw: Terms, x, y, scale: int) -> None:
     """``raw += scale * x * y``, unreduced, for series or polynomials x
-    and y: keys add, so orders add, and only the order buckets i, j with
-    i + j <= ORDER are paired; no bucket is formed when the top orders
-    (a polynomial's is 0) add up to at most ORDER."""
-    if type(x) is not TSeries2 or type(y) is not TSeries2 or (
-            max(x.nums) + max(y.nums) >> _order_shift(x.n) <= ORDER):
-        _add_products(raw, x.nums, y.nums, scale)
-        return
-    by = y._parts or y._by_order()
-    for i, part in enumerate(x._parts or x._by_order()):
-        if part:
-            for other in by[:ORDER + 1 - i]:
-                if other:
-                    _add_products(raw, part, other, scale)
+    and y: keys add, so orders add, and x's order-i terms meet only y's
+    terms of order at most ORDER - i."""
+    s = _order_shift(x.n)
+    for i in range(min(x.nums) >> s, (max(x.nums) >> s) + 1):
+        xs = {key: c for key, c in x.nums.items() if key >> s == i}
+        if xs:
+            below = (ORDER + 1 - i) << s
+            ys = {key: c for key, c in y.nums.items() if key < below}
+            if ys:
+                _add_products(raw, xs, ys, scale)
 
 
 # ---------------------------------------------------------------------------

@@ -1,18 +1,17 @@
 """In-process A/B timing of two versions of crsphere on benchmark requests.
 
-    python3 tests/ab_inprocess.py [--base REV] [--change REV]
-                                  [--seeds 11 12] [--repeats 40]
-                                  [--analyze-blocks 1] [--kernel-items 11]
+    python3 tests/ab_inprocess.py [--base REV] [--change REV] [--seeds 11 12]
 
 Copies ``src/crsphere`` at git revision ``--base`` (default ``HEAD``) and
 at ``--change`` (default: the working tree) into a temporary directory
 under two package names, ``crsphere_base`` and ``crsphere_change``, and
 imports both into this one process.  For each seed it makes the
-analyze-stream and kernel-s7 requests of ``perfbench/workloads.py`` and
-serves every repetition of every request on both sides in turn, the side
-that goes first alternating, after one untimed warm-up per side.  The two
-answers must be identical (analyze: exit status and stdout; kernel: the
-digest of the exact answer), or the script stops with exit 1.
+analyze-stream and kernel-s7 requests of ``perfbench/workloads.py`` (ten
+analyze requests and eleven kernel items) and serves each ``REPEATS``
+times on both sides in turn, the side that goes first alternating, after
+one untimed warm-up per side.  The two answers must be identical
+(analyze: exit status and stdout; kernel: the digest of the exact
+answer), or the script stops with exit 1.
 
 Each request keeps its fastest repetition per side, as ``perfbench/run.py``
 does.  The script prints, per workload and per request kind (n1, sym2,
@@ -40,6 +39,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SIDES = ("base", "change")
+ANALYZE_REQUESTS = 10       # one block of the analyze-stream mix per seed
+KERNEL_ITEMS = 11
+REPEATS = 40                # repetitions per request; each keeps its best
 
 
 def copy_package(rev: str | None, dest: Path) -> None:
@@ -141,10 +143,6 @@ def main(argv=None) -> int:
                     help="git revision of the change side (default: the "
                          "working tree)")
     ap.add_argument("--seeds", type=int, nargs="+", default=[11])
-    ap.add_argument("--repeats", type=int, default=40)
-    ap.add_argument("--analyze-blocks", type=int, default=1,
-                    help="blocks of ten analyze requests per seed")
-    ap.add_argument("--kernel-items", type=int, default=11)
     args = ap.parse_args(argv)
     sys.path.insert(0, str(ROOT / "src"))       # workloads builds inputs
     sys.path.insert(0, str(ROOT / "perfbench"))
@@ -159,12 +157,12 @@ def main(argv=None) -> int:
             warm += [("kernel", k) for k in workloads.kernel_warmup(seed)]
             serve(sides, warm, 1, workdir, workloads)
             stream = [(r.kind, r) for r in workloads.analyze_requests(
-                seed, 10 * args.analyze_blocks)]
+                seed, ANALYZE_REQUESTS)]
             items = [("kernel", k) for k in
-                     workloads.kernel_items(seed, args.kernel_items)]
+                     workloads.kernel_items(seed, KERNEL_ITEMS)]
             print(f"seed {seed}:")
             for jobs in (stream, items):
-                best = serve(sides, jobs, args.repeats, workdir, workloads)
+                best = serve(sides, jobs, REPEATS, workdir, workloads)
                 kinds = sorted({kind for kind, _ in jobs})
                 if len(kinds) > 1:
                     report("all", list(range(len(jobs))), best)

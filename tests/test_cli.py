@@ -490,9 +490,9 @@ def test_analyze_oracle_solves_structure_once(tmp_path, capsys, monkeypatch):
 
 def test_oracle_solve_multiplies_few_polynomials(monkeypatch):
     """Counted in the units of the one-map series: the term pairs of
-    ``ring._add_products``, ``reduce_nums`` calls, fused sums
-    (``TSeries2.sum_of_products``), series normalizations and frame-table
-    reads (``apply_table``).  No series product forms a term pair whose
+    ``ring._add_products``, ``reduce_nums`` calls, series products
+    (``TSeries2.__mul__``), fused sums (``TSeries2.sum_of_products``),
+    series normalizations and frame-table reads (``apply_table``).  No series product forms a term pair whose
     orders sum above ORDER.  The deformed frame is stated, not solved
     for, and its one Levi-norm series is computed once; the Webster
     series is read off one wedge of d w; the exterior derivative reads
@@ -513,6 +513,8 @@ def test_oracle_solve_multiplies_few_polynomials(monkeypatch):
     monkeypatch.setattr(ring, "_add_products", counting_pairs)
     products = [_counting(monkeypatch, SpherePoly, name)
                 for name in ("__mul__", "__rmul__")]
+    series = [_counting(monkeypatch, TSeries2, name)
+              for name in ("__mul__", "__rmul__")]
     loops = _counting_bindings(monkeypatch, ring, "reduce_nums")
     sums = _counting_bindings(monkeypatch, ring, "sum_of_products")
     fused = _counting(monkeypatch, TSeries2, "sum_of_products")
@@ -523,16 +525,18 @@ def test_oracle_solve_multiplies_few_polynomials(monkeypatch):
     cf = oracle3.deform_frame(e)
     assert sum(map(len, products)) == 1        # E times -i
     assert len(norms) == 1                     # 3 recomputing D
-    assert (sum(pairs), len(loops), len(fused), len(normal)) == (7, 2, 2, 4)
-    for calls in (pairs, loops, fused, normal, *products):
+    assert sum(map(len, series)) == 2          # |m1|^2, then its weight
+    assert (sum(pairs), len(loops), len(fused), len(normal)) == (7, 2, 1, 4)
+    for calls in (pairs, loops, fused, normal, *products, *series):
         calls.clear()
     oracle3.solve_structure(cf)
     assert sum(map(len, products)) == 0
-    assert (sum(pairs), len(pairs)) == (28, 16)     # 16 pair loops
-    assert len(loops) == 4
+    assert sum(map(len, series)) == 10
+    assert (sum(pairs), len(pairs)) == (24, 12)     # 12 pair loops
+    assert len(loops) == 6
     assert len(sums) == 0                      # 16, one per application
-    assert len(fused) == 9
-    assert len(normal) == 22
+    assert len(fused) == 6
+    assert len(normal) == 26
     assert len(reads) == 10                    # one per nonzero order
     assert len(fields) == 0                    # 16 forming all of d w
     assert max(orders) <= ring.ORDER

@@ -1,4 +1,9 @@
-"""Command-line front door: verify, analyze, spectrum, conventions."""
+"""Command-line front door: verify, analyze, spectrum, conventions.
+
+Only ``ring`` is imported with this module; each subcommand imports the
+modules it calls, so ``crsphere analyze`` never loads ``verify`` and
+``crsphere spectrum`` loads neither ``oracle3`` nor ``verify``.
+"""
 
 from __future__ import annotations
 
@@ -6,16 +11,17 @@ import argparse
 import contextlib
 import dataclasses
 import functools
+import os
 import re
 import sys
+from typing import TYPE_CHECKING
 
 from . import __version__
 from .ring import MAX_TERM_DEGREE, SpherePoly, PolyParseError, parse_poly
-from . import spectral
-from . import frames
-from . import variation
-from . import oracle3
-from .verify import SuiteConfig, SUITE_NAMES, conventions_text, run_suite
+
+if TYPE_CHECKING:
+    from . import variation
+    from .verify import SuiteConfig
 
 __all__ = ["main", "load_config", "parse_deformation_file", "MAX_DIMENSION"]
 
@@ -54,6 +60,7 @@ def load_config(path: str) -> dict:
 
 
 def _build_suite_config(args) -> SuiteConfig:
+    from .verify import SUITE_NAMES, SuiteConfig
     base = {**dataclasses.asdict(SuiteConfig()), "suites": "all"}
     if args.config:
         for k, v in load_config(args.config).items():
@@ -168,6 +175,7 @@ def parse_deformation_file(path: str) -> variation.DeformationTensor:
     if scalar is not None and coeffs:
         raise ConfigError(f"{path}:{first_line['E']}: 'E = ...' cannot be "
                           "mixed with 'E[j k, l m] = ...' lines")
+    from . import frames, variation
     if n == 1:
         if scalar is None and not coeffs:
             raise ConfigError(f"{path}: missing coefficient line 'E = ...'")
@@ -195,12 +203,22 @@ def _writing(path: str):
 
 
 def _check_writable(path: str) -> None:
-    """Fail before any work if the report path cannot be opened."""
-    with _writing(path), open(path, "a", encoding="utf-8"):
-        pass
+    """Fail before any work if the report path cannot be opened.
+
+    A file the probe creates is removed again, so a run that fails later
+    leaves no empty report behind.
+    """
+    with _writing(path):
+        try:
+            open(path, "x", encoding="utf-8").close()
+        except FileExistsError:
+            open(path, "a", encoding="utf-8").close()
+        else:
+            os.remove(path)
 
 
 def _cmd_verify(args) -> int:
+    from .verify import run_suite
     cfg = _build_suite_config(args)
     _check_writable(cfg.output)
     report = run_suite(cfg)
@@ -224,6 +242,7 @@ def _cmd_analyze(args) -> int:
     except ConfigError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
+    from . import variation
 
     lines = ["crsphere deformation analysis", f"version: {__version__}",
              f"dimension n: {e.n}"]
@@ -270,6 +289,7 @@ def _cmd_analyze(args) -> int:
         if e.n != 1:
             lines.append("oracle cross-check: skipped (S^3 only)")
         else:
+            from . import oracle3
             ps = oracle3.solve_structure(oracle3.deform_frame(e.coefficient))
             verdict, d2 = oracle3.second_derivative_check(
                 e.coefficient, ps, rep.total, via)
@@ -303,6 +323,7 @@ def _cmd_spectrum(args) -> int:
         if not 1 <= value <= MAX_TERM_DEGREE:
             raise ConfigError(f"{flag} must be >= 1 and <= "
                               f"{MAX_TERM_DEGREE}")
+    from . import spectral, variation
     print("sub-Laplacian eigenvalues lambda(p,q,n) = p q + n (p+q)/2")
     for n in range(1, nmax + 1):
         print(f"n = {n} (S^{2 * n + 1}):")
@@ -332,6 +353,7 @@ def _cmd_spectrum(args) -> int:
 def _cmd_conventions(args) -> int:
     if args.n < 1:
         raise ConfigError("n must be >= 1")
+    from .verify import conventions_text
     print(conventions_text(args.n))
     return 0
 

@@ -257,7 +257,7 @@ def test_verify_unwritable_output_fails_before_work(tmp_path, capsys,
     def no_work(cfg):
         raise AssertionError("suites ran before the output path was checked")
 
-    monkeypatch.setattr(cli, "run_suite", no_work)
+    monkeypatch.setattr(verify, "run_suite", no_work)
     bad = tmp_path / "missing" / "r.txt"
     code, _, err = run(capsys, "verify", "--n", "1", "--degree", "1",
                        "--output", str(bad))
@@ -314,6 +314,22 @@ def test_analyze_failed_output_write_exits_2(tmp_path, capsys, monkeypatch):
     assert "written to" not in stdout
     assert err == (f"config error: cannot write {out}: [Errno 28] "
                    f"{os.strerror(errno.ENOSPC)}\n")
+
+
+@pytest.mark.parametrize("before", [None, b"an earlier report\n"])
+def test_analyze_parse_failure_leaves_output_as_it_was(tmp_path, capsys,
+                                                       before):
+    # the writability probe must not leave an empty report behind, nor
+    # touch a file already at the path
+    f = tmp_path / "bad.txt"
+    f.write_text("n = 1\nE = (1/1,0/1) q1\n")
+    out = tmp_path / "rep.txt"
+    if before is not None:
+        out.write_bytes(before)
+    code, stdout, err = run(capsys, "analyze", str(f), "--output", str(out))
+    assert code == 2 and stdout == ""
+    assert err.startswith(f"parse error: {f}:2:")
+    assert (out.read_bytes() if out.exists() else None) == before
 
 
 # -- deformation files that repeat or mix lines --------------------------------
@@ -745,7 +761,7 @@ def test_verify_rejects_degree_above_cap(tmp_path, capsys, monkeypatch,
     def no_work(cfg):
         raise AssertionError("suites ran on a degree above the cap")
 
-    monkeypatch.setattr(cli, "run_suite", no_work)
+    monkeypatch.setattr(verify, "run_suite", no_work)
     if config is not None:
         (tmp_path / "cfg.txt").write_text(config)
         argv = argv + ["--config", str(tmp_path / "cfg.txt")]
@@ -768,7 +784,7 @@ def test_verify_rejects_seed_out_of_range(tmp_path, capsys, monkeypatch,
     def no_work(cfg):
         raise AssertionError("suites ran on a seed out of range")
 
-    monkeypatch.setattr(cli, "run_suite", no_work)
+    monkeypatch.setattr(verify, "run_suite", no_work)
     if config is not None:
         (tmp_path / "cfg.txt").write_text(config)
         argv = argv + ["--config", str(tmp_path / "cfg.txt")]
@@ -794,7 +810,7 @@ def test_verify_rejects_sample_count(tmp_path, capsys, monkeypatch,
     def no_work(cfg):
         raise AssertionError("suites ran on a bad sample count")
 
-    monkeypatch.setattr(cli, "run_suite", no_work)
+    monkeypatch.setattr(verify, "run_suite", no_work)
     argv = list(samples)
     if config is not None:
         (tmp_path / "cfg.txt").write_text(config)

@@ -1,4 +1,6 @@
-"""Every name a ``crsphere`` module lists in ``__all__`` resolves.
+"""Every name a ``crsphere`` module lists in ``__all__`` resolves, the
+package facade resolves each of its names on first use, and each entry
+point loads only the modules it runs.
 
 A deletion that leaves its name behind in ``__all__`` breaks
 ``from crsphere.<module> import *`` only at the user's import; this test
@@ -7,12 +9,17 @@ fails first.
 
 import ast
 import importlib
+import os
 import pathlib
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
 import crsphere
+
+FACADE_MODULES = ("ring", "spectral", "frames", "variation", "oracle3")
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(crsphere.__path__))
 
@@ -104,3 +111,90 @@ def test_image_tables_and_their_apply_loop_live_in_ring():
     ("del d[0]\n", False)])
 def test_table_guard_sees_each_pattern(source, found):
     assert bool(private_tables(ast.parse(source))) is found
+
+
+# -- the package facade ----------------------------------------------------------
+
+def owner(name: str) -> str:
+    """The submodule that defines a facade name (the name itself for a
+    submodule), found by its ``__all__`` and not by the facade's map."""
+    if name in FACADE_MODULES:
+        return name
+    (module,) = [m for m in FACADE_MODULES
+                 if name in importlib.import_module(f"crsphere.{m}").__all__]
+    return module
+
+
+def test_facade_lists_sixty_names():
+    assert len(set(crsphere.__all__)) == len(crsphere.__all__) == 60
+    assert set(FACADE_MODULES) <= set(crsphere.__all__)
+    assert set(crsphere.__all__) <= set(dir(crsphere))
+
+
+def test_facade_names_are_their_module_objects():
+    wrong = []
+    for name in crsphere.__all__:
+        module = importlib.import_module(f"crsphere.{owner(name)}")
+        want = module if name in FACADE_MODULES else getattr(module, name)
+        if getattr(crsphere, name) is not want:
+            wrong.append(name)
+    assert wrong == []
+
+
+def test_star_import_binds_the_facade():
+    namespace = {}
+    exec("from crsphere import *", namespace)
+    del namespace["__builtins__"]
+    assert set(namespace) == set(crsphere.__all__)
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'SphereP'"):
+        crsphere.SphereP
+    assert not hasattr(crsphere, "verify_all")
+
+
+# -- the modules each entry point loads ------------------------------------------
+
+def loaded_modules(code: str) -> list[str]:
+    """The ``crsphere`` modules a fresh interpreter holds after ``code``."""
+    src = os.path.dirname(os.path.dirname(crsphere.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    probe = ("import sys\n" + code + "\nprint(' '.join(sorted(m for m in "
+             "sys.modules if m.split('.')[0] == 'crsphere')))")
+    proc = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1].split()
+
+
+def test_import_loads_no_submodule():
+    assert loaded_modules("import crsphere") == ["crsphere"]
+
+
+def test_facade_name_loads_its_module_only():
+    assert loaded_modules("from crsphere import SpherePoly") == [
+        "crsphere", "crsphere.ring"]
+
+
+def test_cli_import_loads_ring_only():
+    assert loaded_modules("import crsphere.cli") == [
+        "crsphere", "crsphere.cli", "crsphere.ring"]
+
+
+def test_analyze_loads_no_verify(tmp_path):
+    f = tmp_path / "d.txt"
+    f.write_text("n = 1\nE = (1/1,0/1) z1 w2\n")
+    assert loaded_modules(
+        "from crsphere.cli import main\n"
+        f"assert main(['analyze', {str(f)!r}, '--oracle']) == 0") == [
+        "crsphere", "crsphere.cli", "crsphere.frames", "crsphere.oracle3",
+        "crsphere.ring", "crsphere.spectral", "crsphere.variation"]
+
+
+def test_spectrum_loads_neither_oracle_nor_verify():
+    assert loaded_modules("from crsphere.cli import main\n"
+                          "assert main(['spectrum']) == 0") == [
+        "crsphere", "crsphere.cli", "crsphere.frames", "crsphere.ring",
+        "crsphere.spectral", "crsphere.variation"]

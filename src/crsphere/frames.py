@@ -336,9 +336,11 @@ def _image(n: int, s: int, key: Key) -> tuple[tuple[int, _Weights], ...]:
     """Slot s's image of the monomial ``key`` (over i/2 for T) from the
     field's ambient coefficients: the products v_a d_a and w_a dbar_a of
     the monomial, summed with one reduction."""
-    p = sum_of_products(n, [(c, partial(n, {key: (1, 0)}, side, a), 1)
-                            for side, cs in enumerate(_ambients(n)[s])
-                            for a, c in enumerate(cs) if c.nums])
+    p = sum_of_products(
+        n, [(c, SpherePoly.from_nums(n, partial(n, {key: (1, 0)}, side, a),
+                                     1), 1)
+            for side, cs in enumerate(_ambients(n)[s])
+            for a, c in enumerate(cs) if c.nums])
     return ((0, _weights(p)),) if p.nums else ()
 
 

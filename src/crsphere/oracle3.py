@@ -16,7 +16,7 @@ series truncated after t^2 (``ring.TSeries2``), so every claimed
 variation identity is checked as exact polynomial equality.  Each
 bilinear formula (the Levi norm, the Cramer solves, z and the
 structure-equation residual) sums all its products before one reduction
-(``TSeries2.sum_of_products``).
+(``ring.sum_of_products``).
 
 Fixed base structure, over ``frames``' n = 1 frame (T, Z_1, Zbar_1) with
 Z_1 = Z_12 and its dual coframe (theta, theta^1, theta^1bar):
@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import ne
 
-from .ring import ExactScalar, SpherePoly, TSeries2
+from .ring import ExactScalar, SpherePoly, TSeries2, sum_of_products
 from .frames import (_d_wedge, conjugate, d, field_apply, reeb, wedge,
                      z_field, zbar_field)
 from .variation import DeformationTensor, j_hessian
@@ -96,8 +96,8 @@ def _levi_norm(x) -> TSeries2:
     For a contact vector this is its Levi norm; for a 1-form a theta^1 +
     b theta^1bar it is the determinant |a|^2 - |b|^2 of the Cramer solves.
     """
-    return TSeries2.sum_of_products(_N, ((x[T1], x[T1].conjugate(), 1),
-                                         (x[T1B], x[T1B].conjugate(), -1)))
+    return sum_of_products(_N, ((x[T1], x[T1].conjugate(), 1),
+                                (x[T1B], x[T1B].conjugate(), -1)))
 
 
 # -- the deformation ---------------------------------------------------------
@@ -162,8 +162,8 @@ class PseudohermitianSeries:
 def _solve2(m00, m01, m10, m11, r0, r1):
     """Cramer's rule for [[m00, m01], [m10, m11]] (u0, u1) = (r0, r1) with
     determinant 1, one fused sum per unknown."""
-    return (TSeries2.sum_of_products(_N, ((m11, r0, 1), (m01, r1, -1))),
-            TSeries2.sum_of_products(_N, ((m00, r1, 1), (m10, r0, -1))))
+    return (sum_of_products(_N, ((m11, r0, 1), (m01, r1, -1))),
+            sum_of_products(_N, ((m00, r1, 1), (m10, r0, -1))))
 
 
 def solve_structure(cf: DeformedCoframe) -> PseudohermitianSeries:
@@ -194,14 +194,14 @@ def solve_structure(cf: DeformedCoframe) -> PseudohermitianSeries:
         raise AssertionError("theta component of the connection form "
                              "must be imaginary")
     l3 = lhs[2]
-    z = TSeries2.sum_of_products(_N, ((abar, l3, 1), (b, l3.conjugate(), -1)))
+    z = sum_of_products(_N, ((abar, l3, 1), (b, l3.conjugate(), -1)))
     omega = (x, -z.conjugate(), z)
 
     # theta^1(t) ^ w + A theta ^ theta^1bar(t), one fused sum per wedge
     pairs = itertools.combinations(range(3), 2)
-    rhs = (TSeries2.sum_of_products(_N, ((theta1[i], omega[j], 1),
-                                         (theta1[j], omega[i], -1),
-                                         (torsion, v, 1)))
+    rhs = (sum_of_products(_N, ((theta1[i], omega[j], 1),
+                                (theta1[j], omega[i], -1),
+                                (torsion, v, 1)))
            for (i, j), v in zip(pairs, wedge(_THETA, theta1bar)))
     if any(map(ne, lhs, rhs)):
         raise AssertionError("structure-equation residual is nonzero")

@@ -2,11 +2,12 @@
 
 Everything in this module is exact.  Polynomials live on the unit sphere
 S^{2n+1} in C^{n+1} and are kept in a canonical normal form modulo the
-sphere relation z_1 zbar_1 + ... + z_{n+1} zbar_{n+1} = 1.  A polynomial
-stores Gaussian-integer numerators, pairs of Python ints, over one positive
-int denominator; so does the public scalar :class:`ExactScalar`, a
-Gaussian rational whose ``re`` and ``im`` read as ``fractions.Fraction``.
-No floats appear anywhere here.
+sphere relation z_1 zbar_1 + ... + z_{n+1} zbar_{n+1} = 1.  A polynomial,
+and a truncated series in t with polynomial coefficients, stores
+Gaussian-integer numerators, pairs of Python ints, over one positive int
+denominator; so does the public scalar :class:`ExactScalar`, a Gaussian
+rational whose ``re`` and ``im`` read as ``fractions.Fraction``.  No
+floats appear anywhere here.
 
 Conventions:
 
@@ -47,8 +48,12 @@ its derivatives (:func:`partial`, the one ambient-derivative route, and
 Series keys: a :class:`TSeries2` key is a monomial key with the term's
 power of t in one more field above the two halves, so a product adds
 orders as it adds monomials, and reduction, which reads only the
-monomial fields, leaves the order alone.  Only :class:`TSeries2` reads
-that field; it hands other modules each order's terms without it
+monomial fields, leaves the order alone.  A polynomial's key is the
+order-0 series key of its monomial, so both types share one stored form
+and its rules (:class:`_TermMap`), one fused sum (:func:`sum_of_products`)
+and one pairing rule (:func:`_add_term_products`); a result with a
+series operand is a series.  Only the series code here reads the order
+field; it hands other modules each order's terms without it
 (:meth:`TSeries2.orders`), so no image table is ever keyed by an order.
 
 Image tables: every per-n table of a fixed map on monomials is a
@@ -432,18 +437,6 @@ def _lowest(nums: Terms, den: int) -> int:
     return den // g
 
 
-def _sum(nums: Terms, den: int, other: Terms, oden: int,
-         sign: int) -> tuple[Terms, int]:
-    """nums / den + sign * other / oden as a new term map over the lcm of
-    the denominators, not yet in lowest terms."""
-    d = math.lcm(den, oden)
-    f = d // den
-    out = (dict(nums) if f == 1 else
-           {key: (re * f, im * f) for key, (re, im) in nums.items()})
-    accumulate(out, other.items(), sign * (d // oden))
-    return out, d
-
-
 def _scale(nums: Terms, cr: int, ci: int) -> Terms:
     """Each term times the Gaussian integer cr + ci i."""
     return {key: (re * cr - im * ci, re * ci + im * cr)
@@ -553,56 +546,170 @@ def _term_order(item):
     return (sum(a) + sum(b), a, b)
 
 
-class SpherePoly:
-    """Polynomial function on S^{2n+1}, canonical modulo the sphere relation.
+class _TermMap:
+    """The stored form shared by :class:`SpherePoly` and :class:`TSeries2`.
 
-    The stored form is ``nums``, a ``{key: (re, im)}`` map from packed
-    normal-form monomials (see the module docstring) to Gaussian-integer
-    numerators, over one positive integer ``den``; the gcd of every
-    numerator and ``den`` is 1 and no zero term is kept.  Instances are
-    immutable; every constructor and operation returns this canonical
-    form, so ``==`` decides equality of functions on the sphere.
+    ``nums`` is a ``{key: (re, im)}`` map from packed keys (see the module
+    docstring) to Gaussian-integer numerators, over one positive integer
+    ``den``; the gcd of every numerator and ``den`` is 1 and no zero term
+    is kept.  Instances are immutable; every constructor and operation
+    returns this canonical form, so ``==`` decides equality.  Only
+    :meth:`conjugate` reads a key, through its halves, and it keeps an
+    order field above them, so the rules hold for polynomials and series
+    alike; a sum with a series operand is a series.
     """
 
     __slots__ = ("n", "nums", "den")
 
-    def __init__(self, n: int, terms: Mapping[TermKey, ExactScalar]):
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    # -- constructors -------------------------------------------------
+    @classmethod
+    def from_nums(cls, n: int, nums: Terms, den: int):
+        """The sum nums[key] / den over normal-form keys.
+
+        Takes ownership of ``nums``, which must hold no zero term and no
+        monomial divisible by z_1 zbar_1; ``den`` must be positive.  Common
+        factors are divided out here; an instance already in lowest terms,
+        such as a negation, conjugate or constant, is made by
+        :func:`_make`.
+        """
+        return _make(cls, n, nums, _lowest(nums, den) if den != 1 else 1)
+
+    @classmethod
+    def constant(cls, n: int, c: "ExactScalar | _RationalLike"):
+        re, im, d = _split(c)       # in lowest terms already
+        return _make(cls, n, {0: (re, im)} if re or im else {}, d)
+
+    # -- ring operations -----------------------------------------------
+    def _check(self, other: "_TermMap"):
+        if self.n != other.n:
+            raise ValueError(f"dimension mismatch: n={self.n} vs n={other.n}")
+
+    def is_zero(self) -> bool:
+        return not self.nums
+
+    def _combine(self, other, sign: int):
+        """self + sign * other over the lcm of the two denominators, a
+        series when either operand is.
+
+        A zero operand returns the other one as it is (instances are
+        immutable), negated for ``0 - x``, when that has the sum's type.
+        """
+        cls = type(self)
+        if not isinstance(other, _TermMap):
+            if not isinstance(other, _SCALAR_TYPES):
+                return NotImplemented
+            other = cls.constant(self.n, other)
+        elif type(other) is TSeries2:
+            cls = TSeries2
+        if other.n != self.n:
+            self._check(other)
+        if not other.nums and type(self) is cls:
+            return self
+        if not self.nums and type(other) is cls:
+            return other if sign > 0 else -other
+        den = math.lcm(self.den, other.den)
+        f = den // self.den
+        nums = (dict(self.nums) if f == 1 else
+                {key: (re * f, im * f) for key, (re, im) in self.nums.items()})
+        accumulate(nums, other.nums.items(), sign * (den // other.den))
+        return cls.from_nums(self.n, nums, den)
+
+    def __add__(self, other):
+        return self._combine(other, 1)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self._combine(other, -1)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def _scaled(self, c: "ExactScalar | _RationalLike"):
+        """self times the exact scalar c, term by term: no constant is
+        made and no term pair formed."""
+        cr, ci, cd = _split(c)
+        return type(self).from_nums(self.n, _scale(self.nums, cr, ci),
+                                    self.den * cd)
+
+    def __neg__(self):
+        """-self; lowest terms are kept, so no common factor is sought."""
+        if not self.nums:
+            return self
+        return _make(type(self), self.n, {key: (-re, -im) for key, (re, im)
+                                          in self.nums.items()}, self.den)
+
+    def conjugate(self):
+        """Each coefficient's conjugate: the halves swap, an order field
+        above them stays, and lowest terms are kept."""
+        if not self.nums:
+            return self
+        h = _half(self.n)
+        low = (1 << h) - 1
+        return _make(type(self), self.n,
+                     {key >> 2 * h << 2 * h | key >> h & low
+                      | (key & low) << h: (re, -im)
+                      for key, (re, im) in self.nums.items()}, self.den)
+
+    def __eq__(self, other) -> bool:
+        """An exact scalar equals the constant; a polynomial equals the
+        series with its terms at order 0."""
+        if not isinstance(other, _TermMap):
+            if not isinstance(other, _SCALAR_TYPES) or isinstance(other, bool):
+                return NotImplemented
+            other = self.constant(self.n, other)
+        # lowest terms over a positive denominator are unique
+        return (self.n == other.n and self.den == other.den
+                and self.nums == other.nums)
+
+
+# The slot setters, past _TermMap.__setattr__, which refuses assignment
+_set_n, _set_nums, _set_den = (_TermMap.__dict__[name].__set__
+                               for name in _TermMap.__slots__)
+
+
+def _make(cls: type[_TermMap], n: int, nums: Terms, den: int):
+    """The one unnormalized constructor: the ``cls`` instance nums / den,
+    taken as given: in lowest terms, with no zero term, normal-form
+    monomials and no order above ORDER.  A function, not a classmethod, so
+    that making an instance binds no method."""
+    p = object.__new__(cls)
+    _set_n(p, n)
+    _set_nums(p, nums)
+    _set_den(p, den)
+    if cls is TSeries2:     # its coefficient views, built on first use
+        _set_views(p, None)
+    return p
+
+
+class SpherePoly(_TermMap):
+    """Polynomial function on S^{2n+1}, canonical modulo the sphere relation.
+
+    A :class:`_TermMap` whose keys are packed normal-form monomials (see
+    the module docstring), so ``==`` decides equality of functions on the
+    sphere.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, n: int, terms: Mapping[TermKey, ExactScalar]):
         if n < 1:
             raise ValueError("dimension n must be >= 1")
         split = {_encode(n, a, b): _split(c) for (a, b), c in terms.items()}
         den = math.lcm(*(d for _, _, d in split.values()))
         nums = {key: (re * (den // d), im * (den // d))
                 for key, (re, im, d) in split.items() if re or im}
-        p = SpherePoly.from_nums(n, reduce_nums(n, nums), den)
-        _set_n(self, n)
-        _set_nums(self, p.nums)
-        _set_den(self, p.den)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SpherePoly is immutable")
+        return SpherePoly.from_nums(n, reduce_nums(n, nums), den)
 
     # -- constructors -------------------------------------------------
-    @staticmethod
-    def from_nums(n: int, nums: Terms, den: int) -> "SpherePoly":
-        """The polynomial sum nums[key] / den over normal-form keys.
-
-        Takes ownership of ``nums``, which must hold no zero term and no
-        monomial divisible by z_1 zbar_1; ``den`` must be positive.  Every
-        instance is made here, with common factors divided out, but for a
-        negation or conjugate, which keeps lowest terms (:func:`_poly`).
-        """
-        return _poly(n, nums, _lowest(nums, den) if den != 1 else 1)
-
     @staticmethod
     @functools.cache
     def zero(n: int) -> "SpherePoly":
         """The zero polynomial: one shared instance per n."""
-        return SpherePoly.from_nums(n, {}, 1)
-
-    @staticmethod
-    def constant(n: int, c: "ExactScalar | _RationalLike") -> "SpherePoly":
-        re, im, d = _split(c)
-        return SpherePoly.from_nums(n, {0: (re, im)} if re or im else {}, d)
+        return _make(SpherePoly, n, {}, 1)
 
     @staticmethod
     @functools.cache
@@ -636,69 +743,22 @@ class SpherePoly:
                                  for key, (re, im) in self.nums.items()})
 
     # -- ring operations -----------------------------------------------
-    def _check(self, other: "SpherePoly"):
-        if self.n != other.n:
-            raise ValueError(f"dimension mismatch: n={self.n} vs n={other.n}")
-
-    def _combine(self, other, sign: int) -> "SpherePoly":
-        """self + sign * other over the lcm of the two denominators.
-
-        A zero operand returns the other one as it is (instances are
-        immutable), negated for ``0 - x``.
-        """
-        if not isinstance(other, SpherePoly):
-            if not isinstance(other, _SCALAR_TYPES):
-                return NotImplemented
-            other = SpherePoly.constant(self.n, other)
-        self._check(other)
-        if not other.nums:
-            return self
-        if not self.nums:
-            return other if sign > 0 else -other
-        return SpherePoly.from_nums(
-            self.n, *_sum(self.nums, self.den, other.nums, other.den, sign))
-
+    # __add__, __mul__ and conjugate are SpherePoly's own functions, not
+    # the base's, so that a tracer wrapping them by name sees polynomial
+    # calls only.
     def __add__(self, other):
         return self._combine(other, 1)
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        return self._combine(other, -1)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __neg__(self):
-        """-self; lowest terms are kept, so no common factor is sought."""
-        if not self.nums:
-            return self
-        return _poly(self.n, {key: (-re, -im) for key, (re, im)
-                              in self.nums.items()}, self.den)
-
-    def _scaled(self, cr: int, ci: int, cd: int) -> "SpherePoly":
-        """self times the Gaussian rational (cr + ci i) / cd, term by term."""
-        return SpherePoly.from_nums(self.n, _scale(self.nums, cr, ci),
-                                    self.den * cd)
-
     def __mul__(self, other):
+        """A series factor gets NotImplemented: ``TSeries2.__mul__`` is
+        the one product with a series."""
         if not isinstance(other, SpherePoly):
             if not isinstance(other, _SCALAR_TYPES):
                 return NotImplemented
-            return self._scaled(*_split(other))
-        self._check(other)
-        # a constant factor scales the other one's terms: no term pairs,
-        # no reduction
-        c = _constant(other.nums)
-        if c is not None:
-            return self._scaled(*c, other.den)
-        c = _constant(self.nums)
-        if c is not None:
-            return other._scaled(*c, self.den)
-        raw: Terms = {}
-        _add_products(raw, self.nums, other.nums)
-        return SpherePoly.from_nums(self.n, reduce_nums(self.n, raw),
-                                    self.den * other.den)
+            return self._scaled(other)
+        return _product(SpherePoly, self, other)
 
     __rmul__ = __mul__
 
@@ -716,29 +776,19 @@ class SpherePoly:
         return out
 
     def conjugate(self) -> "SpherePoly":
-        """The conjugate: each key's halves swap, in lowest terms still."""
+        """The conjugate: each key's halves swap, in lowest terms still;
+        a monomial key has no order field to keep."""
         if not self.nums:
             return self
         h = _half(self.n)
         low = (1 << h) - 1
-        return _poly(self.n, {key >> h | (key & low) << h: (re, -im)
-                              for key, (re, im) in self.nums.items()},
-                     self.den)
+        return _make(SpherePoly, self.n,
+                     {key >> h | (key & low) << h: (re, -im)
+                      for key, (re, im) in self.nums.items()}, self.den)
 
     # -- structure -------------------------------------------------------
-    def is_zero(self) -> bool:
-        return not self.nums
-
     def is_real(self) -> bool:
         return self == self.conjugate()
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SpherePoly):
-            if not isinstance(other, _SCALAR_TYPES) or isinstance(other, bool):
-                return NotImplemented
-            other = SpherePoly.constant(self.n, other)
-        return (self.n == other.n and self.den == other.den
-                and self.nums == other.nums)
 
     def __hash__(self):     # a constant hashes as the scalar it equals
         if self.is_constant():
@@ -843,43 +893,6 @@ def _text(n: int, key: Key) -> tuple[int, str]:
             "".join(f" {v}{j}" + (f"^{e}" if e != 1 else "")
                     for v, exps in (("z", a), ("w", b))
                     for j, e in enumerate(exps, 1) if e))
-
-
-# The slot setters, past SpherePoly.__setattr__, which refuses assignment
-_set_n, _set_nums, _set_den = (SpherePoly.__dict__[name].__set__
-                               for name in SpherePoly.__slots__)
-
-
-def _poly(n: int, nums: Terms, den: int) -> SpherePoly:
-    """The polynomial nums / den, taken as given: in lowest terms, normal
-    form and with no zero term."""
-    p = object.__new__(SpherePoly)
-    _set_n(p, n)
-    _set_nums(p, nums)
-    _set_den(p, den)
-    return p
-
-
-def sum_of_products(n: int, items: Iterable[tuple[SpherePoly, Terms, int]]
-                    ) -> SpherePoly:
-    """sum x * (ys / d) over the items (x, ys, d), reduced once.
-
-    Each second factor is a numerator map ys over a positive denominator
-    d.  Every term-pair product goes into one raw term map over the lcm
-    of the items' denominators, which is reduced once; normal forms are
-    unique, so this equals the sum of the reduced products.
-    """
-    used = []
-    for x, ys, d in items:
-        if x.n != n:
-            raise ValueError(f"dimension mismatch: n={x.n} vs n={n}")
-        if x.nums and ys:
-            used.append((x, ys, x.den * d))
-    den = math.lcm(*(d for _, _, d in used))
-    raw: Terms = {}
-    for x, ys, d in used:
-        _add_products(raw, x.nums, ys, den // d)
-    return SpherePoly.from_nums(n, reduce_nums(n, raw), den)
 
 
 @functools.cache
@@ -1013,25 +1026,27 @@ def _order_shift(n: int) -> int:
     return (n + 2) * 2 * _F
 
 
-class TSeries2:
+class TSeries2(_TermMap):
     """Truncated series c0 + c1 t + c2 t^2 (through t^ORDER) with
     polynomial coefficients.
 
-    Stored like a :class:`SpherePoly`: one term map ``nums`` over one
-    positive ``den`` in lowest terms, each key a monomial's with the
+    A :class:`_TermMap` like a polynomial, each key a monomial's with the
     term's power of t in an order field above the two halves.  So a sum is
     one pass over one map, and a product adds orders as it adds keys,
-    pairs only the order buckets i, j with i + j <= ORDER and reduces
-    once.  A polynomial is an order-0 series as it stands, so it enters
-    as it is, never lifted, and a constant operand scales.  ``c0``,
+    pairs only orders i + j <= ORDER (:func:`_add_term_products`) and
+    reduces once.  A polynomial is an order-0 series as it stands, so it
+    enters as it is, never lifted, and a constant operand scales.  ``c0``,
     ``c1`` and ``c2`` are read-only coefficient views, built together
     once; an empty order's view is the shared :meth:`SpherePoly.zero`.
     """
 
-    __slots__ = ("n", "nums", "den", "_views")
+    __slots__ = ("_views",)
 
-    def __init__(self, c0: SpherePoly, c1: SpherePoly | None = None,
-                 c2: SpherePoly | None = None):
+    def __new__(cls, c0: SpherePoly, c1: SpherePoly | None = None,
+                c2: SpherePoly | None = None):
+        if not (isinstance(c0, SpherePoly) and all(
+                c is None or isinstance(c, SpherePoly) for c in (c1, c2))):
+            raise TypeError("series coefficients must be SpherePoly")
         n = c0.n
         zero = SpherePoly.zero(n)
         views = tuple(zero if c is None else c for c in (c0, c1, c2))
@@ -1045,29 +1060,15 @@ class TSeries2:
             f = den // c.den
             for key, (re, im) in c.nums.items():
                 nums[key | k << s] = (re * f, im * f)
-        _series(n, nums, den, views, self)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TSeries2 is immutable")
-
-    _check = SpherePoly._check
-
-    @staticmethod
-    def from_nums(n: int, nums: Terms, den: int) -> "TSeries2":
-        """The series sum nums[key] / den over order-field keys, put in
-        lowest terms; it takes ownership of ``nums``."""
-        return _series(n, nums, _lowest(nums, den) if den != 1 else 1)
-
-    @staticmethod
-    def constant(n: int, c: "ExactScalar | _RationalLike") -> "TSeries2":
-        re, im, d = _split(c)
-        return _series(n, {0: (re, im)} if re or im else {}, d)
+        p = _make(TSeries2, n, nums, den)
+        _set_views(p, views)
+        return p
 
     @staticmethod
     @functools.cache
     def zero(n: int) -> "TSeries2":
         """The zero series: one shared instance per n."""
-        return _series(n, {}, 1)
+        return _make(TSeries2, n, {}, 1)
 
     @staticmethod
     def from_orders(n: int, parts: Iterable[Terms], den: int) -> "TSeries2":
@@ -1098,96 +1099,15 @@ class TSeries2:
     c0, c1, c2 = (property(lambda self, k=k: self.coefficients()[k])
                   for k in range(ORDER + 1))
 
-    def is_zero(self) -> bool:
-        return not self.nums
-
-    def _combine(self, other, sign: int) -> "TSeries2":
-        """self + sign * other in one pass over the lcm of the
-        denominators; a zero operand returns the other one."""
-        if not isinstance(other, (TSeries2, SpherePoly)):
-            if not isinstance(other, _SCALAR_TYPES):
-                return NotImplemented
-            other = TSeries2.constant(self.n, other)
-        elif other.n != self.n:
-            self._check(other)
-        if not other.nums:
-            return self
-        if not self.nums:
-            out = _series(self.n, other.nums, other.den)
-            return out if sign > 0 else -out
-        return TSeries2.from_nums(self.n, *_sum(
-            self.nums, self.den, other.nums, other.den, sign))
-
-    def __add__(self, other):
-        return self._combine(other, 1)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self._combine(other, -1)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __neg__(self):
-        """-self; lowest terms are kept, so no common factor is sought."""
-        if not self.nums:
-            return self
-        return _series(self.n, {key: (-re, -im) for key, (re, im)
-                                in self.nums.items()}, self.den)
-
-    def conjugate(self) -> "TSeries2":
-        """Each coefficient's conjugate: the halves swap, the order field
-        stays, and lowest terms are kept."""
-        if not self.nums:
-            return self
-        h = _half(self.n)
-        low = (1 << h) - 1
-        return _series(self.n, {key >> 2 * h << 2 * h | key >> h & low
-                                | (key & low) << h: (re, -im)
-                                for key, (re, im) in self.nums.items()},
-                       self.den)
-
     def __mul__(self, other):
-        if not isinstance(other, (TSeries2, SpherePoly)):
+        """The one product with a series operand, either side."""
+        if not isinstance(other, _TermMap):
             if not isinstance(other, _SCALAR_TYPES):
                 return NotImplemented
-            other = TSeries2.constant(self.n, other)
-        elif other.n != self.n:
-            self._check(other)
-        den = self.den * other.den
-        c = _constant(other.nums)
-        if c is not None:
-            return TSeries2.from_nums(self.n, _scale(self.nums, *c), den)
-        c = _constant(self.nums)
-        if c is not None:
-            return TSeries2.from_nums(self.n, _scale(other.nums, *c), den)
-        raw: Terms = {}
-        _add_series_products(raw, self, other, 1)
-        return TSeries2.from_nums(self.n, reduce_nums(self.n, raw), den)
+            return self._scaled(other)
+        return _product(TSeries2, self, other)
 
     __rmul__ = __mul__
-
-    @staticmethod
-    def sum_of_products(n: int, items: Iterable[tuple[object, object, int]]
-                        ) -> "TSeries2":
-        """sum k x y over the items (x, y, k), reduced once: x and y series
-        or polynomials of dimension n, k a nonzero int.  As in
-        :func:`sum_of_products`, every term pair goes into one raw term
-        map over the lcm of the products' denominators."""
-        used = []
-        for x, y, k in items:
-            if x.n != n or y.n != n:
-                raise ValueError(f"dimension mismatch: not n={n}")
-            if x.nums and y.nums:
-                used.append((x, y, k, x.den * y.den))
-        if not used:
-            return TSeries2.zero(n)
-        den = math.lcm(*[d for *_, d in used])
-        raw: Terms = {}
-        for x, y, k, d in used:
-            _add_series_products(raw, x, y, k * (den // d))
-        return TSeries2.from_nums(n, reduce_nums(n, raw), den)
 
     def integral(self) -> tuple[ExactScalar, ...]:
         return tuple(c.integral() for c in self.coefficients())
@@ -1206,42 +1126,23 @@ class TSeries2:
             out = out + term
         return out
 
-    def __eq__(self, other):
-        """A polynomial or exact scalar equals the constant series."""
-        if not isinstance(other, (TSeries2, SpherePoly)):
-            if not isinstance(other, _SCALAR_TYPES) or isinstance(other, bool):
-                return NotImplemented
-            other = TSeries2.constant(self.n, other)
-        # lowest terms over a positive denominator are unique
-        return (self.n == other.n and self.den == other.den
-                and self.nums == other.nums)
-
     def __repr__(self):
         return "TSeries2(" + " | ".join(c.to_grammar()
                                         for c in self.coefficients()) + ")"
 
 
-_set_tn, _set_tnums, _set_tden, _set_views = (
-    TSeries2.__dict__[name].__set__ for name in TSeries2.__slots__)
+_set_views = TSeries2.__dict__["_views"].__set__
 
 
-def _series(n: int, nums: Terms, den: int, views=None,
-            p: TSeries2 | None = None) -> TSeries2:
-    """The series nums / den (set into ``p`` if given), taken as given:
-    in lowest terms, with no zero term and no order above ORDER."""
-    if p is None:
-        p = object.__new__(TSeries2)
-    _set_tn(p, n)
-    _set_tnums(p, nums)
-    _set_tden(p, den)
-    _set_views(p, views)
-    return p
-
-
-def _add_series_products(raw: Terms, x, y, scale: int) -> None:
-    """``raw += scale * x * y``, unreduced, for series or polynomials x
-    and y: keys add, so orders add, and x's order-i terms meet only y's
-    terms of order at most ORDER - i."""
+def _add_term_products(raw: Terms, x: _TermMap, y: _TermMap,
+                       scale: int) -> None:
+    """``raw += scale * x * y``, unreduced, for polynomials or series x and
+    y: keys add, so orders add.  A polynomial has only order 0, so with a
+    polynomial factor every term pair is kept; of two series, x's order-i
+    terms meet only y's terms of order at most ORDER - i."""
+    if type(x) is SpherePoly or type(y) is SpherePoly:
+        _add_products(raw, x.nums, y.nums, scale)
+        return
     s = _order_shift(x.n)
     for i in range(min(x.nums) >> s, (max(x.nums) >> s) + 1):
         xs = {key: c for key, c in x.nums.items() if key >> s == i}
@@ -1250,6 +1151,50 @@ def _add_series_products(raw: Terms, x, y, scale: int) -> None:
             ys = {key: c for key, c in y.nums.items() if key < below}
             if ys:
                 _add_products(raw, xs, ys, scale)
+
+
+def _product(cls: type[_TermMap], x: _TermMap, y: _TermMap):
+    """x * y as a ``cls`` instance.  A constant factor scales the other
+    one's terms: no term pairs, no reduction."""
+    x._check(y)
+    den = x.den * y.den
+    c = _constant(y.nums)
+    if c is not None:
+        return cls.from_nums(x.n, _scale(x.nums, *c), den)
+    c = _constant(x.nums)
+    if c is not None:
+        return cls.from_nums(x.n, _scale(y.nums, *c), den)
+    raw: Terms = {}
+    _add_term_products(raw, x, y, 1)
+    return cls.from_nums(x.n, reduce_nums(x.n, raw), den)
+
+
+def sum_of_products(n: int, items: Iterable[tuple[_TermMap, _TermMap, int]]
+                    ) -> SpherePoly | TSeries2:
+    """sum k x y over the items (x, y, k), reduced once: x and y
+    polynomials or series of dimension n, k an int.  The sum is a series
+    when any factor is one.
+
+    Every term-pair product goes into one raw term map over the lcm of the
+    products' denominators, which is reduced once; normal forms are
+    unique, so this equals the sum of the reduced products.
+    """
+    cls = SpherePoly
+    used = []
+    for x, y, k in items:
+        if x.n != n or y.n != n:
+            raise ValueError(f"dimension mismatch: not n={n}")
+        if type(x) is TSeries2 or type(y) is TSeries2:
+            cls = TSeries2
+        if k and x.nums and y.nums:
+            used.append((x, y, k, x.den * y.den))
+    if not used:
+        return cls.zero(n)
+    den = math.lcm(*[d for *_, d in used])
+    raw: Terms = {}
+    for x, y, k, d in used:
+        _add_term_products(raw, x, y, k * (den // d))
+    return cls.from_nums(n, reduce_nums(n, raw), den)
 
 
 # ---------------------------------------------------------------------------

@@ -463,26 +463,31 @@ def test_verify_report_bytes_pinned_s7(tmp_path, capsys):
 
 # -- each fact is computed once, and the gate can fail --------------------------
 
-def _counting(monkeypatch, module, name):
+def _counting(monkeypatch, module, name, results=None):
+    """Record each call's arguments, and its result into ``results`` if
+    given."""
     calls = []
     original = getattr(module, name)
 
     def wrapper(*args, **kwargs):
         calls.append(args)
-        return original(*args, **kwargs)
+        out = original(*args, **kwargs)
+        if results is not None:
+            results.append(out)
+        return out
 
     monkeypatch.setattr(module, name, wrapper)
     return calls
 
 
-def _counting_bindings(monkeypatch, module, name):
+def _counting_bindings(monkeypatch, module, name, results=None):
     """Like _counting, also at every crsphere module that imported the
     name, so calls through any binding are counted."""
     original = getattr(module, name)
     holders = [m for key, m in sys.modules.items()
                if key.startswith("crsphere.") and m is not module
                and getattr(m, name, None) is original]
-    calls = _counting(monkeypatch, module, name)
+    calls = _counting(monkeypatch, module, name, results)
     for other in holders:
         monkeypatch.setattr(other, name, getattr(module, name))
     return calls
@@ -507,7 +512,7 @@ def test_analyze_oracle_solves_structure_once(tmp_path, capsys, monkeypatch):
 def test_oracle_solve_multiplies_few_polynomials(monkeypatch):
     """Counted in the units of the one-map series: the term pairs of
     ``ring._add_products``, ``reduce_nums`` calls, series products
-    (``TSeries2.__mul__``), fused sums (``TSeries2.sum_of_products``),
+    (``TSeries2.__mul__``), fused sums (``ring.sum_of_products``),
     series normalizations and frame-table reads (``apply_table``).  No series product forms a term pair whose
     orders sum above ORDER.  The deformed frame is stated, not solved
     for, and its one Levi-norm series is computed once; the Webster
@@ -532,8 +537,8 @@ def test_oracle_solve_multiplies_few_polynomials(monkeypatch):
     series = [_counting(monkeypatch, TSeries2, name)
               for name in ("__mul__", "__rmul__")]
     loops = _counting_bindings(monkeypatch, ring, "reduce_nums")
-    sums = _counting_bindings(monkeypatch, ring, "sum_of_products")
-    fused = _counting(monkeypatch, TSeries2, "sum_of_products")
+    outs = []
+    fused = _counting_bindings(monkeypatch, ring, "sum_of_products", outs)
     normal = _counting(monkeypatch, TSeries2, "from_nums")
     reads = _counting_bindings(monkeypatch, ring, "apply_table")
     fields = _counting(monkeypatch, frames, "field_apply")
@@ -543,15 +548,16 @@ def test_oracle_solve_multiplies_few_polynomials(monkeypatch):
     assert len(norms) == 1                     # 3 recomputing D
     assert sum(map(len, series)) == 2          # |m1|^2, then its weight
     assert (sum(pairs), len(loops), len(fused), len(normal)) == (7, 2, 1, 4)
-    for calls in (pairs, loops, fused, normal, *products, *series):
+    for calls in (pairs, loops, fused, outs, normal, *products, *series):
         calls.clear()
     oracle3.solve_structure(cf)
     assert sum(map(len, products)) == 0
     assert sum(map(len, series)) == 10
     assert (sum(pairs), len(pairs)) == (24, 12)     # 12 pair loops
     assert len(loops) == 6
-    assert len(sums) == 0                      # 16, one per application
     assert len(fused) == 6
+    # all series: a polynomial fused sum here would be a frame-table fill
+    assert all(type(out) is TSeries2 for out in outs)
     assert len(normal) == 26
     assert len(reads) == 10                    # one per nonzero order
     assert len(fields) == 0                    # 16 forming all of d w

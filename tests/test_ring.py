@@ -387,14 +387,14 @@ def test_inner_multiplies_and_reduces_nothing(monkeypatch):
     st.just(n), st.lists(st.tuples(polys(n), polys(n)), max_size=3))))
 def test_sum_of_products_matches_summed_products(case):
     n, pairs = case
-    got = sum_of_products(n, [(x, y.nums, y.den) for x, y in pairs])
+    got = sum_of_products(n, [(x, y, 1) for x, y in pairs])
     want = sum((x * y for x, y in pairs), SpherePoly.zero(n))
     assert (got.nums, got.den) == (want.nums, want.den)
 
 
 def test_sum_of_products_rejects_dimension_mismatch():
     with pytest.raises(ValueError):
-        sum_of_products(2, [(z(1, 1), z(2, 1).nums, 1)])
+        sum_of_products(2, [(z(1, 1), z(2, 1), 1)])
 
 
 # -- argument checks and exact edge cases -----------------------------------------

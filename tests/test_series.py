@@ -100,7 +100,7 @@ def test_sum_of_products_matches_dense_reference(case):
     want = TSeries2.zero(n)
     for x, y, k in items:
         want = dense.combine(n, want, dense.mul(n, x, y) * k, 1)
-    assert TSeries2.sum_of_products(n, items) == want
+    assert ring.sum_of_products(n, items) == want
 
 
 # (n, s, e): a series with constant term 1 and an exponent p/q
@@ -263,3 +263,81 @@ def test_series_dimension_mismatch_raises():
         TSeries2.zero(1) * SpherePoly.one(2)
     with pytest.raises(ValueError):
         TSeries2.zero(1) + SpherePoly.one(2)
+
+
+# -- the type rule: a series operand makes a series -----------------------------
+
+POLY = MIXED[1]
+TERM_MAPS = {"poly": POLY, "poly0": SpherePoly.zero(1), "series": SERIES[1],
+             "series0": SERIES[0]}
+SCALARS = {"int": 3, "int0": 0, "fraction": Fraction(-2, 5),
+           "gaussian": ExactScalar(Fraction(1, 2), -1)}
+REFERENCE = {operator.add: lambda x, y: dense.combine(1, x, y, 1),
+             operator.sub: lambda x, y: dense.combine(1, x, y, -1),
+             operator.mul: lambda x, y: dense.mul(1, x, y)}
+
+
+def result_type(*operands):
+    return (TSeries2 if any(isinstance(x, TSeries2) for x in operands)
+            else SpherePoly)
+
+
+@pytest.mark.parametrize("op", REFERENCE, ids=["add", "sub", "mul"])
+@pytest.mark.parametrize("y", [*TERM_MAPS.values(), *SCALARS.values()],
+                         ids=[*TERM_MAPS, *SCALARS])
+@pytest.mark.parametrize("x", TERM_MAPS.values(), ids=TERM_MAPS)
+def test_a_series_operand_makes_a_series(op, x, y):
+    """x op y and y op x: a series when either operand is one, else a
+    polynomial, zero operands included; each the dense reference."""
+    for a, b in ((x, y), (y, x)):
+        got = op(a, b)
+        assert type(got) is result_type(a, b)
+        assert got == REFERENCE[op](a, b)
+
+
+@pytest.mark.parametrize("k", [1, -2, 0])
+@pytest.mark.parametrize("y", TERM_MAPS.values(), ids=TERM_MAPS)
+@pytest.mark.parametrize("x", TERM_MAPS.values(), ids=TERM_MAPS)
+def test_a_series_factor_makes_a_series_fused_sum(x, y, k):
+    for a, b in ((x, y), (y, x)):
+        got = ring.sum_of_products(1, [(a, b, k)])
+        assert type(got) is result_type(a, b)
+        assert got == dense.mul(1, a, b) * k
+
+
+def test_a_series_factor_of_any_item_makes_a_series_fused_sum():
+    items = [(POLY, POLY, 1), (SpherePoly.one(1), TSeries2.zero(1), 1)]
+    got = ring.sum_of_products(1, items)
+    assert type(got) is TSeries2 and got == POLY * POLY
+    assert type(ring.sum_of_products(1, [])) is SpherePoly
+
+
+@pytest.mark.parametrize("p", [SpherePoly.zero(1), SpherePoly.one(1), POLY],
+                         ids=["zero", "one", "poly"])
+def test_a_polynomial_equals_its_order_zero_series(p):
+    s = TSeries2(p)
+    assert p == s and s == p and not (p != s) and not (s != p)
+    lifted = s + TSeries2(SpherePoly.zero(1), SpherePoly.one(1))
+    assert p != lifted and lifted != p
+    assert not (p == lifted) and not (lifted == p)
+
+
+def test_fused_sum_skips_zero_coefficients():
+    """A zero k contributes nothing: the result is the canonical zero,
+    not a map of (0, 0) terms."""
+    s = SERIES[1]
+    out = ring.sum_of_products(1, [(s, s, 0)])
+    assert out.nums == {} and out.den == 1
+    assert out.is_zero() and out == 0 and out == TSeries2.zero(1)
+    assert ring.sum_of_products(1, [(s, s, 0), (s, POLY, 2)]) == s * POLY * 2
+
+
+@pytest.mark.parametrize("coeffs", [
+    (POLY, SERIES[1]), (SERIES[1],), (POLY, None, SERIES[0]), (None,),
+    (POLY, 1), (POLY, POLY, ExactScalar(2))],
+    ids=["c1-series", "c0-series", "c2-series", "c0-none", "c1-int",
+         "c2-scalar"])
+def test_series_coefficients_must_be_polynomials(coeffs):
+    """A series coefficient would put its orders past ORDER."""
+    with pytest.raises(TypeError):
+        TSeries2(*coeffs)

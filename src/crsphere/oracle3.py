@@ -2,8 +2,8 @@
 
 Given a polynomial deformation coefficient E, the holomorphic frame field
 is deformed along the closed form Z_1(t) = m0 Z_1 + m1 Zbar_1 with
-m1 = -i t E and m0 = 1 + |m1|^2 / 2; nothing is solved for.  Its Levi
-norm |m0|^2 - |m1|^2 = 1 + |m1|^4 / 4 is 1 through t^3, and that one
+m1 = -i t E and m0 = (1 + |m1|^2)^{1/2}; nothing is solved for.  Its Levi
+norm |m0|^2 - |m1|^2 is 1 by construction, at every order, and that one
 series, asserted to be 1 as a whole, is also the determinant of the
 duality system.  So the dual coframe needs no division, and neither do
 the Cramer solves over the truncated series ring that give the
@@ -12,8 +12,8 @@ connection form w(t) and torsion A(t) from the Cartan structure equation
     d theta^1(t) = theta^1(t) ^ w(t) + A(t) theta ^ theta^1bar(t)
 
 with the reality constraint w + conj(w) = 0.  Everything is an exact
-series truncated after t^2 (``ring.TSeries2``), so every claimed
-variation identity is checked as exact polynomial equality.  Each
+series truncated after t^``ring.ORDER`` (``ring.TSeries2``), so every
+claimed variation identity is checked as exact polynomial equality.  Each
 bilinear formula (the Levi norm, the Cramer solves, z and the
 structure-equation residual) sums all its products before one reduction
 (``ring.sum_of_products``).
@@ -86,8 +86,6 @@ _S_ZERO = TSeries2.zero(_N)
 _S_ONE = TSeries2.constant(_N, 1)
 # The contact form theta as a series 1-form.
 _THETA = (_S_ONE, _S_ZERO, _S_ZERO)
-# m0 = 1 + w |m1|^2 has Levi norm 1 + (2w - 1)|m1|^2 + w^2 |m1|^4: w = 1/2.
-_RENORMALIZER_WEIGHT = Fraction(1, 2)
 
 
 def _levi_norm(x) -> TSeries2:
@@ -104,11 +102,11 @@ def _levi_norm(x) -> TSeries2:
 
 @dataclass(frozen=True)
 class DeformedCoframe:
-    """Deformed frame/coframe pair on S^3, exact to second order.
+    """Deformed frame/coframe pair on S^3, exact through t^ORDER.
 
     ``z1`` is Z_1(t) and ``theta1`` is theta^1(t), both as slot triples
-    over the base frame and coframe; ``gamma`` = |E|^2 / 2 is the t^2
-    coefficient of the renormalizer m0, before the phase.
+    over the base frame and coframe, with Levi norm 1 by construction;
+    ``gamma`` = |E|^2 / 2 is m0's t^2 coefficient, before the phase.
     """
 
     gamma: SpherePoly
@@ -122,12 +120,12 @@ def deform_frame(e: SpherePoly, second_order_tweak: SpherePoly | None = None,
 
     Over the base frame Z_1(t) has slots (0, m0, m1) with m1 = -i(t E +
     t^2 G), G an optional second-order tweak that changes the path but not
-    its first-order data, and m0 = 1 + |m1|^2 / 2, the real renormalizer
-    whose t^2 coefficient is ``gamma``; an optional unit phase u
-    multiplies the frame.  The base coframe's Gram on (Z_1(t), Zbar_1(t))
-    is [[m0, m1], [conj m1, conj m0]], and its determinant, the Levi norm
-    D = |m0|^2 - |m1|^2 = 1 + |m1|^4 / 4, is 1 through t^3.  So the dual
-    form is theta^1(t) = conj(m0) theta^1 - conj(m1) theta^1bar, and
+    its first-order data, and m0 = (1 + |m1|^2)^{1/2}, the real
+    renormalizer whose t^2 coefficient is ``gamma``; an optional unit phase
+    u multiplies the frame.  The base coframe's Gram on (Z_1(t),
+    Zbar_1(t)) is [[m0, m1], [conj m1, conj m0]], and its determinant, the
+    Levi norm D = |m0|^2 - |m1|^2, is 1 by construction.  So the dual form
+    is theta^1(t) = conj(m0) theta^1 - conj(m1) theta^1bar, and
     D = theta^1(t)(Z_1(t)) is the one series asserted to be 1.
     """
     if e.n != _N:
@@ -136,7 +134,7 @@ def deform_frame(e: SpherePoly, second_order_tweak: SpherePoly | None = None,
     quad = (zero if second_order_tweak is None
             else second_order_tweak * ExactScalar(0, -1))
     m1 = TSeries2(zero, e * ExactScalar(0, -1), quad)
-    m0 = _S_ONE + m1 * m1.conjugate() * _RENORMALIZER_WEIGHT
+    m0 = (_S_ONE + m1 * m1.conjugate()).fractional_power(Fraction(1, 2))
     z1t = (_S_ZERO, m0, m1)
     if phase is not None:
         if phase.abs2() != 1:

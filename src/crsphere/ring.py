@@ -53,8 +53,9 @@ order-0 series key of its monomial, so both types share one stored form
 and its rules (:class:`_TermMap`), one fused sum (:func:`sum_of_products`)
 and one pairing rule (:func:`_add_term_products`); a result with a
 series operand is a series.  Only the series code here reads the order
-field; it hands other modules each order's terms without it
-(:meth:`TSeries2.orders`), so no image table is ever keyed by an order.
+field or states the truncation order (:data:`ORDER`); it hands other
+modules each order's terms without the field (:meth:`TSeries2.orders`),
+so no image table is ever keyed by an order.
 
 Image tables: every per-n table of a fixed map on monomials is a
 :class:`LazyTable`, which fills an entry the first time its key is read
@@ -674,8 +675,9 @@ _set_n, _set_nums, _set_den = (_TermMap.__dict__[name].__set__
 def _make(cls: type[_TermMap], n: int, nums: Terms, den: int):
     """The one unnormalized constructor: the ``cls`` instance nums / den,
     taken as given: in lowest terms, with no zero term, normal-form
-    monomials and no order above ORDER.  A function, not a classmethod, so
-    that making an instance binds no method."""
+    monomials and no order above ORDER (:meth:`TSeries2.from_orders`).  A
+    function, not a classmethod, so that making an instance binds no
+    method."""
     p = object.__new__(cls)
     _set_n(p, n)
     _set_nums(p, nums)
@@ -1027,42 +1029,32 @@ def _order_shift(n: int) -> int:
 
 
 class TSeries2(_TermMap):
-    """Truncated series c0 + c1 t + c2 t^2 (through t^ORDER) with
-    polynomial coefficients.
+    """Truncated series c0 + c1 t + ... + c_ORDER t^ORDER with polynomial
+    coefficients.
 
     A :class:`_TermMap` like a polynomial, each key a monomial's with the
     term's power of t in an order field above the two halves.  So a sum is
     one pass over one map, and a product adds orders as it adds keys,
     pairs only orders i + j <= ORDER (:func:`_add_term_products`) and
     reduces once.  A polynomial is an order-0 series as it stands, so it
-    enters as it is, never lifted, and a constant operand scales.  ``c0``,
-    ``c1`` and ``c2`` are read-only coefficient views, built together
-    once; an empty order's view is the shared :meth:`SpherePoly.zero`.
+    enters as it is, never lifted, and a constant operand scales.  It takes
+    1 to ORDER + 1 coefficients, None for zero after c0; its read-only
+    views (:meth:`coefficients`) are built together on first use, an empty
+    order's the shared :meth:`SpherePoly.zero`.
     """
 
     __slots__ = ("_views",)
 
-    def __new__(cls, c0: SpherePoly, c1: SpherePoly | None = None,
-                c2: SpherePoly | None = None):
-        if not (isinstance(c0, SpherePoly) and all(
-                c is None or isinstance(c, SpherePoly) for c in (c1, c2))):
+    def __new__(cls, *coeffs: SpherePoly | None):
+        if not (coeffs and isinstance(coeffs[0], SpherePoly) and all(
+                c is None or isinstance(c, SpherePoly) for c in coeffs)):
             raise TypeError("series coefficients must be SpherePoly")
-        n = c0.n
-        zero = SpherePoly.zero(n)
-        views = tuple(zero if c is None else c for c in (c0, c1, c2))
-        if any(c.n != n for c in views):
+        n = coeffs[0].n
+        if any(c is not None and c.n != n for c in coeffs):
             raise ValueError("series coefficients must share a dimension")
-        views = tuple(c if c.nums else zero for c in views)
-        den = math.lcm(*(c.den for c in views))     # lowest terms
-        s = _order_shift(n)
-        nums = {}
-        for k, c in enumerate(views):
-            f = den // c.den
-            for key, (re, im) in c.nums.items():
-                nums[key | k << s] = (re * f, im * f)
-        p = _make(TSeries2, n, nums, den)
-        _set_views(p, views)
-        return p
+        den = math.lcm(*(c.den for c in coeffs if c is not None))
+        return TSeries2.from_orders(n, [{} if c is None else _scale(
+            c.nums, den // c.den, 0) for c in coeffs], den)
 
     @staticmethod
     @functools.cache
@@ -1071,9 +1063,11 @@ class TSeries2(_TermMap):
         return _make(TSeries2, n, {}, 1)
 
     @staticmethod
-    def from_orders(n: int, parts: Iterable[Terms], den: int) -> "TSeries2":
-        """The series sum_k t^k parts[k] / den, each part a term map
-        without the order field, put in lowest terms."""
+    def from_orders(n: int, parts: list[Terms], den: int) -> "TSeries2":
+        """The series sum_k t^k parts[k] / den, of 1 to ORDER + 1 parts,
+        each a term map without the order field, put in lowest terms."""
+        if not 1 <= len(parts) <= ORDER + 1:
+            raise ValueError(f"a series has 1 to {ORDER + 1} orders")
         s = _order_shift(n)
         return TSeries2.from_nums(n, {key | k << s: c for k, part
                                       in enumerate(parts)
@@ -1088,7 +1082,7 @@ class TSeries2(_TermMap):
         return parts
 
     def coefficients(self) -> tuple[SpherePoly, ...]:
-        """(c0, c1, c2), built together on first use."""
+        """(c0, c1, ..., c_ORDER), built together on first use."""
         if self._views is None:
             zero = SpherePoly.zero(self.n)
             _set_views(self, tuple(SpherePoly.from_nums(self.n, part, self.den)
@@ -1097,7 +1091,7 @@ class TSeries2(_TermMap):
         return self._views
 
     c0, c1, c2 = (property(lambda self, k=k: self.coefficients()[k])
-                  for k in range(ORDER + 1))
+                  for k in range(3))      # as read by the verdicts
 
     def __mul__(self, other):
         """The one product with a series operand, either side."""
@@ -1113,18 +1107,26 @@ class TSeries2(_TermMap):
         return tuple(c.integral() for c in self.coefficients())
 
     def fractional_power(self, exponent: Fraction) -> "TSeries2":
-        """(1 + e)^s = sum_k binom(s, k) e^k through order ORDER, by the
-        recursion binom(s, k) e^k = binom(s, k-1) e^(k-1) e (s-k+1)/k;
-        requires c0 == 1, so e has no order-0 term."""
-        if self.c0 != SpherePoly.one(self.n):
+        """(1 + e)^s = 1 + sum_k binom(s, k) e^k by the recursion
+        binom(s, k) e^k = binom(s, k-1) e^(k-1) e (s-k+1)/k from s e, for
+        the k with k * low <= ORDER, low the lowest order in e; requires
+        the stored order-0 part to be 1, so e has no order-0 term."""
+        shift = _order_shift(self.n)
+        if self.nums.get(0) != (self.den, 0) or any(
+                0 < key < 1 << shift for key in self.nums):
             raise ValueError("fractional_power needs constant term 1")
+        # self - 1, in lowest terms as gcd(den, den, rest) = 1
+        e = _make(TSeries2, self.n, {k: c for k, c in self.nums.items() if k},
+                  self.den)
+        if not e.nums:
+            return self
         s = Fraction(exponent)
-        e = self - 1
-        out = term = TSeries2.constant(self.n, 1)
-        for k in range(1, ORDER + 1):
+        out = term = e * s
+        for k in range(2, ORDER // (min(e.nums) >> shift) + 1):
             term = term * e * ((s - k + 1) / k)
             out = out + term
-        return out
+        # out has no order-0 term: out + 1 keeps its lowest terms
+        return _make(TSeries2, self.n, {0: (out.den, 0)} | out.nums, out.den)
 
     def __repr__(self):
         return "TSeries2(" + " | ".join(c.to_grammar()

@@ -246,7 +246,7 @@ def j_hessian_via_T(e: DeformationTensor) -> ExactScalar:
 # ---------------------------------------------------------------------------
 
 def yamabe_energy_series(v: SpherePoly) -> TSeries2:
-    """Normalized conformal energy along the family 1 + t v, to order t^2.
+    """Normalized conformal energy along 1 + t v, through t^ring.ORDER.
 
     Expands int u(-b_n Lap_b u + W0 u) divided by
     (int u^{2Q/(Q-2)})^{(Q-2)/Q} with exact binomial truncation of the

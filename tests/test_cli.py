@@ -546,8 +546,8 @@ def test_oracle_solve_multiplies_few_polynomials(monkeypatch):
     cf = oracle3.deform_frame(e)
     assert sum(map(len, products)) == 1        # E times -i
     assert len(norms) == 1                     # 3 recomputing D
-    assert sum(map(len, series)) == 2          # |m1|^2, then its weight
-    assert (sum(pairs), len(loops), len(fused), len(normal)) == (7, 2, 1, 4)
+    assert sum(map(len, series)) == 2          # |m1|^2, then (1/2)|m1|^2
+    assert (sum(pairs), len(loops), len(fused), len(normal)) == (7, 2, 1, 5)
     for calls in (pairs, loops, fused, outs, normal, *products, *series):
         calls.clear()
     oracle3.solve_structure(cf)

@@ -1,12 +1,13 @@
 """The S^3 structure-equation solver against frozen values and closed forms."""
 
+import functools
 from fractions import Fraction
 
 import pytest
 
 from dataclasses import replace
 
-from crsphere import frames, oracle3
+from crsphere import frames, oracle3, ring, variation
 from crsphere.frames import (contact_form, form_eval, reeb, theta_form,
                              thetabar_form, z_field, zbar_field)
 from crsphere.ring import ExactScalar, SpherePoly, TSeries2
@@ -221,10 +222,12 @@ def test_base_coframe_is_dual_to_frame():
 
 
 def test_levi_renormalization_check_can_fail(monkeypatch):
-    """A renormalizer m0 = 1 + |m1|^2 / 3 in place of 1 + |m1|^2 / 2
-    leaves the Levi norm D of Z_1(t) at 1 - t^2 |E|^2 / 3, and
+    """A renormalizer m0 = (1 + |m1|^2)^{1/3} in place of the square root
+    leaves the Levi norm D of Z_1(t) at 1 - t^2 |E|^2 / 3 + O(t^3), and
     deform_frame says so."""
-    monkeypatch.setattr(oracle3, "_RENORMALIZER_WEIGHT", Fraction(1, 3))
+    power = TSeries2.fractional_power
+    monkeypatch.setattr(TSeries2, "fractional_power",
+                        lambda self, exponent: power(self, Fraction(1, 3)))
     with pytest.raises(AssertionError, match="Levi norm D of Z_1"):
         deform_frame(z(1, 1) * w(1, 2))
 
@@ -249,6 +252,53 @@ def test_coframe_is_dual_to_deformed_frame(kw):
         assert form_eval(form, z1.conjugate()) == TSeries2.zero(1), name
 
 
+def _low_orders(ps) -> list:
+    """Coefficients 0-2 of W, A and every slot of the connection form."""
+    return [x.coefficients()[:3]
+            for x in (ps.webster, ps.torsion, *ps.omega)]
+
+
+def _conformal_directions(n: int):
+    """The real, zero-average directions Re p and Im p of the degree-2
+    monomials p, as ``verify.conformal_checks`` makes them."""
+    for _, p in monomial_pool(n, 2):
+        for v in (p + p.conjugate(), (p - p.conjugate()) * ExactScalar(0, 1)):
+            v = v - SpherePoly.constant(n, v.integral())
+            if not v.is_zero():
+                yield v
+
+
+def test_series_are_generic_in_the_order(monkeypatch):
+    """Only ``ring.ORDER`` states the truncation order.  At ORDER 3 and 4
+    the oracle keeps coefficients 0-2 of W, A and w on the degree-4 pool,
+    plain, with a phase and with a t^2 tweak, and on the Rossi spheres
+    E = c it gives W = 1 + 2|c|^2 t^2 and A = -2t conj(c)(1 + |c|^2
+    t^2)^{1/2} through t^4; the conformal energy series keeps c0-c2 at
+    ORDER 3."""
+    kws = [{}, {"phase": ExactScalar(Fraction(3, 5), Fraction(4, 5))},
+           {"second_order_tweak": z(1, 1) + w(1, 2) ** 2}]
+    pool = [e for _, e in monomial_pool(1, 4)]
+    want = [[_low_orders(solve_structure(deform_frame(e, **kw)))
+             for e in pool] for kw in kws]
+    directions = [v for n in (1, 2) for v in _conformal_directions(n)]
+    energies = [variation.yamabe_energy_series(v).coefficients()
+                for v in directions]
+    monkeypatch.setattr(ring, "ORDER", 3)
+    assert [variation.yamabe_energy_series(v).coefficients()[:3]
+            for v in directions] == energies
+    for k in (3, 4):
+        monkeypatch.setattr(ring, "ORDER", k)
+        assert [[_low_orders(solve_structure(deform_frame(e, **kw)))
+                 for e in pool] for kw in kws] == want, k
+    const = functools.partial(SpherePoly.constant, 1)
+    for c in (ExactScalar(1), ExactScalar(2, 1)):      # at ORDER 4
+        ps = series_of(const(c))
+        c2, cbar = c.abs2(), c.conjugate()
+        assert ps.webster == TSeries2(const(1), None, const(2 * c2))
+        assert ps.torsion == TSeries2(const(0), const(cbar * -2), None,
+                                      const(cbar * -c2))
+
+
 @pytest.mark.parametrize("c", [ExactScalar(2),
                                ExactScalar(Fraction(6, 5), Fraction(8, 5)),
                                ExactScalar(Fraction(1, 3))])
@@ -264,8 +314,9 @@ def test_solve_structure_rejects_non_unit_determinant(c):
 
 
 def test_solve_structure_takes_no_power(monkeypatch):
-    """Neither the solve nor the deformed frame it solves takes a series
-    power: the determinant is 1, so nothing is inverted."""
+    """The deformed frame takes one series power, the square root of its
+    renormalizer, and the solve takes none: the determinant is 1, so
+    nothing is inverted."""
     calls = []
     power = TSeries2.fractional_power
 
@@ -275,8 +326,9 @@ def test_solve_structure_takes_no_power(monkeypatch):
 
     monkeypatch.setattr(TSeries2, "fractional_power", counting)
     cf = deform_frame(w(1, 1) ** 2 * z(1, 2) + SpherePoly.one(1))
+    assert calls == [Fraction(1, 2)]
     solve_structure(cf)
-    assert calls == []
+    assert calls == [Fraction(1, 2)]
 
 
 def test_rejects_coframe_with_theta_part():

@@ -341,3 +341,56 @@ def test_series_coefficients_must_be_polynomials(coeffs):
     """A series coefficient would put its orders past ORDER."""
     with pytest.raises(TypeError):
         TSeries2(*coeffs)
+
+
+def test_a_series_has_one_to_order_plus_one_coefficients():
+    with pytest.raises(TypeError):
+        TSeries2()
+    with pytest.raises(ValueError, match="orders"):
+        TSeries2(*[POLY] * (ORDER + 2))
+
+
+@pytest.mark.parametrize("parts", [[], [{}] * (ORDER + 1) + [{0: (1, 0)}]],
+                         ids=["none", "past-order"])
+def test_from_orders_has_the_constructors_order_rule(parts):
+    """A part past ORDER is rejected, not stored as a term that no view
+    holds."""
+    with pytest.raises(ValueError, match="orders"):
+        TSeries2.from_orders(1, parts, 1)
+
+
+# -- fractional_power's guards and its lean recursion ---------------------------
+
+@pytest.mark.parametrize("c0", [SpherePoly.constant(1, 2),
+                                SpherePoly.one(1) + SpherePoly.z(1, 1)],
+                         ids=["two", "one-plus-z1"])
+def test_fractional_power_needs_constant_term_one(c0):
+    """The order-0 part is checked on the stored form: no view is built."""
+    s = TSeries2.from_orders(1, [c0.nums, SpherePoly.z(1, 2).nums], c0.den)
+    assert s._views is None
+    with pytest.raises(ValueError, match="constant term 1"):
+        s.fractional_power(Fraction(1, 2))
+    assert s._views is None
+
+
+def test_fractional_power_of_one_is_one():
+    one = TSeries2.constant(1, 1)
+    assert one.fractional_power(Fraction(-2, 3)) == one == 1
+
+
+def test_fractional_power_forms_no_power_past_order(monkeypatch):
+    """e = |m1|^2 starts at order 2, so at ORDER 2 (1 + e)^{1/2} is
+    1 + e/2: one scaling, and no e^2 is formed."""
+    m1 = TSeries2(SpherePoly.zero(1), POLY)
+    e = m1 * m1.conjugate()
+    want = e * Fraction(1, 2) + 1
+    calls = []
+    mul = TSeries2.__mul__
+
+    def counting(self, other):
+        calls.append(other)
+        return mul(self, other)
+    monkeypatch.setattr(ring, "ORDER", 2)
+    monkeypatch.setattr(TSeries2, "__mul__", counting)
+    assert (e + 1).fractional_power(Fraction(1, 2)) == want
+    assert calls == [Fraction(1, 2)]

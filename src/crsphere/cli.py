@@ -39,7 +39,7 @@ def load_config(path: str) -> dict:
     values: dict[str, str] = {}
     first_line: dict[str, int] = {}
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             lines = fh.readlines()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
@@ -101,7 +101,7 @@ def parse_deformation_file(path: str) -> variation.DeformationTensor:
     two coefficient forms are not mixed.
     """
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             lines = fh.readlines()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read deformation file {path}: {exc}")

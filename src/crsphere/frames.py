@@ -61,6 +61,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from dataclasses import dataclass
 from operator import add, mul
 from types import MappingProxyType
 from typing import Iterable, Mapping
@@ -135,13 +136,16 @@ def _coords(n: int) -> tuple[tuple[SpherePoly, ...], tuple[SpherePoly, ...]]:
             tuple(SpherePoly.w(n, a) for a in range(1, n + 2)))
 
 
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class _SlotTuple:
-    """An immutable slot tuple of dimension n, one ring entry per slot."""
+    """A frozen slot tuple of dimension n, one ring entry per slot, made
+    from any iterable; each subclass states its own ``==``."""
 
-    __slots__ = ("n", "slots")
+    n: int
+    slots: Slots
 
-    def __init__(self, n: int, slots: Iterable[Ring]):
-        slots = tuple(slots)
+    def __post_init__(self):
+        n, slots = self.n, tuple(self.slots)
         width = _width(n)
         if len(slots) != width:
             raise ValueError(f"n={n} takes {width} slots, not {len(slots)}")
@@ -149,11 +153,7 @@ class _SlotTuple:
             raise ValueError("component dimension mismatch")
         if len({type(c) for c in slots}) > 1:
             raise ValueError("slots mix polynomial and series entries")
-        object.__setattr__(self, "n", n)
         object.__setattr__(self, "slots", slots)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
 
     def __repr__(self):
         parts = [f"{i}:{c!r}" for i, c in enumerate(self.slots)
@@ -379,21 +379,18 @@ def _tables(n: int) -> tuple[LazyTable, ...]:
                  for s in range(_width(n)))
 
 
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class _FrameField(FrameVector):
-    """The frame field X_s of slot s: the vector with slot s equal to 1
-    and every other slot 0."""
+    """The frame field X_s of slot s = ``slot``: the vector with slot s
+    equal to 1 and every other slot 0."""
 
-    __slots__ = ("slot",)
-
-    def __init__(self, n: int, s: int):
-        super().__init__(n, _unit(n, s))
-        object.__setattr__(self, "slot", s)
+    slot: int
 
 
 @functools.cache
 def _frame(n: int) -> tuple[FrameVector, ...]:
     """The frame (T, Z_jk..., Zbar_jk...), one shared field per slot."""
-    return tuple(_FrameField(n, s) for s in range(_width(n)))
+    return tuple(_FrameField(n, _unit(n, s), s) for s in range(_width(n)))
 
 
 # -- the form algebra on slot tuples -----------------------------------------
@@ -535,32 +532,29 @@ def bracket(x: FrameVector, y: FrameVector) -> FrameVector:
     return FrameVector.from_ambient(n, v, w)
 
 
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class TensorField:
     """Type ((0,1);(1,0)) tensor sum c_{jk,lm} Zbar_jk (x) theta_lm.
 
     Coefficients over the overcomplete family are not unique; canonical
     coefficients are produced by :func:`tight_expand`, which makes equality
-    and norms decidable.
+    and norms decidable.  Frozen; it keeps the given map's nonzero entries.
     """
 
-    __slots__ = ("n", "coeffs")
+    n: int
+    coeffs: Mapping[tuple[Pair, Pair], SpherePoly]
 
-    def __init__(self, n: int,
-                 coeffs: Mapping[tuple[Pair, Pair], SpherePoly]):
-        pairs = set(index_pairs(n))
+    def __post_init__(self):
+        pairs = set(index_pairs(self.n))
         cs = {}
-        for (jk, lm), c in coeffs.items():
+        for (jk, lm), c in self.coeffs.items():
             if jk not in pairs or lm not in pairs:
                 raise ValueError(f"bad tensor index {(jk, lm)!r}")
-            if c.n != n:
+            if c.n != self.n:
                 raise ValueError("coefficient dimension mismatch")
             if not c.is_zero():
                 cs[(jk, lm)] = c
-        object.__setattr__(self, "n", n)
         object.__setattr__(self, "coeffs", cs)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TensorField is immutable")
 
     def is_zero(self) -> bool:
         return not self.coeffs

@@ -31,7 +31,7 @@ of the curvature form d w(t) contracted with 1/h.  That wedge is D times
 the base theta^1 ^ theta^1bar, so with D = 1, the one assertion it rests
 on, W is read straight off d w(t) over the base wedge; nothing is solved
 for it.  Series vectors and 1-forms are ``frames`` slot triples,
-indexed by TH, T1 and T1B, and d, wedge, conjugation and pairing are
+indexed by TH, T1 and T1B, and d, conjugation and pairing are
 ``frames``' own.
 """
 
@@ -43,8 +43,8 @@ from fractions import Fraction
 from operator import ne
 
 from .ring import ExactScalar, SpherePoly, TSeries2, sum_of_products
-from .frames import (_d_wedge, conjugate, d, field_apply, reeb, wedge,
-                     z_field, zbar_field)
+from .frames import (_d_wedge, conjugate, d, field_apply, reeb, z_field,
+                     zbar_field)
 from .variation import DeformationTensor, j_hessian
 
 __all__ = [
@@ -84,8 +84,6 @@ _T, _Z1, _ZB1 = reeb(_N), z_field(_N, 1, 2), zbar_field(_N, 1, 2)
 # The series 0 and 1 (series are immutable, so these are shared).
 _S_ZERO = TSeries2.zero(_N)
 _S_ONE = TSeries2.constant(_N, 1)
-# The contact form theta as a series 1-form.
-_THETA = (_S_ONE, _S_ZERO, _S_ZERO)
 
 
 def _levi_norm(x) -> TSeries2:
@@ -105,11 +103,9 @@ class DeformedCoframe:
     """Deformed frame/coframe pair on S^3, exact through t^ORDER.
 
     ``z1`` is Z_1(t) and ``theta1`` is theta^1(t), both as slot triples
-    over the base frame and coframe, with Levi norm 1 by construction;
-    ``gamma`` = |E|^2 / 2 is m0's t^2 coefficient, before the phase.
+    over the base frame and coframe, with Levi norm 1 by construction.
     """
 
-    gamma: SpherePoly
     z1: tuple[TSeries2, TSeries2, TSeries2]
     theta1: tuple[TSeries2, TSeries2, TSeries2]
 
@@ -121,7 +117,7 @@ def deform_frame(e: SpherePoly, second_order_tweak: SpherePoly | None = None,
     Over the base frame Z_1(t) has slots (0, m0, m1) with m1 = -i(t E +
     t^2 G), G an optional second-order tweak that changes the path but not
     its first-order data, and m0 = (1 + |m1|^2)^{1/2}, the real
-    renormalizer whose t^2 coefficient is ``gamma``; an optional unit phase
+    renormalizer, with t^2 coefficient |E|^2 / 2; an optional unit phase
     u multiplies the frame.  The base coframe's Gram on (Z_1(t),
     Zbar_1(t)) is [[m0, m1], [conj m1, conj m0]], and its determinant, the
     Levi norm D = |m0|^2 - |m1|^2, is 1 by construction.  So the dual form
@@ -143,7 +139,7 @@ def deform_frame(e: SpherePoly, second_order_tweak: SpherePoly | None = None,
     if _levi_norm(z1t) != _S_ONE:
         raise AssertionError("Levi norm D of Z_1(t) must be 1")
     theta1 = (_S_ZERO, z1t[T1].conjugate(), -z1t[T1B].conjugate())
-    return DeformedCoframe(gamma=m0.c2, z1=z1t, theta1=theta1)
+    return DeformedCoframe(z1=z1t, theta1=theta1)
 
 
 # -- structure equation -------------------------------------------------------
@@ -184,8 +180,7 @@ def solve_structure(cf: DeformedCoframe) -> PseudohermitianSeries:
     if theta1[TH] != _S_ZERO:
         raise AssertionError("deformed coframe must have no theta component")
     _, a, b = theta1
-    theta1bar = conjugate(theta1)
-    _, bbar, abar = theta1bar
+    _, bbar, abar = conjugate(theta1)
     lhs = d(theta1)
     torsion, x = _solve2(bbar, -a, abar, -b, lhs[0], lhs[1])
     if x.conjugate() != -x:
@@ -195,12 +190,13 @@ def solve_structure(cf: DeformedCoframe) -> PseudohermitianSeries:
     z = sum_of_products(_N, ((abar, l3, 1), (b, l3.conjugate(), -1)))
     omega = (x, -z.conjugate(), z)
 
-    # theta^1(t) ^ w + A theta ^ theta^1bar(t), one fused sum per wedge
+    # theta^1(t) ^ w + A theta ^ theta^1bar(t), one fused sum per wedge;
+    # theta ^ theta^1bar(t) is (bbar, abar, 0) over the base wedges
     pairs = itertools.combinations(range(3), 2)
     rhs = (sum_of_products(_N, ((theta1[i], omega[j], 1),
                                 (theta1[j], omega[i], -1),
                                 (torsion, v, 1)))
-           for (i, j), v in zip(pairs, wedge(_THETA, theta1bar)))
+           for (i, j), v in zip(pairs, (bbar, abar, _S_ZERO)))
     if any(map(ne, lhs, rhs)):
         raise AssertionError("structure-equation residual is nonzero")
     if not torsion.c0.is_zero():

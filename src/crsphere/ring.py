@@ -63,6 +63,10 @@ Image tables: every per-n table of a fixed map on monomials is a
 projection, the harmonic decomposition and the sub-Laplacian elsewhere).
 :func:`apply_table` is the one loop that applies a linear map's table,
 so other modules only say what the map does to one monomial.
+
+Value types: :class:`ExactScalar` and the term maps, made without a
+constructor by :func:`_scalar` and :func:`_make`, guard their own slots and
+copy and pickle through ``__reduce__``; :class:`VolumeFactor` is frozen.
 """
 
 from __future__ import annotations
@@ -70,6 +74,7 @@ from __future__ import annotations
 import functools
 import math
 import re
+from dataclasses import dataclass
 from fractions import Fraction
 from operator import or_
 from types import MappingProxyType
@@ -155,6 +160,9 @@ class ExactScalar:
 
     def __setattr__(self, name, value):  # immutable
         raise AttributeError("ExactScalar is immutable")
+
+    def __reduce__(self):
+        return _scalar, (self._re, self._im, self._den)
 
     @property
     def re(self) -> Fraction:
@@ -553,8 +561,9 @@ class _TermMap:
     ``nums`` is a ``{key: (re, im)}`` map from packed keys (see the module
     docstring) to Gaussian-integer numerators, over one positive integer
     ``den``; the gcd of every numerator and ``den`` is 1 and no zero term
-    is kept.  Instances are immutable; every constructor and operation
-    returns this canonical form, so ``==`` decides equality.  Only
+    is kept.  Instances are immutable, and copies and pickles rebuild
+    them through :func:`_make` (``__reduce__``); every constructor and
+    operation returns this canonical form, so ``==`` decides equality.  Only
     :meth:`conjugate` reads a key, through its halves, and it keeps an
     order field above them, so the rules hold for polynomials and series
     alike; a sum with a series operand is a series.
@@ -564,6 +573,9 @@ class _TermMap:
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        return _make, (type(self), self.n, self.nums, self.den)
 
     # -- constructors -------------------------------------------------
     @classmethod
@@ -1203,6 +1215,7 @@ def sum_of_products(n: int, items: Iterable[tuple[_TermMap, _TermMap, int]]
 # Symbolic volume factor
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True, slots=True, repr=False)
 class VolumeFactor:
     """The total pseudohermitian volume of S^{2n+1}, kept symbolic.
 
@@ -1210,19 +1223,8 @@ class VolumeFactor:
     reported in the probability measure with this factor carried alongside.
     """
 
-    __slots__ = ("two_exponent", "pi_exponent")
-
-    def __init__(self, two_exponent: int, pi_exponent: int):
-        object.__setattr__(self, "two_exponent", two_exponent)
-        object.__setattr__(self, "pi_exponent", pi_exponent)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("VolumeFactor is immutable")
-
-    def __eq__(self, other):
-        return (isinstance(other, VolumeFactor)
-                and self.two_exponent == other.two_exponent
-                and self.pi_exponent == other.pi_exponent)
+    two_exponent: int
+    pi_exponent: int
 
     def __str__(self):
         return f"2^{self.two_exponent} * pi^{self.pi_exponent}"

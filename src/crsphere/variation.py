@@ -94,26 +94,19 @@ def validate_symmetry(t: TensorField) -> tuple[Asymmetry, ...]:
     return tuple(bad)
 
 
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class DeformationTensor:
     """Infinitesimal deformation of the complex rotation on S^{2n+1}.
 
     On S^3 it is a single SpherePoly coefficient; in higher dimensions a
-    TensorField with canonical coefficients.  ``asymmetries`` holds the
-    result of the lowered-form scan, made once when the tensor is built.
+    TensorField with canonical coefficients.  Frozen; ``asymmetries``
+    holds the lowered-form scan, made once when the tensor is built.
     """
 
-    __slots__ = ("n", "coefficient", "tensor", "asymmetries")
-
-    def __init__(self, n: int, coefficient: SpherePoly | None,
-                 tensor: TensorField | None,
-                 asymmetries: tuple[Asymmetry, ...]):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "coefficient", coefficient)
-        object.__setattr__(self, "tensor", tensor)
-        object.__setattr__(self, "asymmetries", asymmetries)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("DeformationTensor is immutable")
+    n: int
+    coefficient: SpherePoly | None
+    tensor: TensorField | None
+    asymmetries: tuple[Asymmetry, ...]
 
     @staticmethod
     def from_coefficient(e: SpherePoly) -> "DeformationTensor":

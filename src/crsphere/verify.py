@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from . import __version__ as _version
+from . import __version__
 from .ring import (MAX_TERM_DEGREE, ExactScalar, SpherePoly, multi_indices,
                    norm2, parse_poly, parse_scalar, volume_factor)
 from . import spectral
@@ -89,7 +89,6 @@ class Report:
     config: SuiteConfig
     conventions: list[tuple[str, str]] = field(default_factory=list)
     suites: list[tuple[str, list[CheckRecord]]] = field(default_factory=list)
-    version: str = _version
 
     def exact_failures(self) -> int:
         return sum(1 for _, recs in self.suites
@@ -106,7 +105,7 @@ class Report:
         c = self.config
         lines = [
             "crsphere verification report",
-            f"version: {self.version}",
+            f"version: {__version__}",
             f"n: {c.n}",
             f"degree: {c.degree}",
             f"suites: {','.join(c.suites)}",

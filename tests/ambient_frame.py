@@ -107,9 +107,8 @@ def eval_base(x: Vector) -> tuple[TSeries2, TSeries2, TSeries2]:
 
 
 def deformed_frame(e: SpherePoly, tweak: SpherePoly | None = None,
-                   phase: ExactScalar | None = None
-                   ) -> tuple[Vector, SpherePoly]:
-    """u (1 + t^2 g)(Z_1 - i (t E + t^2 G) Zbar_1) and its renormalizer g.
+                   phase: ExactScalar | None = None) -> Vector:
+    """u (1 + t^2 g)(Z_1 - i (t E + t^2 G) Zbar_1), g its renormalizer.
 
     g is read off the ambient Levi norm of the unscaled vector, so that
     the scaled one has Levi norm 1 through t^2.
@@ -127,4 +126,4 @@ def deformed_frame(e: SpherePoly, tweak: SpherePoly | None = None,
     scale = TSeries2(SpherePoly.one(N), zero, gamma)
     if phase is not None:
         scale = scale * phase
-    return tuple(tuple(s * scale for s in part) for part in raw), gamma
+    return tuple(tuple(s * scale for s in part) for part in raw)

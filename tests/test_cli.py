@@ -552,13 +552,13 @@ def test_oracle_solve_multiplies_few_polynomials(monkeypatch):
         calls.clear()
     oracle3.solve_structure(cf)
     assert sum(map(len, products)) == 0
-    assert sum(map(len, series)) == 10
+    assert sum(map(len, series)) == 4
     assert (sum(pairs), len(pairs)) == (24, 12)     # 12 pair loops
     assert len(loops) == 6
     assert len(fused) == 6
     # all series: a polynomial fused sum here would be a frame-table fill
     assert all(type(out) is TSeries2 for out in outs)
-    assert len(normal) == 26
+    assert len(normal) == 20
     assert len(reads) == 10                    # one per nonzero order
     assert len(fields) == 0                    # 16 forming all of d w
     assert max(orders) <= ring.ORDER
@@ -841,6 +841,34 @@ def test_non_utf8_file_exits_2(tmp_path, capsys, argv, prefix):
     code, stdout, err = run(capsys, *argv, str(bad))
     assert code == 2 and stdout == ""
     assert err.startswith(f"{prefix} {bad}: ") and err.count("\n") == 1
+
+
+def test_analyze_reads_a_file_with_a_byte_order_mark(tmp_path, capsys):
+    """A UTF-8 byte-order mark before ``n = 1`` is not part of the line."""
+    body = "n = 1\nE = (1/1,0/1) z1 w2^2\n"
+    plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+    plain.write_text(body, encoding="utf-8")
+    marked.write_text(body, encoding="utf-8-sig")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+    outs = [run(capsys, "analyze", str(f)) for f in (plain, marked)]
+    assert outs[0][0] == 0 and outs[0][2] == ""
+    assert outs[1] == outs[0]
+
+
+def test_verify_config_with_a_byte_order_mark(tmp_path, capsys):
+    """A config file that starts with a UTF-8 byte-order mark reads its
+    first key as written."""
+    body = "n = 1\ndegree = 1\nsuites = ring\n"
+    reports = []
+    for name, encoding in (("plain", "utf-8"), ("marked", "utf-8-sig")):
+        cfg, out = tmp_path / f"{name}.cfg", tmp_path / f"{name}.txt"
+        cfg.write_text(body, encoding=encoding)
+        code, _, err = run(capsys, "verify", "--config", str(cfg),
+                           "--output", str(out))
+        assert (code, err) == (0, ""), name
+        reports.append(out.read_text())
+    assert reports[1] == reports[0]
+    assert "n: 1\ndegree: 1\nsuites: ring\n" in reports[0]
 
 
 @pytest.mark.parametrize("n, body, col", [

@@ -9,7 +9,9 @@ structure-equation verifier on S^3.
 ``import crsphere`` loads no submodule.  Each public name in ``__all__``,
 the submodules ``ring``, ``spectral``, ``frames``, ``variation`` and
 ``oracle3`` among them, is resolved on first use (PEP 562), so a program
-that needs only ``SpherePoly`` compiles and keeps only ``crsphere.ring``.
+that needs only ``SpherePoly`` compiles and keeps only ``crsphere.ring``
+and the two modules it imports, ``crsphere.scalar`` (``ExactScalar``) and
+``crsphere.grammar`` (the term-grammar tokenizer).
 """
 
 from importlib import import_module as _import_module

@@ -1,8 +1,9 @@
 """Command-line front door: verify, analyze, spectrum, conventions.
 
-Only ``ring`` is imported with this module; each subcommand imports the
-modules it calls, so ``crsphere analyze`` never loads ``verify`` and
-``crsphere spectrum`` loads neither ``oracle3`` nor ``verify``.
+Only ``ring``, with the ``scalar`` and ``grammar`` modules it imports, is
+loaded with this module; each subcommand imports the modules it calls, so
+``crsphere analyze`` never loads ``verify`` and ``crsphere spectrum``
+loads neither ``oracle3`` nor ``verify``.
 """
 
 from __future__ import annotations

@@ -9,6 +9,12 @@ denominator; so does the public scalar :class:`ExactScalar`, a Gaussian
 rational whose ``re`` and ``im`` read as ``fractions.Fraction``.  No
 floats appear anywhere here.
 
+The scalar (:mod:`crsphere.scalar`) and the term-grammar tokenizer
+(:mod:`crsphere.grammar`) are modules of their own, which read no key and
+whose public names this module re-exports: every process compiles the
+package from source, and the largest module's compile sets its memory
+peak, so the kernel here keeps only what reads a key.
+
 Conventions:
 
 * A monomial is ``z^a zbar^b`` for exponent tuples a, b of length n+1.
@@ -39,11 +45,13 @@ every product is reduced by :func:`reduce_nums`, which raises
 ``OverflowError`` when a key has a guard bit set; no key ever wraps.
 Tuples ``(a, b)`` appear only at the edges: the :class:`SpherePoly`
 constructor and its ``terms`` view (so ``monomial``, ``z``, ``w`` and
-:func:`parse_poly`), ``to_grammar`` and ``sorted_terms``, through the one
-encoder :func:`_encode` and the one decoder :func:`_decode`.  Only this
-module reads a key: other modules take a term map's :func:`bidegree`,
-its derivatives (:func:`partial`, the one ambient-derivative route, and
-:func:`box`, built from it) and its :func:`mode_norms` from here.
+:func:`parse_poly`, which builds a polynomial from the tuples that
+``grammar.parse_terms`` reads), ``to_grammar`` and ``sorted_terms``,
+through the one encoder :func:`_encode` and the one decoder
+:func:`_decode`.  Only this module reads a key: other modules take a
+term map's :func:`bidegree`, its derivatives (:func:`partial`, the one
+ambient-derivative route, and :func:`box`, built from it) and its
+:func:`mode_norms` from here.
 
 Series keys: a :class:`TSeries2` key is a monomial key with the term's
 power of t in one more field above the two halves, so a product adds
@@ -65,20 +73,24 @@ projection, the harmonic decomposition and the sub-Laplacian elsewhere).
 so other modules only say what the map does to one monomial.
 
 Value types: :class:`ExactScalar` and the term maps, made without a
-constructor by :func:`_scalar` and :func:`_make`, guard their own slots and
-copy and pickle through ``__reduce__``; :class:`VolumeFactor` is frozen.
+constructor by ``scalar._scalar`` and :func:`_make`, refuse assignment
+and deletion of their own slots and copy and pickle through
+``__reduce__``; :class:`VolumeFactor` is frozen.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import or_
 from types import MappingProxyType
 from typing import Iterable, Mapping
+
+from .grammar import MAX_TERM_DEGREE, PolyParseError, parse_terms
+from .scalar import (_SCALAR_TYPES, ExactScalar, _RationalLike, _scalar,
+                     _split, parse_scalar)
 
 __all__ = [
     "ExactScalar",
@@ -104,197 +116,6 @@ __all__ = [
     "mode_norms",
     "norm2",
 ]
-
-_RationalLike = int | Fraction
-
-
-def _frac(x: _RationalLike) -> tuple[int, int]:
-    """An exact rational as (numerator, denominator) in lowest terms."""
-    if isinstance(x, Fraction):
-        return x.numerator, x.denominator
-    if isinstance(x, int) and not isinstance(x, bool):
-        return x, 1
-    raise TypeError(f"not an exact rational: {x!r}")
-
-
-_set = object.__setattr__
-
-
-def _scalar(re: int, im: int, den: int) -> "ExactScalar":
-    """The ExactScalar (re + im i) / den for den > 0, put in lowest terms."""
-    g = math.gcd(re, im, den)
-    if g != 1:
-        re, im, den = re // g, im // g, den // g
-    s = object.__new__(ExactScalar)
-    _set(s, "_re", re)
-    _set(s, "_im", im)
-    _set(s, "_den", den)
-    return s
-
-
-def _split(x: "ExactScalar | _RationalLike") -> tuple[int, int, int]:
-    """An exact scalar as (re, im, den): Gaussian-integer numerators over
-    one positive denominator, in lowest terms."""
-    if isinstance(x, ExactScalar):
-        return x._re, x._im, x._den
-    num, den = _frac(x)
-    return num, 0, den
-
-
-class ExactScalar:
-    """A Gaussian rational re + im*i with exact Fraction parts.
-
-    Stored like one :class:`SpherePoly` coefficient: Gaussian-integer
-    numerators over one positive denominator, in lowest terms.
-    """
-
-    __slots__ = ("_re", "_im", "_den")
-
-    def __init__(self, re: _RationalLike = 0, im: _RationalLike = 0):
-        rn, rd = _frac(re)
-        im_n, im_d = _frac(im)
-        d = math.lcm(rd, im_d)     # p/q, r/s in lowest terms: so is this
-        _set(self, "_re", rn * (d // rd))
-        _set(self, "_im", im_n * (d // im_d))
-        _set(self, "_den", d)
-
-    def __setattr__(self, name, value):  # immutable
-        raise AttributeError("ExactScalar is immutable")
-
-    def __reduce__(self):
-        return _scalar, (self._re, self._im, self._den)
-
-    @property
-    def re(self) -> Fraction:
-        return Fraction(self._re, self._den)
-
-    @property
-    def im(self) -> Fraction:
-        return Fraction(self._im, self._den)
-
-    # -- constructors -------------------------------------------------
-    @staticmethod
-    def zero() -> "ExactScalar":
-        return _scalar(0, 0, 1)
-
-    @staticmethod
-    def one() -> "ExactScalar":
-        return _scalar(1, 0, 1)
-
-    @staticmethod
-    def coerce(x: "ExactScalar | _RationalLike") -> "ExactScalar":
-        if isinstance(x, ExactScalar):
-            return x
-        return _scalar(*_split(x))
-
-    # -- arithmetic ----------------------------------------------------
-    # An operand of another type gets NotImplemented, so that a type that
-    # knows scalars (a polynomial or series) can answer from its side.
-    def __add__(self, other):
-        if not isinstance(other, _SCALAR_TYPES):
-            return NotImplemented
-        r, i, d = _split(other)
-        e = self._den
-        return _scalar(self._re * d + r * e, self._im * d + i * e, d * e)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if not isinstance(other, _SCALAR_TYPES):
-            return NotImplemented
-        r, i, d = _split(other)
-        e = self._den
-        return _scalar(self._re * d - r * e, self._im * d - i * e, d * e)
-
-    def __rsub__(self, other):
-        return ExactScalar.coerce(other) - self
-
-    def __mul__(self, other):
-        if not isinstance(other, _SCALAR_TYPES):
-            return NotImplemented
-        r, i, d = _split(other)
-        sr, si = self._re, self._im
-        return _scalar(sr * r - si * i, sr * i + si * r, self._den * d)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        r, i, d = _split(other)
-        n2 = r * r + i * i
-        if n2 == 0:
-            raise ZeroDivisionError("division by zero ExactScalar")
-        # (sr + si i) / e * d (r - i i) / (r^2 + i^2)
-        sr, si = self._re, self._im
-        return _scalar((sr * r + si * i) * d, (si * r - sr * i) * d,
-                       self._den * n2)
-
-    def __neg__(self):
-        return _scalar(-self._re, -self._im, self._den)
-
-    def conjugate(self) -> "ExactScalar":
-        return _scalar(self._re, -self._im, self._den)
-
-    def abs2(self) -> Fraction:
-        return Fraction(self._re * self._re + self._im * self._im,
-                        self._den * self._den)
-
-    # -- predicates -----------------------------------------------------
-    def is_zero(self) -> bool:
-        return not (self._re or self._im)
-
-    def is_real(self) -> bool:
-        return not self._im
-
-    def __bool__(self) -> bool:
-        return not self.is_zero()
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, _SCALAR_TYPES) or isinstance(other, bool):
-            return NotImplemented
-        # lowest terms over a positive denominator are unique
-        return (self._re, self._im, self._den) == _split(other)
-
-    def __hash__(self):     # a real scalar hashes as the rational it equals
-        return hash((self.re, self.im) if self._im else self.re)
-
-    # -- serialization ----------------------------------------------------
-    def serialize(self) -> str:
-        """Canonical ``p/q+r/s*i`` string, lowest terms, round-trip exact."""
-        re, im, d = self._re, self._im, self._den
-        gr, gi = math.gcd(re, d), math.gcd(im, d)
-        return (f"{re // gr}/{d // gr}{'+' if im >= 0 else '-'}"
-                f"{abs(im) // gi}/{d // gi}*i")
-
-    def __repr__(self):
-        return self.serialize()
-
-    def __float__(self):
-        if self._im:
-            raise ValueError("non-real ExactScalar has no float value")
-        return float(self.re)
-
-    def to_complex(self) -> complex:
-        return complex(float(self.re), float(self.im))
-
-
-# The exact scalar operand types; a bool is an int but is rejected by _frac.
-_SCALAR_TYPES = (ExactScalar, int, Fraction)
-
-_SCALAR_RE = re.compile(
-    r"^\s*(-?\d+)/(\d+)\s*([+-])\s*(\d+)/(\d+)\*i\s*$")
-
-
-def parse_scalar(text: str) -> ExactScalar:
-    """Inverse of :meth:`ExactScalar.serialize`."""
-    m = _SCALAR_RE.match(text)
-    if m is None:
-        raise ValueError(f"bad ExactScalar literal: {text!r}")
-    re_part = Fraction(int(m.group(1)), int(m.group(2)))
-    im_part = Fraction(int(m.group(4)), int(m.group(5)))
-    if m.group(3) == "-":
-        im_part = -im_part
-    return ExactScalar(re_part, im_part)
-
 
 Exponents = tuple[int, ...]
 TermKey = tuple[Exponents, Exponents]
@@ -572,6 +393,9 @@ class _TermMap:
     __slots__ = ("n", "nums", "den")
 
     def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     def __reduce__(self):
@@ -1237,105 +1061,10 @@ def volume_factor(n: int) -> VolumeFactor:
 
 
 # ---------------------------------------------------------------------------
-# Term grammar parser
+# Term grammar
 # ---------------------------------------------------------------------------
 
-class PolyParseError(ValueError):
-    """Parse failure with 1-based line/column position and bare message."""
-
-    def __init__(self, message: str, line: int, column: int):
-        super().__init__(f"line {line}, column {column}: {message}")
-        self.message = message
-        self.line = line
-        self.column = column
-
-
-# Cap on a parsed term's degree and on the `verify` and `spectrum` degree
-# bounds.  It bounds run size only: reduction is one lookup per term.
-MAX_TERM_DEGREE = 12
-
-_TOKEN_RE = re.compile(
-    r"(?P<ws>\s+)"
-    r"|(?P<coeff>\(\s*(-?\d+)(?:/(\d+))?\s*,\s*(-?\d+)(?:/(\d+))?\s*\))"
-    r"|(?P<var>[zw])(?P<idx>\d+)(?:\^(?P<exp>\d+))?"
-    r"|(?P<plus>\+)")
-
-
-def _line_col(text: str, pos: int) -> tuple[int, int]:
-    line = text.count("\n", 0, pos) + 1
-    last = text.rfind("\n", 0, pos)
-    return line, pos - last
-
-
 def parse_poly(text: str, n: int) -> SpherePoly:
-    """Parse the term grammar ``(re,im) z1^a ... w1^b ...`` (terms juxtaposed).
-
-    ``wk`` denotes zbar_k; a bare variable means exponent 1; '+' between
-    terms is optional.  Rationals may be given as ``p/q`` or plain ``p``.
-    The text must hold at least one term.  Each term's total degree,
-    before reduction, is at most :data:`MAX_TERM_DEGREE`.
-    """
-    pos = 0
-    terms: list[tuple[TermKey, ExactScalar]] = []
-    cur: tuple[list[int], list[int], ExactScalar] | None = None
-
-    def fail(message: str, at: int):
-        line, col = _line_col(text, at)
-        raise PolyParseError(message, line, col)
-
-    def integer(m: re.Match, group: int | str, default: int = 1) -> int:
-        digits = m.group(group)
-        if digits is None:
-            return default
-        try:
-            return int(digits)
-        except ValueError:      # beyond sys.get_int_max_str_digits()
-            fail(f"integer literal of {len(digits)} digits is too long",
-                 m.start(group))
-
-    def flush():
-        nonlocal cur
-        if cur is not None:
-            a, b, c = cur
-            terms.append((((tuple(a), tuple(b))), c))
-            cur = None
-
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            fail(f"unexpected character {text[pos]!r}", pos)
-        if m.group("ws") or m.group("plus"):
-            pos = m.end()
-            continue
-        if m.group("coeff"):
-            flush()
-            re_num, re_den = integer(m, 3), integer(m, 4)
-            im_num, im_den = integer(m, 5), integer(m, 6)
-            if re_den == 0 or im_den == 0:
-                fail("zero denominator", pos)
-            cur = ([0] * (n + 1), [0] * (n + 1),
-                   ExactScalar(Fraction(re_num, re_den),
-                               Fraction(im_num, im_den)))
-        else:
-            if cur is None:
-                fail("variable before coefficient", pos)
-            j = integer(m, "idx")
-            if not 1 <= j <= n + 1:
-                fail(f"index {j} out of range 1..{n + 1} for n={n}", pos)
-            e = integer(m, "exp")
-            if m.group("var") == "z":
-                cur[0][j - 1] += e
-            else:
-                cur[1][j - 1] += e
-            degree = sum(cur[0]) + sum(cur[1])
-            if degree > MAX_TERM_DEGREE:
-                fail(f"term degree {degree} exceeds the cap "
-                     f"{MAX_TERM_DEGREE}", pos)
-        pos = m.end()
-    flush()
-    if not terms:
-        fail("expected a term", len(text))
-    acc: dict[TermKey, ExactScalar] = {}
-    for k, c in terms:
-        acc[k] = acc[k] + c if k in acc else c
-    return SpherePoly(n, acc)
+    """The polynomial written ``(re,im) z1^a ... w1^b ...`` in the term
+    grammar, read by :func:`grammar.parse_terms`, which states its rules."""
+    return SpherePoly(n, parse_terms(text, n))

@@ -107,6 +107,13 @@ _SLOT = 256
 
 
 @functools.cache
+def _slot(p: int, q: int, k: int) -> int:
+    """The slot (p, q, k), one int object per slot for every table entry
+    that names it."""
+    return (p * _SLOT + q) * _SLOT + _SLOT - 1 - k
+
+
+@functools.cache
 def _tables(n: int) -> tuple[LazyTable, LazyTable, LazyTable]:
     """The decomposition and sub-Laplacian image tables of dimension n,
     keyed by normal-form monomial, and each slot's component and row
@@ -131,8 +138,8 @@ def _layers(n: int, key: Key) -> Image:
     Its nonzero layers h_k, from its box powers and :func:`_layer_rows`,
     deepest first: each is (slot, pairs), h_k = sum w z^a' zbar^b' / d
     over the pairs (key of z^a' zbar^b', w), integer w over the row's
-    denominator d, and slot = (P, Q, k) packed so that slots sort as
-    (P, Q, -k).
+    denominator d, and slot = :func:`_slot` (P, Q, k), packed so that
+    slots sort as (P, Q, -k).
     """
     p, q = bidegree(n, key)
     powers = [{key: (1, 0)}]
@@ -144,9 +151,8 @@ def _layers(n: int, key: Key) -> Image:
         for power, a in zip(powers[k:-1], row):
             accumulate(layer, power.items(), a)
         if layer:
-            image.append(((p * _SLOT + q) * _SLOT + _SLOT - 1 - k,
-                          tuple((k2, re) for k2, (re, _)
-                                in layer.items())))
+            image.append((_slot(p, q, k), tuple((k2, re) for k2, (re, _)
+                                                in layer.items())))
     return tuple(image)
 
 

@@ -14,6 +14,7 @@ import pathlib
 import pkgutil
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -25,8 +26,8 @@ MODULES = sorted(m.name for m in pkgutil.iter_modules(crsphere.__path__))
 
 
 def test_every_module_is_listed():
-    assert {"cli", "frames", "oracle3", "ring", "spectral", "variation",
-            "verify"} <= set(MODULES)
+    assert {"cli", "frames", "grammar", "oracle3", "ring", "scalar",
+            "spectral", "variation", "verify"} <= set(MODULES)
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -175,12 +176,14 @@ def test_import_loads_no_submodule():
 
 def test_facade_name_loads_its_module_only():
     assert loaded_modules("from crsphere import SpherePoly") == [
-        "crsphere", "crsphere.ring"]
+        "crsphere", "crsphere.grammar", "crsphere.ring", "crsphere.scalar"]
 
 
 def test_cli_import_loads_ring_only():
+    """``ring`` with the two modules it is compiled from."""
     assert loaded_modules("import crsphere.cli") == [
-        "crsphere", "crsphere.cli", "crsphere.ring"]
+        "crsphere", "crsphere.cli", "crsphere.grammar", "crsphere.ring",
+        "crsphere.scalar"]
 
 
 def test_analyze_loads_no_verify(tmp_path):
@@ -189,12 +192,39 @@ def test_analyze_loads_no_verify(tmp_path):
     assert loaded_modules(
         "from crsphere.cli import main\n"
         f"assert main(['analyze', {str(f)!r}, '--oracle']) == 0") == [
-        "crsphere", "crsphere.cli", "crsphere.frames", "crsphere.oracle3",
-        "crsphere.ring", "crsphere.spectral", "crsphere.variation"]
+        "crsphere", "crsphere.cli", "crsphere.frames", "crsphere.grammar",
+        "crsphere.oracle3", "crsphere.ring", "crsphere.scalar",
+        "crsphere.spectral", "crsphere.variation"]
 
 
 def test_spectrum_loads_neither_oracle_nor_verify():
     assert loaded_modules("from crsphere.cli import main\n"
                           "assert main(['spectrum']) == 0") == [
-        "crsphere", "crsphere.cli", "crsphere.frames", "crsphere.ring",
-        "crsphere.spectral", "crsphere.variation"]
+        "crsphere", "crsphere.cli", "crsphere.frames", "crsphere.grammar",
+        "crsphere.ring", "crsphere.scalar", "crsphere.spectral",
+        "crsphere.variation"]
+
+
+# -- what compiling each module costs --------------------------------------------
+
+# Every process compiles ``crsphere`` from source (bytecode writing is off
+# where it runs), one module at a time, so the largest module's compile
+# sets the import-time memory peak of every command.  A module whose
+# traced compile peak passes this bound should be split, as ``scalar``
+# and ``grammar`` were split out of ``ring``.  In MB of 2^20 bytes.
+COMPILE_PEAK_MB = 2.8
+
+
+def test_every_module_compiles_under_the_peak_bound():
+    peaks = {}
+    for path in sorted(pathlib.Path(crsphere.__file__).parent.glob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        tracemalloc.start()
+        try:
+            compile(source, str(path), "exec")
+            peaks[path.stem] = tracemalloc.get_traced_memory()[1] / 2 ** 20
+        finally:
+            tracemalloc.stop()
+    table = ", ".join(f"{name} {mb:.2f} MB" for name, mb in peaks.items())
+    assert max(peaks.values()) <= COMPILE_PEAK_MB, (
+        f"compile peaks above {COMPILE_PEAK_MB} MB: {table}")

@@ -218,6 +218,15 @@ def test_scalar_roundtrip():
     assert ExactScalar(0, Fraction(-1, 2)).serialize() == "0/1-1/2*i"
 
 
+@pytest.mark.parametrize("text", ["1/0+0/1*i", "0/1+1/0*i", "3/0-2/0*i"])
+def test_scalar_literal_with_zero_denominator_is_a_value_error(text):
+    """A zero denominator is a bad literal, reported as one, never a
+    ``ZeroDivisionError``."""
+    with pytest.raises(ValueError, match="zero denominator") as exc:
+        parse_scalar(text)
+    assert repr(text) in str(exc.value)
+
+
 @given(polys(n=2))
 def test_grammar_roundtrip(p):
     assert parse_poly(p.to_grammar(), 2) == p

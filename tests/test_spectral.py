@@ -220,6 +220,19 @@ def test_decomposition_multiplies_and_reduces_nothing(monkeypatch,
     assert calls == {}
 
 
+def test_decomposition_table_shares_each_slot(spectral_tables):
+    """Every layer entry naming a slot (P, Q, k) holds the same int
+    object, so a filled table keeps one int per slot, not one per layer."""
+    f = z(3, 2) * w(3, 3) + z(3, 1) * w(3, 4) * ExactScalar(0, 2)
+    g = z(3, 3) ** 2 * w(3, 2) + w(3, 1) * z(3, 4)
+    for p in (f * g, f * f.conjugate(), g * g.conjugate() * f):
+        harmonic_decompose(p)
+    images = spectral_tables(3)[0]
+    slots = [dest for image in images.values() for dest, _ in image]
+    assert len(slots) > len(set(slots)) > 1
+    assert len({id(s) for s in slots}) == len(set(slots))
+
+
 @given(real_polys(), real_polys())
 def test_self_adjoint(f, g):
     lhs = (f * sublaplacian(g)).integral()

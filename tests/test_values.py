@@ -133,3 +133,27 @@ def test_subclass_only_slots_reject_assignment():
     with pytest.raises(AttributeError):
         field.slot = slot + 1
     assert z_field(1, 1, 2).slot == slot == 1
+
+
+@pytest.mark.parametrize("kind", VALUES)
+def test_value_rejects_deletion(kind):
+    """``del`` of a stored name raises ``AttributeError`` and leaves the
+    value whole, on the kernel types as on the frozen dataclasses."""
+    x = VALUES[kind]()
+    for name in _stored_names(x):
+        with pytest.raises(AttributeError):
+            delattr(x, name)
+    assert x == VALUES[kind]()
+
+
+def test_shared_constant_survives_deletion():
+    """``SpherePoly.one(n)`` is one instance for the whole process, so a
+    deleted slot would break it for every later caller."""
+    one = SpherePoly.one(1)
+    for name in ("n", "nums", "den"):
+        with pytest.raises(AttributeError, match="immutable"):
+            delattr(one, name)
+    with pytest.raises(AttributeError, match="immutable"):
+        del _series()._views
+    assert SpherePoly.one(1) is one
+    assert one == SpherePoly.constant(1, 1)

@@ -35,27 +35,39 @@ class ConfigError(ValueError):
     pass
 
 
-def load_config(path: str) -> dict:
-    """Read a ``key = value`` configuration file ('#' starts a comment)."""
-    values: dict[str, str] = {}
-    first_line: dict[str, int] = {}
+def _key_lines(path: str, kind: str):
+    """(line number, line) for each line of the ``key = value`` file at
+    ``path`` that is not blank once its '#' comment is cut off; ``kind``
+    names the file in the error when it cannot be read."""
     try:
         with open(path, encoding="utf-8-sig") as fh:
             lines = fh.readlines()
     except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+        raise ConfigError(f"cannot read {kind} file {path}: {exc}") from exc
     for ln, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+        line = raw.split("#", 1)[0].rstrip("\n")
+        if line.strip():
+            yield ln, line
+
+
+def _once(first_line: dict, key, what: str, path: str, ln: int) -> None:
+    """Record the line ``key`` first appears on; a repeat is an error."""
+    if key in first_line:
+        raise ConfigError(f"{path}:{ln}: repeated {what} (first at line "
+                          f"{first_line[key]})")
+    first_line[key] = ln
+
+
+def load_config(path: str) -> dict:
+    """Read a ``key = value`` configuration file ('#' starts a comment)."""
+    values: dict[str, str] = {}
+    first_line: dict[str, int] = {}
+    for ln, line in _key_lines(path, "config"):
         if "=" not in line:
             raise ConfigError(f"{path}:{ln}: expected 'key = value'")
         key, _, val = line.partition("=")
         key = key.strip()
-        if key in first_line:
-            raise ConfigError(f"{path}:{ln}: repeated key {key!r} (first at "
-                              f"line {first_line[key]})")
-        first_line[key] = ln
+        _once(first_line, key, f"key {key!r}", path, ln)
         values[key] = val.strip()
     return values
 
@@ -101,22 +113,10 @@ def parse_deformation_file(path: str) -> variation.DeformationTensor:
     line, the ``E`` line and each tensor index may appear once, and the
     two coefficient forms are not mixed.
     """
-    try:
-        with open(path, encoding="utf-8-sig") as fh:
-            lines = fh.readlines()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read deformation file {path}: {exc}")
-
     n: int | None = None
     scalar: SpherePoly | None = None
     coeffs: dict = {}
     first_line: dict = {}   # 'n', 'E' or a tensor index -> its line
-
-    def once(key, what: str, ln: int) -> None:
-        if key in first_line:
-            raise ConfigError(f"{path}:{ln}: repeated {what} (first at line "
-                              f"{first_line[key]})")
-        first_line[key] = ln
 
     def poly_at(text: str, ln: int, col0: int) -> SpherePoly:
         try:
@@ -125,10 +125,7 @@ def parse_deformation_file(path: str) -> variation.DeformationTensor:
             raise ConfigError(
                 f"{path}:{ln}:{col0 + exc.column}: {exc.message}") from exc
 
-    for ln, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].rstrip("\n")
-        if not line.strip():
-            continue
+    for ln, line in _key_lines(path, "deformation"):
         head, sep, body = line.partition("=")
         key = head.strip()
         index = re.fullmatch(r"E\[([^\]]*)\]", key)
@@ -138,7 +135,7 @@ def parse_deformation_file(path: str) -> variation.DeformationTensor:
             raise ConfigError(f"{path}:{ln}: unrecognized line "
                               f"{line.strip()!r}")
         if key == "n":
-            once("n", "dimension line 'n = ...'", ln)
+            _once(first_line, "n", "dimension line 'n = ...'", path, ln)
             try:
                 n = int(body.strip())
             except ValueError:
@@ -165,10 +162,11 @@ def parse_deformation_file(path: str) -> variation.DeformationTensor:
                                   "be integers")
             if not (1 <= j < k <= n + 1 and 1 <= l < m <= n + 1):
                 raise ConfigError(f"{path}:{ln}: index pair out of range")
-            once(((j, k), (l, m)), f"tensor index E[{j} {k}, {l} {m}]", ln)
+            _once(first_line, ((j, k), (l, m)),
+                  f"tensor index E[{j} {k}, {l} {m}]", path, ln)
             coeffs[((j, k), (l, m))] = poly_at(body, ln, len(head) + 1)
         else:
-            once("E", "coefficient line 'E = ...'", ln)
+            _once(first_line, "E", "coefficient line 'E = ...'", path, ln)
             scalar = poly_at(body, ln, len(head) + 1)
 
     if n is None:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .scalar import ExactScalar
+from .scalar import ExactScalar, _literal_int
 
 __all__ = ["parse_terms", "PolyParseError", "MAX_TERM_DEGREE"]
 
@@ -69,10 +69,9 @@ def parse_terms(text: str, n: int
         if digits is None:
             return default
         try:
-            return int(digits)
-        except ValueError:      # beyond sys.get_int_max_str_digits()
-            fail(f"integer literal of {len(digits)} digits is too long",
-                 m.start(group))
+            return _literal_int(digits)
+        except ValueError as exc:
+            fail(str(exc), m.start(group))
 
     def flush():
         nonlocal cur

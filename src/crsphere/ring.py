@@ -75,7 +75,8 @@ so other modules only say what the map does to one monomial.
 Value types: :class:`ExactScalar` and the term maps, made without a
 constructor by ``scalar._scalar`` and :func:`_make`, refuse assignment
 and deletion of their own slots and copy and pickle through
-``__reduce__``; :class:`VolumeFactor` is frozen.
+``__reduce__``; :class:`VolumeFactor` is frozen.  A term map holds only
+``n``, ``nums`` and ``den``, nothing that depends on :data:`ORDER`.
 """
 
 from __future__ import annotations
@@ -371,11 +372,6 @@ def _expanded(n: int, items: list[tuple[Key, Gaussian]]):
             yield base + m, (re * c, im * c)
 
 
-def _term_order(item):
-    (a, b), _ = item
-    return (sum(a) + sum(b), a, b)
-
-
 class _TermMap:
     """The stored form shared by :class:`SpherePoly` and :class:`TSeries2`.
 
@@ -518,8 +514,6 @@ def _make(cls: type[_TermMap], n: int, nums: Terms, den: int):
     _set_n(p, n)
     _set_nums(p, nums)
     _set_den(p, den)
-    if cls is TSeries2:     # its coefficient views, built on first use
-        _set_views(p, None)
     return p
 
 
@@ -614,15 +608,8 @@ class SpherePoly(_TermMap):
         return out
 
     def conjugate(self) -> "SpherePoly":
-        """The conjugate: each key's halves swap, in lowest terms still;
-        a monomial key has no order field to keep."""
-        if not self.nums:
-            return self
-        h = _half(self.n)
-        low = (1 << h) - 1
-        return _make(SpherePoly, self.n,
-                     {key >> h | (key & low) << h: (re, -im)
-                      for key, (re, im) in self.nums.items()}, self.den)
+        """The conjugate, by the base's one rule."""
+        return _TermMap.conjugate(self)
 
     # -- structure -------------------------------------------------------
     def is_real(self) -> bool:
@@ -692,7 +679,10 @@ class SpherePoly(_TermMap):
 
     # -- textual form -------------------------------------------------------
     def sorted_terms(self) -> list[tuple[TermKey, ExactScalar]]:
-        return sorted(self.terms.items(), key=_term_order)
+        """The terms in :meth:`to_grammar`'s order (:func:`_texts` ranks)."""
+        n, d, table = self.n, self.den, _texts(self.n)
+        return [(_decode(n, key), _scalar(re, im, d)) for key, (re, im)
+                in sorted(self.nums.items(), key=lambda kc: table[kc[0]])]
 
     def to_grammar(self) -> str:
         """Render in the textual term grammar; ``(re,im) z1^a ... w1^b ...``.
@@ -705,9 +695,8 @@ class SpherePoly(_TermMap):
         n, d = self.n, self.den
         table = _texts(n)
         parts = []
-        for (_, text), (re, im) in sorted(
-                (table[key], c)
-                for key, c in self.nums.items()):
+        for (_, text), (re, im) in sorted((table[key], c)
+                                          for key, c in self.nums.items()):
             gr, gi = math.gcd(re, d), math.gcd(im, d)
             parts.append(f"({re // gr}/{d // gr},{im // gi}/{d // gi}){text}")
         return " ".join(parts)
@@ -874,12 +863,12 @@ class TSeries2(_TermMap):
     pairs only orders i + j <= ORDER (:func:`_add_term_products`) and
     reduces once.  A polynomial is an order-0 series as it stands, so it
     enters as it is, never lifted, and a constant operand scales.  It takes
-    1 to ORDER + 1 coefficients, None for zero after c0; its read-only
-    views (:meth:`coefficients`) are built together on first use, an empty
-    order's the shared :meth:`SpherePoly.zero`.
+    1 to ORDER + 1 coefficients, None for zero after c0.  It holds only its
+    terms, so each read of a coefficient builds it at the :data:`ORDER` in
+    force, an empty order's the shared :meth:`SpherePoly.zero`.
     """
 
-    __slots__ = ("_views",)
+    __slots__ = ()
 
     def __new__(cls, *coeffs: SpherePoly | None):
         if not (coeffs and isinstance(coeffs[0], SpherePoly) and all(
@@ -918,15 +907,18 @@ class TSeries2(_TermMap):
         return parts
 
     def coefficients(self) -> tuple[SpherePoly, ...]:
-        """(c0, c1, ..., c_ORDER), built together on first use."""
-        if self._views is None:
-            zero = SpherePoly.zero(self.n)
-            _set_views(self, tuple(SpherePoly.from_nums(self.n, part, self.den)
-                                   if part else zero
-                                   for part in self.orders()))
-        return self._views
+        """(c0, c1, ..., c_ORDER) at the ORDER in force."""
+        return tuple(map(self._coefficient, range(ORDER + 1)))
 
-    c0, c1, c2 = (property(lambda self, k=k: self.coefficients()[k])
+    def _coefficient(self, k: int) -> SpherePoly:
+        """c_k: one pass keeps the order-k terms and masks the field off."""
+        s = _order_shift(self.n)
+        part = {key & (1 << s) - 1: c for key, c in self.nums.items()
+                if key >> s == k}
+        return (SpherePoly.from_nums(self.n, part, self.den) if part
+                else SpherePoly.zero(self.n))
+
+    c0, c1, c2 = (property(lambda self, k=k: self._coefficient(k))
                   for k in range(3))      # as read by the verdicts
 
     def __mul__(self, other):
@@ -967,9 +959,6 @@ class TSeries2(_TermMap):
     def __repr__(self):
         return "TSeries2(" + " | ".join(c.to_grammar()
                                         for c in self.coefficients()) + ")"
-
-
-_set_views = TSeries2.__dict__["_views"].__set__
 
 
 def _add_term_products(raw: Terms, x: _TermMap, y: _TermMap,

@@ -202,12 +202,24 @@ _SCALAR_RE = re.compile(
     r"^\s*(-?\d+)/(\d+)\s*([+-])\s*(\d+)/(\d+)\*i\s*$")
 
 
+def _literal_int(digits: str) -> int:
+    """A literal's digits as an int, for scalars and the term grammar."""
+    try:
+        return int(digits)
+    except ValueError:      # beyond sys.get_int_max_str_digits()
+        raise ValueError(f"integer literal of {len(digits)} digits is too "
+                         "long") from None
+
+
 def parse_scalar(text: str) -> ExactScalar:
     """Inverse of :meth:`ExactScalar.serialize`."""
     m = _SCALAR_RE.match(text)
     if m is None:
         raise ValueError(f"bad ExactScalar literal: {text!r}")
-    re_num, re_den, im_num, im_den = map(int, m.group(1, 2, 4, 5))
+    try:
+        re_num, re_den, im_num, im_den = map(_literal_int, m.group(1, 2, 4, 5))
+    except ValueError as exc:
+        raise ValueError(f"{exc} in ExactScalar literal: {text!r}") from None
     if re_den == 0 or im_den == 0:
         raise ValueError(f"zero denominator in ExactScalar literal: {text!r}")
     im_part = Fraction(im_num, im_den)

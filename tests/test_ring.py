@@ -227,6 +227,19 @@ def test_scalar_literal_with_zero_denominator_is_a_value_error(text):
     assert repr(text) in str(exc.value)
 
 
+@pytest.mark.parametrize("text", [
+    "1" * 5000 + "/1+0/1*i", "1/" + "1" * 5000 + "+0/1*i",
+    "1/1+" + "1" * 5000 + "/1*i", "1/1-1/" + "1" * 5000 + "*i"],
+    ids=["re-num", "re-den", "im-num", "im-den"])
+def test_scalar_literal_with_too_long_integer_is_a_value_error(text):
+    """An integer past Python's digit limit is reported by the rule the
+    term grammar also reads, naming the literal."""
+    with pytest.raises(ValueError, match="integer literal of 5000 digits "
+                       "is too long in ExactScalar literal") as exc:
+        parse_scalar(text)
+    assert repr(text) in str(exc.value)
+
+
 @given(polys(n=2))
 def test_grammar_roundtrip(p):
     assert parse_poly(p.to_grammar(), 2) == p
@@ -282,7 +295,7 @@ def test_parse_caps_term_degree_and_literal_length():
     with pytest.raises(PolyParseError) as exc:
         parse_poly("(1/1,0/1) z1\n(1/1," + "3" * 5000 + ") z2", 1)
     assert (exc.value.line, exc.value.column) == (2, 6)
-    assert "integer literal of 5000 digits is too long" in str(exc.value)
+    assert exc.value.message == "integer literal of 5000 digits is too long"
 
 
 def test_scalar_rejects_bool():

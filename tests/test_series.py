@@ -364,13 +364,31 @@ def test_from_orders_has_the_constructors_order_rule(parts):
 @pytest.mark.parametrize("c0", [SpherePoly.constant(1, 2),
                                 SpherePoly.one(1) + SpherePoly.z(1, 1)],
                          ids=["two", "one-plus-z1"])
-def test_fractional_power_needs_constant_term_one(c0):
-    """The order-0 part is checked on the stored form: no view is built."""
-    s = TSeries2.from_orders(1, [c0.nums, SpherePoly.z(1, 2).nums], c0.den)
-    assert s._views is None
+def test_fractional_power_needs_constant_term_one(c0, monkeypatch):
+    """The order-0 part is checked on the stored form: no coefficient
+    polynomial is built."""
+    z2 = SpherePoly.z(1, 2)
+    s = TSeries2.from_orders(1, [c0.nums, z2.nums], c0.den)
+    built = []
+    from_nums = SpherePoly.from_nums.__func__
+    monkeypatch.setattr(SpherePoly, "from_nums", classmethod(
+        lambda cls, *args: built.append(args) or from_nums(cls, *args)))
     with pytest.raises(ValueError, match="constant term 1"):
         s.fractional_power(Fraction(1, 2))
-    assert s._views is None
+    assert built == []
+    assert s.c1 == z2 and len(built) == 1     # the count sees a build
+
+
+def test_series_reads_the_order_in_force(monkeypatch):
+    """A series holds only its terms: coefficients read at ORDER 2 do not
+    stay in force once ORDER is raised."""
+    s = TSeries2(SpherePoly.one(1), SpherePoly.z(1, 1))
+    assert len(s.coefficients()) == ORDER + 1 == 3
+    monkeypatch.setattr(ring, "ORDER", 3)
+    coeffs = s.coefficients()
+    assert coeffs == (SpherePoly.one(1), SpherePoly.z(1, 1),
+                      SpherePoly.zero(1), SpherePoly.zero(1))
+    assert (s.c0, s.c1, s.c2) == coeffs[:3]
 
 
 def test_fractional_power_of_one_is_one():

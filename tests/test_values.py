@@ -24,7 +24,7 @@ from test_ring import z, w
 
 def _series():
     s = TSeries2(z(1, 1) * w(1, 2), None, SpherePoly.constant(1, 3))
-    s.coefficients()        # its views are built, and not copied
+    s.coefficients()        # read, which leaves the series as it was
     return s
 
 
@@ -121,18 +121,22 @@ def test_value_rejects_assignment(kind):
 
 
 def test_subclass_only_slots_reject_assignment():
-    """``TSeries2._views`` and the frame field's ``slot`` live only on the
-    subclass; both refuse assignment, and the shared field keeps its
-    slot."""
-    assert {"_views"} <= _stored_names(_series())
+    """The frame field's ``slot`` lives only on the subclass; it refuses
+    assignment, and the shared field keeps its slot."""
     field = z_field(1, 1, 2)
     assert {"slot"} <= _stored_names(field)
     slot = field.slot
     with pytest.raises(AttributeError):
-        _series()._views = ()
-    with pytest.raises(AttributeError):
         field.slot = slot + 1
     assert z_field(1, 1, 2).slot == slot == 1
+
+
+def test_term_maps_store_only_their_terms():
+    """A polynomial and a series hold ``n``, ``nums`` and ``den`` and
+    nothing else, so no cache can go stale when ``ring.ORDER`` changes."""
+    assert SpherePoly.__slots__ == TSeries2.__slots__ == ()
+    assert _stored_names(_series()) == _stored_names(SpherePoly.one(1)) \
+        == {"n", "nums", "den"}
 
 
 @pytest.mark.parametrize("kind", VALUES)
@@ -153,7 +157,5 @@ def test_shared_constant_survives_deletion():
     for name in ("n", "nums", "den"):
         with pytest.raises(AttributeError, match="immutable"):
             delattr(one, name)
-    with pytest.raises(AttributeError, match="immutable"):
-        del _series()._views
     assert SpherePoly.one(1) is one
     assert one == SpherePoly.constant(1, 1)

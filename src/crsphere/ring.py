@@ -899,22 +899,31 @@ class TSeries2(_TermMap):
                                       for key, c in part.items()}, den)
 
     def orders(self) -> list[Terms]:
-        """Each order's terms over ``den``, keys without the order field."""
+        """Each order's terms over ``den``, keys without the order field;
+        a term past the ORDER in force raises ValueError."""
         s = _order_shift(self.n)
         parts = [{} for _ in range(ORDER + 1)]
-        for key, c in self.nums.items():
-            parts[key >> s][key & (1 << s) - 1] = c
+        try:
+            for key, c in self.nums.items():
+                parts[key >> s][key & (1 << s) - 1] = c
+        except IndexError:
+            raise ValueError(f"a series term of order {max(self.nums) >> s}"
+                             f" is past ORDER = {ORDER}") from None
         return parts
 
     def coefficients(self) -> tuple[SpherePoly, ...]:
-        """(c0, c1, ..., c_ORDER) at the ORDER in force."""
-        return tuple(map(self._coefficient, range(ORDER + 1)))
+        """(c0, c1, ..., c_ORDER) at the ORDER in force, from
+        :meth:`orders`."""
+        return tuple(map(self._polynomial, self.orders()))
 
     def _coefficient(self, k: int) -> SpherePoly:
         """c_k: one pass keeps the order-k terms and masks the field off."""
         s = _order_shift(self.n)
-        part = {key & (1 << s) - 1: c for key, c in self.nums.items()
-                if key >> s == k}
+        return self._polynomial({key & (1 << s) - 1: c for key, c
+                                 in self.nums.items() if key >> s == k})
+
+    def _polynomial(self, part: Terms) -> SpherePoly:
+        """The polynomial part / den, the shared zero when part is empty."""
         return (SpherePoly.from_nums(self.n, part, self.den) if part
                 else SpherePoly.zero(self.n))
 

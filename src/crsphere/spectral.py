@@ -24,19 +24,21 @@ Both operators are linear and fixed, so each applies through a per-n
 over integer weights.  This module says what each does to one monomial:
 
 * its decomposition image is its nonzero layers h_k, from its box
-  powers and :func:`_layer_rows`, each a slot (P, Q, k) packed into one
-  int, its destination, and (key, integer weight) pairs over the row's
-  denominator, which a third table holds by slot with its component;
+  powers and :func:`_layer_rows`: layer k of a bidegree-(P, Q) monomial
+  lies in the component (P - k, Q - k), which is its destination, with
+  (key, integer weight) pairs over that component's denominator;
 * its sub-Laplacian image is (key, -2 lambda) and (key', 2 box weight)
   over the denominator 2, from :func:`_double_eigenvalue` and
   ``ring.box``.  Keys are read only by ``ring`` (box, ``bidegree``).
 
-Component order: parts by ascending (P, Q), each from its deepest
-nonzero layer up to k = 0, in the order the box-power solve meets them.
-A part A's layer k is nonzero exactly when box^k A is: box^k A holds no
-z_1 zbar_1, so when nonzero it is no |z|^2 multiple and has a nonzero
-harmonic layer.  So the nonzero slots, sorted, give that order, though
-layers of several monomials may cancel.
+The decomposition table has a depth K: it serves the monomials with
+min(|a|, |b|) <= K.  Component (p, q) is fed by layer j of the parts
+(p + j, q + j), j <= K - min(p, q), so its weights are over D_pq(K), the
+lcm of those layers' row denominators, and its destination is the
+triple (p, q, D_pq(K)), one tuple per component held by a table of the
+build.  A monomial deeper than K rebuilds the table at the depth of the
+polynomial that holds it, so the depth never shrinks and one table per
+n is held.  Components come in ascending (p, q).
 """
 
 from __future__ import annotations
@@ -99,60 +101,62 @@ def _layer_rows(deg_p: int, deg_q: int,
 
 
 # An image: ((destination, ((key, weight), ...)), ...)
-Image = tuple[tuple[int, tuple[tuple[Key, int], ...]], ...]
-
-# A slot (P, Q, k) is the int (P W + Q) W + W - 1 - k with W = _SLOT, so
-# slots sort as (P, Q, -k); every degree is below 128 (see ``ring``).
-_SLOT = 256
+Image = tuple[tuple[object, tuple[tuple[Key, int], ...]], ...]
 
 
-@functools.cache
-def _slot(p: int, q: int, k: int) -> int:
-    """The slot (p, q, k), one int object per slot for every table entry
-    that names it."""
-    return (p * _SLOT + q) * _SLOT + _SLOT - 1 - k
+class _TooDeep(Exception):
+    """A monomial past the decomposition table's depth."""
 
 
 @functools.cache
-def _tables(n: int) -> tuple[LazyTable, LazyTable, LazyTable]:
+def _tables(n: int) -> tuple[LazyTable, LazyTable]:
     """The decomposition and sub-Laplacian image tables of dimension n,
-    keyed by normal-form monomial, and each slot's component and row
-    denominator, keyed by slot."""
-    return (LazyTable(functools.partial(_layers, n)),
-            LazyTable(functools.partial(_sublaplacian_image, n)),
-            LazyTable(functools.partial(_slot_row, n)))
+    keyed by normal-form monomial; the first starts at depth 0."""
+    images = LazyTable(None)
+    _build(images, n, 0)
+    return images, LazyTable(functools.partial(_sublaplacian_image, n))
 
 
-def _slot_row(n: int, slot: int) -> tuple[tuple[int, int], int]:
-    """The component (P - k, Q - k) of the slot (P, Q, k) and the
-    denominator of its layer row."""
-    pq, r = divmod(slot, _SLOT)
-    p, q = divmod(pq, _SLOT)
-    k = _SLOT - 1 - r
-    return (p - k, q - k), _layer_rows(p, q, n)[min(p, q) - k][1]
+def _build(images: LazyTable, n: int, depth: int) -> None:
+    """Empty the decomposition table ``images`` of dimension n, to be
+    filled at ``depth`` from now on, with a table of the destination of
+    each component at that depth."""
+    images.clear()
+    images.fill = functools.partial(_layers, n, depth, LazyTable(
+        functools.partial(_destination, n, depth)))
 
 
-def _layers(n: int, key: Key) -> Image:
-    """The decomposition image of the monomial ``key``.
+def _destination(n: int, depth: int,
+                 pq: tuple[int, int]) -> tuple[int, int, int]:
+    """The destination (p, q, D_pq(depth)) of the component (p, q); layer
+    j of the part (p + j, q + j) is row min(p, q) of its layer rows."""
+    p, q = pq
+    m = min(p, q)
+    return p, q, math.lcm(*(_layer_rows(p + j, q + j, n)[m][1]
+                            for j in range(depth - m + 1)))
 
-    Its nonzero layers h_k, from its box powers and :func:`_layer_rows`,
-    deepest first: each is (slot, pairs), h_k = sum w z^a' zbar^b' / d
-    over the pairs (key of z^a' zbar^b', w), integer w over the row's
-    denominator d, and slot = :func:`_slot` (P, Q, k), packed so that
-    slots sort as (P, Q, -k).
-    """
+
+def _layers(n: int, depth: int, dests: LazyTable, key: Key) -> Image:
+    """The decomposition image of the monomial ``key`` at ``depth``: its
+    nonzero layers h_k, deepest first, each (``dests[P - k, Q - k]``,
+    pairs) with h_k = sum w z^a' zbar^b' / D over the pairs (key of
+    z^a' zbar^b', w), D the destination's denominator.  Raises
+    :class:`_TooDeep` past ``depth``."""
     p, q = bidegree(n, key)
+    if min(p, q) > depth:
+        raise _TooDeep
     powers = [{key: (1, 0)}]
     while powers[-1]:
         powers.append(box(n, powers[-1]))
     image = []
-    for k, _, row in _layer_rows(p, q, n):
+    for k, d, row in _layer_rows(p, q, n):
+        dest = dests[p - k, q - k]
         layer: Terms = {}
         for power, a in zip(powers[k:-1], row):
-            accumulate(layer, power.items(), a)
+            accumulate(layer, power.items(), a * (dest[2] // d))
         if layer:
-            image.append((_slot(p, q, k), tuple((k2, re) for k2, (re, _)
-                                                in layer.items())))
+            image.append((dest, tuple((k2, re) for k2, (re, _)
+                                      in layer.items())))
     return tuple(image)
 
 
@@ -194,31 +198,22 @@ def harmonic_decompose(f: SpherePoly) -> HarmonicDecomposition:
     """Split f into restrictions of ambient harmonic bihomogeneous pieces.
 
     The sum of c times the table image of each term c z^a zbar^b: each
-    slot (P, Q, k) sums layer k of f's bidegree-(P, Q) part over its
-    row's denominator, and the nonzero slots, in slot order, add up to
-    the components in the module docstring's order.
+    destination (p, q, D) sums the component (p, q) over D, and the
+    nonzero ones, in ascending (p, q), are the components.  A term past
+    the table's depth first rebuilds the table at f's depth.
     """
     n = f.n
-    images, _, rows = _tables(n)
-    slots: dict[int, Terms] = {}
-    apply_table(slots, f.nums, images)
-    groups: dict[tuple[int, int], list[tuple[int, Terms]]] = {}
-    for s in sorted([slot for slot, layer in slots.items() if layer]):
-        pq, d = rows[s]
-        groups.setdefault(pq, []).append((d, slots[s]))
-    components = {}
-    for pq, group in groups.items():
-        if len(group) == 1:
-            [(den, dst)] = group
-        else:
-            den = math.lcm(*(d for d, _ in group))
-            dst = {}
-            for d, layer in group:
-                accumulate(dst, layer.items(), den // d)
-            if not dst:
-                continue
-        components[pq] = SpherePoly.from_nums(n, dst, den * f.den)
-    return HarmonicDecomposition(n=n, components=components)
+    images = _tables(n)[0]
+    parts: dict[tuple[int, int, int], Terms] = {}
+    try:
+        apply_table(parts, f.nums, images)
+    except _TooDeep:
+        _build(images, n, max(min(bidegree(n, key)) for key in f.nums))
+        parts.clear()
+        apply_table(parts, f.nums, images)
+    return HarmonicDecomposition(n, {
+        (p, q): SpherePoly.from_nums(n, nums, den * f.den)
+        for (p, q, den), nums in sorted(parts.items()) if nums})
 
 
 def _double_eigenvalue(p: int, q: int, n: int) -> int:

@@ -92,18 +92,19 @@ def unit_phase() -> ExactScalar:
 @pytest.fixture
 def emptied():
     """``emptied(*tables)`` empties each ``ring.LazyTable`` given for the
-    test; their entries are put back after it."""
+    test; their entries and fill functions are put back after it."""
     saved = []
 
     def empty(*tables):
         for table in tables:
-            saved.append((table, dict(table)))
+            saved.append((table, dict(table), table.fill))
             table.clear()
 
     yield empty
-    for table, entries in reversed(saved):
+    for table, entries, fill in reversed(saved):
         table.clear()
         table.update(entries)
+        table.fill = fill
 
 
 @pytest.fixture
@@ -122,7 +123,9 @@ def projection_tables(emptied):
 
 @pytest.fixture
 def spectral_tables(emptied):
-    """``spectral._tables``, with the n = 1, 2, 3 decomposition,
-    sub-Laplacian and row-denominator tables emptied."""
+    """``spectral._tables``, with the n = 1, 2, 3 decomposition and
+    sub-Laplacian tables emptied, the decomposition tables at depth 0."""
     emptied(*(t for n in (1, 2, 3) for t in spectral._tables(n)))
+    for n in (1, 2, 3):
+        spectral._build(spectral._tables(n)[0], n, 0)
     return spectral._tables

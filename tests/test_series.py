@@ -391,6 +391,19 @@ def test_series_reads_the_order_in_force(monkeypatch):
     assert (s.c0, s.c1, s.c2) == coeffs[:3]
 
 
+def test_a_term_past_the_order_in_force_is_an_error(monkeypatch):
+    """A t^3 term made at ORDER 3 and read at ORDER 2 raises one
+    ValueError, by orders() and by coefficients(), naming its order and
+    ORDER: it is neither dropped nor an IndexError."""
+    monkeypatch.setattr(ring, "ORDER", 3)
+    s = TSeries2(SpherePoly.one(1), None, None, SpherePoly.z(1, 1))
+    monkeypatch.setattr(ring, "ORDER", 2)
+    for read in (s.orders, s.coefficients):
+        with pytest.raises(ValueError,
+                           match=r"order 3 is past ORDER = 2"):
+            read()
+
+
 def test_fractional_power_of_one_is_one():
     one = TSeries2.constant(1, 1)
     assert one.fractional_power(Fraction(-2, 3)) == one == 1

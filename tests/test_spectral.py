@@ -184,6 +184,19 @@ def test_no_decomposition_behind_the_operator(monkeypatch):
     assert calls == []
 
 
+def call_counter(monkeypatch, calls):
+    """``count(owner, name)``: wrap ``owner.name`` for the test so that
+    ``calls[name]`` counts its calls."""
+    def count(owner, name):
+        original = getattr(owner, name)
+
+        def wrapper(*args):
+            calls[name] = calls.get(name, 0) + 1
+            return original(*args)
+        monkeypatch.setattr(owner, name, wrapper)
+    return count
+
+
 def test_decomposition_multiplies_and_reduces_nothing(monkeypatch,
                                                      spectral_tables):
     # the layers come from box powers, which stay in normal form, by a
@@ -192,15 +205,7 @@ def test_decomposition_multiplies_and_reduces_nothing(monkeypatch,
     f = (z(3, 2) * w(3, 2)) ** 3 * (z(3, 3) * w(3, 4)) ** 2 + z(3, 1) * w(3, 2)
     g = f * ExactScalar(2, -1) + z(3, 4) * w(3, 3)     # the same (P, Q)
     calls = {}
-
-    def count(owner, name):
-        original = getattr(owner, name)
-
-        def wrapper(*args):
-            calls[name] = calls.get(name, 0) + 1
-            return original(*args)
-        monkeypatch.setattr(owner, name, wrapper)
-
+    count = call_counter(monkeypatch, calls)
     count(ring, "reduce_nums")
     count(ring.SpherePoly, "__mul__")
     count(spectral, "_box_factor")
@@ -220,17 +225,56 @@ def test_decomposition_multiplies_and_reduces_nothing(monkeypatch,
     assert calls == {}
 
 
-def test_decomposition_table_shares_each_slot(spectral_tables):
-    """Every layer entry naming a slot (P, Q, k) holds the same int
-    object, so a filled table keeps one int per slot, not one per layer."""
+def test_decomposition_table_shares_each_component(spectral_tables):
+    """Every layer entry naming a component (p, q, D) holds the same tuple
+    object, so a filled table keeps one destination per component, not
+    one per layer."""
     f = z(3, 2) * w(3, 3) + z(3, 1) * w(3, 4) * ExactScalar(0, 2)
     g = z(3, 3) ** 2 * w(3, 2) + w(3, 1) * z(3, 4)
     for p in (f * g, f * f.conjugate(), g * g.conjugate() * f):
         harmonic_decompose(p)
     images = spectral_tables(3)[0]
-    slots = [dest for image in images.values() for dest, _ in image]
-    assert len(slots) > len(set(slots)) > 1
-    assert len({id(s) for s in slots}) == len(set(slots))
+    dests = [dest for image in images.values() for dest, _ in image]
+    assert len(dests) > len(set(dests)) > 1
+    assert len({id(d) for d in dests}) == len(set(dests))
+
+
+def test_warm_decomposition_makes_one_polynomial_per_component(monkeypatch):
+    """Once its monomials are tabled, a decomposition is one table pass
+    and one ``from_nums`` per component: no denominator is combined and
+    no term map is summed into another."""
+    f = z(3, 2) * w(3, 3) + z(3, 1) * w(3, 4) * ExactScalar(0, 2) + w(3, 2)
+    g = z(3, 3) ** 2 * w(3, 2) + w(3, 1) * z(3, 4) - z(3, 2) * w(3, 2)
+    prod = f * g * f.conjugate()
+    harmonic_decompose(prod)                 # fills the table
+    calls = {}
+    count = call_counter(monkeypatch, calls)
+    count(math, "lcm")
+    count(ring, "accumulate")
+    count(spectral, "accumulate")
+    count(SpherePoly, "from_nums")
+    components = harmonic_decompose(prod).components
+    assert len(components) > 3
+    assert calls == {"from_nums": len(components)}
+
+
+def test_decomposition_table_deepens_and_never_shrinks(spectral_tables):
+    """A monomial past the table's depth rebuilds it at its polynomial's
+    depth; a shallower one later keeps that depth.  Every result equals
+    the reference, in ascending (p, q), with equal nums and den."""
+    n, text = DEEP_CASES[0]
+    images = spectral_tables(n)[0]
+    shallow = z(1, 1) * w(1, 2) + z(1, 2) ** 3 * w(1, 1) * ExactScalar(2, 1)
+    deep = parse_poly(text, n)
+    depths, keys = [images.fill.args[:2]], []
+    for f in (shallow, deep, shallow):
+        assert_matches_reference(f)
+        depths.append(images.fill.args[:2])
+        keys.append(set(images))
+    assert depths == [(n, 0), (n, 1), (n, 6), (n, 6)]
+    # a rebuild empties the table: one table per n at a time
+    assert keys == [set(shallow.nums), set(deep.nums),
+                    set(deep.nums) | set(shallow.nums)]
 
 
 @given(real_polys(), real_polys())
@@ -400,11 +444,11 @@ def reference_sublaplacian(f):
 
 
 def assert_matches_reference(f):
-    """The table route gives the reference's components, in its order,
-    and its sub-Laplacian, with equal nums and den."""
+    """The table route gives the reference's components, in ascending
+    (p, q), and its sub-Laplacian, with equal nums and den."""
     want = reference_decompose(f)
     got = harmonic_decompose(f).components
-    assert list(got) == list(want)
+    assert list(got) == sorted(want)
     assert all((got[pq].nums, got[pq].den) == (c.nums, c.den)
                for pq, c in want.items())
     lap, want_lap = sublaplacian(f), reference_sublaplacian(f)
@@ -427,8 +471,8 @@ def test_table_route_matches_reference_cold_and_warm(spectral_tables):
     (2, "(1/1,0/1) z2 w2 (1/1,0/1) z2^2 w2^2")])
 def test_deep_parts_match_reference_cold_and_warm(n, text, spectral_tables):
     # the first extra case's (1, 1) part is harmonic, so its box image is
-    # zero although each of its monomials has a (0, 0) layer: the (0, 0)
-    # component is first met by the (2, 2) part, after (1, 1)
+    # zero although each of its monomials has a (0, 0) layer: those layers
+    # cancel in the (0, 0) destination, which the (2, 2) part alone feeds
     f = parse_poly(text, n)
     assert_matches_reference(f)
     assert_matches_reference(f)
@@ -452,9 +496,11 @@ def test_kernel_products_match_reference(monkeypatch, spectral_tables):
 def test_every_table_weight_is_pinned_by_an_identity(spectral_tables):
     """Fill the n = 1 and n = 2 tables from monomial_pool(n, 4) through the
     spectral suite's two identities: the components reconstruct f, and
-    each is an eigenfunction with eigenvalue pq + n(p + q)/2.  Then negate
-    each weight of each table entry in turn: every negation must break an
-    identity on a pool member whose decomposition reads that entry."""
+    each is an eigenfunction with eigenvalue pq + n(p + q)/2.  The pool
+    deepens the decomposition table to depth 2, so its weights are over
+    each component's D_pq(2).  Then negate each weight of each table
+    entry in turn: every negation must break an identity on a pool
+    member whose decomposition reads that entry."""
     def broken(f):
         dec = harmonic_decompose(f)
         return dec.reconstruct() != f or any(
@@ -472,6 +518,7 @@ def test_every_table_weight_is_pinned_by_an_identity(spectral_tables):
     for n in (1, 2):
         pool = [f for _, f in monomial_pool(n, 4)]
         assert not any(map(broken, pool))
+        assert spectral_tables(n)[0].fill.args[:2] == (n, 2)
         # the pool members whose identities read each entry
         readers = ({}, {})
         for f in pool:

@@ -28,13 +28,13 @@ s has a ``ring.LazyTable``, one per n, from packed normal-form monomial
 ``ring.apply_table`` applies.  The field's ambient coefficients times the
 monomial's ambient derivatives (``ring.partial``), reduced, fill its entry
 the first time it is met; no key is read here.  Every vector applies as
-x(f) = sum_s x_s X_s(f), each X_s(f) read from the tables, whether slots
-and f are polynomials or series; a shared frame field X_s and the
-exterior derivative read X_s(f) straight from slot s's table.  A
-series' image is computed per coefficient: the table is applied to each
-order's terms without the order field (``TSeries2.orders``) and the
-order is added back, so the tables stay keyed by plain
-monomials.  The tight-frame projection
+x(f) = sum_s x_s X_s(f), each X_s(f) read from the tables, summed by one
+``ring.sum_of_products`` whether slots and f are polynomials or series; a
+shared frame field X_s and the exterior derivative read X_s(f) straight
+from slot s's table.  A series' image is computed per coefficient: the
+table is applied to each order's terms without the order field
+(``TSeries2.orders``) and the order is added back, so the tables stay
+keyed by plain monomials.  The tight-frame projection
 c -> conj(H) c H of a tensor's coefficients is fixed and linear too: it
 has one table per input pair (:func:`_projections`), whose entry for a
 monomial holds its reduced integer images at every output pair, filled
@@ -62,7 +62,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from operator import add, mul
+from operator import add
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
@@ -214,24 +214,26 @@ class FrameVector(_SlotTuple):
         """Expand a tangential ambient derivation over the frame.
 
         The slots are theta(X), theta_jk(X) and thetabar_jk(X), read off
-        the ambient coefficients; by tightness they reconstruct X, and
-        that exactness is asserted.
+        the ambient coefficients, each one ``ring.sum_of_products``, as is
+        the tangency check sum (zbar_a v_a + z_a w_a) = 0; by tightness
+        they reconstruct X, and that exactness is asserted.
         """
         v, w = tuple(v), tuple(w)
         zs, ws = _coords(n)
-        tangency = theta_of = SpherePoly.zero(n)
-        for a in range(n + 1):    # theta = i sum (z_a dzbar_a - zbar_a dz_a)
-            zw, wv = _times(zs[a], w[a]), _times(ws[a], v[a])
-            tangency = tangency + wv + zw
-            theta_of = theta_of + zw - wv
-        if not tangency.is_zero():
+
+        def paired(sign):           # sum z_a w_a + sign zbar_a v_a
+            return sum_of_products(n, [t for a in range(n + 1) for t in (
+                (zs[a], w[a], 1), (ws[a], v[a], sign))])
+
+        def minor(u, c, j, k):      # u_j c_k - u_k c_j
+            return sum_of_products(n, [(u[j - 1], c[k - 1], 1),
+                                       (u[k - 1], c[j - 1], -1)])
+        if not paired(1).is_zero():
             raise ValueError("derivation is not tangent to the sphere")
         pairs = index_pairs(n)
-        out = FrameVector(n, [_times(_I, theta_of)]
-                          + [_times(zs[j - 1], v[k - 1])
-                             - _times(zs[k - 1], v[j - 1]) for j, k in pairs]
-                          + [_times(ws[j - 1], w[k - 1])
-                             - _times(ws[k - 1], w[j - 1]) for j, k in pairs])
+        out = FrameVector(n, [paired(-1) * _I]      # theta(X)
+                          + [minor(zs, v, j, k) for j, k in pairs]
+                          + [minor(ws, w, j, k) for j, k in pairs])
         if out.ambient() != (v, w):
             raise AssertionError("tight-frame reconstruction failed")
         return out
@@ -240,11 +242,6 @@ class FrameVector(_SlotTuple):
         if not isinstance(other, FrameVector):
             return NotImplemented
         return self.n == other.n and self.ambient() == other.ambient()
-
-
-def _times(c, x: Ring) -> Ring:
-    """c x, or x itself when x is zero: no product with a zero factor."""
-    return x if x.is_zero() else c * x
 
 
 def reeb(n: int) -> FrameVector:
@@ -293,20 +290,22 @@ def field_apply(x: FrameVector, f: Ring) -> Ring:
     """x(f) = sum_s x_s X_s(f) for a function or series f.
 
     A shared frame field X_s reads X_s(f) straight from its table
-    (:func:`_field_image`).  Any other vector multiplies each nonzero
-    X_s(f) by a nonzero x_s.  Slots and f may be polynomials or series;
-    x(f) is a series when either is, zero too.
+    (:func:`_field_image`).  Any other vector sums its :func:`_applied`
+    products with one ``ring.sum_of_products``.  Slots and f may be
+    polynomials or series; x(f) is a series when either is, zero too.
     """
     if x.n != f.n:
         raise ValueError("dimension mismatch")
     if type(x) is _FrameField:
         return _field_image(x.n, x.slot, f)
-    parts = [c * part for s, c in enumerate(x.slots) if not c.is_zero()
-             and not (part := _field_image(x.n, s, f)).is_zero()]
-    if parts:
-        return functools.reduce(add, parts)
-    series = isinstance(x.slots[0], TSeries2) or isinstance(f, TSeries2)
-    return (TSeries2 if series else SpherePoly).zero(x.n)
+    return sum_of_products(x.n, _applied(x, f))
+
+
+def _applied(x: FrameVector, f: Ring, k: int = 1) -> list:
+    """The ``sum_of_products`` items (x_s, X_s(f), k) of k x(f); a zero x_s
+    pairs with f, adding no product but still its ring and f's."""
+    return [(c, f if c.is_zero() else _field_image(x.n, s, f), k)
+            for s, c in enumerate(x.slots)]
 
 
 def _field_image(n: int, s: int, f: Ring, plus: int = 0) -> Ring:
@@ -406,14 +405,16 @@ def _pair(a: Slots, x: Slots) -> Ring:
 
     conj H[(lm),(rs)] = H[(rs),(lm)], so the (0,1) block reads H transposed.
     """
-    slot = _slot_of(a[0].n)
+    n = a[0].n
+    slot = _slot_of(n)
     p = len(slot)
-    total = a[0] * x[0]
-    for (lm, rs), g in _gram_right(a[0].n).items():
-        if not g.is_zero():
-            l, r = slot[lm], slot[rs]
-            total = total + (a[l] * x[r] + a[p + r] * x[p + l]) * g
-    return total
+    items = [(a[0], x[0], 1)]
+    for (lm, rs), g in _gram_right(n).items():
+        l, r = slot[lm], slot[rs]
+        items += [(g, al * xr, 1) for al, xr in ((a[l], x[r]),
+                                                 (a[p + r], x[p + l]))
+                  if g.nums and al.nums and xr.nums]
+    return sum_of_products(n, items)
 
 
 def wedge(a: Slots, b: Slots) -> Slots:
@@ -499,8 +500,8 @@ def levi_pairing(v: FrameVector, w: FrameVector) -> SpherePoly:
         raise ValueError("levi_pairing requires holomorphic-type fields")
     va, _ = v.ambient()
     wa, _ = w.ambient()
-    return sum((x * y.conjugate() for x, y in zip(va, wa)),
-               SpherePoly.zero(v.n))
+    return sum_of_products(v.n, [(x, y.conjugate(), 1)
+                                 for x, y in zip(va, wa)])
 
 
 def sharp_pairing(v: FrameVector, wbar: FrameVector) -> SpherePoly:
@@ -513,7 +514,7 @@ def sharp_pairing(v: FrameVector, wbar: FrameVector) -> SpherePoly:
         raise ValueError("dimension mismatch")
     va, _ = v.ambient()
     _, wb = wbar.ambient()
-    return sum(map(mul, va, wb), SpherePoly.zero(v.n))
+    return sum_of_products(v.n, [(x, y, 1) for x, y in zip(va, wb)])
 
 
 def bracket(x: FrameVector, y: FrameVector) -> FrameVector:
@@ -522,14 +523,10 @@ def bracket(x: FrameVector, y: FrameVector) -> FrameVector:
     if x.n != y.n:
         raise ValueError("dimension mismatch")
     n = x.n
-    xv, xw = x.ambient()
-    yv, yw = y.ambient()
-    v = []
-    w = []
-    for a in range(n + 1):
-        v.append(field_apply(x, yv[a]) - field_apply(y, xv[a]))
-        w.append(field_apply(x, yw[a]) - field_apply(y, xw[a]))
-    return FrameVector.from_ambient(n, v, w)
+    (xv, xw), (yv, yw) = x.ambient(), y.ambient()
+    vw = [sum_of_products(n, _applied(x, yc) + _applied(y, xc, -1))
+          for yc, xc in zip(yv + yw, xv + xw)]
+    return FrameVector.from_ambient(n, vw[:n + 1], vw[n + 1:])
 
 
 @dataclass(frozen=True, slots=True, eq=False, repr=False)

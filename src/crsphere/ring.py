@@ -864,8 +864,9 @@ class TSeries2(_TermMap):
     reduces once.  A polynomial is an order-0 series as it stands, so it
     enters as it is, never lifted, and a constant operand scales.  It takes
     1 to ORDER + 1 coefficients, None for zero after c0.  It holds only its
-    terms, so each read of a coefficient builds it at the :data:`ORDER` in
-    force, an empty order's the shared :meth:`SpherePoly.zero`.
+    terms, so every read of a coefficient splits them by :meth:`orders` at
+    the :data:`ORDER` in force, which raises on a term past it; an empty
+    order reads as the shared :meth:`SpherePoly.zero`.
     """
 
     __slots__ = ()
@@ -916,19 +917,13 @@ class TSeries2(_TermMap):
         :meth:`orders`."""
         return tuple(map(self._polynomial, self.orders()))
 
-    def _coefficient(self, k: int) -> SpherePoly:
-        """c_k: one pass keeps the order-k terms and masks the field off."""
-        s = _order_shift(self.n)
-        return self._polynomial({key & (1 << s) - 1: c for key, c
-                                 in self.nums.items() if key >> s == k})
-
     def _polynomial(self, part: Terms) -> SpherePoly:
         """The polynomial part / den, the shared zero when part is empty."""
         return (SpherePoly.from_nums(self.n, part, self.den) if part
                 else SpherePoly.zero(self.n))
 
-    c0, c1, c2 = (property(lambda self, k=k: self._coefficient(k))
-                  for k in range(3))      # as read by the verdicts
+    c0, c1, c2 = (property(lambda self, k=k: self._polynomial(
+        self.orders()[k])) for k in range(3))     # as read by the verdicts
 
     def __mul__(self, other):
         """The one product with a series operand, either side."""

@@ -159,9 +159,10 @@ def conventions(n: int) -> list[tuple[str, str]]:
                           "probability measure)"),
         ("normalized-energy unit", "2 pi (symbolic; multiplies every "
                                    "reported functional value)"),
-        ("embeddability cutoff", "nonzero modes m <= -4 obstruct (S^3); "
-                                 "constant directions classify embeddable "
-                                 "under this orientation"),
+        ("embeddability cutoff",
+         f"nonzero modes m <= {variation.EMBEDDABILITY_MODE_CUTOFF} obstruct "
+         "(S^3); constant directions classify embeddable under this "
+         "orientation"),
     ]
 
 

@@ -871,8 +871,10 @@ def test_warm_application_forms_no_product_and_reduces_nothing(
 
 def test_warm_non_member_application_reads_the_tables(monkeypatch):
     """A vector that is not a frame field applies through the frame
-    fields' tables too: once they are warm it takes no ambient derivative
-    and calls no sum_of_products, on polynomial and on series slots."""
+    fields' tables too: once they are warm it fills no entry again, on
+    polynomial and on series slots.  Every fill takes the monomial's
+    ambient derivatives by ``frames.partial``; the application itself
+    sums its products with ``sum_of_products``, so that is no sign."""
     n = 2
     x = z_field(n, 1, 2)
     vectors = [x + zbar_field(n, 1, 3), x * w(n, 1), x.conjugate(),
@@ -884,11 +886,46 @@ def test_warm_non_member_application_reads_the_tables(monkeypatch):
              for y in vectors for f in pool]
     for y, f, _ in cases:
         field_apply(y, f)
-    calls = recorded_calls(monkeypatch, FILLING)
+    calls = recorded_calls(monkeypatch, ((frames, "partial"),))
     for y, f, want in cases:
         assert all(map(same_normal_form, orders(field_apply(y, f)),
                        orders(want)))
     assert calls == []
+
+
+def fused_examples(n=2):
+    """x = Z_12 zbar_3 + Zbar_13 z_2, y = T z_3 + Z_23 (2 - i) and
+    f = z_1 zbar_2 + z_3^2."""
+    x = z_field(n, 1, 2) * w(n, 3) + zbar_field(n, 1, 3) * z(n, 2)
+    y = reeb(n) * z(n, 3) + z_field(n, 2, 3) * ExactScalar(2, -1)
+    return x, y, z(n, 1) * w(n, 2) + z(n, 3) ** 2
+
+
+def test_warm_non_member_application_reduces_once(monkeypatch):
+    """x(f) = sum_s x_s X_s(f) is one sum_of_products: one reduction for
+    the whole sum, not one per product."""
+    x, _, f = fused_examples()
+    x = x + reeb(2) * z(2, 3)
+    want = field_apply(x, f)
+    calls = recorded_calls(monkeypatch, ((ring, "reduce_nums"),))
+    got = field_apply(x, f)
+    assert calls == ["reduce_nums"]
+    assert same_normal_form(got, want)
+
+
+def test_warm_brackets_reduce_each_fused_sum_once(monkeypatch):
+    """Each ambient coefficient of a bracket, the tangency check and each
+    slot of its re-expansion is one sum_of_products: three warm n = 2
+    brackets make at most 70 reductions (121 when each product and sum
+    was reduced on its own)."""
+    x, y, _ = fused_examples()
+    cases = [(x, y), (z_field(2, 1, 2), zbar_field(2, 1, 3)),
+             (x, x.conjugate())]
+    want = [bracket(a, b) for a, b in cases]
+    calls = recorded_calls(monkeypatch, ((ring, "reduce_nums"),))
+    got = [bracket(a, b) for a, b in cases]
+    assert len(calls) <= 70
+    assert [g.slots for g in got] == [g.slots for g in want]
 
 
 def test_every_n1_table_entry_is_pinned_by_an_identity(frame_tables):
@@ -932,6 +969,66 @@ def test_every_n1_table_entry_is_pinned_by_an_identity(frame_tables):
         try:
             if identities_hold():
                 survivors.append((s, ring._decode(1, key)))
+        finally:
+            images[key] = image
+    assert survivors == []
+
+
+def circle_mode(f: SpherePoly) -> int:
+    """|a| - |b| of a polynomial whose terms share it, as reduction keeps."""
+    (m,) = {sum(a) - sum(b) for a, b in f.terms}
+    return m
+
+
+def test_every_n2_table_entry_is_pinned_by_an_identity(frame_tables):
+    """Fill the n = 2 tables by applying the seven frame fields to
+    monomial_pool(2, 4) and check, on every pool member f, identities
+    computed another way: T f is (i/2)(|a| - |b|) f term by term, and
+    inner(Z_jk f, g) = -inner(f, Zbar_jk g), and the same with Z_jk and
+    Zbar_jk swapped, for every g in monomial_pool(2, 5) of the image's
+    circle mode (Z_jk lowers it by 2, Zbar_jk raises it by 2), where
+    ``inner`` pairs by the moment rule with no frame table.  Then negate
+    each nonempty table entry in turn: every negation must break an
+    identity on a pool member that holds its monomial."""
+    n = 2
+    fields = frame_fields(n)
+    p = len(index_pairs(n))
+    pool = [f for _, f in monomial_pool(n, 4)]
+    for x in fields:
+        for f in pool:
+            field_apply(x, f)
+    entries = [(s, key) for s, images in enumerate(frame_tables(n))
+               for key, image in images.items() if image]
+    assert len(entries) == 848
+    partners = [g for _, g in monomial_pool(n, 5)]
+    adjoint_images = {}     # (slot, circle mode of g) -> [(g, X'_s g)]
+    for s in range(1, 2 * p + 1):
+        adjoint = fields[s + p if s <= p else s - p]
+        for g in partners:
+            adjoint_images.setdefault((s, circle_mode(g)), []).append(
+                (g, field_apply(adjoint, g)))
+
+    def holds(s: int, f: SpherePoly) -> bool:
+        xf = field_apply(fields[s], f)
+        if s == 0:
+            return xf == SpherePoly(n, {
+                (a, b): c * ExactScalar(0, Fraction(sum(a) - sum(b), 2))
+                for (a, b), c in f.terms.items()})
+        mode = circle_mode(f) + (-2 if s <= p else 2)
+        return all(inner(xf, g) == -inner(f, yg)
+                   for g, yg in adjoint_images.get((s, mode), ()))
+
+    assert [(s, f) for s in range(len(fields)) for f in pool
+            if not holds(s, f)] == []
+    survivors = []
+    for s, key in entries:
+        images = frame_tables(n)[s]
+        image = images[key]
+        images[key] = tuple((dest, tuple((k, -w) for k, w in pairs))
+                            for dest, pairs in image)
+        try:
+            if all(holds(s, f) for f in pool if key in f.nums):
+                survivors.append((s, ring._decode(n, key)))
         finally:
             images[key] = image
     assert survivors == []

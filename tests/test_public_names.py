@@ -114,6 +114,53 @@ def test_table_guard_sees_each_pattern(source, found):
     assert bool(private_tables(ast.parse(source))) is found
 
 
+def private_definitions(trees) -> list[tuple[str, str, int, int]]:
+    """(module, name, first line, last line) of every single-underscore
+    function or class defined anywhere in the modules' syntax trees."""
+    return [(module, node.name, node.lineno, node.end_lineno)
+            for module, tree in trees for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef))
+            and node.name.startswith("_") and not node.name.startswith("__")]
+
+
+def unreferenced(trees) -> list[tuple[str, str]]:
+    """The private definitions that no ``Name`` or ``Attribute`` node
+    reads outside the definition's own lines."""
+    uses: dict[str, list[tuple[str, int]]] = {}
+    for module, tree in trees:
+        for node in ast.walk(tree):
+            name = (node.id if isinstance(node, ast.Name) else node.attr
+                    if isinstance(node, ast.Attribute) else None)
+            if name is not None:
+                uses.setdefault(name, []).append((module, node.lineno))
+    return [(module, name)
+            for module, name, first, last in private_definitions(trees)
+            if all(m == module and first <= line <= last
+                   for m, line in uses.get(name, ()))]
+
+
+def test_every_private_definition_has_a_reader():
+    """Code nobody reads gets deleted: every private function, method and
+    class in ``src/crsphere`` is named somewhere outside its own body."""
+    trees = [(path.stem, ast.parse(path.read_text(encoding="utf-8")))
+             for path in sorted(
+                 pathlib.Path(crsphere.__file__).parent.glob("*.py"))]
+    assert len(private_definitions(trees)) >= 70
+    assert unreferenced(trees) == []
+
+
+@pytest.mark.parametrize("source, found", [
+    ("def _f():\n    return _f()\n", [("m", "_f")]),
+    ("def _f():\n    pass\n\nx = _f\n", []),
+    ("class C:\n    def _g(self):\n        pass\n", [("m", "_g")]),
+    ("class C:\n    def _g(self):\n        pass\n\nC()._g()\n", []),
+    ("def __f():\n    pass\n", []),
+    ("class _K:\n    pass\n", [("m", "_K")])])
+def test_private_definition_guard_sees_each_pattern(source, found):
+    assert unreferenced([("m", ast.parse(source))]) == found
+
+
 # -- the package facade ----------------------------------------------------------
 
 def owner(name: str) -> str:

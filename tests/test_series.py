@@ -393,12 +393,14 @@ def test_series_reads_the_order_in_force(monkeypatch):
 
 def test_a_term_past_the_order_in_force_is_an_error(monkeypatch):
     """A t^3 term made at ORDER 3 and read at ORDER 2 raises one
-    ValueError, by orders() and by coefficients(), naming its order and
-    ORDER: it is neither dropped nor an IndexError."""
+    ValueError, by orders(), coefficients(), c0, c1, c2 and integral(),
+    naming its order and ORDER: it is neither dropped nor an
+    IndexError."""
     monkeypatch.setattr(ring, "ORDER", 3)
     s = TSeries2(SpherePoly.one(1), None, None, SpherePoly.z(1, 1))
     monkeypatch.setattr(ring, "ORDER", 2)
-    for read in (s.orders, s.coefficients):
+    for read in (s.orders, s.coefficients, lambda: s.c0, lambda: s.c1,
+                 lambda: s.c2, s.integral):
         with pytest.raises(ValueError,
                            match=r"order 3 is past ORDER = 2"):
             read()

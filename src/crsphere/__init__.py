@@ -29,8 +29,7 @@ _EXPORTS = {
                "sharp_pairing", "bracket", "covariant_T", "covariant_Z",
                "tight_expand"),
     "variation": ("DeformationTensor", "HessianReport", "validate_symmetry",
-                  "fourier_modes", "is_embeddable", "j_hessian",
-                  "j_hessian_via_T", "conformal_first_variation",
+                  "is_embeddable", "j_hessian", "j_hessian_via_T",
                   "conformal_hessian", "yamabe_energy_series",
                   "round_webster_curvature", "conformal_exponent"),
     "oracle3": ("DeformedCoframe", "PseudohermitianSeries", "deform_frame",

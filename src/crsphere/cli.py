@@ -175,15 +175,12 @@ def parse_deformation_file(path: str) -> variation.DeformationTensor:
         raise ConfigError(f"{path}:{first_line['E']}: 'E = ...' cannot be "
                           "mixed with 'E[j k, l m] = ...' lines")
     from . import frames, variation
-    if n == 1:
-        if scalar is None and not coeffs:
-            raise ConfigError(f"{path}: missing coefficient line 'E = ...'")
-        if scalar is None:
-            return variation.DeformationTensor.from_tensor(
-                frames.TensorField(1, coeffs))
+    if n == 1 and scalar is not None:
         return variation.DeformationTensor.from_coefficient(scalar)
     if not coeffs:
-        raise ConfigError(f"{path}: n > 1 needs 'E[j k, l m] = ...' lines")
+        raise ConfigError(f"{path}: missing coefficient line 'E = ...'"
+                          if n == 1 else
+                          f"{path}: n > 1 needs 'E[j k, l m] = ...' lines")
     return variation.DeformationTensor.from_tensor(
         frames.TensorField(n, coeffs))
 
@@ -266,8 +263,7 @@ def _cmd_analyze(args) -> int:
     if e.n == 1:
         bad = variation.obstructing_modes(e)
         note = f" (obstructing modes: {bad})" if bad else ""
-        lines.append("embeddable: "
-                     f"{'yes' if rep.embeddable else 'no'}{note}")
+        lines.append(f"embeddable: {'no' if bad else 'yes'}{note}")
     else:
         lines.append("embeddable: yes (dimension >= 5, always embeddable; "
                      "mode criterion not applicable)")
@@ -289,13 +285,14 @@ def _cmd_analyze(args) -> int:
             lines.append("oracle cross-check: skipped (S^3 only)")
         else:
             from . import oracle3
-            ps = oracle3.solve_structure(oracle3.deform_frame(e.coefficient))
-            verdict, d2 = oracle3.second_derivative_check(
-                e.coefficient, ps, rep.total, via)
+            c = e.coefficient
+            ps = oracle3.solve_structure(oracle3.deform_frame(c))
+            verdict, d2 = oracle3.second_derivative_check(c, ps, rep.total,
+                                                          via)
             lines.append(f"oracle second derivative: {d2.serialize()} "
                          f"[{'PASS' if verdict.ok else 'FAIL'}]")
-            for v in (oracle3.check_first_variation(e.coefficient, ps),
-                      oracle3.check_torsion_variation(e.coefficient, ps)):
+            for v in (oracle3.check_first_variation(c, ps),
+                      oracle3.check_torsion_variation(c, ps)):
                 lines.append(f"oracle {v.name}: "
                              f"{'PASS' if v.ok else 'FAIL'}")
                 if not v.ok:

@@ -271,11 +271,11 @@ def check_first_variation(e: SpherePoly,
     closed = (field_apply(_ZB1, field_apply(_ZB1, e))
               - field_apply(_Z1, field_apply(_Z1, ebar))) \
         * ExactScalar(0, Fraction(1, 2))
+    dw = ps.webster.c1
     return _verdict(
         f"first-variation[{e.to_grammar()}]",
-        [("pointwise dW/dt", closed, ps.webster.c1),
-         ("criticality int dW/dt", ExactScalar.zero(),
-          ps.webster.c1.integral())])
+        [("pointwise dW/dt", closed, dw),
+         ("criticality int dW/dt", ExactScalar.zero(), dw.integral())])
 
 
 def check_torsion_variation(e: SpherePoly,

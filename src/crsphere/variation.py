@@ -7,7 +7,8 @@ Two families of directions are analyzed:
   the structure fixed), where the second variation is diagonal over the
   harmonic bidegree spaces and vanishes exactly on the ambient-linear
   functions; and
-* structure directions, encoded by a deformation tensor E, where the
+* structure directions, encoded by a deformation tensor E, stored at
+  every n as one TensorField with canonical coefficients, where the
   second variation diagonalizes over circle-action modes m with weight
   (m + 4) and couples to embeddability of the perturbed structure: on S^3
   every nonzero mode below -3 must vanish for the perturbation to remain
@@ -34,12 +35,10 @@ __all__ = [
     "DeformationTensor",
     "HessianReport",
     "validate_symmetry",
-    "fourier_modes",
     "obstructing_modes",
     "is_embeddable",
     "j_hessian",
     "j_hessian_via_T",
-    "conformal_first_variation",
     "conformal_hessian",
     "yamabe_energy_series",
     "round_webster_curvature",
@@ -94,47 +93,60 @@ def validate_symmetry(t: TensorField) -> tuple[Asymmetry, ...]:
     return tuple(bad)
 
 
+# The one frame pair on S^3: a deformation there is c Zbar_12 (x) theta_12.
+_S3_KEY = ((1, 2), (1, 2))
+
+
 @dataclass(frozen=True, slots=True, eq=False, repr=False)
 class DeformationTensor:
     """Infinitesimal deformation of the complex rotation on S^{2n+1}.
 
-    On S^3 it is a single SpherePoly coefficient; in higher dimensions a
-    TensorField with canonical coefficients.  Frozen; ``asymmetries``
-    holds the lowered-form scan, made once when the tensor is built.
+    Stored at every n as one TensorField with canonical coefficients
+    (:func:`tight_expand` output).  On S^3 the frame Gram is 1, so the one
+    coefficient at ((1, 2), (1, 2)) is already canonical; ``coefficient``
+    reads it there and is None at n >= 2.  Frozen; ``asymmetries`` holds
+    the lowered-form scan, made once when the tensor is built.
     """
 
-    n: int
-    coefficient: SpherePoly | None
-    tensor: TensorField | None
+    tensor: TensorField
     asymmetries: tuple[Asymmetry, ...]
 
     @staticmethod
     def from_coefficient(e: SpherePoly) -> "DeformationTensor":
         if e.n != 1:
             raise ValueError("scalar deformation coefficients live on S^3")
-        return DeformationTensor(1, e, None, ())
+        return DeformationTensor(TensorField(1, {_S3_KEY: e}), ())
 
     @staticmethod
     def from_tensor(t: TensorField) -> "DeformationTensor":
         canonical = tight_expand(t)
-        if t.n == 1:
-            return DeformationTensor.from_coefficient(
-                canonical.coeffs.get(((1, 2), (1, 2)), SpherePoly.zero(1)))
-        return DeformationTensor(t.n, None, canonical,
-                                 validate_symmetry(canonical))
+        return DeformationTensor(canonical, validate_symmetry(canonical))
+
+    @property
+    def n(self) -> int:
+        return self.tensor.n
+
+    @property
+    def coefficient(self) -> SpherePoly | None:
+        """The one coefficient on S^3, zero included; None at n >= 2."""
+        if self.n != 1:
+            return None
+        c = self.tensor.coeffs.get(_S3_KEY)
+        return SpherePoly.zero(1) if c is None else c
 
     def coefficients(self) -> dict:
-        """Uniform view: map from ((j,k),(l,m)) to SpherePoly."""
+        """Map from ((j,k),(l,m)) to SpherePoly: the canonical nonzero
+        coefficients, and on S^3 always the one coefficient."""
         if self.n == 1:
-            return {((1, 2), (1, 2)): self.coefficient}
+            return {_S3_KEY: self.coefficient}
         return dict(self.tensor.coeffs)
 
     def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.coefficients().values())
+        return self.tensor.is_zero()
 
     def coefficient_modes(self) -> list[int]:
         ms: set[int] = set()
-        for c in self.coefficients().values():
+        for c in self.tensor.coeffs.values():
             ms.update(c.modes())
         return sorted(ms)
 
@@ -145,19 +157,12 @@ class DeformationTensor:
     def __eq__(self, other):
         if not isinstance(other, DeformationTensor):
             return NotImplemented
-        return self.n == other.n and self.coefficients() == other.coefficients()
+        return self.n == other.n and self.tensor.coeffs == other.tensor.coeffs
 
     def __repr__(self):
         body = "; ".join(f"{k}: {c.to_grammar()}"
                          for k, c in sorted(self.coefficients().items()))
         return f"DeformationTensor(n={self.n}, {body})"
-
-
-def fourier_modes(e: DeformationTensor) -> dict[int, DeformationTensor]:
-    """Coefficient-wise circle-mode split; the parts sum back to e."""
-    return {m: DeformationTensor.from_tensor(TensorField(e.n, {
-                k: c.fourier_project(m) for k, c in e.coefficients().items()}))
-            for m in e.coefficient_modes()}
 
 
 def obstructing_modes(e: DeformationTensor) -> list[int]:
@@ -182,12 +187,13 @@ def is_embeddable(e: DeformationTensor) -> bool:
 
 @dataclass(frozen=True)
 class HessianReport:
-    """Per-mode second-variation contributions of a deformation tensor."""
+    """Per-mode second-variation contributions of a deformation tensor:
+    rows (m, ||E^(m)||^2, (m+4) ||E^(m)||^2) and their total times n.
+    The dimension is the deformation's ``n``, and embeddability is
+    :func:`is_embeddable`'s verdict on the deformation."""
 
-    dimension: int
     modes: tuple[tuple[int, ExactScalar, ExactScalar], ...]
     total: ExactScalar
-    embeddable: bool
 
     def norm2(self) -> ExactScalar:
         acc = ExactScalar.zero()
@@ -203,16 +209,13 @@ def j_hessian(e: DeformationTensor) -> HessianReport:
         raise ValueError("deformation tensor has asymmetric lowered form")
     rows = []
     total = ExactScalar.zero()
-    for m, nrm in sorted(mode_norms(*e.coefficients().values()).items()):
+    for m, nrm in sorted(mode_norms(*e.tensor.coeffs.values()).items()):
         if nrm.is_zero():
             continue
         weighted = nrm * (m + 4)
         rows.append((m, nrm, weighted))
         total = total + weighted
-    total = total * e.n
-    embeddable = is_embeddable(e) if e.n == 1 else True
-    return HessianReport(dimension=e.n, modes=tuple(rows), total=total,
-                         embeddable=embeddable)
+    return HessianReport(modes=tuple(rows), total=total * e.n)
 
 
 def j_hessian_via_T(e: DeformationTensor) -> ExactScalar:
@@ -225,10 +228,9 @@ def j_hessian_via_T(e: DeformationTensor) -> ExactScalar:
     """
     if e.asymmetries:
         raise ValueError("deformation tensor has asymmetric lowered form")
-    coeffs = e.coefficients()
-    nabla = covariant_T(TensorField(e.n, coeffs)).coeffs
+    coeffs = e.tensor.coeffs
     acc = ExactScalar.zero()
-    for k, dc in nabla.items():
+    for k, dc in covariant_T(e.tensor).coeffs.items():
         acc = acc + inner(dc, coeffs[k])
     half = ExactScalar(0, -e.n) * acc
     return half + half.conjugate()
@@ -263,15 +265,6 @@ def yamabe_energy_series(v: SpherePoly) -> TSeries2:
         for x in (integrand, volume))
     dpow = denominator.fractional_power(Fraction(-(q_hom - 2), q_hom))
     return numerator * dpow
-
-
-def conformal_first_variation(v: SpherePoly) -> ExactScalar:
-    """First-order coefficient of the normalized energy along 1 + t v.
-
-    The round structure is critical and the functional scale-invariant, so
-    this vanishes identically; it is computed, not assumed.
-    """
-    return yamabe_energy_series(v).c1.constant_term()
 
 
 def conformal_hessian(v: SpherePoly) -> ExactScalar:

@@ -443,6 +443,17 @@ def test_verify_report_bytes_pinned(tmp_path, capsys, n, flags, digest):
                  "E[1 3, 1 2] = (-2/3,0/1) (0/1,4/1) w1\n",
                  "a310b1c30bbadba9024545a874f2bd0cf49298d937d032173820423910de4137",
                  id="symmetric-s5-two-modes"),
+    # a zero deformation: on S^3 the one coefficient line stays, written
+    # either way; at n = 2 no coefficient line is left
+    pytest.param("n = 1\nE = (0/1,0/1)\n",
+                 "f04f7f680cd7d1555717c45821039afee7f234dac79793faa6893e51143de6c4",
+                 id="zero-s3"),
+    pytest.param("n = 1\nE[1 2, 1 2] = (0/1,0/1)\n",
+                 "f04f7f680cd7d1555717c45821039afee7f234dac79793faa6893e51143de6c4",
+                 id="zero-s3-tensor-line"),
+    pytest.param("n = 2\nE[1 2, 1 3] = (0/1,0/1)\n",
+                 "07493a20e0ba7104b6f5c1c1e273db0c7b345f460eadca231761acb45e1bdf31",
+                 id="zero-s5"),
 ])
 def test_analyze_output_bytes_pinned(tmp_path, capsys, text, digest):
     f = tmp_path / "d.txt"

@@ -114,19 +114,29 @@ def test_table_guard_sees_each_pattern(source, found):
     assert bool(private_tables(ast.parse(source))) is found
 
 
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
 def private_definitions(trees) -> list[tuple[str, str, int, int]]:
     """(module, name, first line, last line) of every single-underscore
     function or class defined anywhere in the modules' syntax trees."""
     return [(module, node.name, node.lineno, node.end_lineno)
             for module, tree in trees for node in ast.walk(tree)
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.ClassDef))
+            if isinstance(node, DEFINITIONS)
             and node.name.startswith("_") and not node.name.startswith("__")]
 
 
-def unreferenced(trees) -> list[tuple[str, str]]:
-    """The private definitions that no ``Name`` or ``Attribute`` node
-    reads outside the definition's own lines."""
+def public_definitions(trees) -> list[tuple[str, str, int, int]]:
+    """(module, name, first line, last line) of every module-level
+    function or class whose name has no leading underscore."""
+    return [(module, node.name, node.lineno, node.end_lineno)
+            for module, tree in trees for node in tree.body
+            if isinstance(node, DEFINITIONS) and not node.name.startswith("_")]
+
+
+def unreferenced(definitions, trees) -> list[tuple[str, str]]:
+    """The definitions that no ``Name`` or ``Attribute`` node of the
+    trees reads outside the definition's own lines."""
     uses: dict[str, list[tuple[str, int]]] = {}
     for module, tree in trees:
         for node in ast.walk(tree):
@@ -134,20 +144,40 @@ def unreferenced(trees) -> list[tuple[str, str]]:
                     if isinstance(node, ast.Attribute) else None)
             if name is not None:
                 uses.setdefault(name, []).append((module, node.lineno))
-    return [(module, name)
-            for module, name, first, last in private_definitions(trees)
+    return [(module, name) for module, name, first, last in definitions
             if all(m == module and first <= line <= last
                    for m, line in uses.get(name, ()))]
+
+
+PACKAGE = pathlib.Path(crsphere.__file__).parent
+ROOT = PACKAGE.parent.parent
+
+
+def parsed(paths) -> list[tuple[str, ast.Module]]:
+    """(path from the repository root, syntax tree) of each Python file."""
+    return [(path.relative_to(ROOT).as_posix(),
+             ast.parse(path.read_text(encoding="utf-8")))
+            for path in sorted(paths)]
 
 
 def test_every_private_definition_has_a_reader():
     """Code nobody reads gets deleted: every private function, method and
     class in ``src/crsphere`` is named somewhere outside its own body."""
-    trees = [(path.stem, ast.parse(path.read_text(encoding="utf-8")))
-             for path in sorted(
-                 pathlib.Path(crsphere.__file__).parent.glob("*.py"))]
+    trees = parsed(PACKAGE.glob("*.py"))
     assert len(private_definitions(trees)) >= 70
-    assert unreferenced(trees) == []
+    assert unreferenced(private_definitions(trees), trees) == []
+
+
+def test_every_public_definition_has_a_reader():
+    """Every public module-level function and class in ``src/crsphere``
+    is named outside its own body in the package, the demos or the
+    benchmark; a test alone does not keep a name alive, and neither does
+    a string in ``__all__``."""
+    package = parsed(PACKAGE.glob("*.py"))
+    readers = package + parsed([*(ROOT / "demos").glob("*.py"),
+                                *(ROOT / "perfbench").glob("*.py")])
+    assert len(public_definitions(package)) >= 80
+    assert unreferenced(public_definitions(package), readers) == []
 
 
 @pytest.mark.parametrize("source, found", [
@@ -158,7 +188,24 @@ def test_every_private_definition_has_a_reader():
     ("def __f():\n    pass\n", []),
     ("class _K:\n    pass\n", [("m", "_K")])])
 def test_private_definition_guard_sees_each_pattern(source, found):
-    assert unreferenced([("m", ast.parse(source))]) == found
+    trees = [("m", ast.parse(source))]
+    assert unreferenced(private_definitions(trees), trees) == found
+
+
+@pytest.mark.parametrize("source, reader, found", [
+    ("def f():\n    return f()\n", "", [("m", "f")]),
+    ("def f():\n    pass\n", "import m\nm.f()\n", []),
+    ("def f():\n    pass\n\ng = f\n", "", []),
+    ("class K:\n    pass\n", "x: K = None\n", []),
+    ("__all__ = ['f']\n\ndef f():\n    pass\n", "", [("m", "f")]),
+    ("class K:\n    def g(self):\n        pass\n", "K\n", []),
+    ("def _f():\n    pass\n", "", []),
+    ("def f():\n    def g():\n        pass\n    return 0\n", "f\n", [])])
+def test_public_definition_guard_sees_each_pattern(source, reader, found):
+    """Module level only: a method or a nested function is not a public
+    definition; a reader in another file counts, a string does not."""
+    trees = [("m", ast.parse(source)), ("r", ast.parse(reader))]
+    assert unreferenced(public_definitions(trees[:1]), trees) == found
 
 
 # -- the package facade ----------------------------------------------------------
@@ -173,8 +220,8 @@ def owner(name: str) -> str:
     return module
 
 
-def test_facade_lists_sixty_names():
-    assert len(set(crsphere.__all__)) == len(crsphere.__all__) == 60
+def test_facade_lists_fifty_eight_names():
+    assert len(set(crsphere.__all__)) == len(crsphere.__all__) == 58
     assert set(FACADE_MODULES) <= set(crsphere.__all__)
     assert set(crsphere.__all__) <= set(dir(crsphere))
 

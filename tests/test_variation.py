@@ -1,19 +1,20 @@
 """Deformation tensors, mode analysis, embeddability and both Hessians."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from crsphere import frames, variation
 from crsphere.ring import (ExactScalar, SpherePoly, TSeries2, mode_norms,
                            norm2)
 from crsphere.frames import TensorField, index_pairs, tight_expand, z_field
-from crsphere.variation import (DeformationTensor, conformal_exponent,
-                                conformal_first_variation, conformal_hessian,
-                                fourier_modes, is_embeddable, j_hessian,
-                                j_hessian_via_T, obstructing_modes,
-                                round_webster_curvature, validate_symmetry,
-                                yamabe_energy_series)
+from crsphere.variation import (DeformationTensor, HessianReport,
+                                conformal_exponent, conformal_hessian,
+                                is_embeddable, j_hessian, j_hessian_via_T,
+                                obstructing_modes, round_webster_curvature,
+                                validate_symmetry, yamabe_energy_series)
 from crsphere.spectral import harmonic_decompose, sublaplacian
 from crsphere.verify import monomial_pool
 
@@ -71,11 +72,11 @@ def test_antisymmetric_pair_tensor_rejected():
 # -- fourier modes -------------------------------------------------------------------
 
 def test_mode_examples():
-    assert list(fourier_modes(defo(SpherePoly.one(1)))) == [0]
+    assert defo(SpherePoly.one(1)).coefficient_modes() == [0]
     e = defo(w(1, 1) * w(1, 2) ** 3)
-    assert list(fourier_modes(e)) == [-4]
+    assert e.coefficient_modes() == [-4]
     e2 = defo(z(1, 1) * w(1, 2) + w(1, 1) ** 5)
-    assert sorted(fourier_modes(e2)) == [-5, 0]
+    assert e2.coefficient_modes() == [-5, 0]
 
 
 def _split_coefficient(e):
@@ -86,20 +87,87 @@ def _split_coefficient(e):
 
 
 def test_mode_split_at_n1_is_coefficient_split():
+    """Each mode part built as a tensor through ``from_tensor`` is the
+    part built from the coefficient alone."""
     pool = [p for _, p in monomial_pool(1, 4)]
     for i, p in enumerate(pool):
         for q in pool[i:]:
             e = defo(p + q)
-            assert fourier_modes(e) == _split_coefficient(e)
+            by_tensor = {m: DeformationTensor.from_tensor(TensorField(1, {
+                             k: c.fourier_project(m)
+                             for k, c in e.coefficients().items()}))
+                         for m in e.coefficient_modes()}
+            assert by_tensor == _split_coefficient(e)
 
 
 @given(polys(n=1))
 def test_modes_sum_back(p):
     e = defo(p)
     total = SpherePoly.zero(1)
-    for part in fourier_modes(e).values():
+    for part in _split_coefficient(e).values():
         total = total + part.coefficient
     assert total == p
+
+
+# -- one stored form -----------------------------------------------------------------
+
+def test_deformation_and_report_store_one_form():
+    assert [f.name for f in dataclasses.fields(DeformationTensor)] == [
+        "tensor", "asymmetries"]
+    assert [f.name for f in dataclasses.fields(HessianReport)] == [
+        "modes", "total"]
+
+
+def test_s3_coefficient_and_tensor_build_the_same_deformation():
+    """On S^3 the frame Gram is 1: a coefficient stored as it is equals
+    the canonical tensor ``from_tensor`` makes of it."""
+    for _, c in monomial_pool(1, 4):
+        a = DeformationTensor.from_coefficient(c)
+        b = DeformationTensor.from_tensor(TensorField(1, {((1, 2), (1, 2)): c}))
+        assert a.tensor.coeffs == b.tensor.coeffs
+        assert a.asymmetries == b.asymmetries == ()
+        assert a.n == b.n == 1
+        assert a.coefficient == b.coefficient == c
+        assert a.coefficients() == b.coefficients() == {((1, 2), (1, 2)): c}
+
+
+def test_coefficient_is_none_above_s3():
+    pairs = index_pairs(2)
+    e = DeformationTensor.from_tensor(
+        TensorField(2, {(pairs[0], pairs[0]): z(2, 1)}))
+    assert e.n == 2
+    assert e.coefficient is None
+    assert defo(SpherePoly.zero(1)).coefficient == SpherePoly.zero(1)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_j_hessian_via_T_builds_no_tensor_of_its_own(monkeypatch, n):
+    """The only TensorField made is the one ``covariant_T`` returns."""
+    pairs = index_pairs(n)
+    c = z(n, 1) * w(n, 2) + SpherePoly.one(n)
+    e = DeformationTensor.from_tensor(
+        TensorField(n, {(pairs[0], pairs[-1]): c, (pairs[-1], pairs[0]): c}))
+    total = j_hessian(e).total
+    built = []
+    original = TensorField.__post_init__
+
+    def counting(self):
+        built.append(self)
+        original(self)
+
+    monkeypatch.setattr(TensorField, "__post_init__", counting)
+    derivatives = []
+    covariant_T = frames.covariant_T
+
+    def counting_T(obj):
+        out = covariant_T(obj)
+        derivatives.append(out)
+        return out
+
+    monkeypatch.setattr(variation, "covariant_T", counting_T)
+    assert j_hessian_via_T(e) == total
+    assert len(derivatives) == len(built) == 1
+    assert built[0] is derivatives[0]
 
 
 @given(polys(n=1))
@@ -153,16 +221,17 @@ def test_hessian_frozen_values():
     assert rep5.total == ExactScalar(Fraction(-1, 6))
     assert rep5.modes == ((-5, ExactScalar(Fraction(1, 6)),
                            ExactScalar(Fraction(-1, 6))),)
-    assert not rep5.embeddable
+    assert not is_embeddable(defo(w(1, 1) ** 5))
 
 
 def test_hessian_report_invariants():
     p = SpherePoly.one(1) + w(1, 1) ** 5 + z(1, 1) * w(1, 2)
-    rep = j_hessian(defo(p))
+    e = defo(p)
+    rep = j_hessian(e)
     total = ExactScalar.zero()
     for _, _, wt in rep.modes:
         total = total + wt
-    assert rep.total == total * rep.dimension
+    assert rep.total == total * e.n
     assert rep.norm2() == norm2(p)
 
 
@@ -354,13 +423,13 @@ def test_admissible_positivity_s5():
 def test_conformal_first_variation_vanishes_on_examples():
     for p in (SpherePoly.one(1), (z(1, 1) + w(1, 1)) * Fraction(1, 2),
               z(1, 1) * w(1, 1)):
-        assert conformal_first_variation(p).is_zero()
+        assert yamabe_energy_series(p).c1.constant_term().is_zero()
 
 
 @given(polys(n=1, max_terms=2))
 def test_conformal_first_variation_vanishes(p):
     v = p + p.conjugate()
-    assert conformal_first_variation(v).is_zero()
+    assert yamabe_energy_series(v).c1.constant_term().is_zero()
 
 
 def test_conformal_hessian_frozen_values():
